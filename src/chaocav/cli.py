@@ -15,13 +15,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import AtomicInit, ModelParams
-from .entanglement import entanglement_sweep
+from .dynamics import AtomicInit
 from .field import coherent_weights
 from .linalg import InvariantViolation
 from .oracle import run_verification
 from .svg import render_contour_chart, render_line_chart
-from .teleport import UnknownQubit, fidelity_curve
+from .sweep import sweep_grid
+from .teleport import UnknownQubit
 
 SQRT_HALF = 1.0 / math.sqrt(2.0)
 
@@ -306,12 +306,14 @@ def _finalize(settings, command):
     }
 
 
-def _write_csv(path, header, rows):
+def _write_csv(path, header, blocks):
+    """Header line, then every row of each (rows, columns) block as %.12e values."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
-            for row in rows:
-                fh.write(",".join(f"{float(v):.12e}" for v in row) + "\n")
+            for block in blocks:
+                line = ",".join(["%.12e"] * block.shape[1]) + "\n"
+                fh.write("".join([line % tuple(row) for row in block.tolist()]))
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
@@ -331,69 +333,41 @@ ENT_HEADER = "t,gamma,alpha_field,doe,pre_norm_trace"
 FID_HEADER = ENT_HEADER + ",fidelity,kappa1,kappa2_re,kappa2_im,kappa4,weight"
 
 
-def run_entanglement(cfg):
-    records = entanglement_sweep(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
-                                 omega_rabi=cfg["omega_rabi"], g0=cfg["g0"],
-                                 variant=cfg["variant"])
-    rows = [(r.t, r.gamma, cfg["alpha"], r.doe, r.pre_norm_trace) for r in records]
-    _write_csv(cfg["out"], ENT_HEADER, rows)
+def _csv_blocks(grid, alpha):
+    # One block per gamma row, columns in the order of ENT_HEADER or FID_HEADER.
+    n = grid.t.size
+    for i, gamma in enumerate(grid.gammas):
+        cols = [grid.t, np.full(n, gamma), np.full(n, alpha), grid.doe[i],
+                grid.pre_norm_trace[i]]
+        if grid.fidelity is not None:
+            cols += [grid.fidelity[i], grid.kappa1[i], grid.kappa2[i].real,
+                     grid.kappa2[i].imag, grid.kappa4[i], grid.weight[i]]
+        yield np.column_stack(cols)
+
+
+def _chart(command, grid):
+    if command == "contour":
+        return render_contour_chart(grid.t, grid.gammas, grid.fidelity,
+                                    title="Teleportation fidelity", xlabel="t",
+                                    ylabel="gamma", iso_levels=(0.95,))
+    if command == "entanglement":
+        values, title, ylabel = grid.doe, "Degree of entanglement", "DoE"
+    else:
+        values, title, ylabel = grid.fidelity, "Teleportation fidelity", "fidelity"
+    series = [(f"gamma={gamma:g}", grid.t, values[i]) for i, gamma in enumerate(grid.gammas)]
+    return render_line_chart(series, title=title, xlabel="t", ylabel=ylabel)
+
+
+def run_sweep(cfg, command):
+    """Run one sweep command: the grid, its CSV and, with --svg, its chart."""
+    grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
+                      cfg["unknown"], omega_rabi=cfg["omega_rabi"], g0=cfg["g0"],
+                      variant=cfg["variant"])
+    header = ENT_HEADER if grid.fidelity is None else FID_HEADER
+    _write_csv(cfg["out"], header, _csv_blocks(grid, cfg["alpha"]))
     written = [cfg["out"]]
     if cfg["svg"]:
-        series = []
-        per = cfg["times"].size
-        for k, gamma in enumerate(cfg["gammas"]):
-            chunk = records[k * per:(k + 1) * per]
-            series.append((f"gamma={gamma:g}", [r.t for r in chunk],
-                           [r.doe for r in chunk]))
-        svg = render_line_chart(series, title="Degree of entanglement",
-                                xlabel="t", ylabel="DoE")
-        _write_svg(_svg_path(cfg["out"]), svg)
-        written.append(_svg_path(cfg["out"]))
-    return written
-
-
-def _fidelity_rows(cfg):
-    all_rows = []
-    curves = []
-    for gamma in cfg["gammas"]:
-        sweep = fidelity_curve(cfg["times"], gamma, cfg["init"], cfg["field"],
-                               cfg["unknown"], omega_rabi=cfg["omega_rabi"],
-                               g0=cfg["g0"], variant=cfg["variant"])
-        ent = entanglement_sweep(cfg["times"], [gamma], cfg["init"], cfg["field"],
-                                 omega_rabi=cfg["omega_rabi"], g0=cfg["g0"],
-                                 variant=cfg["variant"])
-        for i, t in enumerate(cfg["times"]):
-            all_rows.append((t, gamma, cfg["alpha"], ent[i].doe, sweep.pre_norm_trace[i],
-                             sweep.fidelity[i], sweep.kappa1[i], sweep.kappa2[i].real,
-                             sweep.kappa2[i].imag, sweep.kappa4[i], sweep.weight[i]))
-        curves.append((gamma, sweep))
-    return all_rows, curves
-
-
-def run_fidelity(cfg):
-    rows, curves = _fidelity_rows(cfg)
-    _write_csv(cfg["out"], FID_HEADER, rows)
-    written = [cfg["out"]]
-    if cfg["svg"]:
-        series = [(f"gamma={gamma:g}", sweep.t, sweep.fidelity)
-                  for gamma, sweep in curves]
-        svg = render_line_chart(series, title="Teleportation fidelity",
-                                xlabel="t", ylabel="fidelity")
-        _write_svg(_svg_path(cfg["out"]), svg)
-        written.append(_svg_path(cfg["out"]))
-    return written
-
-
-def run_contour(cfg):
-    rows, curves = _fidelity_rows(cfg)
-    _write_csv(cfg["out"], FID_HEADER, rows)
-    written = [cfg["out"]]
-    if cfg["svg"]:
-        z = np.stack([sweep.fidelity for _, sweep in curves])
-        svg = render_contour_chart(cfg["times"], cfg["gammas"], z,
-                                   title="Teleportation fidelity",
-                                   xlabel="t", ylabel="gamma", iso_levels=(0.95,))
-        _write_svg(_svg_path(cfg["out"]), svg)
+        _write_svg(_svg_path(cfg["out"]), _chart(command, grid))
         written.append(_svg_path(cfg["out"]))
     return written
 
@@ -418,9 +392,7 @@ def main(argv=None):
             return run_verify(args.seed)
         settings = _merge_settings(args)
         cfg = _finalize(settings, args.command)
-        runner = {"entanglement": run_entanglement, "fidelity": run_fidelity,
-                  "contour": run_contour}[args.command]
-        written = runner(cfg)
+        written = run_sweep(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -80,26 +80,88 @@ def erf(x):
     return val if x > 0 else -val
 
 
+def _erf_series_array(x):
+    # _erf_series on an array: the same recurrence, each element stopping
+    # at its own term, so every result is bit-for-bit the scalar one.
+    x2 = x * x
+    term = x.copy()
+    total = x.copy()
+    out = np.empty_like(x)
+    idx = np.arange(x.size)
+    k = 0
+    while idx.size:
+        k += 1
+        term *= -x2 / k
+        contrib = term / (2 * k + 1)
+        total += contrib
+        done = np.abs(contrib) < 1e-18
+        out[idx[done]] = total[done]
+        live = ~done
+        idx, x2, term, total = idx[live], x2[live], term[live], total[live]
+    return out * 2.0 / math.sqrt(math.pi)
+
+
+def _erfc_fraction_array(x):
+    # _erfc_fraction on an array, element by element as in the scalar loop.
+    tiny = 1e-300
+    f = np.full(x.shape, tiny)
+    c = np.full(x.shape, tiny)
+    d = np.zeros(x.shape)
+    live = np.ones(x.shape, dtype=bool)
+    for k in range(1, 300):
+        a = 1.0 if k == 1 else 0.5 * (k - 1)
+        xs = x[live]
+        dk = xs + a * d[live]
+        dk[dk == 0.0] = tiny
+        ck = xs + a / c[live]
+        ck[ck == 0.0] = tiny
+        dk = 1.0 / dk
+        delta = ck * dk
+        f[live] *= delta
+        d[live] = dk
+        c[live] = ck
+        live[np.flatnonzero(live)[np.abs(delta - 1.0) < 1e-16]] = False
+        if not live.any():
+            break
+    gauss = np.array([math.exp(v) for v in (-x * x).tolist()])
+    return gauss / math.sqrt(math.pi) * f
+
+
+def erf_array(x):
+    """erf on an array, bit-for-bit equal to erf applied to every element."""
+    x = np.asarray(x, dtype=float)
+    ax = np.abs(x)
+    val = np.ones(x.shape)
+    series = ax <= 3.0
+    tail = (ax > 3.0) & (ax < 6.0)
+    val[series] = _erf_series_array(ax[series])
+    val[tail] = 1.0 - _erfc_fraction_array(ax[tail])
+    val = np.where(x > 0, val, -val)
+    val[x == 0.0] = 0.0
+    return val
+
+
 def averaged_q(t, gamma):
     """Ensemble average of the random phase factor at time t.
 
     Returns exp(-(t/2) sqrt(pi gamma) erf(t sqrt(gamma))), a real value in
-    (0, 1], for scalar or array t. Monotone non-increasing in both t and
-    gamma; gamma = 0 gives exactly 1.
+    (0, 1], as a float for scalar arguments. t and gamma may be arrays that
+    broadcast against each other; a (G, 1) gamma column against a (G, T)
+    time grid gives a whole sweep in one call, equal bit for bit to the
+    per-gamma rows. Non-finite or negative arguments raise ValueError.
+    Monotone non-increasing in both t and gamma; gamma = 0 gives exactly 1.
     """
-    gamma = float(gamma)
-    if gamma < 0.0:
-        raise ValueError(f"gamma must be >= 0, got {gamma}")
     t_arr = np.asarray(t, dtype=float)
-    if np.any(t_arr < 0.0):
-        raise ValueError("time must be >= 0")
-    root = math.sqrt(math.pi * gamma)
-    rg = math.sqrt(gamma)
-    if t_arr.ndim == 0:
-        ts = float(t_arr)
-        return math.exp(-0.5 * ts * root * erf(ts * rg))
-    flat = np.array([math.exp(-0.5 * ts * root * erf(ts * rg)) for ts in t_arr.ravel()])
-    return flat.reshape(t_arr.shape)
+    g_arr = np.asarray(gamma, dtype=float)
+    if not np.all(np.isfinite(g_arr)) or np.any(g_arr < 0.0):
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
+        raise ValueError("time must be finite and >= 0")
+    root = np.sqrt(math.pi * g_arr)
+    arg = -0.5 * t_arr * root * erf_array(t_arr * np.sqrt(g_arr))
+    # math.exp, not np.exp: the two differ in the last bit.
+    q = np.array([math.exp(v) for v in arg.ravel().tolist()]).reshape(arg.shape)
+    return float(q) if q.ndim == 0 else q
 
 
 @dataclass(frozen=True)
@@ -266,16 +328,20 @@ def _build_table(t, qp, qm, init, field, params, variant):
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 
-def amplitude_table(t, init, field, params, variant="corrected"):
+def amplitude_table(t, init, field, params, variant="corrected", q=None):
     """Phase-averaged amplitudes of the scalar channel at the given times.
 
     Both random phase factors are replaced by the scalar mean
     averaged_q(t, params.gamma), which freezes the coupled dynamics
-    entirely at gamma = 0. The density built from these amplitudes is not
-    the ensemble-averaged state; oracle.joint_averaged_density is.
+    entirely at gamma = 0. A sweep that has already evaluated that mean
+    passes it as q, one value per time. The density built from these
+    amplitudes is not the ensemble-averaged state;
+    oracle.joint_averaged_density is.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    q = averaged_q(t_arr, params.gamma).astype(complex)[:, None]
+    if q is None:
+        q = averaged_q(t_arr, params.gamma)
+    q = np.asarray(q, dtype=float).astype(complex)[:, None]
     return _build_table(t_arr, q, q, init, field, params, variant)
 
 

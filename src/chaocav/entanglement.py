@@ -6,7 +6,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import amplitude_table, table_density
 from .linalg import InvariantViolation, is_hermitian, jacobi_eigh, partial_transpose_batch
 
 DOE_CEILING_TOL = 1e-12
@@ -57,19 +56,14 @@ def entanglement_sweep(times, gammas, init, field, omega_rabi=1.0, g0=1.0,
     (dynamics.amplitude_table), not the ensemble-averaged state; for the
     trace-preserving ensemble average use oracle.joint_averaged_density.
     Returns records in row-major order: all times for the first gamma,
-    then the next gamma. One batched eigensolve covers each gamma row.
+    then the next gamma. A view of sweep.sweep_grid, which returns the
+    same numbers as arrays.
     """
-    from .dynamics import ModelParams
+    from .sweep import sweep_grid  # here, not at the top: sweep imports this module
 
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    records = []
-    for gamma in np.atleast_1d(np.asarray(gammas, dtype=float)):
-        params = ModelParams(gamma=float(gamma), omega_rabi=omega_rabi, g0=g0)
-        table = amplitude_table(times, init, field, params, variant)
-        rhos, pre = table_density(table)
-        doe, mu = _doe_from_rhos(rhos)
-        for k, t in enumerate(times):
-            records.append(EntanglementRecord(t=float(t), gamma=float(gamma),
-                                              doe=float(doe[k]), pt_eigenvalues=mu[k],
-                                              pre_norm_trace=float(pre[k])))
-    return records
+    grid = sweep_grid(times, gammas, init, field, omega_rabi=omega_rabi, g0=g0,
+                      variant=variant)
+    return [EntanglementRecord(t=float(t), gamma=float(gamma), doe=float(grid.doe[i, k]),
+                               pt_eigenvalues=grid.pt_eigenvalues[i, k],
+                               pre_norm_trace=float(grid.pre_norm_trace[i, k]))
+            for i, gamma in enumerate(grid.gammas) for k, t in enumerate(grid.t)]

@@ -17,7 +17,7 @@ import numpy as np
 
 from .dynamics import (AtomicInit, ModelParams, ReducedState, amplitude_table,
                        atomic_density, averaged_q, deterministic_density,
-                       deterministic_table, erf, table_density, _build_table)
+                       deterministic_table, erf_array, table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -357,6 +357,44 @@ class VerifyCheck:
     detail: str
 
 
+def ou_mean_q(t_grid, spec):
+    """Exact mean of exp(i phi(t)) for the phase-noise surrogate.
+
+    For the Ornstein-Uhlenbeck drive the phase is Gaussian with variance
+    2 sigma^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c)), so the mean is
+    exp(-sigma^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c))). It tends to
+    exp(-sigma^2 t^2 / 2) as t -> 0 but sits above it at every t > 0.
+    """
+    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if spec.process == "constant":
+        return np.ones(t_grid.shape)
+    x = t_grid / spec.tau_c
+    # x + expm1(-x) keeps its digits where x is small.
+    return np.exp(-(spec.sigma * spec.tau_c) ** 2 * (x + np.expm1(-x)))
+
+
+def mc_short_time(gamma, seed, n_samples=100000):
+    """Monte Carlo mean of the surrogate at t = 0.005 and 0.01 against its exact mean.
+
+    Returns (ok, detail). ok holds when both gaps are within three
+    standard errors, which fails by chance for a few seeds in a thousand.
+    The detail also reports the deterministic gap between the exact mean
+    and exp(-gamma t^2), the averaged channel's short-time form.
+    """
+    spec = noise_spec_for_gamma(gamma, seed=seed)
+    mc = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=n_samples)
+    exact = ou_mean_q(mc.t, spec)
+    ok = True
+    details = []
+    for k, t_chk in enumerate(mc.t):
+        gap = abs(mc.q_mean[k].real - exact[k])
+        bias = exact[k] - math.exp(-gamma * t_chk ** 2)
+        ok = ok and gap <= 3.0 * mc.stderr[k]
+        details.append(f"t={t_chk}: gap {gap:.2e} vs 3*se {3.0 * mc.stderr[k]:.2e}, "
+                       f"exact mean - exp(-gamma t^2) {bias:.2e}")
+    return ok, "; ".join(details)
+
+
 def _doe_reference(rho):
     # Library eigensolver on the partial transpose; used only as a cross-check.
     mu = np.linalg.eigvalsh(partial_transpose(rho, subsystem=2))
@@ -368,8 +406,9 @@ def run_verification(seed=8, quick=False):
 
     Returns VerifyCheck rows; any FAIL means the closed-form dynamics and
     the independent reconstruction disagree beyond tolerance. Statistical
-    rows are deterministic for a fixed seed, and the default seed is the
-    supported one.
+    rows are deterministic for a fixed seed. They are 3-sigma gates, so
+    any seed may fail one by chance; mc_short_time fails for one of the
+    seeds 0..119 (46), and the default seed 8 passes them all.
     """
     rows = []
 
@@ -385,10 +424,11 @@ def run_verification(seed=8, quick=False):
     comm = max(comm, np.abs(S_PLUS @ S_MINUS - S_MINUS @ S_PLUS - S_Z).max())
     check("spin_commutators", comm == 0.0, f"max residual {comm:.1e}")
 
-    # Error function against the math library.
+    # The error function the sweeps evaluate, against the math library.
     xs = np.linspace(-8.0, 8.0, 321 if quick else 1601)
-    err = max(abs(erf(float(x)) - math.erf(float(x))) for x in xs)
-    jump = abs(erf(3.0 - 1e-12) - erf(3.0 + 1e-12))
+    err = float(np.max(np.abs(erf_array(xs) - np.array([math.erf(x) for x in xs.tolist()]))))
+    edge = erf_array(np.array([3.0 - 1e-12, 3.0 + 1e-12]))
+    jump = abs(float(edge[0] - edge[1]))
     check("erf_reference", err <= 1e-12 and jump <= 1e-12,
           f"max |diff| {err:.2e}, branch jump {jump:.2e}")
 
@@ -522,19 +562,11 @@ def run_verification(seed=8, quick=False):
     check("bell_channel_fidelity", bell_dev <= 1e-12,
           f"max deviation from unit fidelity and weight 1/4: {bell_dev:.2e}")
 
-    # The noise surrogate must reproduce the averaged factor at short
-    # times, where both reduce to exp(-gamma t^2).
+    # The noise surrogate must match its own exact mean at short times,
+    # where it approaches the averaged factor's exp(-gamma t^2).
     gamma_mc = 1.0
     spec = noise_spec_for_gamma(gamma_mc, seed=seed)
-    mc_small = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=100000)
-    ok_small = True
-    details = []
-    for k, t_chk in enumerate(mc_small.t):
-        target = math.exp(-gamma_mc * t_chk ** 2)
-        gap = abs(mc_small.q_mean[k].real - target)
-        ok_small = ok_small and gap <= 3.0 * mc_small.stderr[k]
-        details.append(f"t={t_chk}: gap {gap:.2e} vs 3*se {3.0 * mc_small.stderr[k]:.2e}")
-    check("mc_short_time", ok_small, "; ".join(details))
+    check("mc_short_time", *mc_short_time(gamma_mc, seed))
 
     # At long times the surrogate decays at rate sigma^2 tau_c with a
     # known constant offset exp(pi/8); the rate must match sqrt(pi g)/2.

@@ -24,16 +24,23 @@ _PALETTE = (
 )
 
 
-def _heat_color(u):
-    u = min(1.0, max(0.0, float(u)))
-    for k in range(len(_PALETTE) - 1):
-        u0, c0 = _PALETTE[k]
-        u1, c1 = _PALETTE[k + 1]
-        if u <= u1:
-            w = 0.0 if u1 == u0 else (u - u0) / (u1 - u0)
-            rgb = tuple(round(a + w * (b - a)) for a, b in zip(c0, c1))
-            return "#%02x%02x%02x" % rgb
-    return "#%02x%02x%02x" % _PALETTE[-1][1]
+_KNOT_U = np.array([k[0] for k in _PALETTE])
+_KNOT_RGB = np.array([k[1] for k in _PALETTE], dtype=float)
+
+
+def _heat_rgb(u):
+    """Palette colour of each value in u, clamped to [0, 1], as (N, 3) ints.
+
+    Linear between knots, channels rounded half to even; a value on a
+    knot takes the segment that ends there.
+    """
+    u = np.asarray(u, dtype=float)
+    u = np.where(u > 0.0, u, 0.0)
+    u = np.where(u < 1.0, u, 1.0)
+    k = np.searchsorted(_KNOT_U[1:], u, side="left")
+    w = (u - _KNOT_U[k]) / (_KNOT_U[k + 1] - _KNOT_U[k])
+    c0 = _KNOT_RGB[k]
+    return np.rint(c0 + w[:, None] * (_KNOT_RGB[k + 1] - c0)).astype(int)
 
 
 def _nice_ticks(lo, hi, target=6):
@@ -178,36 +185,35 @@ _MS_SEGMENTS = {
 
 def _iso_segments(x, y, z, level):
     # Marching squares on the node grid; ambiguous cells split by the
-    # cell-center value.
+    # cell-center value. Only cells with four finite corners that the
+    # level crosses are visited, in row-major order.
+    quad = (z[:-1, :-1], z[:-1, 1:], z[1:, 1:], z[1:, :-1])
+    finite = np.all(np.isfinite(quad), axis=0)
+    masks = sum((c >= level).astype(int) << k for k, c in enumerate(quad))
     segs = []
-    for i in range(len(y) - 1):
-        for j in range(len(x) - 1):
-            v = (z[i, j], z[i, j + 1], z[i + 1, j + 1], z[i + 1, j])
-            if not all(np.isfinite(v)):
-                continue
-            mask = sum(1 << k for k in range(4) if v[k] >= level)
-            if mask in (0, 15):
-                continue
-            corners = ((x[j], y[i]), (x[j + 1], y[i]),
-                       (x[j + 1], y[i + 1]), (x[j], y[i + 1]))
+    for i, j in zip(*np.nonzero(finite & (masks != 0) & (masks != 15))):
+        v = (z[i, j], z[i, j + 1], z[i + 1, j + 1], z[i + 1, j])
+        mask = int(masks[i, j])
+        corners = ((x[j], y[i]), (x[j + 1], y[i]),
+                   (x[j + 1], y[i + 1]), (x[j], y[i + 1]))
 
-            def cross(edge):
-                a, b = edge, (edge + 1) % 4
-                va, vb = v[a], v[b]
-                w = 0.5 if vb == va else (level - va) / (vb - va)
-                return (corners[a][0] + w * (corners[b][0] - corners[a][0]),
-                        corners[a][1] + w * (corners[b][1] - corners[a][1]))
+        def cross(edge):
+            a, b = edge, (edge + 1) % 4
+            va, vb = v[a], v[b]
+            w = 0.5 if vb == va else (level - va) / (vb - va)
+            return (corners[a][0] + w * (corners[b][0] - corners[a][0]),
+                    corners[a][1] + w * (corners[b][1] - corners[a][1]))
 
-            if mask in (5, 10):
-                center_in = (sum(v) / 4.0) >= level
-                if mask == 5:
-                    pairs = ((1, 0), (3, 2)) if center_in else ((3, 0), (1, 2))
-                else:
-                    pairs = ((0, 3), (2, 1)) if center_in else ((0, 1), (2, 3))
+        if mask in (5, 10):
+            center_in = (sum(v) / 4.0) >= level
+            if mask == 5:
+                pairs = ((1, 0), (3, 2)) if center_in else ((3, 0), (1, 2))
             else:
-                pairs = _MS_SEGMENTS[mask]
-            for ea, eb in pairs:
-                segs.append((cross(ea), cross(eb)))
+                pairs = ((0, 3), (2, 1)) if center_in else ((0, 1), (2, 3))
+        else:
+            pairs = _MS_SEGMENTS[mask]
+        for ea, eb in pairs:
+            segs.append((cross(ea), cross(eb)))
     return segs
 
 
@@ -229,20 +235,28 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel="",
                    (float(y[0]), float(y[-1])))
     vlo, vhi = _span(z)
     out = [frame.open_tag()]
-    for i in range(y.size - 1):
-        ya = frame.py(y[i])
-        yb = frame.py(y[i + 1])
-        top, hgt = (yb, ya - yb) if ya >= yb else (ya, yb - ya)
-        for j in range(x.size - 1):
-            cell = (z[i, j], z[i, j + 1], z[i + 1, j], z[i + 1, j + 1])
-            finite = [c for c in cell if np.isfinite(c)]
-            if not finite:
-                continue
-            xa = frame.px(x[j])
-            xb = frame.px(x[j + 1])
-            color = _heat_color((sum(finite) / len(finite) - vlo) / (vhi - vlo))
-            out.append(f'<rect x="{xa:.2f}" y="{top:.2f}" width="{xb - xa:.2f}" '
-                       f'height="{hgt:.2f}" fill="{color}"/>\n')
+    # Each cell is painted with the mean of its finite corners, summed in
+    # corner order as Python's sum() would.
+    corners = (z[:-1, :-1], z[:-1, 1:], z[1:, :-1], z[1:, 1:])
+    total = 0.0
+    count = 0
+    for c in corners:
+        ok = np.isfinite(c)
+        total = total + np.where(ok, c, 0.0)
+        count = count + ok
+    painted = count > 0
+    mean = total[painted] / count[painted]
+    rgb = _heat_rgb((mean - vlo) / (vhi - vlo))
+    xa = frame.px(x[:-1])
+    width_px = frame.px(x[1:]) - xa
+    ya = frame.py(y[:-1])
+    yb = frame.py(y[1:])
+    top = np.where(ya >= yb, yb, ya)
+    hgt = np.where(ya >= yb, ya - yb, yb - ya)
+    rows, cols = np.nonzero(painted)
+    cells = np.column_stack([xa[cols], top[rows], width_px[cols], hgt[rows]])
+    rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%02x%02x%02x"/>\n'
+    out.extend(rect % (*geom, *color) for geom, color in zip(cells.tolist(), rgb.tolist()))
     for level in iso_levels:
         for (xa, ya), (xb, yb) in _iso_segments(x, y, z, level):
             out.append(f'<line x1="{frame.px(xa):.2f}" y1="{frame.py(ya):.2f}" '
@@ -251,11 +265,11 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel="",
     out.append(frame.chrome(title, xlabel, ylabel, grid=False))
     bar_x = frame.ml + frame.pw + 24
     steps = 32
-    for k in range(steps):
-        u0 = k / steps
+    bar_rgb = _heat_rgb(np.arange(steps) / steps + 0.5 / steps)
+    for k, (r, g, b) in enumerate(bar_rgb.tolist()):
         top = frame.mt + frame.ph * (1.0 - (k + 1) / steps)
         out.append(f'<rect x="{bar_x}" y="{top:.2f}" width="16" '
-                   f'height="{frame.ph / steps + 0.5:.2f}" fill="{_heat_color(u0 + 0.5 / steps)}"/>\n')
+                   f'height="{frame.ph / steps + 0.5:.2f}" fill="#{r:02x}{g:02x}{b:02x}"/>\n')
     out.append(f'<rect x="{bar_x}" y="{frame.mt}" width="16" height="{frame.ph}" '
                f'fill="none" stroke="#333333" stroke-width="1"/>\n')
     out.append(f'<text x="{bar_x + 22}" y="{frame.mt + frame.ph + 4}" '

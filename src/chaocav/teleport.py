@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, amplitude_table, table_density
+from .dynamics import amplitude_table, table_density
 from .linalg import partial_trace, tensor
 
 WEIGHT_FLOOR = 1e-15
@@ -134,25 +134,19 @@ def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0,
     """Fidelity of the phi_plus branch over a time grid at fixed gamma.
 
     Rows where the branch weight kappa1 + kappa4 falls below 1e-15 get
-    fidelity nan instead of an exception so sweeps always complete.
+    fidelity nan instead of an exception so sweeps always complete. One
+    row of sweep.sweep_grid.
     """
-    times = np.atleast_1d(np.asarray(times, dtype=float))
-    params = ModelParams(gamma=float(gamma), omega_rabi=omega_rabi, g0=g0)
-    table = amplitude_table(times, init, field, params, variant)
-    _, pre = table_density(table)
-    k1, k2, k3, k4 = kappa_sums(table, unknown, variant)
-    weight = (k1 + k4).real
-    au = unknown.alpha_u
-    bu = unknown.beta_u
-    numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
-             + au * np.conj(bu) * k3 + abs(bu) ** 2 * k4).real
-    ok = weight > WEIGHT_FLOOR
-    fid = np.full(times.shape, np.nan)
-    np.divide(numer, weight, out=fid, where=ok)
-    return FidelitySweep(t=times, gamma=float(gamma), fidelity=fid,
-                         kappa1=k1.real, kappa2=k2, kappa4=k4.real,
-                         weight=weight, outcome_weight=weight / pre,
-                         pre_norm_trace=pre)
+    from .sweep import sweep_grid  # here, not at the top: sweep imports this module
+
+    grid = sweep_grid(times, [gamma], init, field, unknown, omega_rabi=omega_rabi,
+                      g0=g0, variant=variant)
+    pre = grid.pre_norm_trace[0]
+    weight = grid.weight[0]
+    return FidelitySweep(t=grid.t, gamma=float(gamma), fidelity=grid.fidelity[0],
+                         kappa1=grid.kappa1[0], kappa2=grid.kappa2[0],
+                         kappa4=grid.kappa4[0], weight=weight,
+                         outcome_weight=weight / pre, pre_norm_trace=pre)
 
 
 def bob_state_closed_form(t, init, field, params, unknown, variant="corrected"):

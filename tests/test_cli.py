@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from chaocav import cli
+from chaocav.svg import _PALETTE, _heat_rgb
 
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
 
@@ -252,6 +253,30 @@ def test_contour_svg_has_cells_and_iso_line(tmp_path):
     assert text.count("<rect") > 40  # heat cells plus the colorbar
     # white segments draw the 0.95 iso line; one more marks it on the colorbar
     assert text.count('stroke="white"') > 1
+
+
+def heat_rgb_reference(u):
+    # One value at a time: clamp, find the segment, round each channel.
+    u = min(1.0, max(0.0, float(u)))
+    for (u0, c0), (u1, c1) in zip(_PALETTE, _PALETTE[1:]):
+        if u <= u1:
+            w = (u - u0) / (u1 - u0)
+            return [round(a + w * (b - a)) for a, b in zip(c0, c1)]
+    return list(_PALETTE[-1][1])
+
+
+def test_heat_colours_hit_the_palette_knots_and_clamp():
+    knots = np.array([u for u, _ in _PALETTE])
+    colours = np.array([rgb for _, rgb in _PALETTE])
+    assert np.array_equal(_heat_rgb(knots), colours)
+    ends = _heat_rgb(np.array([-0.5, np.nan, 1.0 + 1e-9, 7.0]))
+    assert np.array_equal(ends, colours[[0, 0, -1, -1]])
+
+
+def test_heat_colours_match_the_scalar_rule():
+    # The grid holds 25 channels that land exactly on .5, rounded half to even.
+    us = np.linspace(-0.1, 1.1, 24001)
+    assert _heat_rgb(us).tolist() == [heat_rgb_reference(u) for u in us]
 
 
 # ---------------------------------------------------------------- exit codes

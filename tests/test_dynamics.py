@@ -22,6 +22,7 @@ from chaocav.dynamics import (
     deterministic_table,
     dressed_amplitudes,
     erf,
+    erf_array,
     table_density,
 )
 from chaocav.field import coherent_weights
@@ -62,6 +63,19 @@ def test_erf_continuous_across_branch_switches(edge):
     assert abs(erf(edge - eps) - erf(edge + eps)) <= 1e-12
 
 
+ERF_EDGES = [0.0, -0.0, 3.0, -3.0, 3.0 + 1e-12, 3.0 - 1e-12, -3.0 - 1e-12, -3.0 + 1e-12,
+             6.0, -6.0, 6.0 - 1e-12, -0.37, -1.9, -4.2, -5.5, 1e-300, 12.0, -1e5]
+
+
+def test_erf_array_is_bit_equal_to_scalar_erf():
+    xs = np.concatenate([ERF_EDGES, np.linspace(-8.0, 8.0, 20001)])
+    got = erf_array(xs)
+    want = np.array([erf(x) for x in xs])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
+    grid = xs[:18].reshape(3, 6)
+    assert np.array_equal(erf_array(grid), want[:18].reshape(3, 6))
+
+
 # ---------------------------------------------------------------- averaged factor
 
 def test_averaged_q_frozen_value():
@@ -90,6 +104,25 @@ def test_averaged_q_rejects_bad_arguments():
         averaged_q(1.0, -0.1)
     with pytest.raises(ValueError):
         averaged_q(-1.0, 0.5)
+
+
+@pytest.mark.parametrize("t, gamma", [
+    (math.nan, 0.5), (1.0, math.nan), (math.inf, 0.5), (1.0, math.inf),
+    (np.array([0.0, math.nan]), 0.5), (1.0, np.array([0.2, math.nan])),
+])
+def test_averaged_q_rejects_non_finite_arguments(t, gamma):
+    with pytest.raises(ValueError, match="finite"):
+        averaged_q(t, gamma)
+
+
+def test_averaged_q_grid_equals_per_gamma_rows():
+    ts = np.linspace(0.0, 10.0, 201)
+    gammas = np.linspace(0.0, 1.0, 21)
+    grid = averaged_q(np.broadcast_to(ts, (gammas.size, ts.size)), gammas[:, None])
+    rows = np.stack([averaged_q(ts, g) for g in gammas])
+    scalar = np.array([[averaged_q(float(t), float(g)) for t in ts] for g in gammas])
+    assert np.array_equal(grid, rows)
+    assert np.array_equal(grid, scalar)
 
 
 # ---------------------------------------------------------------- configuration objects

@@ -20,8 +20,10 @@ from chaocav.oracle import (
     full_hamiltonian,
     integrate_schrodinger,
     joint_averaged_density,
+    mc_short_time,
     monte_carlo_q,
     noise_spec_for_gamma,
+    ou_mean_q,
     oracle_density,
     rk4_evolve,
     run_verification,
@@ -239,6 +241,21 @@ def test_monte_carlo_matches_gaussian_closure():
     want = kubo_mean(1.0, spec)
     assert abs(out.q_mean[0].real - want) <= 5.0 * out.stderr[0]
     assert abs(out.q_mean[0].imag) <= 5.0 * out.stderr[0]
+
+
+def test_ou_mean_matches_gaussian_closure():
+    spec = noise_spec_for_gamma(1.0)
+    ts = np.array([0.005, 0.01, 0.5, 3.0])
+    want = [kubo_mean(t, spec) for t in ts]
+    assert ou_mean_q(ts, spec) == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(ou_mean_q(ts, NoiseSpec(process="constant")), np.ones(4))
+
+
+def test_mc_short_time_fails_only_at_the_nominal_rate():
+    # Two 3-sigma gates: a few seeds in a thousand fail by chance. Gating
+    # against exp(-gamma t^2) instead failed 18 of these 120 seeds.
+    failed = [seed for seed in range(120) if not mc_short_time(1.0, seed)[0]]
+    assert len(failed) <= 2, failed
 
 
 def test_monte_carlo_stderr_shrinks_with_samples():
