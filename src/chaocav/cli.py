@@ -241,12 +241,20 @@ def _merge_settings(args):
     return settings
 
 
+# Settings that must be finite, with the flag that sets each.
+_FINITE_FLAGS = (("omega_rabi", "--omega"), ("g0", "--g0"),
+                 ("alpha_field", "--alpha-field"), ("t_max", "--t-max"))
+
+
 def _finalize(settings, command):
     """Validate the merged settings and build the model objects."""
     if settings["variant"] not in ("corrected", "verbatim"):
         raise ConfigError(f"unknown variant {settings['variant']!r}")
     if settings["field_convention"] not in ("amplitude", "mean"):
         raise ConfigError(f"unknown field convention {settings['field_convention']!r}")
+    for key, flag in _FINITE_FLAGS:
+        if not math.isfinite(float(settings[key])):
+            raise ConfigError(f"{flag} must be finite, got {settings[key]}")
     alpha = float(settings["alpha_field"])
     if settings["field_convention"] == "mean":
         if alpha < 0.0:
@@ -268,6 +276,10 @@ def _finalize(settings, command):
         raise ConfigError(f"steps must be >= 2, got {steps}")
     if t_min < 0.0 or not t_max > t_min:
         raise ConfigError(f"need 0 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
+    omega_rabi = float(settings["omega_rabi"])
+    if not math.isfinite(omega_rabi * t_max):
+        # exp(-i omega t) of an infinite phase is NaN in every later column.
+        raise ConfigError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
     times = np.linspace(t_min, t_max, steps)
     gammas = np.asarray(settings["gammas"], dtype=float)
     if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
@@ -300,20 +312,19 @@ def _finalize(settings, command):
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
         "unknown": unknown, "alpha": alpha,
-        "omega_rabi": float(settings["omega_rabi"]), "g0": float(settings["g0"]),
+        "omega_rabi": omega_rabi, "g0": float(settings["g0"]),
         "variant": settings["variant"], "out": out, "svg": bool(settings["svg"]),
         "seed": int(settings["seed"]),
     }
 
 
 def _write_csv(path, header, blocks):
-    """Header line, then every row of each (rows, columns) block as %.12e values."""
+    """Header line, then each block of already formatted lines."""
     try:
         with open(path, "w", encoding="utf-8", newline="\n") as fh:
             fh.write(header + "\n")
             for block in blocks:
-                line = ",".join(["%.12e"] * block.shape[1]) + "\n"
-                fh.write("".join([line % tuple(row) for row in block.tolist()]))
+                fh.write(block)
     except OSError as exc:
         raise RuntimeError(f"cannot write {path}: {exc}") from exc
 
@@ -334,15 +345,19 @@ FID_HEADER = ENT_HEADER + ",fidelity,kappa1,kappa2_re,kappa2_im,kappa4,weight"
 
 
 def _csv_blocks(grid, alpha):
-    # One block per gamma row, columns in the order of ENT_HEADER or FID_HEADER.
-    n = grid.t.size
+    # One block of %.12e lines per gamma row, columns in the order of
+    # ENT_HEADER or FID_HEADER. t, gamma and alpha_field repeat, so each is
+    # formatted once and set into the block's format string, which then
+    # takes the row's other values in a single % operation. A formatted
+    # number holds no "%".
+    t_text = ["%.12e," % t for t in grid.t.tolist()]
     for i, gamma in enumerate(grid.gammas):
-        cols = [grid.t, np.full(n, gamma), np.full(n, alpha), grid.doe[i],
-                grid.pre_norm_trace[i]]
+        cols = [grid.doe[i], grid.pre_norm_trace[i]]
         if grid.fidelity is not None:
             cols += [grid.fidelity[i], grid.kappa1[i], grid.kappa2[i].real,
                      grid.kappa2[i].imag, grid.kappa4[i], grid.weight[i]]
-        yield np.column_stack(cols)
+        line = "%.12e,%.12e," % (gamma, alpha) + ",".join(["%.12e"] * len(cols)) + "\n"
+        yield (line.join(t_text) + line) % tuple(np.column_stack(cols).ravel().tolist())
 
 
 def _chart(command, grid):

@@ -232,7 +232,8 @@ class AmplitudeTable:
     """All sector amplitudes at the sampled times, plus photon-grouped views.
 
     sector_* arrays have shape (T, N) over sectors n = 0..N-1. The
-    photon_* arrays regroup the same amplitudes by Fock level m, so that
+    (T, 4, N + 1) photon array regroups the same amplitudes by Fock level
+    m, and photon_a..photon_d are its views photon[:, 0]..photon[:, 3]:
     photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
     component), photon_b[m] and photon_c[m] multiply |ge,m> and |eg,m>,
     and photon_d[m] multiplies |ee,m>.
@@ -245,6 +246,7 @@ class AmplitudeTable:
     sector_c: np.ndarray
     sector_d: np.ndarray
     ground: np.ndarray
+    photon: np.ndarray
     photon_a: np.ndarray
     photon_b: np.ndarray
     photon_c: np.ndarray
@@ -277,12 +279,26 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext, variant):
         an0 = (b0 - c0) / SQRT2
         cosf = (qp + qm) / 2.0
         isin = (qp - qm) / 2.0
-        ub = cosf * ub0 + isin * s0
-        sym = isin * ub0 + cosf * s0
-        amp_a = ep * (r1 * ub + r2 * ud0)
-        amp_d = ep * (r2 * ub - r1 * ud0)
-        amp_b = (ep * sym + em * an0) / SQRT2
-        amp_c = (ep * sym - em * an0) / SQRT2
+        # Each (T, N) term once, sums updated in place, operands in their
+        # original order: every value is bit-for-bit that of the expression
+        # in the comment. Products stay out of place: numpy's in-place complex
+        # multiply can round a one-element array differently.
+        ub = cosf * ub0
+        ub += isin * s0  # ub = cosf * ub0 + isin * s0
+        sym = isin * ub0
+        sym += cosf * s0  # sym = isin * ub0 + cosf * s0
+        amp_a = r1 * ub
+        amp_a += r2 * ud0
+        amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
+        amp_d = r2 * ub
+        amp_d -= r1 * ud0
+        amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
+        sym = ep * sym
+        dark = em * an0
+        amp_b = sym + dark
+        amp_b /= SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
+        amp_c = np.subtract(sym, dark, out=sym)
+        amp_c /= SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
     elif variant == "verbatim":
         pref = 1.0 / (2.0 * SQRT2 * (2.0 * nf + 1.0))
         com = c00 * qp - c01 * qm
@@ -312,19 +328,15 @@ def _build_table(t, qp, qm, init, field, params, variant):
         ground = ep[:, 0] * (w_ext[0] * init.c00)
     else:
         ground = np.zeros(t_arr.shape, dtype=complex)
-    m = n_sec + 1
-    shape = (t_arr.size, m)
-    pa = np.zeros(shape, dtype=complex)
-    pb = np.zeros(shape, dtype=complex)
-    pc = np.zeros(shape, dtype=complex)
-    pd = np.zeros(shape, dtype=complex)
+    photon = np.zeros((t_arr.size, 4, n_sec + 1), dtype=complex)
+    pa, pb, pc, pd = (photon[:, k] for k in range(4))
     pa[:, 0] = ground
     pa[:, 1:] = amp_a
     pb[:, :n_sec] = amp_b
     pc[:, :n_sec] = amp_c
     pd[:, : n_sec - 1] = amp_d[:, 1:]
     return AmplitudeTable(t=t_arr, sector_n=ns, sector_a=amp_a, sector_b=amp_b,
-                          sector_c=amp_c, sector_d=amp_d, ground=ground,
+                          sector_c=amp_c, sector_d=amp_d, ground=ground, photon=photon,
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 
@@ -407,12 +419,13 @@ def table_density(table):
     outer-product assembly keeps the matrix Hermitian and positive by
     construction before renormalization.
     """
-    v = np.stack([table.photon_a, table.photon_b, table.photon_c, table.photon_d], axis=1)
+    v = table.photon
     rho = np.einsum("tim,tjm->tij", v, np.conj(v))
     pre = np.einsum("tii->t", rho).real
     if np.any(pre <= 0.0):
         raise InvariantViolation("density matrix trace vanished; initial state carries no weight")
-    return rho / pre[:, None, None], pre
+    rho /= pre[:, None, None]
+    return rho, pre
 
 
 def atomic_density(t, init, field, params, variant="corrected"):

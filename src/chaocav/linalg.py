@@ -30,9 +30,12 @@ def tensor(*ops):
 
 
 def is_hermitian(m, tol=HERMITIAN_INPUT_TOL):
-    """True when m equals its conjugate transpose within tol (max entry)."""
+    """True when m equals its conjugate transpose within tol (max entry).
+
+    m is one square matrix or a stack of them along the last two axes.
+    """
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - m.conj().T)) <= tol)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= tol)
 
 
 def _check_square(m, name="matrix"):
@@ -43,37 +46,25 @@ def _check_square(m, name="matrix"):
 
 
 def partial_transpose(rho, subsystem):
-    """Partial transpose of a two-qubit matrix over atom 1 or atom 2.
+    """Partial transpose over atom 1 or atom 2 of a 4x4 matrix or a (..., 4, 4) stack.
 
-    subsystem is 1-based. Rejects non-Hermitian input because the
-    operation is only used on density matrices.
+    subsystem is 1-based; the result has the input's shape. Rejects input
+    that is not Hermitian within 1e-9 because the operation is only used
+    on density matrices.
     """
-    rho = _check_square(rho, "rho")
-    if rho.shape != (4, 4):
-        raise InvariantViolation(f"partial_transpose needs a 4x4 matrix, got {rho.shape}")
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
+        raise InvariantViolation(f"partial_transpose needs 4x4 matrices, got shape {rho.shape}")
     if not is_hermitian(rho):
         raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")
     if subsystem not in (1, 2):
         raise InvariantViolation(f"subsystem must be 1 or 2, got {subsystem}")
-    t = rho.reshape(2, 2, 2, 2)
-    if subsystem == 1:
-        t = t.transpose(2, 1, 0, 3)
-    else:
-        t = t.transpose(0, 3, 2, 1)
-    return t.reshape(4, 4)
-
-
-def partial_transpose_batch(rhos, subsystem=2):
-    """Partial transpose applied along the last two axes of a (..., 4, 4) stack."""
-    rhos = np.asarray(rhos, dtype=complex)
-    shape = rhos.shape
-    t = rhos.reshape(shape[:-2] + (2, 2, 2, 2))
-    k = len(shape) - 2
+    k = rho.ndim - 2
     if subsystem == 1:
         perm = tuple(range(k)) + (k + 2, k + 1, k, k + 3)
     else:
         perm = tuple(range(k)) + (k, k + 3, k + 2, k + 1)
-    return t.transpose(perm).reshape(shape)
+    return rho.reshape(rho.shape[:k] + (2, 2, 2, 2)).transpose(perm).reshape(rho.shape)
 
 
 def jacobi_eigh(mats, vectors=False):
@@ -81,7 +72,9 @@ def jacobi_eigh(mats, vectors=False):
 
     Accepts a single (d, d) matrix or a (B, d, d) stack and sweeps until the
     off-diagonal Frobenius norm of every matrix drops below JACOBI_OFF_TOL.
-    Returns values, or (values, vectors) with eigenvectors in columns.
+    A pair (p, q) whose entry is below 1e-300 in every matrix of the batch
+    is skipped, as its rotation would be the identity. Returns values, or (values, vectors)
+    with eigenvectors in columns.
     """
     a = np.asarray(mats, dtype=complex)
     single = a.ndim == 2
@@ -100,6 +93,8 @@ def jacobi_eigh(mats, vectors=False):
                 apq = a[:, p, q]
                 mag = np.abs(apq)
                 active = mag > 1e-300
+                if not active.any():
+                    continue
                 with np.errstate(divide="ignore", invalid="ignore"):
                     tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * mag)
                     tee = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))

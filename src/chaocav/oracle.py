@@ -300,11 +300,6 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
     return MonteCarloQ(t=t_grid, q_mean=q_mean, stderr=stderr, n_samples=n_samples)
 
 
-def _photon_stack(table):
-    return np.stack([table.photon_a, table.photon_b, table.photon_c,
-                     table.photon_d], axis=1)
-
-
 def joint_averaged_density(t, init, field, params, variant="corrected",
                            n_samples=0, seed=0):
     """Two-atom state averaged jointly over the phase factor pair.
@@ -325,9 +320,9 @@ def joint_averaged_density(t, init, field, params, variant="corrected",
     tt = float(t)
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    base = _photon_stack(_build_table(tt, zero, zero, init, field, params, variant))[0]
-    vx = _photon_stack(_build_table(tt, one, zero, init, field, params, variant))[0] - base
-    vy = _photon_stack(_build_table(tt, zero, one, init, field, params, variant))[0] - base
+    base = _build_table(tt, zero, zero, init, field, params, variant).photon[0]
+    vx = _build_table(tt, one, zero, init, field, params, variant).photon[0] - base
+    vy = _build_table(tt, zero, one, init, field, params, variant).photon[0] - base
     q = averaged_q(tt, params.gamma)
     if n_samples <= 0:
         q4 = q ** 4

@@ -333,6 +333,22 @@ def test_steps_below_two_exits_2(tmp_path, capsys):
     assert "steps" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags, named", [
+    (["--g0", "nan"], "--g0 must be finite"),
+    (["--omega", "inf"], "--omega must be finite"),
+    (["--t-max", "inf"], "--t-max must be finite"),
+    (["--alpha-field", "inf"], "--alpha-field must be finite"),
+    (["--alpha-field", "nan"], "--alpha-field must be finite"),
+    # finite on its own, but omega * t at t_max = 10 overflows
+    (["--omega", "1e308"], "--omega times --t-max must be finite"),
+])
+def test_non_finite_inputs_exit_2(tmp_path, capsys, flags, named):
+    code, out = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "3"] + flags)
+    assert code == 2
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- verify
 
 def test_verify_command_reports_and_exits_zero(capsys):

@@ -165,6 +165,17 @@ def test_photon_regrouping_aligns_with_sectors():
     assert np.array_equal(table.photon_c[:, :n_sec], table.sector_c)
     assert np.array_equal(table.photon_d[:, :n_sec - 1], table.sector_d[:, 1:])
     assert np.all(table.sector_d[:, 0] == 0.0)  # |ee,-1> does not exist
+    views = (table.photon_a, table.photon_b, table.photon_c, table.photon_d)
+    for k, view in enumerate(views):
+        assert np.shares_memory(view, table.photon)
+        assert np.array_equal(view, table.photon[:, k])
+    # the density read straight from the photon array equals the stacked route
+    v = np.stack(views, axis=1)
+    rho = np.einsum("tim,tjm->tij", v, np.conj(v))
+    pre = np.einsum("tii->t", rho).real
+    got_rho, got_pre = table_density(table)
+    assert np.array_equal(got_pre, pre)
+    assert np.array_equal(got_rho, rho / pre[:, None, None])
 
 
 def test_initial_state_is_reproduced():

@@ -13,7 +13,6 @@ from chaocav.linalg import (
     jacobi_eigh,
     partial_trace,
     partial_transpose,
-    partial_transpose_batch,
     purity_overlap,
     require_density_matrix,
     tensor,
@@ -33,12 +32,31 @@ def test_tensor_matches_kron_chain():
 
 
 def test_jacobi_matches_reference_on_large_batch(rng):
-    mats = np.array([random_hermitian(rng) for _ in range(1000)])
-    got = jacobi_eigh(mats)
-    want = np.linalg.eigvalsh(mats)
-    assert np.max(np.abs(got - want)) <= 1e-11
-    traces = np.einsum("bii->b", mats).real
-    assert np.max(np.abs(got.sum(axis=1) - traces)) <= 1e-10
+    dense = np.array([random_hermitian(rng) for _ in range(1000)])
+    def x_shaped(pairs):
+        mats = np.array([np.diag(rng.normal(size=4)).astype(complex) for _ in range(200)])
+        for p, q in pairs:
+            mats[:, p, q] = rng.normal(size=200) + 1j * rng.normal(size=200)
+            mats[:, q, p] = np.conj(mats[:, p, q])
+        return mats
+
+    # only the (1, 2) pair is nonzero, so every other rotation of every
+    # sweep is skipped for the whole batch
+    one_pair = x_shaped([(1, 2)])
+    # rotations keep the X shape, so (1, 2) stays zero in half the matrices
+    # and must still rotate the other half
+    half = x_shaped([(0, 3), (1, 2)])
+    half[::2, 1, 2] = half[::2, 2, 1] = 0.0
+    for mats in (dense, one_pair, half):
+        got = jacobi_eigh(mats)
+        want = np.linalg.eigvalsh(mats)
+        assert np.max(np.abs(got - want)) <= 1e-11
+        traces = np.einsum("bii->b", mats).real
+        assert np.max(np.abs(got.sum(axis=1) - traces)) <= 1e-10
+        w, v = jacobi_eigh(mats, vectors=True)
+        assert np.array_equal(w, got)
+        residual = np.einsum("bij,bjk->bik", mats, v) - v * w[:, None, :]
+        assert np.max(np.abs(residual)) <= 1e-9
 
 
 def test_jacobi_eigenvectors_diagonalize(rng):
@@ -85,10 +103,14 @@ def test_partial_transpose_involution(rng):
 
 
 def test_partial_transpose_batch_agrees_with_single(rng):
-    rhos = np.array([random_density(rng) for _ in range(8)])
-    batch = partial_transpose_batch(rhos, subsystem=2)
-    for i in range(8):
-        assert np.array_equal(batch[i], partial_transpose(rhos[i], 2))
+    rhos = np.array([random_density(rng) for _ in range(12)])
+    for subsystem in (1, 2):
+        batch = partial_transpose(rhos, subsystem)
+        grid = partial_transpose(rhos.reshape(3, 4, 4, 4), subsystem)
+        assert grid.shape == (3, 4, 4, 4)
+        assert np.array_equal(grid.reshape(batch.shape), batch)
+        for i in range(12):
+            assert np.array_equal(batch[i], partial_transpose(rhos[i], subsystem))
 
 
 def test_partial_transpose_input_checks():
@@ -100,6 +122,17 @@ def test_partial_transpose_input_checks():
         partial_transpose(bad, 2)
     with pytest.raises(InvariantViolation):
         partial_transpose(np.eye(4, dtype=complex) / 4.0, 3)
+    # the same checks hold for every matrix of a stack
+    stack = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (5, 4, 4)).copy()
+    with pytest.raises(InvariantViolation):
+        partial_transpose(stack[:, :3, :3], 2)
+    with pytest.raises(InvariantViolation):
+        partial_transpose(np.ones(4, dtype=complex), 2)
+    stack[3, 0, 1] = 1.0
+    with pytest.raises(InvariantViolation):
+        partial_transpose(stack, 2)
+    with pytest.raises(InvariantViolation):
+        partial_transpose(np.eye(4, dtype=complex)[None] / 4.0, 0)
 
 
 def test_partial_trace_of_product_state(rng):
