@@ -45,7 +45,6 @@ DEFAULTS = {
     "beta_u": None,
     "omega_rabi": 1.0,
     "g0": 1.0,
-    "variant": "corrected",
     "field_convention": "amplitude",
     "eps_trunc": 1e-12,
     "seed": 8,
@@ -123,7 +122,6 @@ _CONFIG_PARSERS = {
     "beta_u": ("beta_u", parse_complex),
     "omega_rabi": ("omega_rabi", float),
     "g0": ("g0", float),
-    "variant": ("variant", str),
     "field_convention": ("field_convention", str),
     "eps_trunc": ("eps_trunc", float),
     "seed": ("seed", int),
@@ -178,8 +176,6 @@ def build_parser():
         sp.add_argument("--omega", type=float, dest="omega_rabi",
                         help="spin-spin coupling strength")
         sp.add_argument("--g0", type=float, help="atom-field coupling strength")
-        sp.add_argument("--variant", choices=("corrected", "verbatim"),
-                        help="closed-form variant (default corrected)")
         sp.add_argument("--field-convention", choices=("amplitude", "mean"),
                         help="read --alpha-field as the amplitude or as the mean "
                              "photon number (default amplitude)")
@@ -224,7 +220,7 @@ def _merge_settings(args):
         settings.update({k: v for k, v in preset.items() if k != "command"})
     overrides = {
         "alpha_field": args.alpha_field, "t_max": args.t_max, "steps": args.steps,
-        "omega_rabi": args.omega_rabi, "g0": args.g0, "variant": args.variant,
+        "omega_rabi": args.omega_rabi, "g0": args.g0,
         "field_convention": args.field_convention, "eps_trunc": args.eps_trunc,
         "out": args.out, "svg": args.svg, "seed": args.seed,
     }
@@ -248,8 +244,6 @@ _FINITE_FLAGS = (("omega_rabi", "--omega"), ("g0", "--g0"),
 
 def _finalize(settings, command):
     """Validate the merged settings and build the model objects."""
-    if settings["variant"] not in ("corrected", "verbatim"):
-        raise ConfigError(f"unknown variant {settings['variant']!r}")
     if settings["field_convention"] not in ("amplitude", "mean"):
         raise ConfigError(f"unknown field convention {settings['field_convention']!r}")
     for key, flag in _FINITE_FLAGS:
@@ -313,7 +307,7 @@ def _finalize(settings, command):
         "field": field, "init": init, "times": times, "gammas": gammas,
         "unknown": unknown, "alpha": alpha,
         "omega_rabi": omega_rabi, "g0": float(settings["g0"]),
-        "variant": settings["variant"], "out": out, "svg": bool(settings["svg"]),
+        "out": out, "svg": bool(settings["svg"]),
         "seed": int(settings["seed"]),
     }
 
@@ -376,8 +370,7 @@ def _chart(command, grid):
 def run_sweep(cfg, command):
     """Run one sweep command: the grid, its CSV and, with --svg, its chart."""
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
-                      cfg["unknown"], omega_rabi=cfg["omega_rabi"], g0=cfg["g0"],
-                      variant=cfg["variant"])
+                      cfg["unknown"], omega_rabi=cfg["omega_rabi"], g0=cfg["g0"])
     header = ENT_HEADER if grid.fidelity is None else FID_HEADER
     _write_csv(cfg["out"], header, _csv_blocks(grid, cfg["alpha"]))
     written = [cfg["out"]]

@@ -198,7 +198,7 @@ class AtomicInit:
             object.__setattr__(self, name, complex(getattr(self, name)))
         if self.enforce_norm:
             norm = self.norm_squared()
-            if abs(norm - 1.0) > NORM_TOL:
+            if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
                 raise ValueError(f"initial amplitudes have norm {norm:.15g}, expected 1 within {NORM_TOL}")
 
     def norm_squared(self):
@@ -253,69 +253,54 @@ class AmplitudeTable:
     photon_d: np.ndarray
 
 
-def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext, variant):
+def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     """Evaluate the closed-form quadruples for every sector in ns.
 
     qp and qm are the phase factors standing in for Q and its inverse;
-    they may be per-sector arrays or the scalar mean averaged_q. The
-    'corrected' variant solves the bright/dark coupling block exactly and
-    reproduces the initial state at t = 0. The 'verbatim' variant keeps a
-    legacy algebraic form with inconsistent index shifts; it is retained,
-    unrepaired, for side-by-side comparison.
+    they may be per-sector arrays or the scalar mean averaged_q. The form
+    solves the bright/dark coupling block exactly and reproduces the
+    initial state at t = 0. The paper's printed formulas, which do not,
+    survive only in oracle.legacy_quadruples, as a comparison.
     """
     c00, c01, c10, c11 = init.c00, init.c01, init.c10, init.c11
     nf = ns.astype(float)
     wn = w_ext[ns]
-    if variant == "corrected":
-        a0 = w_ext[ns + 1] * c00
-        b0 = wn * c01
-        c0 = wn * c10
-        d0 = np.where(ns > 0, w_ext[np.maximum(ns - 1, 0)] * c11, 0.0j)
-        r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
-        r2 = np.sqrt(nf / (2.0 * nf + 1.0))
-        ub0 = r1 * a0 + r2 * d0
-        ud0 = r2 * a0 - r1 * d0
-        s0 = (b0 + c0) / SQRT2
-        an0 = (b0 - c0) / SQRT2
-        cosf = (qp + qm) / 2.0
-        isin = (qp - qm) / 2.0
-        # Each (T, N) term once, sums updated in place, operands in their
-        # original order: every value is bit-for-bit that of the expression
-        # in the comment. Products stay out of place: numpy's in-place complex
-        # multiply can round a one-element array differently.
-        ub = cosf * ub0
-        ub += isin * s0  # ub = cosf * ub0 + isin * s0
-        sym = isin * ub0
-        sym += cosf * s0  # sym = isin * ub0 + cosf * s0
-        amp_a = r1 * ub
-        amp_a += r2 * ud0
-        amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
-        amp_d = r2 * ub
-        amp_d -= r1 * ud0
-        amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
-        sym = ep * sym
-        dark = em * an0
-        amp_b = sym + dark
-        amp_b /= SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
-        amp_c = np.subtract(sym, dark, out=sym)
-        amp_c /= SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
-    elif variant == "verbatim":
-        pref = 1.0 / (2.0 * SQRT2 * (2.0 * nf + 1.0))
-        com = c00 * qp - c01 * qm
-        amp_a = wn * (np.sqrt(nf + 1.0) * pref * ep * com
-                      + ep / (2.0 * np.sqrt(nf + 1.0)) * (c11 - pref * (c00 - c01)))
-        amp_b = wn * (ep / (4.0 * np.sqrt(2.0 * nf + 1.0)) * com - 0.5 * c10 * em)
-        amp_c = wn * (ep / (4.0 * np.sqrt(2.0 * nf + 1.0)) * com + 0.5 * c10 * em)
-        amp_d = wn * (np.sqrt(nf) * pref * ep * com
-                      - ep / (2.0 * np.sqrt(nf + 1.0)) * (c11 - pref * (c01 - c00)))
-        # |ee,-1> does not exist, so the n = 0 quadruple has no d component.
-        amp_d = np.where(ns > 0, amp_d, 0.0j)
-    else:
-        raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
+    a0 = w_ext[ns + 1] * c00
+    b0 = wn * c01
+    c0 = wn * c10
+    d0 = np.where(ns > 0, w_ext[np.maximum(ns - 1, 0)] * c11, 0.0j)
+    r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
+    r2 = np.sqrt(nf / (2.0 * nf + 1.0))
+    ub0 = r1 * a0 + r2 * d0
+    ud0 = r2 * a0 - r1 * d0
+    s0 = (b0 + c0) / SQRT2
+    an0 = (b0 - c0) / SQRT2
+    cosf = (qp + qm) / 2.0
+    isin = (qp - qm) / 2.0
+    # Each (T, N) term once, sums updated in place, operands in their
+    # original order: every value is bit-for-bit that of the expression
+    # in the comment. Products stay out of place: numpy's in-place complex
+    # multiply can round a one-element array differently.
+    ub = cosf * ub0
+    ub += isin * s0  # ub = cosf * ub0 + isin * s0
+    sym = isin * ub0
+    sym += cosf * s0  # sym = isin * ub0 + cosf * s0
+    amp_a = r1 * ub
+    amp_a += r2 * ud0
+    amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
+    amp_d = r2 * ub
+    amp_d -= r1 * ud0
+    amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
+    sym = ep * sym
+    dark = em * an0
+    amp_b = sym + dark
+    amp_b /= SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
+    amp_c = np.subtract(sym, dark, out=sym)
+    amp_c /= SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
     return amp_a, amp_b, amp_c, amp_d
 
 
-def _build_table(t, qp, qm, init, field, params, variant):
+def _build_table(t, qp, qm, init, field, params):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n_sec = field.n_max + 2
     ns = np.arange(n_sec)
@@ -323,11 +308,8 @@ def _build_table(t, qp, qm, init, field, params, variant):
     w_ext[: field.n_max + 1] = field.weights
     ep = np.exp(-1j * params.omega_rabi * t_arr)[:, None]
     em = np.conj(ep)
-    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext, variant)
-    if variant == "corrected":
-        ground = ep[:, 0] * (w_ext[0] * init.c00)
-    else:
-        ground = np.zeros(t_arr.shape, dtype=complex)
+    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext)
+    ground = ep[:, 0] * (w_ext[0] * init.c00)
     photon = np.zeros((t_arr.size, 4, n_sec + 1), dtype=complex)
     pa, pb, pc, pd = (photon[:, k] for k in range(4))
     pa[:, 0] = ground
@@ -340,7 +322,7 @@ def _build_table(t, qp, qm, init, field, params, variant):
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 
-def amplitude_table(t, init, field, params, variant="corrected", q=None):
+def amplitude_table(t, init, field, params, q=None):
     """Phase-averaged amplitudes of the scalar channel at the given times.
 
     Both random phase factors are replaced by the scalar mean
@@ -354,10 +336,10 @@ def amplitude_table(t, init, field, params, variant="corrected", q=None):
     if q is None:
         q = averaged_q(t_arr, params.gamma)
     q = np.asarray(q, dtype=float).astype(complex)[:, None]
-    return _build_table(t_arr, q, q, init, field, params, variant)
+    return _build_table(t_arr, q, q, init, field, params)
 
 
-def deterministic_table(t, init, field, params, variant="corrected", kf_x=0.0):
+def deterministic_table(t, init, field, params, kf_x=0.0):
     """Amplitudes for one frozen realization of the coupling phase.
 
     Every sector evolves with its own phase exp(+-i omega_n t) where
@@ -371,10 +353,10 @@ def deterministic_table(t, init, field, params, variant="corrected", kf_x=0.0):
     omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * g_eff
     phase = t_arr[:, None] * omega_n[None, :]
     qp = np.exp(1j * phase)
-    return _build_table(t_arr, qp, np.conj(qp), init, field, params, variant)
+    return _build_table(t_arr, qp, np.conj(qp), init, field, params)
 
 
-def dressed_amplitudes(n, t, q_plus, q_minus, init, field, params, variant="corrected"):
+def dressed_amplitudes(n, t, q_plus, q_minus, init, field, params):
     """Closed-form quadruple of sector n with explicit phase factors.
 
     q_plus and q_minus stand for the random factor and its inverse; pass
@@ -391,7 +373,7 @@ def dressed_amplitudes(n, t, q_plus, q_minus, init, field, params, variant="corr
     qp = np.asarray(q_plus, dtype=complex).reshape(1, 1)
     qm = np.asarray(q_minus, dtype=complex).reshape(1, 1)
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(
-        ns, qp, qm, np.array([[ep]]), np.array([[np.conj(ep)]]), init, w_ext, variant)
+        ns, qp, qm, np.array([[ep]]), np.array([[np.conj(ep)]]), init, w_ext)
     return DressedAmplitudes(n=n, a_n=complex(amp_a[0, 0]), b_n=complex(amp_b[0, 0]),
                              c_n=complex(amp_c[0, 0]), d_n=complex(amp_d[0, 0]))
 
@@ -428,25 +410,23 @@ def table_density(table):
     return rho, pre
 
 
-def atomic_density(t, init, field, params, variant="corrected"):
+def _reduced_state(table, scalar):
+    # Density of a table; a scalar time gives one matrix and float trace.
+    rho, pre = table_density(table)
+    if scalar:
+        return ReducedState(rho=rho[0], pre_norm_trace=float(pre[0]), t=float(table.t[0]))
+    return ReducedState(rho=rho, pre_norm_trace=pre, t=table.t)
+
+
+def atomic_density(t, init, field, params):
     """Renormalised two-atom state of the phase-averaged amplitudes at time t.
 
     This is the scalar channel, for scalar or array t; the trace-preserving
     ensemble average of the state is oracle.joint_averaged_density.
     """
-    scalar = np.ndim(t) == 0
-    table = amplitude_table(t, init, field, params, variant)
-    rho, pre = table_density(table)
-    if scalar:
-        return ReducedState(rho=rho[0], pre_norm_trace=float(pre[0]), t=float(table.t[0]))
-    return ReducedState(rho=rho, pre_norm_trace=pre, t=table.t)
+    return _reduced_state(amplitude_table(t, init, field, params), np.ndim(t) == 0)
 
 
-def deterministic_density(t, init, field, params, variant="corrected", kf_x=0.0):
+def deterministic_density(t, init, field, params, kf_x=0.0):
     """Two-atom state for one frozen coupling phase (no averaging)."""
-    scalar = np.ndim(t) == 0
-    table = deterministic_table(t, init, field, params, variant, kf_x)
-    rho, pre = table_density(table)
-    if scalar:
-        return ReducedState(rho=rho[0], pre_norm_trace=float(pre[0]), t=float(table.t[0]))
-    return ReducedState(rho=rho, pre_norm_trace=pre, t=table.t)
+    return _reduced_state(deterministic_table(t, init, field, params, kf_x), np.ndim(t) == 0)

@@ -46,8 +46,7 @@ def negativity(rho):
     return float(doe[0])
 
 
-def entanglement_sweep(times, gammas, init, field, omega_rabi=1.0, g0=1.0,
-                       variant="corrected"):
+def entanglement_sweep(times, gammas, init, field, omega_rabi=1.0, g0=1.0):
     """Degree of entanglement of the scalar channel on a (gamma, t) grid.
 
     Each state is the renormalised state of the phase-averaged amplitudes
@@ -59,8 +58,7 @@ def entanglement_sweep(times, gammas, init, field, omega_rabi=1.0, g0=1.0,
     """
     from .sweep import sweep_grid  # here, not at the top: sweep imports this module
 
-    grid = sweep_grid(times, gammas, init, field, omega_rabi=omega_rabi, g0=g0,
-                      variant=variant)
+    grid = sweep_grid(times, gammas, init, field, omega_rabi=omega_rabi, g0=g0)
     return [EntanglementRecord(t=float(t), gamma=float(gamma), doe=float(grid.doe[i, k]),
                                pt_eigenvalues=grid.pt_eigenvalues[i, k],
                                pre_norm_trace=float(grid.pre_norm_trace[i, k]))

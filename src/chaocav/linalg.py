@@ -67,6 +67,12 @@ def partial_transpose(rho, subsystem):
     return rho.reshape(rho.shape[:k] + (2, 2, 2, 2)).transpose(perm).reshape(rho.shape)
 
 
+def _off_norm(a):
+    # Largest off-diagonal Frobenius norm over a (B, d, d) batch.
+    off = a - np.einsum("bii->bi", a)[:, :, None] * np.eye(a.shape[-1])
+    return np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2))))
+
+
 def jacobi_eigh(mats, vectors=False):
     """Eigenvalues (ascending) of Hermitian matrices by cyclic Jacobi rotations.
 
@@ -85,8 +91,7 @@ def jacobi_eigh(mats, vectors=False):
     if vectors:
         v = np.broadcast_to(np.eye(d, dtype=complex), (nb, d, d)).copy()
     for _ in range(JACOBI_MAX_SWEEPS):
-        off = a - np.einsum("bii->bi", a)[:, :, None] * np.eye(d)
-        if np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2)))) < JACOBI_OFF_TOL:
+        if _off_norm(a) < JACOBI_OFF_TOL:
             break
         for p in range(d - 1):
             for q in range(p + 1, d):
@@ -121,8 +126,7 @@ def jacobi_eigh(mats, vectors=False):
                     v[:, :, p] = cc * vp - ss * np.conj(ph) * vq
                     v[:, :, q] = ss * ph * vp + cc * vq
     else:
-        off = a - np.einsum("bii->bi", a)[:, :, None] * np.eye(d)
-        worst = np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2))))
+        worst = _off_norm(a)
         if worst >= JACOBI_OFF_TOL:
             raise InvariantViolation(f"Jacobi sweep did not converge, off-diagonal norm {worst:.3e}")
     w = np.einsum("bii->bi", a).real

@@ -41,8 +41,7 @@ class SweepGrid:
     weight: np.ndarray | None
 
 
-def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0, g0=1.0,
-               variant="corrected"):
+def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0, g0=1.0):
     """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
@@ -61,12 +60,12 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0, g0=1.0,
         kappa4 = np.empty(shape)
         weight = np.empty(shape)
     for i, p in enumerate(params):
-        table = amplitude_table(times, init, field, p, variant, q=q[i])
+        table = amplitude_table(times, init, field, p, q=q[i])
         rhos, pre[i] = table_density(table)
         doe[i], mu[i] = _doe_from_rhos(rhos)
         if unknown is None:
             continue
-        k1, k2, k3, k4 = kappa_sums(table, unknown, variant)
+        k1, k2, k3, k4 = kappa_sums(table, unknown)
         weight[i] = (k1 + k4).real
         numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
                  + au * np.conj(bu) * k3 + abs(bu) ** 2 * k4).real

@@ -2,9 +2,7 @@
 
 Two routes to Bob's state are provided: a closed form built from the
 photon-grouped amplitude sums, and a direct Bell-projection reference
-that works on any explicit channel density matrix. For the 'corrected'
-variant the two agree; the 'verbatim' variant keeps the legacy sector
-sums whose cross terms are not mutually conjugate.
+that works on any explicit channel density matrix. The two agree.
 """
 
 from __future__ import annotations
@@ -48,7 +46,7 @@ class UnknownQubit:
         object.__setattr__(self, "alpha_u", complex(self.alpha_u))
         object.__setattr__(self, "beta_u", complex(self.beta_u))
         norm = abs(self.alpha_u) ** 2 + abs(self.beta_u) ** 2
-        if abs(norm - 1.0) > 1e-12:
+        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
             raise ValueError(f"unknown qubit has norm {norm:.15g}, expected 1 within 1e-12")
 
     def as_vector(self):
@@ -65,53 +63,22 @@ class TeleportOutcome:
     fidelity: float
 
 
-def _shift(arr, k):
-    # Index-shifted view along the sector axis, zero outside the range.
-    out = np.zeros_like(arr)
-    n = arr.shape[1]
-    if k >= 0:
-        out[:, : n - k] = arr[:, k:]
-    else:
-        out[:, -k:] = arr[:, : n + k]
-    return out
-
-
-def kappa_sums(table, unknown, variant="corrected"):
+def kappa_sums(table, unknown):
     """Amplitude sums (kappa1..kappa4) entering Bob's unnormalized state.
 
-    Shapes follow the table, one value per time. The corrected variant
-    sums the photon-grouped amplitudes, which is exactly the phi_plus
-    Bell projection; kappa3 is then the conjugate of kappa2. The
-    verbatim variant evaluates the legacy sector sums literally, index
-    shifts included, and does not have that symmetry.
+    Shapes follow the table, one value per time. The sums run over the
+    photon-grouped amplitudes, which is exactly the phi_plus Bell
+    projection; kappa3 is the conjugate of kappa2.
     """
     au = unknown.alpha_u
     bu = unknown.beta_u
-    if variant == "corrected":
-        top = au * table.photon_a + bu * table.photon_c
-        bot = au * table.photon_b + bu * table.photon_d
-        k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)
-        k2 = 0.5 * np.sum(top * np.conj(bot), axis=1)
-        k3 = np.conj(k2)
-        k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)
-        return k1, k2, k3, k4
-    if variant != "verbatim":
-        raise ValueError(f"variant must be 'corrected' or 'verbatim', got {variant!r}")
-    aa = abs(au) ** 2
-    bb = abs(bu) ** 2
-    ab = au * np.conj(bu)
-    ba = np.conj(ab)
-    a_n, b_n = table.sector_a, table.sector_b
-    c_n, d_n = table.sector_c, table.sector_d
-    k1 = 0.5 * np.sum(aa * np.abs(a_n) ** 2 + ab * a_n * np.conj(_shift(c_n, 1))
-                      + ba * c_n * np.conj(_shift(a_n, -1)) + bb * np.abs(c_n) ** 2, axis=1)
-    k2 = 0.5 * np.sum(aa * a_n * np.conj(_shift(b_n, 1)) + ab * a_n * np.conj(_shift(d_n, 2))
-                      + ba * c_n * np.conj(b_n) + bb * c_n * np.conj(_shift(d_n, 2)), axis=1)
-    k3 = 0.5 * np.sum(aa * b_n * np.conj(_shift(a_n, -1)) + ab * b_n * np.conj(c_n)
-                      + ba * d_n * np.conj(_shift(a_n, -2)) + bb * d_n * np.conj(c_n), axis=1)
-    k4 = 0.5 * np.sum(aa * np.abs(b_n) ** 2 + ab * b_n * np.conj(_shift(d_n, 1))
-                      + ba * d_n * np.conj(_shift(b_n, -1)) + bb * np.abs(d_n) ** 2, axis=1)
-    return k1.real, k2, k3, k4.real
+    top = au * table.photon_a + bu * table.photon_c
+    bot = au * table.photon_b + bu * table.photon_d
+    k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)
+    k2 = 0.5 * np.sum(top * np.conj(bot), axis=1)
+    k3 = np.conj(k2)
+    k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)
+    return k1, k2, k3, k4
 
 
 @dataclass(frozen=True)
@@ -129,8 +96,7 @@ class FidelitySweep:
     pre_norm_trace: np.ndarray
 
 
-def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0,
-                   variant="corrected"):
+def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0):
     """Fidelity of the phi_plus branch over a time grid at fixed gamma.
 
     Rows where the branch weight kappa1 + kappa4 falls below 1e-15 get
@@ -139,8 +105,7 @@ def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0,
     """
     from .sweep import sweep_grid  # here, not at the top: sweep imports this module
 
-    grid = sweep_grid(times, [gamma], init, field, unknown, omega_rabi=omega_rabi,
-                      g0=g0, variant=variant)
+    grid = sweep_grid(times, [gamma], init, field, unknown, omega_rabi=omega_rabi, g0=g0)
     pre = grid.pre_norm_trace[0]
     weight = grid.weight[0]
     return FidelitySweep(t=grid.t, gamma=float(gamma), fidelity=grid.fidelity[0],
@@ -149,16 +114,14 @@ def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0,
                          outcome_weight=weight / pre, pre_norm_trace=pre)
 
 
-def bob_state_closed_form(t, init, field, params, unknown, variant="corrected"):
+def bob_state_closed_form(t, init, field, params, unknown):
     """Bob's state for the phi_plus branch at one time, via the kappa sums.
 
-    Raises DegenerateOutcome when the branch weight vanishes. For the
-    verbatim variant the assembled matrix need not be Hermitian and the
-    fidelity is the real part of the overlap.
+    Raises DegenerateOutcome when the branch weight vanishes.
     """
-    table = amplitude_table(float(t), init, field, params, variant)
+    table = amplitude_table(float(t), init, field, params)
     _, pre = table_density(table)
-    k1, k2, k3, k4 = kappa_sums(table, unknown, variant)
+    k1, k2, k3, k4 = kappa_sums(table, unknown)
     weight = float((k1[0] + k4[0]).real)
     if weight <= WEIGHT_FLOOR:
         raise DegenerateOutcome(f"phi_plus branch weight {weight:.3e} at t={float(t)}")

@@ -26,6 +26,7 @@ from chaocav.oracle import (
     build_block,
     integrate_schrodinger,
     joint_averaged_density,
+    legacy_quadruples,
     monte_carlo_q,
     noise_spec_for_gamma,
     rk4_evolve,
@@ -205,18 +206,16 @@ def test_closed_form_matches_integrator():
     sectors = [0, 1, 5, 25]
     state = integrate_schrodinger(BELL_INIT, field, params, t_final=1.0, dt=1e-4,
                                   sectors=sectors)
-    worst = 0.0
-    for variant in ("corrected", "verbatim"):
-        table = deterministic_table(np.array([1.0]), BELL_INIT, field, params,
-                                    variant=variant)
-        dev = max(float(np.max(np.abs(np.array(
-            [table.sector_a[0, n], table.sector_b[0, n],
-             table.sector_c[0, n], table.sector_d[0, n]]) - state.amplitudes[k])))
-            for k, n in enumerate(sectors))
-        if variant == "corrected":
-            worst = dev
-        else:
-            legacy_dev = dev
+    table = deterministic_table(np.array([1.0]), BELL_INIT, field, params)
+    worst = max(float(np.max(np.abs(np.array(
+        [table.sector_a[0, n], table.sector_b[0, n],
+         table.sector_c[0, n], table.sector_d[0, n]]) - state.amplitudes[k])))
+        for k, n in enumerate(sectors))
+    # The paper's printed formulas, at the frozen phases of the table above.
+    q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
+    legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
+                               field, params)
+    legacy_dev = float(np.max(np.abs(legacy - state.amplitudes)))
     block = build_block(25, params).matrix
     w = field.weights
     psi0 = np.array([w[26] * BELL_INIT.c00, 0.0, 0.0, w[24] * BELL_INIT.c11])
@@ -226,7 +225,7 @@ def test_closed_form_matches_integrator():
     ok = worst <= 1e-6 and drift < 1e-9 and legacy_dev > 0.01
     assert report(ok, "closed form tracks the numerical integrator",
                   f"corrected dev={worst:.2e} (<=1e-6), norm drift at t=10 "
-                  f"{drift:.2e} (<1e-9), retained legacy variant deviates by "
+                  f"{drift:.2e} (<1e-9), printed legacy form deviates by "
                   f"{legacy_dev:.3f} as documented")
 
 

@@ -191,24 +191,6 @@ def test_initial_state_is_reproduced():
             assert abs(state.pre_norm_trace - 1.0) <= 1e-11
 
 
-def test_legacy_variant_distorts_the_initial_state():
-    # the legacy algebraic form carries inconsistent index shifts; it does
-    # not reproduce the preparation at t = 0 and is kept only for comparison
-    init = AtomicInit.bell_phi_plus()
-    field = coherent_weights(5.0)
-    state = atomic_density(0.0, init, field, ModelParams(gamma=0.0), variant="verbatim")
-    vec = init.as_vector()
-    dev = np.max(np.abs(state.rho - np.outer(vec, vec.conj())))
-    assert dev > 0.01
-    require_density_matrix(state.rho)  # still a valid state after renormalization
-
-
-def test_variant_name_is_validated():
-    init, field, params = small_setup()
-    with pytest.raises(ValueError):
-        amplitude_table(np.array([0.0]), init, field, params, variant="typo")
-
-
 def test_zero_coupling_keeps_state_frozen():
     # gamma = 0 freezes the averaged field coupling; with the spin exchange
     # also off nothing moves at all

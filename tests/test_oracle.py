@@ -20,6 +20,7 @@ from chaocav.oracle import (
     full_hamiltonian,
     integrate_schrodinger,
     joint_averaged_density,
+    legacy_quadruples,
     mc_short_time,
     monte_carlo_q,
     noise_spec_for_gamma,
@@ -28,6 +29,7 @@ from chaocav.oracle import (
     rk4_evolve,
     run_verification,
     sector_basis_indices,
+    sector_density,
 )
 
 
@@ -200,6 +202,20 @@ def test_lab_frame_amplitudes_keep_the_same_magnitudes():
                                 omega0=1.0, omega_f=2.0, **kw)
     assert np.max(np.abs(np.abs(lab.amplitudes) - np.abs(rotating.amplitudes))) <= 1e-8
     assert abs(abs(lab.ground) - abs(rotating.ground)) <= 1e-12
+
+
+def test_legacy_variant_distorts_the_initial_state():
+    # the paper's printed form carries inconsistent index shifts; it does
+    # not reproduce the preparation at t = 0 and is kept only for comparison
+    init = AtomicInit.bell_phi_plus()
+    field = coherent_weights(5.0)
+    sectors = np.arange(field.n_max + 2)
+    legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, ModelParams(gamma=0.0))
+    rho, _ = sector_density(sectors, legacy, 0.0)
+    vec = init.as_vector()
+    dev = np.max(np.abs(rho - np.outer(vec, vec.conj())))
+    assert dev > 0.01
+    require_density_matrix(rho)  # still a valid state after renormalization
 
 
 # ---------------------------------------------------------------- noise surrogate

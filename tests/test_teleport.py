@@ -164,26 +164,6 @@ def test_kappa_conjugate_structure_corrected():
     assert np.all(k1 >= 0.0) and np.all(k4 >= 0.0)
 
 
-def test_legacy_kappa_sums_lack_conjugate_symmetry():
-    # the retained legacy sums shift two different cross terms by
-    # different sector offsets, so kappa3 != conj(kappa2) in general
-    init = AtomicInit(0.5, 0.5, 0.5, 0.5)
-    field = coherent_weights(3.0)
-    table = amplitude_table(np.linspace(0.5, 2.0, 4), init, field,
-                            ModelParams(gamma=0.2), variant="verbatim")
-    unknown = UnknownQubit(0.8, 0.6)
-    _, k2, k3, _ = kappa_sums(table, unknown, variant="verbatim")
-    assert np.max(np.abs(k3 - np.conj(k2))) > 1e-6
-
-
-def test_kappa_variant_validation():
-    init = AtomicInit.bell_phi_plus()
-    field = coherent_weights(1.0)
-    table = amplitude_table(np.array([0.0]), init, field, ModelParams())
-    with pytest.raises(ValueError):
-        kappa_sums(table, UnknownQubit(1.0, 0.0), variant="typo")
-
-
 def test_bell_outcome_table_shapes():
     assert [label for label, _, _ in BELL_OUTCOMES] == [
         "phi_plus", "phi_minus", "psi_plus", "psi_minus"]
