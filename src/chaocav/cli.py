@@ -44,7 +44,6 @@ DEFAULTS = {
     "alpha_u": complex(0.95),
     "beta_u": None,
     "omega_rabi": 1.0,
-    "g0": 1.0,
     "field_convention": "amplitude",
     "eps_trunc": 1e-12,
     "seed": 8,
@@ -121,7 +120,6 @@ _CONFIG_PARSERS = {
     "alpha_u": ("alpha_u", parse_complex),
     "beta_u": ("beta_u", parse_complex),
     "omega_rabi": ("omega_rabi", float),
-    "g0": ("g0", float),
     "field_convention": ("field_convention", str),
     "eps_trunc": ("eps_trunc", float),
     "seed": ("seed", int),
@@ -175,7 +173,6 @@ def build_parser():
                         help="initial amplitudes over |gg>,|ge>,|eg>,|ee> as 're,im'")
         sp.add_argument("--omega", type=float, dest="omega_rabi",
                         help="spin-spin coupling strength")
-        sp.add_argument("--g0", type=float, help="atom-field coupling strength")
         sp.add_argument("--field-convention", choices=("amplitude", "mean"),
                         help="read --alpha-field as the amplitude or as the mean "
                              "photon number (default amplitude)")
@@ -184,7 +181,8 @@ def build_parser():
         sp.add_argument("--out", help="output CSV path (default chaocav_<command>.csv)")
         sp.add_argument("--svg", action="store_true", default=None,
                         help="also render an SVG chart next to the CSV")
-        sp.add_argument("--seed", type=int, help="seed for stochastic checks")
+        sp.add_argument("--seed", type=int,
+                        help="ignored: sweeps are deterministic and draw no random numbers")
         sp.add_argument("--config", help="key = value settings file")
 
     sp_ent = sub.add_parser("entanglement",
@@ -220,7 +218,7 @@ def _merge_settings(args):
         settings.update({k: v for k, v in preset.items() if k != "command"})
     overrides = {
         "alpha_field": args.alpha_field, "t_max": args.t_max, "steps": args.steps,
-        "omega_rabi": args.omega_rabi, "g0": args.g0,
+        "omega_rabi": args.omega_rabi,
         "field_convention": args.field_convention, "eps_trunc": args.eps_trunc,
         "out": args.out, "svg": args.svg, "seed": args.seed,
     }
@@ -238,8 +236,8 @@ def _merge_settings(args):
 
 
 # Settings that must be finite, with the flag that sets each.
-_FINITE_FLAGS = (("omega_rabi", "--omega"), ("g0", "--g0"),
-                 ("alpha_field", "--alpha-field"), ("t_max", "--t-max"))
+_FINITE_FLAGS = (("omega_rabi", "--omega"), ("alpha_field", "--alpha-field"),
+                 ("t_max", "--t-max"))
 
 
 def _finalize(settings, command):
@@ -305,10 +303,8 @@ def _finalize(settings, command):
     out = settings["out"] or f"chaocav_{command}.csv"
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
-        "unknown": unknown, "alpha": alpha,
-        "omega_rabi": omega_rabi, "g0": float(settings["g0"]),
+        "unknown": unknown, "alpha": alpha, "omega_rabi": omega_rabi,
         "out": out, "svg": bool(settings["svg"]),
-        "seed": int(settings["seed"]),
     }
 
 
@@ -370,7 +366,7 @@ def _chart(command, grid):
 def run_sweep(cfg, command):
     """Run one sweep command: the grid, its CSV and, with --svg, its chart."""
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
-                      cfg["unknown"], omega_rabi=cfg["omega_rabi"], g0=cfg["g0"])
+                      cfg["unknown"], omega_rabi=cfg["omega_rabi"])
     header = ENT_HEADER if grid.fidelity is None else FID_HEADER
     _write_csv(cfg["out"], header, _csv_blocks(grid, cfg["alpha"]))
     written = [cfg["out"]]

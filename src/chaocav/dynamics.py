@@ -213,21 +213,6 @@ class AtomicInit:
 
 
 @dataclass(frozen=True)
-class DressedAmplitudes:
-    """Amplitude quadruple of one excitation sector.
-
-    a_n, b_n, c_n, d_n multiply |gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>; the
-    d_0 component vanishes because |ee,-1> does not exist.
-    """
-
-    n: int
-    a_n: complex
-    b_n: complex
-    c_n: complex
-    d_n: complex
-
-
-@dataclass(frozen=True)
 class AmplitudeTable:
     """All sector amplitudes at the sampled times, plus photon-grouped views.
 
@@ -354,28 +339,6 @@ def deterministic_table(t, init, field, params, kf_x=0.0):
     phase = t_arr[:, None] * omega_n[None, :]
     qp = np.exp(1j * phase)
     return _build_table(t_arr, qp, np.conj(qp), init, field, params)
-
-
-def dressed_amplitudes(n, t, q_plus, q_minus, init, field, params):
-    """Closed-form quadruple of sector n with explicit phase factors.
-
-    q_plus and q_minus stand for the random factor and its inverse; pass
-    conjugate unit phases for a deterministic run, or averaged_q(t, gamma)
-    for both in the scalar channel.
-    """
-    n = int(n)
-    if n < 0 or n > field.n_max:
-        raise ValueError(f"sector {n} outside the truncation range 0..{field.n_max}")
-    w_ext = np.zeros(field.n_max + 3)
-    w_ext[: field.n_max + 1] = field.weights
-    ns = np.array([n])
-    ep = np.exp(-1j * params.omega_rabi * float(t))
-    qp = np.asarray(q_plus, dtype=complex).reshape(1, 1)
-    qm = np.asarray(q_minus, dtype=complex).reshape(1, 1)
-    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(
-        ns, qp, qm, np.array([[ep]]), np.array([[np.conj(ep)]]), init, w_ext)
-    return DressedAmplitudes(n=n, a_n=complex(amp_a[0, 0]), b_n=complex(amp_b[0, 0]),
-                             c_n=complex(amp_c[0, 0]), d_n=complex(amp_d[0, 0]))
 
 
 @dataclass(frozen=True)

@@ -55,8 +55,3 @@ def coherent_weights(alpha, eps_trunc=1e-12):
     weights = np.exp(log_w[: n_max + 1])
     return CoherentField(alpha=alpha, eps_trunc=eps_trunc, n_max=n_max, weights=weights)
 
-
-def mean_photon_number(field):
-    """Mean photon number implied by the truncated weights."""
-    n = np.arange(field.n_max + 1)
-    return float(np.sum(n * field.weights**2))

@@ -29,19 +29,19 @@ def tensor(*ops):
     return out
 
 
-def is_hermitian(m, tol=HERMITIAN_INPUT_TOL):
-    """True when m equals its conjugate transpose within tol (max entry).
+def is_hermitian(m):
+    """True when m equals its conjugate transpose within 1e-9 (max entry).
 
     m is one square matrix or a stack of them along the last two axes.
     """
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= tol)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= HERMITIAN_INPUT_TOL)
 
 
-def _check_square(m, name="matrix"):
+def _check_square(m):
     m = np.asarray(m, dtype=complex)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvariantViolation(f"{name} must be square, got shape {m.shape}")
+        raise InvariantViolation(f"rho must be square, got shape {m.shape}")
     return m
 
 
@@ -73,23 +73,20 @@ def _off_norm(a):
     return np.sqrt(np.max(np.sum(np.abs(off) ** 2, axis=(1, 2))))
 
 
-def jacobi_eigh(mats, vectors=False):
+def jacobi_eigh(mats):
     """Eigenvalues (ascending) of Hermitian matrices by cyclic Jacobi rotations.
 
     Accepts a single (d, d) matrix or a (B, d, d) stack and sweeps until the
     off-diagonal Frobenius norm of every matrix drops below JACOBI_OFF_TOL.
     A pair (p, q) whose entry is below 1e-300 in every matrix of the batch
-    is skipped, as its rotation would be the identity. Returns values, or (values, vectors)
-    with eigenvectors in columns.
+    is skipped, as its rotation would be the identity.
     """
     a = np.asarray(mats, dtype=complex)
     single = a.ndim == 2
     if single:
         a = a[None, :, :]
     a = a.copy()
-    nb, d, _ = a.shape
-    if vectors:
-        v = np.broadcast_to(np.eye(d, dtype=complex), (nb, d, d)).copy()
+    d = a.shape[-1]
     for _ in range(JACOBI_MAX_SWEEPS):
         if _off_norm(a) < JACOBI_OFF_TOL:
             break
@@ -120,34 +117,13 @@ def jacobi_eigh(mats, vectors=False):
                 rowq = a[:, q, :].copy()
                 a[:, p, :] = cc * rowp - ss * ph * rowq
                 a[:, q, :] = ss * np.conj(ph) * rowp + cc * rowq
-                if vectors:
-                    vp = v[:, :, p].copy()
-                    vq = v[:, :, q].copy()
-                    v[:, :, p] = cc * vp - ss * np.conj(ph) * vq
-                    v[:, :, q] = ss * ph * vp + cc * vq
     else:
         worst = _off_norm(a)
         if worst >= JACOBI_OFF_TOL:
             raise InvariantViolation(f"Jacobi sweep did not converge, off-diagonal norm {worst:.3e}")
     w = np.einsum("bii->bi", a).real
-    order = np.argsort(w, axis=1)
-    w = np.take_along_axis(w, order, axis=1)
-    if vectors:
-        v = np.take_along_axis(v, order[:, None, :], axis=2)
-        if single:
-            return w[0], v[0]
-        return w, v
-    if single:
-        return w[0]
-    return w
-
-
-def eig_hermitian(m, tol=HERMITIAN_INPUT_TOL):
-    """Ascending real eigenvalues of a Hermitian matrix; rejects non-Hermitian input."""
-    m = _check_square(m, "matrix")
-    if not is_hermitian(m, tol):
-        raise InvariantViolation("eig_hermitian: input is not Hermitian within 1e-9")
-    return jacobi_eigh(m)
+    w = np.take_along_axis(w, np.argsort(w, axis=1), axis=1)
+    return w[0] if single else w
 
 
 def partial_trace(rho, keep):
@@ -156,7 +132,7 @@ def partial_trace(rho, keep):
     Works for any register of k qubits (matrix of size 2^k). The kept
     qubits stay in their original relative order.
     """
-    rho = _check_square(rho, "rho")
+    rho = _check_square(rho)
     dim = rho.shape[0]
     n = int(round(np.log2(dim)))
     if 2 ** n != dim:
@@ -187,15 +163,6 @@ def partial_trace(rho, keep):
     return np.einsum(sub, t).reshape(m, m)
 
 
-def purity_overlap(rho_a, rho_b):
-    """Overlap tr(rho_a rho_b); the teleportation fidelity when rho_a is pure."""
-    rho_a = _check_square(rho_a, "rho_a")
-    rho_b = _check_square(rho_b, "rho_b")
-    if rho_a.shape != rho_b.shape:
-        raise InvariantViolation(f"size mismatch: {rho_a.shape} vs {rho_b.shape}")
-    return float(np.real(np.trace(rho_a @ rho_b)))
-
-
 def require_density_matrix(rho, context=""):
     """Raise InvariantViolation unless rho is a valid density matrix.
 
@@ -204,7 +171,7 @@ def require_density_matrix(rho, context=""):
     long Fock sums.
     """
     where = f" ({context})" if context else ""
-    rho = _check_square(rho, "rho")
+    rho = _check_square(rho)
     if not np.all(np.isfinite(rho.view(float))):
         raise InvariantViolation(f"density matrix has non-finite entries{where}")
     herm = np.max(np.abs(rho - rho.conj().T))

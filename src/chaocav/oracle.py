@@ -241,8 +241,9 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, params):
     not reproduce the initial state at t = 0 and departs from the
     integrator at omega = 0. It is kept, unrepaired, only as verify's verbatim_* INFO
     comparison; every sweep runs the exact form of dynamics. q_plus and
-    q_minus are scalars or one value per sector, as for
-    dynamics.dressed_amplitudes. Returns an (S, 4) array in the layout of
+    q_minus stand for the random phase factor and its inverse: scalars,
+    or one value per sector such as the frozen phases of
+    dynamics.deterministic_table. Returns an (S, 4) array in the layout of
     IntegratedState.amplitudes, with no |gg,0> component.
     """
     c00, c01, c10, c11 = init.c00, init.c01, init.c10, init.c11
@@ -452,7 +453,7 @@ def _closed_quadruples(table, sectors):
                      table.sector_c[0, sectors], table.sector_d[0, sectors]], axis=1)
 
 
-def run_verification(seed=8, quick=False):
+def run_verification(seed=8):
     """Re-derive the headline quantities independently and compare.
 
     Returns VerifyCheck rows; any FAIL means the closed-form dynamics and
@@ -476,7 +477,7 @@ def run_verification(seed=8, quick=False):
     check("spin_commutators", comm == 0.0, f"max residual {comm:.1e}")
 
     # The error function the sweeps evaluate, against the math library.
-    xs = np.linspace(-8.0, 8.0, 321 if quick else 1601)
+    xs = np.linspace(-8.0, 8.0, 1601)
     err = float(np.max(np.abs(erf_array(xs) - np.array([math.erf(x) for x in xs.tolist()]))))
     edge = erf_array(np.array([3.0 - 1e-12, 3.0 + 1e-12]))
     jump = abs(float(edge[0] - edge[1]))
@@ -503,7 +504,7 @@ def run_verification(seed=8, quick=False):
     params0 = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
     sectors = [0, 1, 5, 25]
     state = integrate_schrodinger(init, field, params0, kf_x=0.0, t_final=1.0,
-                                  dt=1e-3 if quick else 1e-4, sectors=sectors)
+                                  sectors=sectors)
     table = deterministic_table(np.array([1.0]), init, field, params0, kf_x=0.0)
     dev = float(np.abs(_closed_quadruples(table, sectors) - state.amplitudes).max())
     dev = max(dev, abs(complex(table.ground[0]) - state.ground))
@@ -514,7 +515,7 @@ def run_verification(seed=8, quick=False):
     # treats those phases approximately, so this is reported, not asserted.
     params1 = ModelParams(gamma=0.0, omega_rabi=1.0, g0=1.0)
     state1 = integrate_schrodinger(init, field, params1, kf_x=0.0, t_final=1.0,
-                                   dt=1e-3 if quick else 1e-4, sectors=sectors)
+                                   sectors=sectors)
     table1 = deterministic_table(np.array([1.0]), init, field, params1, kf_x=0.0)
     dev1 = float(np.abs(_closed_quadruples(table1, sectors) - state1.amplitudes).max())
     info("amplitudes_vs_integrator_rabi",
@@ -535,14 +536,13 @@ def run_verification(seed=8, quick=False):
     info("verbatim_vs_integrator", f"max |verbatim - rk4| {dev_vb1:.3f} at omega=0, t=1")
 
     # Long-horizon norm conservation of the integrator itself.
-    if not quick:
-        blocks = np.stack([build_block(n, params1).matrix for n in sectors])
-        psi0 = _sector_psi0(init, field, sectors)
-        psi10 = rk4_evolve(blocks, psi0, 10.0, dt=2e-4)
-        drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
-        drift /= float(np.sum(np.abs(psi0) ** 2))
-        check("norm_conservation", drift < 1e-9,
-              f"relative drift {drift:.2e} at t=10 (tolerance 1e-9)")
+    blocks = np.stack([build_block(n, params1).matrix for n in sectors])
+    psi0 = _sector_psi0(init, field, sectors)
+    psi10 = rk4_evolve(blocks, psi0, 10.0, dt=2e-4)
+    drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
+    drift /= float(np.sum(np.abs(psi0) ** 2))
+    check("norm_conservation", drift < 1e-9,
+          f"relative drift {drift:.2e} at t=10 (tolerance 1e-9)")
 
     # gamma = 0 must freeze the averaged channel exactly; a zero-coupling
     # phase (kf_x = pi/2) freezes the deterministic one the same way.
@@ -560,8 +560,7 @@ def run_verification(seed=8, quick=False):
     doe_dev = 0.0
     for t_chk in (0.5, 1.0):
         rho_cf = deterministic_density(t_chk, init, field, params0, kf_x=0.0).rho
-        rho_rk = oracle_density(t_chk, init, field, params0, kf_x=0.0,
-                                dt=1e-3 if quick else 1e-4).rho
+        rho_rk = oracle_density(t_chk, init, field, params0, kf_x=0.0).rho
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_rk)))
     check("negativity_vs_integrator", doe_dev <= 5e-4,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")
@@ -591,7 +590,7 @@ def run_verification(seed=8, quick=False):
     bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
     rho_bell = np.outer(bell, np.conj(bell))
     bell_dev = 0.0
-    for _ in range(10 if quick else 40):
+    for _ in range(40):
         raw = rng.normal(size=4)
         vec = (raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
         norm = math.sqrt(abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
@@ -621,14 +620,13 @@ def run_verification(seed=8, quick=False):
 
     # Standard-error scaling of the estimator: quadrupling the samples
     # should halve the standard error.
-    if not quick:
-        se_a = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 1),
-                             n_samples=5000).stderr[0]
-        se_b = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 2),
-                             n_samples=20000).stderr[0]
-        ratio = se_a / se_b
-        check("mc_stderr_scaling", 1.8 <= ratio <= 2.2,
-              f"se(n)/se(4n) = {ratio:.3f}, expected about 2")
+    se_a = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 1),
+                         n_samples=5000).stderr[0]
+    se_b = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 2),
+                         n_samples=20000).stderr[0]
+    ratio = se_a / se_b
+    check("mc_stderr_scaling", 1.8 <= ratio <= 2.2,
+          f"se(n)/se(4n) = {ratio:.3f}, expected about 2")
 
     # Scalar substitution versus the jointly averaged second moments.
     params_mid = ModelParams(gamma=0.5, omega_rabi=1.0, g0=1.0)
@@ -639,20 +637,18 @@ def run_verification(seed=8, quick=False):
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
-    if not quick:
-        rho_j = joint_averaged_density(2.0, init, field, params_mid).rho
-        rho_m = joint_averaged_density(2.0, init, field, params_mid,
-                                       n_samples=3000, seed=seed).rho
-        info("joint_mc_consistency",
-             f"analytic vs sampled joint moments differ by {float(np.abs(rho_j - rho_m).max()):.2e}")
+    rho_j = joint_averaged_density(2.0, init, field, params_mid).rho
+    rho_m = joint_averaged_density(2.0, init, field, params_mid,
+                                   n_samples=3000, seed=seed).rho
+    info("joint_mc_consistency",
+         f"analytic vs sampled joint moments differ by {float(np.abs(rho_j - rho_m).max()):.2e}")
 
     # Every averaged state on a coarse grid must be a valid density matrix.
     ok_grid = True
     worst = ""
     for gamma in (0.0, 0.3, 0.8):
         params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
-        states = atomic_density(np.linspace(0.0, 10.0, 11 if quick else 21),
-                                init, field, params)
+        states = atomic_density(np.linspace(0.0, 10.0, 21), init, field, params)
         for k in range(states.rho.shape[0]):
             try:
                 require_density_matrix(states.rho[k], context=f"t={states.t[k]}, gamma={gamma}")

@@ -1,11 +1,12 @@
 """One pass over a (gamma, t) grid of the scalar channel.
 
-Every sweep command and the entanglement_sweep and fidelity_curve
-functions go through sweep_grid. The phase factor q is evaluated for the
-whole grid in one call; then each gamma row builds its amplitude table
-once, and that table feeds the density, the partial-transpose eigensolve
-and, when an unknown qubit is given, the teleportation sums. Memory is
-bounded by one gamma row of table.
+Every sweep command goes through sweep_grid. The phase factor q is
+evaluated for the whole grid in one call; then each gamma row builds its
+amplitude table once, and that table feeds the density, the
+partial-transpose eigensolve and, when an unknown qubit is given, the
+teleportation sums. Memory is bounded by one gamma row of table. The
+field coupling g0 takes no part: the scalar channel sees the coupling
+only through averaged_q(t, gamma).
 """
 
 from __future__ import annotations
@@ -41,11 +42,11 @@ class SweepGrid:
     weight: np.ndarray | None
 
 
-def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0, g0=1.0):
+def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    params = [ModelParams(gamma=float(g), omega_rabi=omega_rabi, g0=g0) for g in gammas]
+    params = [ModelParams(gamma=float(g), omega_rabi=omega_rabi) for g in gammas]
     shape = (gammas.size, times.size)
     q = averaged_q(np.broadcast_to(times, shape), gammas[:, None])
     doe = np.empty(shape)

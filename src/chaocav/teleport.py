@@ -81,39 +81,6 @@ def kappa_sums(table, unknown):
     return k1, k2, k3, k4
 
 
-@dataclass(frozen=True)
-class FidelitySweep:
-    """Closed-form teleportation results on a time grid at one gamma."""
-
-    t: np.ndarray
-    gamma: float
-    fidelity: np.ndarray
-    kappa1: np.ndarray
-    kappa2: np.ndarray
-    kappa4: np.ndarray
-    weight: np.ndarray
-    outcome_weight: np.ndarray
-    pre_norm_trace: np.ndarray
-
-
-def fidelity_curve(times, gamma, init, field, unknown, omega_rabi=1.0, g0=1.0):
-    """Fidelity of the phi_plus branch over a time grid at fixed gamma.
-
-    Rows where the branch weight kappa1 + kappa4 falls below 1e-15 get
-    fidelity nan instead of an exception so sweeps always complete. One
-    row of sweep.sweep_grid.
-    """
-    from .sweep import sweep_grid  # here, not at the top: sweep imports this module
-
-    grid = sweep_grid(times, [gamma], init, field, unknown, omega_rabi=omega_rabi, g0=g0)
-    pre = grid.pre_norm_trace[0]
-    weight = grid.weight[0]
-    return FidelitySweep(t=grid.t, gamma=float(gamma), fidelity=grid.fidelity[0],
-                         kappa1=grid.kappa1[0], kappa2=grid.kappa2[0],
-                         kappa4=grid.kappa4[0], weight=weight,
-                         outcome_weight=weight / pre, pre_norm_trace=pre)
-
-
 def bob_state_closed_form(t, init, field, params, unknown):
     """Bob's state for the phi_plus branch at one time, via the kappa sums.
 

@@ -19,7 +19,7 @@ from chaocav.dynamics import (
     averaged_q,
     deterministic_table,
 )
-from chaocav.entanglement import entanglement_sweep, negativity
+from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
 from chaocav.oracle import (
@@ -31,7 +31,8 @@ from chaocav.oracle import (
     noise_spec_for_gamma,
     rk4_evolve,
 )
-from chaocav.teleport import UnknownQubit, bell_project_teleport, bob_state_closed_form, fidelity_curve
+from chaocav.sweep import sweep_grid
+from chaocav.teleport import UnknownQubit, bell_project_teleport, bob_state_closed_form
 
 FIG_INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
 BELL_INIT = AtomicInit.bell_phi_plus()
@@ -77,12 +78,9 @@ def test_negativity_closed_form():
 
 def fig1_curves():
     times = np.linspace(0.0, 10.0, 500)
-    field = coherent_weights(5.0)
-    curves = {}
-    for gamma in (0.1, 0.5, 0.9):
-        records = entanglement_sweep(times, [gamma], FIG_INIT, field)
-        curves[gamma] = np.array([r.doe for r in records])
-    return times, curves
+    gammas = (0.1, 0.5, 0.9)
+    grid = sweep_grid(times, gammas, FIG_INIT, coherent_weights(5.0))
+    return times, dict(zip(gammas, grid.doe))
 
 
 def fig1_joint_curves():
@@ -144,8 +142,7 @@ def test_fidelity_plateau():
     times = np.linspace(0.0, 3.0, 150)
     gammas = np.linspace(0.0, 1.0, 100)
     field = coherent_weights(5.0)
-    fid = np.stack([fidelity_curve(times, g, BELL_INIT, field, ALPHA_U).fidelity
-                    for g in gammas])
+    fid = sweep_grid(times, gammas, BELL_INIT, field, ALPHA_U).fidelity
     box = fid[:, times <= 0.25 + 1e-12]
     strip = fid[np.ix_(gammas <= 0.14 + 1e-12, times <= 0.25 + 1e-12)]
     box_min = float(np.min(box))

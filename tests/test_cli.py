@@ -66,6 +66,11 @@ def test_config_file_unknown_key(tmp_path):
         cli.parse_config_file(cfg)
 
 
+def test_every_config_key_sets_a_default():
+    # a knob removed from the parsers must not leave a dead default behind
+    assert {target for target, _ in cli._CONFIG_PARSERS.values()} == set(cli.DEFAULTS)
+
+
 def test_config_file_malformed_number(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("steps = 5\ngamma = fast\n")
@@ -319,6 +324,18 @@ def test_variant_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_g0_flag_is_gone(tmp_path, capsys):
+    # the scalar channel sees the coupling only through q(t, gamma)
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, ["entanglement", "--g0", "2"])
+    assert exc.value.code == 2
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("g0 = 1\n")
+    code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown key 'g0'" in capsys.readouterr().err
+
+
 def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["fidelity", "--gamma", "0.2", "--steps", "3",
                              "--t-max", "1.0", "--alpha-field", "1",
@@ -355,7 +372,7 @@ def test_steps_below_two_exits_2(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("flags, named", [
-    (["--g0", "nan"], "--g0 must be finite"),
+    (["--gamma", "nan"], "gamma values must be finite"),
     (["--omega", "inf"], "--omega must be finite"),
     (["--t-max", "inf"], "--t-max must be finite"),
     (["--alpha-field", "inf"], "--alpha-field must be finite"),

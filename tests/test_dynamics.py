@@ -20,7 +20,6 @@ from chaocav.dynamics import (
     averaged_q,
     deterministic_density,
     deterministic_table,
-    dressed_amplitudes,
     erf,
     erf_array,
     table_density,
@@ -246,21 +245,6 @@ def test_scalar_time_squeezes_output():
     assert state.rho.shape == (4, 4)
     assert isinstance(state.pre_norm_trace, float)
     assert state.t == 1.3
-
-
-def test_dressed_amplitudes_match_table_columns():
-    init, field, params = small_setup(gamma=0.3)
-    t = 0.7
-    q = averaged_q(t, params.gamma)
-    table = amplitude_table(np.array([t]), init, field, params)
-    for n in (0, 1, 3, field.n_max):
-        quad = dressed_amplitudes(n, t, q, q, init, field, params)
-        assert abs(quad.a_n - table.sector_a[0, n]) <= 1e-13
-        assert abs(quad.b_n - table.sector_b[0, n]) <= 1e-13
-        assert abs(quad.c_n - table.sector_c[0, n]) <= 1e-13
-        assert abs(quad.d_n - table.sector_d[0, n]) <= 1e-13
-    with pytest.raises(ValueError):
-        dressed_amplitudes(field.n_max + 1, t, q, q, init, field, params)
 
 
 finite_complex = st.complex_numbers(max_magnitude=2.0, allow_nan=False, allow_infinity=False)

@@ -8,9 +8,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaocav.dynamics import AtomicInit, ModelParams, atomic_density
-from chaocav.entanglement import entanglement_sweep, negativity
+from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation, tensor
+from chaocav.sweep import sweep_grid
 from conftest import random_density, random_pure_state, random_unitary
 
 # 2 * |a b| for a = 0.2, b = sqrt(0.96), frozen from the direct product
@@ -82,24 +83,23 @@ def test_sweep_ordering_and_fields():
     field = coherent_weights(2.0)
     ts = np.array([0.0, 0.5, 1.0])
     gs = np.array([0.2, 0.7])
-    records = entanglement_sweep(ts, gs, init, field)
-    assert len(records) == 6
-    assert [r.gamma for r in records] == [0.2, 0.2, 0.2, 0.7, 0.7, 0.7]
-    assert [r.t for r in records] == [0.0, 0.5, 1.0, 0.0, 0.5, 1.0]
-    for r in records:
-        assert 0.0 <= r.doe <= 1.0
-        assert 0.0 < r.pre_norm_trace <= 1.0 + 1e-12
-        assert np.all(np.diff(r.pt_eigenvalues) >= 0)
-        assert abs(np.sum(r.pt_eigenvalues) - 1.0) <= 1e-10  # PT preserves the trace
-    assert abs(records[0].doe - 1.0) <= 1e-9  # Bell preparation at t = 0
+    grid = sweep_grid(ts, gs, init, field)
+    assert np.array_equal(grid.gammas, gs) and np.array_equal(grid.t, ts)
+    assert grid.doe.shape == grid.pre_norm_trace.shape == (2, 3)
+    assert np.all((grid.doe >= 0.0) & (grid.doe <= 1.0))
+    assert np.all((grid.pre_norm_trace > 0.0) & (grid.pre_norm_trace <= 1.0 + 1e-12))
+    assert np.all(np.diff(grid.pt_eigenvalues, axis=-1) >= 0)
+    # the partial transpose preserves the trace
+    assert np.max(np.abs(np.sum(grid.pt_eigenvalues, axis=-1) - 1.0)) <= 1e-10
+    assert np.all(np.abs(grid.doe[:, 0] - 1.0) <= 1e-9)  # Bell preparation at t = 0
 
 
 def test_sweep_matches_single_point_evaluation():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
-    records = entanglement_sweep(np.array([1.3]), np.array([0.4]), init, field)
+    grid = sweep_grid(np.array([1.3]), np.array([0.4]), init, field)
     state = atomic_density(1.3, init, field, ModelParams(gamma=0.4))
-    assert abs(records[0].doe - negativity(state.rho)) <= 1e-12
+    assert abs(grid.doe[0, 0] - negativity(state.rho)) <= 1e-12
 
 
 def test_rejects_invalid_input():

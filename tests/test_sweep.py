@@ -59,3 +59,5 @@ def test_grid_matches_single_point_routes():
             assert abs(grid.pre_norm_trace[i, k] - state.pre_norm_trace) <= 1e-12
             out = bob_state_closed_form(float(t), INIT, field, params, UNKNOWN)
             assert abs(grid.fidelity[i, k] - out.fidelity) <= 1e-12
+            outcome_weight = grid.weight[i, k] / grid.pre_norm_trace[i, k]
+            assert abs(outcome_weight - out.outcome_weight) <= 1e-12

@@ -15,13 +15,13 @@ from hypothesis import strategies as st
 
 from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, atomic_density
 from chaocav.field import coherent_weights
+from chaocav.sweep import sweep_grid
 from chaocav.teleport import (
     BELL_OUTCOMES,
     DegenerateOutcome,
     UnknownQubit,
     bell_project_teleport,
     bob_state_closed_form,
-    fidelity_curve,
     kappa_sums,
 )
 from conftest import random_density
@@ -132,12 +132,13 @@ def test_fidelity_curve_matches_single_point_route():
     field = coherent_weights(3.0)
     unknown = UnknownQubit(0.8, 0.6)
     ts = np.linspace(0.0, 2.0, 5)
-    sweep = fidelity_curve(ts, 0.4, init, field, unknown)
+    grid = sweep_grid(ts, [0.4], init, field, unknown)
+    outcome_weight = grid.weight[0] / grid.pre_norm_trace[0]
     params = ModelParams(gamma=0.4, omega_rabi=1.0)
     for k, t in enumerate(ts):
         single = bob_state_closed_form(t, init, field, params, unknown)
-        assert abs(sweep.fidelity[k] - single.fidelity) <= 1e-12
-        assert abs(sweep.outcome_weight[k] - single.outcome_weight) <= 1e-12
+        assert abs(grid.fidelity[0, k] - single.fidelity) <= 1e-12
+        assert abs(outcome_weight[k] - single.outcome_weight) <= 1e-12
 
 
 def test_frozen_initial_fidelity():
