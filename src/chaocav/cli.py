@@ -46,7 +46,6 @@ DEFAULTS = {
     "omega_rabi": 1.0,
     "field_convention": "amplitude",
     "eps_trunc": 1e-12,
-    "seed": 8,
     "out": None,
     "svg": False,
 }
@@ -122,7 +121,6 @@ _CONFIG_PARSERS = {
     "omega_rabi": ("omega_rabi", float),
     "field_convention": ("field_convention", str),
     "eps_trunc": ("eps_trunc", float),
-    "seed": ("seed", int),
     "out": ("out", str),
     "svg": ("svg", _parse_bool),
 }
@@ -220,7 +218,7 @@ def _merge_settings(args):
         "alpha_field": args.alpha_field, "t_max": args.t_max, "steps": args.steps,
         "omega_rabi": args.omega_rabi,
         "field_convention": args.field_convention, "eps_trunc": args.eps_trunc,
-        "out": args.out, "svg": args.svg, "seed": args.seed,
+        "out": args.out, "svg": args.svg,
     }
     if args.gamma is not None:
         overrides["gammas"] = tuple(args.gamma)

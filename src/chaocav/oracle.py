@@ -114,12 +114,20 @@ def sector_basis_indices(n, n_fock):
     return (idx_gg, idx_ge, idx_eg, idx_ee)
 
 
-def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
+def rk4_evolve(blocks, psi0, t_final, dt=1e-4, t_record=()):
     """Fixed-step RK4 for d psi/dt = -i H psi with constant block-diagonal H.
 
     blocks has shape (S, d, d) and psi0 (S, d); a single (d, d) block
-    with a (d,) vector also works. A trailing partial step lands exactly
-    on t_final.
+    with a (d,) vector also works. The state takes full steps of dt, then
+    one trailing partial step that lands exactly on t_final. Rows never
+    mix, so blocks with different parameters can share one pass.
+
+    t_record lists increasing times in [0, t_final] at which the state is
+    also wanted. Each recorded state is bit for bit the result of a
+    separate call that ends at that time: its partial step is taken on a
+    copy, and the running state goes on from the last full step. With
+    t_record the call returns (psi, recorded), recorded holding one state
+    per recorded time on a new leading axis; without it, psi alone.
     """
     blocks = np.asarray(blocks, dtype=complex)
     psi = np.array(psi0, dtype=complex, copy=True)
@@ -128,26 +136,54 @@ def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
         blocks = blocks[None]
         psi = psi[None]
     t_final = float(t_final)
-    if t_final < 0.0:
-        raise ValueError("t_final must be >= 0")
+    dt = float(dt)
+    if not math.isfinite(t_final) or t_final < 0.0:
+        raise ValueError(f"t_final must be finite and >= 0, got {t_final}")
+    if not math.isfinite(dt) or dt <= 0.0:
+        raise ValueError(f"dt must be finite and > 0, got {dt}")
+    t_record = [float(t) for t in t_record]
+    if not all(0.0 <= t <= t_final for t in t_record):
+        raise ValueError(f"t_record must lie in [0, t_final={t_final}], got {t_record}")
+    if any(b <= a for a, b in zip(t_record, t_record[1:])):
+        raise ValueError(f"t_record must be strictly increasing, got {t_record}")
 
-    def deriv(p):
-        return -1j * np.einsum("sij,sj->si", blocks, p)
+    # -1j * H is exact, so folding it into the blocks leaves every digit of
+    # -1j * (H psi) unchanged. The stages reuse five buffers, and each
+    # operation keeps the operand order of
+    # p + (h/6) (k1 + 2 k2 + 2 k3 + k4), k_m = -i H (p + c_m h k_{m-1}).
+    gen = -1j * blocks
+    k1, k2, k3, k4, tmp = (np.empty_like(psi) for _ in range(5))
 
     def step(p, h):
-        k1 = deriv(p)
-        k2 = deriv(p + 0.5 * h * k1)
-        k3 = deriv(p + 0.5 * h * k2)
-        k4 = deriv(p + h * k3)
-        return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        # Advances p by h in place.
+        np.einsum("sij,sj->si", gen, p, out=k1)
+        np.add(p, np.multiply(0.5 * h, k1, out=tmp), out=tmp)
+        np.einsum("sij,sj->si", gen, tmp, out=k2)
+        np.add(p, np.multiply(0.5 * h, k2, out=tmp), out=tmp)
+        np.einsum("sij,sj->si", gen, tmp, out=k3)
+        np.add(p, np.multiply(h, k3, out=tmp), out=tmp)
+        np.einsum("sij,sj->si", gen, tmp, out=k4)
+        np.add(k1, np.multiply(2.0, k2, out=tmp), out=k1)
+        np.add(k1, np.multiply(2.0, k3, out=tmp), out=k1)
+        np.add(k1, k4, out=k1)
+        np.add(p, np.multiply(h / 6.0, k1, out=k1), out=p)
 
-    n_full = int(t_final / dt)
-    for _ in range(n_full):
-        psi = step(psi, dt)
-    rem = t_final - n_full * dt
-    if rem > 1e-15:
-        psi = step(psi, rem)
-    return psi[0] if single else psi
+    # Step to each recorded time and then to t_final in turn; the partial
+    # step that lands on a time is taken on a copy.
+    states = []
+    n_done = 0
+    for t in t_record + [t_final]:
+        n_full = int(t / dt)
+        for _ in range(n_full - n_done):
+            step(psi, dt)
+        n_done = n_full
+        state = psi.copy()
+        rem = t - n_full * dt
+        if rem > 1e-15:
+            step(state, rem)
+        states.append(state[0] if single else state)
+    psi = states.pop()
+    return (psi, np.stack(states)) if t_record else psi
 
 
 @dataclass(frozen=True)
@@ -171,6 +207,17 @@ def _sector_psi0(init, field, sectors):
                      for n in sectors])
 
 
+def _check_norm_drift(psi0, psi, t, dt):
+    # Raises when the summed norm of the integrated sectors drifted from
+    # the initial one by more than NORM_DRIFT_TOL, a sign that dt is too large.
+    norm0 = float(np.sum(np.abs(psi0) ** 2))
+    norm1 = float(np.sum(np.abs(psi) ** 2))
+    if norm0 > 0.0 and abs(norm1 - norm0) / norm0 > NORM_DRIFT_TOL:
+        raise InvariantViolation(
+            f"integrator norm drifted by {abs(norm1 - norm0) / norm0:.3e} "
+            f"over t={t}; reduce dt (currently {dt})")
+
+
 def integrate_schrodinger(init, field, params, kf_x=0.0, t_final=1.0, dt=1e-4,
                           sectors=None, interaction_picture=True,
                           omega0=1.0, omega_f=1.0):
@@ -189,12 +236,7 @@ def integrate_schrodinger(init, field, params, kf_x=0.0, t_final=1.0, dt=1e-4,
                                    omega0, omega_f).matrix for n in sectors])
     psi0 = _sector_psi0(init, field, sectors)
     psi = rk4_evolve(blocks, psi0, t_final, dt)
-    norm0 = float(np.sum(np.abs(psi0) ** 2))
-    norm1 = float(np.sum(np.abs(psi) ** 2))
-    if norm0 > 0.0 and abs(norm1 - norm0) / norm0 > NORM_DRIFT_TOL:
-        raise InvariantViolation(
-            f"integrator norm drifted by {abs(norm1 - norm0) / norm0:.3e} "
-            f"over t={t_final}; reduce dt (currently {dt})")
+    _check_norm_drift(psi0, psi, t_final, dt)
     ground = field.weights[0] * init.c00
     if not interaction_picture:
         ground *= np.exp(1j * 2.0 * omega0 * t_final)
@@ -319,8 +361,13 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
     the Ornstein-Uhlenbeck process (64 substeps per correlation time);
     the phase accumulates by the trapezoid rule. Deterministic for a
     fixed spec: the counter-based generator is seeded from spec.seed.
+    The substeps draw into and update preallocated buffers, keeping the
+    operand order of omega' = decay omega + kick z and
+    phi += (h/2) (omega + omega'), so no substep allocates.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
+    if not np.all(np.isfinite(t_grid)):
+        raise ValueError(f"t_grid must be finite, got {t_grid}")
     if np.any(t_grid < 0.0) or np.any(np.diff(t_grid) < 0.0):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
     if n_samples < 2:
@@ -331,6 +378,8 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
     rng = np.random.Generator(np.random.Philox(spec.seed))
     sigma, tau = spec.sigma, spec.tau_c
     omega = rng.normal(0.0, sigma, n_samples)
+    omega_next = np.empty(n_samples)
+    z = np.empty(n_samples)
     phi = np.zeros(n_samples)
     q_mean = np.empty(t_grid.shape, dtype=complex)
     stderr = np.empty(t_grid.shape)
@@ -343,9 +392,11 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
             decay = math.exp(-h / tau)
             kick = sigma * math.sqrt(1.0 - decay * decay)
             for _ in range(n_steps):
-                omega_next = decay * omega + kick * rng.normal(0.0, 1.0, n_samples)
-                phi += 0.5 * h * (omega + omega_next)
-                omega = omega_next
+                rng.standard_normal(n_samples, out=z)
+                np.add(np.multiply(decay, omega, out=omega_next),
+                       np.multiply(kick, z, out=z), out=omega_next)
+                phi += np.multiply(0.5 * h, np.add(omega, omega_next, out=z), out=z)
+                omega, omega_next = omega_next, omega
         vals = np.exp(1j * phi)
         q_mean[k] = vals.mean()
         stderr[k] = float(np.std(vals.real, ddof=1) / math.sqrt(n_samples))
@@ -498,31 +549,43 @@ def run_verification(seed=8):
         last = qs
     check("q_limits", ok, "q(t,0)=1, q(0,g)=1, monotone in t and gamma")
 
-    # Closed form against the integrator, sector by sector, no spin-spin term.
+    # One RK4 pass at dt = 1e-4 integrates every sector without the
+    # spin-spin term and the checked sectors with it to t = 1, recording
+    # t = 0.5. Rows never mix, so each slice equals a separate run.
     field = coherent_weights(5.0)
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     params0 = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
+    params1 = ModelParams(gamma=0.0, omega_rabi=1.0, g0=1.0)
+    every = np.arange(field.n_max + 2)
     sectors = [0, 1, 5, 25]
-    state = integrate_schrodinger(init, field, params0, kf_x=0.0, t_final=1.0,
-                                  sectors=sectors)
+    groups = ((params0, every), (params1, sectors))
+    blocks = np.concatenate([np.stack([build_block(n, p).matrix for n in s]) for p, s in groups])
+    start = np.concatenate([_sector_psi0(init, field, s) for _, s in groups])
+    dt = 1e-4
+    psi_1, (psi_half,) = rk4_evolve(blocks, start, 1.0, dt=dt, t_record=(0.5,))
+    split = len(every)
+    for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
+        _check_norm_drift(start[:split], psi[:split], t_chk, dt)
+        _check_norm_drift(start[split:], psi[split:], t_chk, dt)
+    ground = complex(field.weights[0] * init.c00)
+    amps0 = psi_1[sectors]
+    amps1 = psi_1[split:]
+
+    # Closed form against the integrator, sector by sector, no spin-spin term.
     table = deterministic_table(np.array([1.0]), init, field, params0, kf_x=0.0)
-    dev = float(np.abs(_closed_quadruples(table, sectors) - state.amplitudes).max())
-    dev = max(dev, abs(complex(table.ground[0]) - state.ground))
+    dev = float(np.abs(_closed_quadruples(table, sectors) - amps0).max())
+    dev = max(dev, abs(complex(table.ground[0]) - ground))
     check("amplitudes_vs_integrator", dev <= 1e-6,
           f"max |closed - rk4| {dev:.2e} over sectors {sectors} at t=1")
 
     # The same comparison with the spin-spin coupling on: the closed form
     # treats those phases approximately, so this is reported, not asserted.
-    params1 = ModelParams(gamma=0.0, omega_rabi=1.0, g0=1.0)
-    state1 = integrate_schrodinger(init, field, params1, kf_x=0.0, t_final=1.0,
-                                   sectors=sectors)
     table1 = deterministic_table(np.array([1.0]), init, field, params1, kf_x=0.0)
-    dev1 = float(np.abs(_closed_quadruples(table1, sectors) - state1.amplitudes).max())
+    dev1 = float(np.abs(_closed_quadruples(table1, sectors) - amps1).max())
     info("amplitudes_vs_integrator_rabi",
          f"spin-spin phases are approximate: max |closed - rk4| {dev1:.2e} at omega=1, t=1")
 
     # The paper's printed formulas: document, do not assert.
-    every = np.arange(field.n_max + 2)
     rho_vb, _ = sector_density(every, legacy_quadruples(every, 0.0, 1.0, 1.0, init,
                                                         field, params1), 0.0)
     psi0 = init.as_vector()
@@ -532,13 +595,13 @@ def run_verification(seed=8):
     # The frozen phases of deterministic_table at kf_x = 0 and t = 1.
     q_frozen = np.exp(1j * (np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)) * params0.g0))
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), init, field, params0)
-    dev_vb1 = float(np.abs(legacy - state.amplitudes).max())
+    dev_vb1 = float(np.abs(legacy - amps0).max())
     info("verbatim_vs_integrator", f"max |verbatim - rk4| {dev_vb1:.3f} at omega=0, t=1")
 
-    # Long-horizon norm conservation of the integrator itself.
-    blocks = np.stack([build_block(n, params1).matrix for n in sectors])
-    psi0 = _sector_psi0(init, field, sectors)
-    psi10 = rk4_evolve(blocks, psi0, 10.0, dt=2e-4)
+    # Long-horizon norm conservation of the integrator itself, on the
+    # omega = 1 sectors of the pass above.
+    psi0 = start[split:]
+    psi10 = rk4_evolve(blocks[split:], psi0, 10.0, dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
     drift /= float(np.sum(np.abs(psi0) ** 2))
     check("norm_conservation", drift < 1e-9,
@@ -558,9 +621,9 @@ def run_verification(seed=8):
 
     # Entanglement of the frozen-phase dynamics against the integrator.
     doe_dev = 0.0
-    for t_chk in (0.5, 1.0):
+    for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
         rho_cf = deterministic_density(t_chk, init, field, params0, kf_x=0.0).rho
-        rho_rk = oracle_density(t_chk, init, field, params0, kf_x=0.0).rho
+        rho_rk, _ = sector_density(every, psi[:split], ground)
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_rk)))
     check("negativity_vs_integrator", doe_dev <= 5e-4,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")

@@ -336,6 +336,15 @@ def test_g0_flag_is_gone(tmp_path, capsys):
     assert "unknown key 'g0'" in capsys.readouterr().err
 
 
+def test_seed_config_key_is_gone(tmp_path, capsys):
+    # sweeps draw no random numbers; verify takes its seed from the flag only
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("seed = 3\n")
+    code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
+    assert code == 2
+    assert "unknown key 'seed'" in capsys.readouterr().err
+
+
 def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["fidelity", "--gamma", "0.2", "--steps", "3",
                              "--t-max", "1.0", "--alpha-field", "1",

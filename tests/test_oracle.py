@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+import chaocav.oracle as oracle
 from chaocav.dynamics import AtomicInit, ModelParams, atomic_density, deterministic_density, deterministic_table
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
@@ -30,6 +31,7 @@ from chaocav.oracle import (
     sector_basis_indices,
     sector_density,
 )
+from conftest import random_hermitian
 
 
 def kubo_mean(t, spec):
@@ -146,6 +148,91 @@ def test_rk4_partial_final_step_lands_on_t():
     assert np.array_equal(rk4_evolve(h, psi0, 0.0, dt=1e-3), psi0)
     with pytest.raises(ValueError):
         rk4_evolve(h, psi0, -1.0)
+
+
+def reference_rk4(blocks, psi0, t_final, dt):
+    # The integrator as first written: allocating stages and -1j applied
+    # after each block product.
+    def deriv(p):
+        return -1j * np.einsum("sij,sj->si", blocks, p)
+
+    def step(p, h):
+        k1 = deriv(p)
+        k2 = deriv(p + 0.5 * h * k1)
+        k3 = deriv(p + 0.5 * h * k2)
+        k4 = deriv(p + h * k3)
+        return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+
+    psi = np.array(psi0, dtype=complex)
+    n_full = int(t_final / dt)
+    for _ in range(n_full):
+        psi = step(psi, dt)
+    rem = t_final - n_full * dt
+    return step(psi, rem) if rem > 1e-15 else psi
+
+
+def random_blocks(rng, sectors):
+    blocks = np.stack([random_hermitian(rng) for _ in range(sectors)])
+    psi0 = rng.normal(size=(sectors, 4)) + 1j * rng.normal(size=(sectors, 4))
+    return blocks, psi0
+
+
+def test_rk4_matches_the_reference_bit_for_bit(rng):
+    blocks, psi0 = random_blocks(rng, 7)
+    for t_final in (0.25, 0.3337):  # whole steps only, then a partial last step
+        got = rk4_evolve(blocks, psi0, t_final, dt=1e-3)
+        assert np.array_equal(got, reference_rk4(blocks, psi0, t_final, 1e-3))
+
+
+def test_rk4_recorded_states_equal_separate_runs(rng):
+    blocks, psi0 = random_blocks(rng, 5)
+    times = (0.0, 0.1, 0.3333, 0.4)  # 0.3333 needs a partial step at dt = 1e-3
+    psi, recorded = rk4_evolve(blocks, psi0, 0.4, dt=1e-3, t_record=times)
+    assert recorded.shape == (len(times),) + psi0.shape
+    assert np.array_equal(psi, rk4_evolve(blocks, psi0, 0.4, dt=1e-3))
+    for t, state in zip(times, recorded):
+        assert np.array_equal(state, rk4_evolve(blocks, psi0, t, dt=1e-3))
+    # the single (d, d) block form records (d,) states
+    psi, recorded = rk4_evolve(blocks[2], psi0[2], 0.4, dt=1e-3, t_record=(0.3333,))
+    assert recorded.shape == (1, 4)
+    assert np.array_equal(recorded[0], rk4_evolve(blocks[2], psi0[2], 0.3333, dt=1e-3))
+    assert np.array_equal(psi, rk4_evolve(blocks[2], psi0[2], 0.4, dt=1e-3))
+
+
+@pytest.mark.parametrize("kwargs, name", [
+    ({"dt": -1e-3}, "dt"),
+    ({"dt": 0.0}, "dt"),
+    ({"dt": float("nan")}, "dt"),
+    ({"dt": float("inf")}, "dt"),
+    ({"t_final": float("nan")}, "t_final"),
+    ({"t_final": float("inf")}, "t_final"),
+    ({"t_record": (float("nan"),)}, "t_record"),
+    ({"t_record": (0.5, 0.2)}, "t_record"),
+    ({"t_record": (0.2, 0.2)}, "t_record"),
+    ({"t_record": (-0.1,)}, "t_record"),
+    ({"t_record": (1.5,)}, "t_record"),
+])
+def test_rk4_rejects_bad_times(kwargs, name):
+    h = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
+    args = {"t_final": 1.0, "dt": 1e-3, **kwargs}
+    with pytest.raises(ValueError, match=name):
+        rk4_evolve(h, np.array([1.0, 0.0]), **args)
+
+
+def test_run_verification_integrates_each_step_size_once(monkeypatch):
+    calls = []
+    original = oracle.rk4_evolve
+
+    def counting(blocks, psi0, t_final, dt=1e-4, t_record=()):
+        n_full = int(t_final / dt)
+        calls.append(n_full + (1 if t_final - n_full * dt > 1e-15 else 0))
+        return original(blocks, psi0, t_final, dt, t_record)
+
+    monkeypatch.setattr(oracle, "rk4_evolve", counting)
+    rows = oracle.run_verification()
+    assert not any(row.status == "FAIL" for row in rows)
+    assert len(calls) == 2
+    assert sum(calls) == 60000
 
 
 def test_integrator_matches_closed_form_without_spin_exchange():
@@ -267,6 +354,43 @@ def test_monte_carlo_is_deterministic_per_seed():
     assert not np.array_equal(a.q_mean, c.q_mean)
 
 
+def reference_monte_carlo(t_grid, spec, n_samples):
+    # The substep loop as first written, allocating a fresh array per operation.
+    rng = np.random.Generator(np.random.Philox(spec.seed))
+    sigma, tau = spec.sigma, spec.tau_c
+    omega = rng.normal(0.0, sigma, n_samples)
+    phi = np.zeros(n_samples)
+    q_mean, stderr = [], []
+    t_prev = 0.0
+    for tk in t_grid:
+        seg = tk - t_prev
+        if seg > 0.0:
+            n_steps = max(1, int(math.ceil(seg / (tau / 64.0))))
+            h = seg / n_steps
+            decay = math.exp(-h / tau)
+            kick = sigma * math.sqrt(1.0 - decay * decay)
+            for _ in range(n_steps):
+                omega_next = decay * omega + kick * rng.normal(0.0, 1.0, n_samples)
+                phi += 0.5 * h * (omega + omega_next)
+                omega = omega_next
+        vals = np.exp(1j * phi)
+        q_mean.append(vals.mean())
+        stderr.append(float(np.std(vals.real, ddof=1) / math.sqrt(n_samples)))
+        t_prev = tk
+    return np.array(q_mean), np.array(stderr)
+
+
+@pytest.mark.parametrize("seed", [8, 31])
+@pytest.mark.parametrize("n_samples", [2, 5000])
+def test_monte_carlo_matches_the_reference_bit_for_bit(seed, n_samples):
+    grid = np.array([0.0, 0.013, 0.4, 0.4, 1.37])
+    spec = noise_spec_for_gamma(0.7, seed=seed)
+    out = monte_carlo_q(grid, spec, n_samples=n_samples)
+    q_mean, stderr = reference_monte_carlo(grid, spec, n_samples)
+    assert np.array_equal(out.q_mean, q_mean)
+    assert np.array_equal(out.stderr, stderr)
+
+
 def test_monte_carlo_matches_gaussian_closure():
     spec = noise_spec_for_gamma(0.5, seed=8)
     out = monte_carlo_q(np.array([1.0]), spec, n_samples=4000)
@@ -304,6 +428,9 @@ def test_monte_carlo_grid_validation():
         monte_carlo_q(np.array([1.0, 0.5]), spec)
     with pytest.raises(ValueError):
         monte_carlo_q(np.array([0.5]), spec, n_samples=1)
+    for bad in ([0.5, float("nan")], [float("inf")]):
+        with pytest.raises(ValueError, match="finite"):
+            monte_carlo_q(np.array(bad), spec)
 
 
 # ---------------------------------------------------------------- joint averaging
