@@ -11,7 +11,7 @@ from .linalg import (InvariantViolation, jacobi_eigh, partial_trace, partial_tra
                      require_density_matrix, tensor)
 from .oracle import (MonteCarloQ, NoiseSpec, build_block, full_hamiltonian,
                      integrate_schrodinger, joint_averaged_density, monte_carlo_q,
-                     noise_spec_for_gamma, oracle_density, rk4_evolve,
+                     noise_spec_for_gamma, rk4_evolve,
                      run_verification)
 from .sweep import SweepGrid, sweep_grid
 from .teleport import (DegenerateOutcome, TeleportOutcome, UnknownQubit,

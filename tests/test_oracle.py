@@ -26,7 +26,6 @@ from chaocav.oracle import (
     monte_carlo_q,
     noise_spec_for_gamma,
     ou_mean_q,
-    oracle_density,
     rk4_evolve,
     sector_basis_indices,
     sector_density,
@@ -184,19 +183,22 @@ def test_rk4_matches_the_reference_bit_for_bit(rng):
         assert np.array_equal(got, reference_rk4(blocks, psi0, t_final, 1e-3))
 
 
-def test_rk4_recorded_states_equal_separate_runs(rng):
-    blocks, psi0 = random_blocks(rng, 5)
-    times = (0.0, 0.1, 0.3333, 0.4)  # 0.3333 needs a partial step at dt = 1e-3
-    psi, recorded = rk4_evolve(blocks, psi0, 0.4, dt=1e-3, t_record=times)
-    assert recorded.shape == (len(times),) + psi0.shape
-    assert np.array_equal(psi, rk4_evolve(blocks, psi0, 0.4, dt=1e-3))
-    for t, state in zip(times, recorded):
-        assert np.array_equal(state, rk4_evolve(blocks, psi0, t, dt=1e-3))
-    # the single (d, d) block form records (d,) states
-    psi, recorded = rk4_evolve(blocks[2], psi0[2], 0.4, dt=1e-3, t_record=(0.3333,))
-    assert recorded.shape == (1, 4)
-    assert np.array_equal(recorded[0], rk4_evolve(blocks[2], psi0[2], 0.3333, dt=1e-3))
-    assert np.array_equal(psi, rk4_evolve(blocks[2], psi0[2], 0.4, dt=1e-3))
+def test_stacked_groups_equal_separate_runs():
+    # one pass over two parameter groups, stopping at 0.25 and going on to
+    # 0.5, gives each group's rows bit for bit as separate runs would
+    init = AtomicInit(0.5, 0.5j, -0.5, 0.5)
+    field = coherent_weights(2.0)
+    p0 = ModelParams(gamma=0.0, omega_rabi=0.0)
+    p1 = ModelParams(gamma=0.0, omega_rabi=1.0)
+    every = list(range(field.n_max + 2))
+    picked = [0, 3]
+    states = oracle._integrate_groups(init, field, ((p0, every), (p1, picked)),
+                                      (0.25, 0.5), 1e-3)
+    for t, psi in zip((0.25, 0.5), states):
+        alone0 = integrate_schrodinger(init, field, p0, t_final=t, dt=1e-3).amplitudes
+        alone1 = integrate_schrodinger(init, field, p1, t_final=t, dt=1e-3,
+                                       sectors=picked).amplitudes
+        assert np.array_equal(psi, np.concatenate([alone0, alone1]))
 
 
 @pytest.mark.parametrize("kwargs, name", [
@@ -206,11 +208,6 @@ def test_rk4_recorded_states_equal_separate_runs(rng):
     ({"dt": float("inf")}, "dt"),
     ({"t_final": float("nan")}, "t_final"),
     ({"t_final": float("inf")}, "t_final"),
-    ({"t_record": (float("nan"),)}, "t_record"),
-    ({"t_record": (0.5, 0.2)}, "t_record"),
-    ({"t_record": (0.2, 0.2)}, "t_record"),
-    ({"t_record": (-0.1,)}, "t_record"),
-    ({"t_record": (1.5,)}, "t_record"),
 ])
 def test_rk4_rejects_bad_times(kwargs, name):
     h = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
@@ -219,19 +216,18 @@ def test_rk4_rejects_bad_times(kwargs, name):
         rk4_evolve(h, np.array([1.0, 0.0]), **args)
 
 
-def test_run_verification_integrates_each_step_size_once(monkeypatch):
+def test_run_verification_takes_60000_rk4_steps(monkeypatch):
     calls = []
     original = oracle.rk4_evolve
 
-    def counting(blocks, psi0, t_final, dt=1e-4, t_record=()):
+    def counting(blocks, psi0, t_final, dt=1e-4):
         n_full = int(t_final / dt)
         calls.append(n_full + (1 if t_final - n_full * dt > 1e-15 else 0))
-        return original(blocks, psi0, t_final, dt, t_record)
+        return original(blocks, psi0, t_final, dt)
 
     monkeypatch.setattr(oracle, "rk4_evolve", counting)
     rows = oracle.run_verification()
     assert not any(row.status == "FAIL" for row in rows)
-    assert len(calls) == 2
     assert sum(calls) == 60000
 
 
@@ -268,11 +264,12 @@ def test_oracle_density_matches_closed_form_density():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     field = coherent_weights(2.0)
     params = ModelParams(gamma=0.0, omega_rabi=0.0)
-    got = oracle_density(0.7, init, field, params, dt=1e-3)
+    state = integrate_schrodinger(init, field, params, t_final=0.7, dt=1e-3)
+    rho, pre = sector_density(state.sectors, state.amplitudes, state.ground)
     want = deterministic_density(0.7, init, field, params)
-    assert np.max(np.abs(got.rho - want.rho)) <= 1e-8
-    assert abs(got.pre_norm_trace - want.pre_norm_trace) <= 1e-10
-    require_density_matrix(got.rho)
+    assert np.max(np.abs(rho - want.rho)) <= 1e-8
+    assert abs(pre - want.pre_norm_trace) <= 1e-10
+    require_density_matrix(rho)
 
 
 def test_lab_frame_amplitudes_keep_the_same_magnitudes():
