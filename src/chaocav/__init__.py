@@ -3,7 +3,7 @@ through a randomly phased position-dependent coupling."""
 
 from .dynamics import (AmplitudeTable, AtomicInit, ModelParams, ReducedState,
                        amplitude_table, atomic_density, averaged_q,
-                       deterministic_density, deterministic_table, erf, erf_array,
+                       deterministic_density, deterministic_table, erf_array,
                        table_density)
 from .entanglement import negativity
 from .field import CoherentField, coherent_weights
@@ -14,7 +14,6 @@ from .oracle import (MonteCarloQ, NoiseSpec, build_block, full_hamiltonian,
                      noise_spec_for_gamma, rk4_evolve,
                      run_verification)
 from .sweep import SweepGrid, sweep_grid
-from .teleport import (DegenerateOutcome, TeleportOutcome, UnknownQubit,
-                       bell_project_teleport, bob_state_closed_form, kappa_sums)
+from .teleport import TeleportOutcome, UnknownQubit, bell_project_teleport, kappa_sums
 
 __version__ = "0.1.0"

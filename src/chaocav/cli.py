@@ -299,6 +299,9 @@ def _finalize(settings, command):
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     out = settings["out"] or f"chaocav_{command}.csv"
+    if settings["svg"] and Path(_svg_path(out)) == Path(out):
+        raise ConfigError(f"--svg would overwrite the CSV {out} with the chart; "
+                          "give --out a name that does not end in .svg")
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
         "unknown": unknown, "alpha": alpha, "omega_rabi": omega_rabi,
@@ -391,6 +394,8 @@ def main(argv=None):
     args = parser.parse_args(argv)
     try:
         if args.command == "verify":
+            if args.seed < 0:
+                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             return run_verify(args.seed)
         settings = _merge_settings(args)
         cfg = _finalize(settings, args.command)

@@ -23,66 +23,9 @@ SQRT2 = math.sqrt(2.0)
 NORM_TOL = 1e-12
 
 
-def _erf_series(x):
-    # Alternating Maclaurin sum with a term recurrence, used for |x| <= 3.
-    x2 = x * x
-    term = x
-    total = x
-    k = 0
-    while True:
-        k += 1
-        term *= -x2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if abs(contrib) < 1e-18:
-            return total * 2.0 / math.sqrt(math.pi)
-
-
-def _erfc_fraction(x):
-    # Modified Lentz evaluation of the continued fraction
-    # erfc(x) * sqrt(pi) * exp(x^2) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))).
-    tiny = 1e-300
-    f = tiny
-    c = tiny
-    d = 0.0
-    for k in range(1, 300):
-        a = 1.0 if k == 1 else 0.5 * (k - 1)
-        d = x + a * d
-        if d == 0.0:
-            d = tiny
-        c = x + a / c
-        if c == 0.0:
-            c = tiny
-        d = 1.0 / d
-        delta = c * d
-        f *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return math.exp(-x * x) / math.sqrt(math.pi) * f
-
-
-def erf(x):
-    """Error function, absolute accuracy better than 1e-12 on all reals.
-
-    Series for |x| <= 3, continued fraction for the tail, saturation at
-    |x| >= 6. Odd symmetry holds exactly because only |x| is evaluated.
-    """
-    x = float(x)
-    if x == 0.0:
-        return 0.0
-    ax = abs(x)
-    if ax <= 3.0:
-        val = _erf_series(ax)
-    elif ax < 6.0:
-        val = 1.0 - _erfc_fraction(ax)
-    else:
-        val = 1.0
-    return val if x > 0 else -val
-
-
 def _erf_series_array(x):
-    # _erf_series on an array: the same recurrence, each element stopping
-    # at its own term, so every result is bit-for-bit the scalar one.
+    # Alternating Maclaurin sum with a term recurrence, used for |x| <= 3;
+    # each element stops at its own first term below 1e-18.
     x2 = x * x
     term = x.copy()
     total = x.copy()
@@ -102,7 +45,9 @@ def _erf_series_array(x):
 
 
 def _erfc_fraction_array(x):
-    # _erfc_fraction on an array, element by element as in the scalar loop.
+    # Modified Lentz evaluation of the continued fraction
+    # erfc(x) * sqrt(pi) * exp(x^2) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
+    # used for 3 < |x| < 6; each element stops at its own convergence.
     tiny = 1e-300
     f = np.full(x.shape, tiny)
     c = np.full(x.shape, tiny)
@@ -128,7 +73,11 @@ def _erfc_fraction_array(x):
 
 
 def erf_array(x):
-    """erf on an array, bit-for-bit equal to erf applied to every element."""
+    """Error function on an array, absolute accuracy better than 1e-12 on all reals.
+
+    Series for |x| <= 3, continued fraction for the tail, saturation at
+    |x| >= 6. Odd symmetry holds exactly because only |x| is evaluated.
+    """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
     val = np.ones(x.shape)
@@ -214,22 +163,19 @@ class AtomicInit:
 
 @dataclass(frozen=True)
 class AmplitudeTable:
-    """All sector amplitudes at the sampled times, plus photon-grouped views.
+    """Amplitudes at the sampled times, grouped by Fock level.
 
-    sector_* arrays have shape (T, N) over sectors n = 0..N-1. The
-    (T, 4, N + 1) photon array regroups the same amplitudes by Fock level
-    m, and photon_a..photon_d are its views photon[:, 0]..photon[:, 3]:
+    The (T, 4, N + 1) photon array holds the amplitudes of the N sectors
+    n = 0..N-1, and photon_a..photon_d are its views photon[:, 0]..photon[:, 3]:
     photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
-    component), photon_b[m] and photon_c[m] multiply |ge,m> and |eg,m>,
-    and photon_d[m] multiplies |ee,m>.
+    component, also kept as ground), photon_b[m] and photon_c[m] multiply
+    |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>. Sector n over
+    (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) is therefore
+    (photon_a[n+1], photon_b[n], photon_c[n], photon_d[n-1]), with no
+    |ee> component at n = 0.
     """
 
     t: np.ndarray
-    sector_n: np.ndarray
-    sector_a: np.ndarray
-    sector_b: np.ndarray
-    sector_c: np.ndarray
-    sector_d: np.ndarray
     ground: np.ndarray
     photon: np.ndarray
     photon_a: np.ndarray
@@ -302,8 +248,7 @@ def _build_table(t, qp, qm, init, field, params):
     pb[:, :n_sec] = amp_b
     pc[:, :n_sec] = amp_c
     pd[:, : n_sec - 1] = amp_d[:, 1:]
-    return AmplitudeTable(t=t_arr, sector_n=ns, sector_a=amp_a, sector_b=amp_b,
-                          sector_c=amp_c, sector_d=amp_d, ground=ground, photon=photon,
+    return AmplitudeTable(t=t_arr, ground=ground, photon=photon,
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 

@@ -24,7 +24,8 @@ from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
                      tensor)
-from .teleport import UnknownQubit, bell_project_teleport, bob_state_closed_form
+from .sweep import sweep_grid
+from .teleport import UnknownQubit, bell_project_teleport
 
 #: Single-atom operators in the (|g>, |e>) basis; S_Z has eigenvalues -1, +1.
 S_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -477,9 +478,13 @@ def _doe_reference(rho):
 
 
 def _closed_quadruples(table, sectors):
-    # The table's quadruples at its first time, laid out like IntegratedState.amplitudes.
-    return np.stack([table.sector_a[0, sectors], table.sector_b[0, sectors],
-                     table.sector_c[0, sectors], table.sector_d[0, sectors]], axis=1)
+    # The table's quadruples at its first time, laid out like
+    # IntegratedState.amplitudes: sector n is (photon_a[n+1], photon_b[n],
+    # photon_c[n], photon_d[n-1]), with no |ee> component at n = 0.
+    ns = np.asarray(sectors)
+    d = np.where(ns > 0, table.photon_d[0, np.maximum(ns - 1, 0)], 0.0j)
+    return np.stack([table.photon_a[0, ns + 1], table.photon_b[0, ns],
+                     table.photon_c[0, ns], d], axis=1)
 
 
 def run_verification(seed=8):
@@ -601,21 +606,28 @@ def run_verification(seed=8):
     check("negativity_vs_integrator", doe_dev <= 5e-4,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")
 
-    # Closed-form teleportation against explicit Bell projection.
+    # The sweep's teleportation columns against explicit Bell projection.
     qubits = [UnknownQubit(0.95, math.sqrt(1.0 - 0.95 ** 2)),
               UnknownQubit(0.6, 0.8j)]
+    t_spots = (0.3, 1.2, 2.7)
+    gamma_spots = (0.1, 0.9)
+    grids = [sweep_grid(t_spots, gamma_spots, init, field, unknown, omega_rabi=1.0)
+             for unknown in qubits]
     tele_dev = 0.0
-    for gamma in (0.1, 0.9):
+    for i, gamma in enumerate(gamma_spots):
         params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
-        for t_chk in (0.3, 1.2, 2.7):
+        for k, t_chk in enumerate(t_spots):
             rho_ch = atomic_density(t_chk, init, field, params)
-            for unknown in qubits:
-                closed_out = bob_state_closed_form(t_chk, init, field, params, unknown)
+            for unknown, grid in zip(qubits, grids):
                 proj = bell_project_teleport(rho_ch.rho, unknown)[0]
+                k2 = grid.kappa2[i, k]
+                bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
+                bob /= grid.weight[i, k]
                 tele_dev = max(tele_dev,
-                               abs(closed_out.fidelity - proj.fidelity),
-                               float(np.abs(closed_out.bob_state - proj.bob_state).max()),
-                               abs(closed_out.outcome_weight - proj.outcome_weight))
+                               abs(grid.fidelity[i, k] - proj.fidelity),
+                               float(np.abs(bob - proj.bob_state).max()),
+                               abs(grid.weight[i, k] / grid.pre_norm_trace[i, k]
+                                   - proj.outcome_weight))
     check("teleport_projection_consistency", tele_dev <= 1e-9,
           f"max |closed - projected| {tele_dev:.2e} over the spot grid")
 

@@ -1,8 +1,11 @@
 """Teleportation of an unknown qubit through the averaged two-atom channel.
 
-Two routes to Bob's state are provided: a closed form built from the
-photon-grouped amplitude sums, and a direct Bell-projection reference
-that works on any explicit channel density matrix. The two agree.
+The closed form is kappa_sums: the phi_plus branch of Bob's state from the
+photon-grouped amplitude sums, which sweep.sweep_grid turns into the
+fidelity and branch weight it reports. bell_project_teleport is the
+independent reference: explicit Bell projection on any channel density
+matrix. The verify row teleport_projection_consistency holds the first to
+the second.
 """
 
 from __future__ import annotations
@@ -12,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import amplitude_table, table_density
 from .linalg import partial_trace, tensor
 
 WEIGHT_FLOOR = 1e-15
@@ -29,10 +31,6 @@ BELL_OUTCOMES = (
     ("psi_plus", np.array([0.0, 1.0, 1.0, 0.0]) * _INV_SQRT2, _X),
     ("psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) * _INV_SQRT2, _X @ _Z),
 )
-
-
-class DegenerateOutcome(Exception):
-    """Raised when a Bell outcome carries no weight and Bob's state is undefined."""
 
 
 @dataclass(frozen=True)
@@ -79,24 +77,6 @@ def kappa_sums(table, unknown):
     k3 = np.conj(k2)
     k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)
     return k1, k2, k3, k4
-
-
-def bob_state_closed_form(t, init, field, params, unknown):
-    """Bob's state for the phi_plus branch at one time, via the kappa sums.
-
-    Raises DegenerateOutcome when the branch weight vanishes.
-    """
-    table = amplitude_table(float(t), init, field, params)
-    _, pre = table_density(table)
-    k1, k2, k3, k4 = kappa_sums(table, unknown)
-    weight = float((k1[0] + k4[0]).real)
-    if weight <= WEIGHT_FLOOR:
-        raise DegenerateOutcome(f"phi_plus branch weight {weight:.3e} at t={float(t)}")
-    bob = np.array([[k1[0], k2[0]], [k3[0], k4[0]]], dtype=complex) / weight
-    chi = unknown.as_vector()
-    fidelity = float(np.real(np.conj(chi) @ bob @ chi))
-    return TeleportOutcome(bell_label="phi_plus", bob_state=bob,
-                           outcome_weight=weight / float(pre[0]), fidelity=fidelity)
 
 
 def bell_project_teleport(channel_rho, unknown):

@@ -32,7 +32,7 @@ from chaocav.oracle import (
     rk4_evolve,
 )
 from chaocav.sweep import sweep_grid
-from chaocav.teleport import UnknownQubit, bell_project_teleport, bob_state_closed_form
+from chaocav.teleport import UnknownQubit, bell_project_teleport
 
 FIG_INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
 BELL_INIT = AtomicInit.bell_phi_plus()
@@ -182,16 +182,21 @@ def test_teleport_reference_channels():
 
 def test_closed_form_matches_projection():
     field = coherent_weights(5.0)
+    gammas = np.linspace(0.0, 1.0, 5)
+    ts = np.linspace(0.0, 3.0, 5)
+    grid = sweep_grid(ts, gammas, BELL_INIT, field, ALPHA_U, omega_rabi=1.0)
     worst = 0.0
-    for gamma in np.linspace(0.0, 1.0, 5):
+    for i, gamma in enumerate(gammas):
         params = ModelParams(gamma=float(gamma), omega_rabi=1.0)
-        for t in np.linspace(0.0, 3.0, 5):
-            closed = bob_state_closed_form(t, BELL_INIT, field, params, ALPHA_U)
+        for k, t in enumerate(ts):
+            k2 = grid.kappa2[i, k]
+            bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
+            bob /= grid.weight[i, k]
             state = atomic_density(t, BELL_INIT, field, params)
             projected = bell_project_teleport(state.rho, ALPHA_U)[0]
             worst = max(worst,
-                        float(np.max(np.abs(closed.bob_state - projected.bob_state))),
-                        abs(closed.fidelity - projected.fidelity))
+                        float(np.max(np.abs(bob - projected.bob_state))),
+                        abs(grid.fidelity[i, k] - projected.fidelity))
     ok = worst <= 1e-9
     assert report(ok, "closed form equals Bell projection on the parameter grid",
                   f"max entrywise dev={worst:.2e}")
@@ -204,9 +209,10 @@ def test_closed_form_matches_integrator():
     state = integrate_schrodinger(BELL_INIT, field, params, t_final=1.0, dt=1e-4,
                                   sectors=sectors)
     table = deterministic_table(np.array([1.0]), BELL_INIT, field, params)
+    # Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>); |ee,-1> does not exist.
     worst = max(float(np.max(np.abs(np.array(
-        [table.sector_a[0, n], table.sector_b[0, n],
-         table.sector_c[0, n], table.sector_d[0, n]]) - state.amplitudes[k])))
+        [table.photon_a[0, n + 1], table.photon_b[0, n], table.photon_c[0, n],
+         table.photon_d[0, n - 1] if n > 0 else 0.0]) - state.amplitudes[k])))
         for k, n in enumerate(sectors))
     # The paper's printed formulas, at the frozen phases of the table above.
     q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))

@@ -397,7 +397,29 @@ def test_non_finite_inputs_exit_2(tmp_path, capsys, flags, named):
     assert not out.exists()
 
 
+def test_svg_chart_path_equal_to_csv_path_exits_2(tmp_path, capsys):
+    # the chart goes to the CSV path with a .svg suffix, which here is the CSV itself
+    out = tmp_path / "chart.svg"
+    code = cli.main(["entanglement", "--gamma", "0.2", "--steps", "3",
+                     "--alpha-field", "1", "--out", str(out), "--svg"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "overwrite the CSV" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
+
+
 # ---------------------------------------------------------------- verify
+
+def test_verify_rejects_negative_seed_before_any_work(monkeypatch, capsys):
+    def refuse(seed):
+        raise AssertionError("verification ran")
+
+    monkeypatch.setattr(cli, "run_verification", refuse)
+    code = cli.main(["verify", "--seed", "-1"])
+    assert code == 2
+    assert "error: --seed must be >= 0, got -1" in capsys.readouterr().err
+
 
 def test_verify_command_reports_and_exits_zero(capsys):
     code = cli.main(["verify"])

@@ -1,5 +1,6 @@
-"""Closed-form channel amplitudes: the hand-rolled erf, the averaged phase
-factor, sector amplitudes, photon regrouping and the reduced density matrix.
+"""Closed-form channel amplitudes: the hand-rolled erf_array, the averaged
+phase factor, sector amplitudes, photon regrouping and the reduced density
+matrix.
 
 Reference values were frozen from independent evaluations (math.erf, the
 direct formula for the average, explicit 4x4 outer products).
@@ -20,9 +21,9 @@ from chaocav.dynamics import (
     averaged_q,
     deterministic_density,
     deterministic_table,
-    erf,
     erf_array,
     table_density,
+    _sector_amplitudes,
 )
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
@@ -33,25 +34,37 @@ Q_ONE_HALF = 0.6519338391203583  # averaged_q(1.0, 0.5), frozen from the direct 
 
 # ---------------------------------------------------------------- erf
 
+def erf1(x):
+    return float(erf_array(np.array([x]))[0])
+
+
 def test_erf_frozen_point():
-    assert abs(erf(1.0) - ERF_ONE) <= 1e-12
+    assert abs(erf1(1.0) - ERF_ONE) <= 1e-12
+
+
+ERF_EDGES = [0.0, -0.0, 3.0, -3.0, 3.0 + 1e-12, 3.0 - 1e-12, -3.0 - 1e-12, -3.0 + 1e-12,
+             6.0, -6.0, 6.0 - 1e-12, -0.37, -1.9, -4.2, -5.5, 1e-300, 12.0, -1e5]
 
 
 def test_erf_matches_reference_grid():
-    xs = np.linspace(-8.0, 8.0, 801)
-    dev = max(abs(erf(x) - math.erf(x)) for x in xs)
-    assert dev <= 1e-12
+    xs = np.concatenate([ERF_EDGES, np.linspace(-8.0, 8.0, 20001)])
+    got = erf_array(xs)
+    want = np.array([math.erf(x) for x in xs.tolist()])
+    assert np.max(np.abs(got - want)) <= 1e-12
+    # a 2-D grid evaluates element by element, as the flat array does
+    grid = xs[:18].reshape(3, 6)
+    assert np.array_equal(erf_array(grid), got[:18].reshape(3, 6))
 
 
 def test_erf_odd_symmetry_is_exact():
-    for x in (0.3, 1.7, 2.9999, 3.0001, 5.5, 7.0):
-        assert erf(-x) == -erf(x)
-    assert erf(0.0) == 0.0
+    xs = np.array([0.3, 1.7, 2.9999, 3.0001, 5.5, 7.0])
+    assert np.array_equal(erf_array(-xs), -erf_array(xs))
+    assert erf1(0.0) == 0.0
 
 
 def test_erf_saturates_beyond_six():
-    assert erf(6.0) == 1.0
-    assert erf(-7.3) == -1.0
+    assert erf1(6.0) == 1.0
+    assert erf1(-7.3) == -1.0
     # the truncation error committed there is below double precision noise
     assert abs(1.0 - math.erf(6.0)) < 1e-16
 
@@ -59,20 +72,7 @@ def test_erf_saturates_beyond_six():
 @pytest.mark.parametrize("edge", [3.0, 6.0])
 def test_erf_continuous_across_branch_switches(edge):
     eps = 1e-9
-    assert abs(erf(edge - eps) - erf(edge + eps)) <= 1e-12
-
-
-ERF_EDGES = [0.0, -0.0, 3.0, -3.0, 3.0 + 1e-12, 3.0 - 1e-12, -3.0 - 1e-12, -3.0 + 1e-12,
-             6.0, -6.0, 6.0 - 1e-12, -0.37, -1.9, -4.2, -5.5, 1e-300, 12.0, -1e5]
-
-
-def test_erf_array_is_bit_equal_to_scalar_erf():
-    xs = np.concatenate([ERF_EDGES, np.linspace(-8.0, 8.0, 20001)])
-    got = erf_array(xs)
-    want = np.array([erf(x) for x in xs])
-    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
-    grid = xs[:18].reshape(3, 6)
-    assert np.array_equal(erf_array(grid), want[:18].reshape(3, 6))
+    assert abs(erf1(edge - eps) - erf1(edge + eps)) <= 1e-12
 
 
 # ---------------------------------------------------------------- averaged factor
@@ -156,14 +156,25 @@ def small_setup(gamma=0.3, omega=1.0):
 
 def test_photon_regrouping_aligns_with_sectors():
     init, field, params = small_setup()
-    table = amplitude_table(np.linspace(0.0, 3.0, 7), init, field, params)
-    n_sec = table.sector_a.shape[1]
+    ts = np.linspace(0.0, 3.0, 7)
+    table = amplitude_table(ts, init, field, params)
+    # the sector quadruples straight from the closed form
+    n_sec = field.n_max + 2
+    w_ext = np.append(field.weights, [0.0, 0.0])
+    q = averaged_q(ts, params.gamma).astype(complex)[:, None]
+    ep = np.exp(-1j * params.omega_rabi * ts)[:, None]
+    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(np.arange(n_sec), q, q, ep,
+                                                    np.conj(ep), init, w_ext)
+    assert table.photon.shape == (ts.size, 4, n_sec + 1)
     assert np.array_equal(table.photon_a[:, 0], table.ground)
-    assert np.array_equal(table.photon_a[:, 1:n_sec + 1], table.sector_a)
-    assert np.array_equal(table.photon_b[:, :n_sec], table.sector_b)
-    assert np.array_equal(table.photon_c[:, :n_sec], table.sector_c)
-    assert np.array_equal(table.photon_d[:, :n_sec - 1], table.sector_d[:, 1:])
-    assert np.all(table.sector_d[:, 0] == 0.0)  # |ee,-1> does not exist
+    assert np.array_equal(table.photon_a[:, 1:], amp_a)
+    assert np.array_equal(table.photon_b[:, :n_sec], amp_b)
+    assert np.array_equal(table.photon_c[:, :n_sec], amp_c)
+    assert np.array_equal(table.photon_d[:, :n_sec - 1], amp_d[:, 1:])
+    assert np.all(amp_d[:, 0] == 0.0)  # |ee,-1> does not exist
+    # the slots no sector reaches stay empty
+    assert np.all(table.photon_b[:, n_sec] == 0.0) and np.all(table.photon_c[:, n_sec] == 0.0)
+    assert np.all(table.photon_d[:, n_sec - 1:] == 0.0)
     views = (table.photon_a, table.photon_b, table.photon_c, table.photon_d)
     for k, view in enumerate(views):
         assert np.shares_memory(view, table.photon)
@@ -264,6 +275,6 @@ def test_amplitudes_are_linear_in_the_preparation(ca, cb):
     ta = amplitude_table(ts, base_a, field, params)
     tb = amplitude_table(ts, base_b, field, params)
     tm = amplitude_table(ts, mixed, field, params)
-    for name in ("sector_a", "sector_b", "sector_c", "sector_d", "ground"):
+    for name in ("photon", "ground"):
         combo = ca * getattr(ta, name) + cb * getattr(tb, name)
         assert np.max(np.abs(getattr(tm, name) - combo)) <= 1e-12

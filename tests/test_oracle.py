@@ -239,10 +239,10 @@ def test_integrator_matches_closed_form_without_spin_exchange():
     state = integrate_schrodinger(init, field, params, t_final=1.0, dt=1e-3,
                                   sectors=sectors)
     table = deterministic_table(np.array([1.0]), init, field, params)
-    for k, n in enumerate(sectors):
-        want = np.array([table.sector_a[0, n], table.sector_b[0, n],
-                         table.sector_c[0, n], table.sector_d[0, n]])
-        assert np.max(np.abs(state.amplitudes[k] - want)) <= 1e-6
+    want = oracle._closed_quadruples(table, sectors)
+    assert want[0, 3] == 0.0  # sector 0 has no |ee> component
+    for k in range(len(sectors)):
+        assert np.max(np.abs(state.amplitudes[k] - want[k])) <= 1e-6
 
 
 def test_integrator_norm_guard_trips_on_coarse_steps():

@@ -1,6 +1,6 @@
 """The shared (gamma, t) sweep: one phase-factor evaluation per sweep, one
 amplitude table per gamma row, and the same numbers as the single-point
-routes."""
+density and the Bell-projection reference."""
 
 import math
 
@@ -10,7 +10,7 @@ from chaocav import sweep
 from chaocav.dynamics import AtomicInit, ModelParams, atomic_density
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
-from chaocav.teleport import UnknownQubit, bob_state_closed_form
+from chaocav.teleport import UnknownQubit, bell_project_teleport
 
 INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
 UNKNOWN = UnknownQubit(0.95, math.sqrt(1.0 - 0.95 ** 2))
@@ -57,7 +57,7 @@ def test_grid_matches_single_point_routes():
             state = atomic_density(float(t), INIT, field, params)
             assert abs(grid.doe[i, k] - negativity(state.rho)) <= 1e-12
             assert abs(grid.pre_norm_trace[i, k] - state.pre_norm_trace) <= 1e-12
-            out = bob_state_closed_form(float(t), INIT, field, params, UNKNOWN)
+            out = bell_project_teleport(state.rho, UNKNOWN)[0]
             assert abs(grid.fidelity[i, k] - out.fidelity) <= 1e-12
             outcome_weight = grid.weight[i, k] / grid.pre_norm_trace[i, k]
             assert abs(outcome_weight - out.outcome_weight) <= 1e-12

@@ -3,7 +3,7 @@
 The Bell-projection route is the reference: it works on any explicit
 channel matrix and is checked here against hand-computable channels
 (perfect Bell pair, white noise, ground-state product) before the closed
-form is held to it.
+form that sweep_grid reports is held to it.
 """
 
 import math
@@ -18,10 +18,9 @@ from chaocav.field import coherent_weights
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import (
     BELL_OUTCOMES,
-    DegenerateOutcome,
+    WEIGHT_FLOOR,
     UnknownQubit,
     bell_project_teleport,
-    bob_state_closed_form,
     kappa_sums,
 )
 from conftest import random_density
@@ -104,54 +103,46 @@ def test_degenerate_branch_routes():
         assert math.isnan(outcomes[label].fidelity)
         assert np.array_equal(outcomes[label].bob_state, np.eye(2) / 2.0)
     assert abs(outcomes["psi_plus"].outcome_weight - 0.5) <= 1e-12
-    # the closed form raises instead; at t = 0 an |eg> preparation feeds
-    # no amplitude into the phi_plus sums
+    # the sweep reports nan too; at t = 0 an |eg> preparation feeds no
+    # amplitude into the phi_plus sums
     init = AtomicInit(0.0, 0.0, 1.0, 0.0)
-    field = coherent_weights(1.0)
-    with pytest.raises(DegenerateOutcome):
-        bob_state_closed_form(0.0, init, field, ModelParams(gamma=0.0), q)
+    grid = sweep_grid([0.0], [0.0], init, coherent_weights(1.0), q)
+    assert grid.weight[0, 0] <= WEIGHT_FLOOR
+    assert math.isnan(grid.fidelity[0, 0])
 
 
 def test_closed_form_matches_projection_on_grid():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(5.0)
     unknown = UnknownQubit(0.95, math.sqrt(1.0 - 0.95**2))
-    for gamma in np.linspace(0.0, 1.0, 5):
+    gammas = np.linspace(0.0, 1.0, 5)
+    ts = np.linspace(0.0, 3.0, 5)
+    grid = sweep_grid(ts, gammas, init, field, unknown)
+    outcome_weight = grid.weight / grid.pre_norm_trace
+    for i, gamma in enumerate(gammas):
         params = ModelParams(gamma=float(gamma), omega_rabi=1.0)
-        for t in np.linspace(0.0, 3.0, 5):
-            closed = bob_state_closed_form(t, init, field, params, unknown)
+        for k, t in enumerate(ts):
+            k2 = grid.kappa2[i, k]
+            bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
+            bob /= grid.weight[i, k]
             state = atomic_density(t, init, field, params)
             projected = bell_project_teleport(state.rho, unknown)[0]
-            assert np.max(np.abs(closed.bob_state - projected.bob_state)) <= 1e-9
-            assert abs(closed.fidelity - projected.fidelity) <= 1e-9
-            assert abs(closed.outcome_weight - projected.outcome_weight) <= 1e-9
-
-
-def test_fidelity_curve_matches_single_point_route():
-    init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
-    field = coherent_weights(3.0)
-    unknown = UnknownQubit(0.8, 0.6)
-    ts = np.linspace(0.0, 2.0, 5)
-    grid = sweep_grid(ts, [0.4], init, field, unknown)
-    outcome_weight = grid.weight[0] / grid.pre_norm_trace[0]
-    params = ModelParams(gamma=0.4, omega_rabi=1.0)
-    for k, t in enumerate(ts):
-        single = bob_state_closed_form(t, init, field, params, unknown)
-        assert abs(grid.fidelity[0, k] - single.fidelity) <= 1e-12
-        assert abs(outcome_weight[k] - single.outcome_weight) <= 1e-12
+            assert np.max(np.abs(bob - projected.bob_state)) <= 1e-9
+            assert abs(grid.fidelity[i, k] - projected.fidelity) <= 1e-9
+            assert abs(outcome_weight[i, k] - projected.outcome_weight) <= 1e-9
 
 
 def test_frozen_initial_fidelity():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     field = coherent_weights(5.0)
     unknown = UnknownQubit(0.95, math.sqrt(1.0 - 0.95**2))
-    out = bob_state_closed_form(0.0, init, field, ModelParams(gamma=0.5), unknown)
-    assert abs(out.fidelity - FID_T0_POINT_TWO) <= 1e-9
+    fidelity = sweep_grid([0.0], [0.5], init, field, unknown).fidelity[0, 0]
+    assert abs(fidelity - FID_T0_POINT_TWO) <= 1e-9
     # independent evaluation: at t = 0 the channel is the pure preparation
     aa = abs(0.95 * 0.2) ** 2
     bb = abs(math.sqrt(1.0 - 0.95**2) * math.sqrt(0.96)) ** 2
     direct = (abs(0.95**2 * 0.2 + (1.0 - 0.95**2) * math.sqrt(0.96)) ** 2) / (aa + bb)
-    assert abs(out.fidelity - direct) <= 1e-12
+    assert abs(fidelity - direct) <= 1e-12
 
 
 def test_kappa_conjugate_structure_corrected():
