@@ -51,9 +51,17 @@ def test_erf_matches_reference_grid():
     got = erf_array(xs)
     want = np.array([math.erf(x) for x in xs.tolist()])
     assert np.max(np.abs(got - want)) <= 1e-12
-    # a 2-D grid evaluates element by element, as the flat array does
+
+
+def test_erf_array_is_bit_equal_to_scalar_erf():
+    # the branch masks must not let neighbours change a point's bits: the
+    # whole array equals each point evaluated on its own
+    xs = np.concatenate([ERF_EDGES, np.linspace(-8.0, 8.0, 20001)])
+    got = erf_array(xs)
+    want = np.array([erf1(x) for x in xs.tolist()])
+    assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     grid = xs[:18].reshape(3, 6)
-    assert np.array_equal(erf_array(grid), got[:18].reshape(3, 6))
+    assert np.array_equal(erf_array(grid), want[:18].reshape(3, 6))
 
 
 def test_erf_odd_symmetry_is_exact():
