@@ -2,8 +2,8 @@
 
 Settings are layered: built-in defaults, then a config file, then a
 figure preset, then explicit flags. Exit codes: 0 success, 2 bad
-configuration, 3 I/O failure, 4 violated invariant or failed
-verification.
+configuration or a run too large for memory, 3 I/O failure, 4 violated
+invariant or failed verification.
 """
 
 from __future__ import annotations
@@ -30,43 +30,23 @@ class ConfigError(Exception):
     """Rejected settings; reported on stderr with exit code 2."""
 
 
-DEFAULTS = {
-    "gammas": (0.5,),
-    "alpha_field": 5.0,
-    "t_min": 0.0,
-    "t_max": 10.0,
-    "steps": 500,
-    "gamma_steps": 100,
-    "c00": complex(SQRT_HALF),
-    "c01": 0.0j,
-    "c10": 0.0j,
-    "c11": complex(SQRT_HALF),
-    "alpha_u": complex(0.95),
-    "beta_u": None,
-    "omega_rabi": 1.0,
-    "field_convention": "amplitude",
-    "eps_trunc": 1e-12,
-    "out": None,
-    "svg": False,
-}
-
 _FIG1_INIT = {"c00": complex(0.2), "c01": 0.0j, "c10": 0.0j,
               "c11": complex(math.sqrt(0.96))}
 _BELL_INIT = {"c00": complex(SQRT_HALF), "c01": 0.0j, "c10": 0.0j,
               "c11": complex(SQRT_HALF)}
 
 PRESETS = {
-    "1a": {"command": "entanglement", "gammas": (0.1, 0.5, 0.9),
+    "1a": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
            "alpha_field": 5.0, "t_min": 0.0, "t_max": 10.0, "steps": 500,
            **_FIG1_INIT},
-    "1b": {"command": "entanglement", "gammas": (0.1, 0.5, 0.9),
+    "1b": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
            "alpha_field": 6.0, "t_min": 0.0, "t_max": 10.0, "steps": 500,
            **_FIG1_INIT},
-    "2": {"command": "fidelity", "gammas": (0.0, 0.25, 0.5, 0.75, 1.0),
+    "2": {"command": "fidelity", "gamma": (0.0, 0.25, 0.5, 0.75, 1.0),
           "alpha_field": 5.0, "t_min": 0.0, "t_max": 3.0, "steps": 300,
           "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
           **_BELL_INIT},
-    "3": {"command": "contour", "gammas": (0.0, 1.0), "gamma_steps": 100,
+    "3": {"command": "contour", "gamma": (0.0, 1.0), "gamma_steps": 100,
           "alpha_field": 5.0, "t_min": 0.0, "t_max": 3.0, "steps": 150,
           "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
           **_BELL_INIT},
@@ -105,26 +85,27 @@ def _parse_float_list(text):
         raise ConfigError(f"cannot parse number list {text!r}") from None
 
 
-_CONFIG_PARSERS = {
-    "gamma": ("gammas", _parse_float_list),
-    "alpha_field": ("alpha_field", float),
-    "t_min": ("t_min", float),
-    "t_max": ("t_max", float),
-    "steps": ("steps", int),
-    "gamma_steps": ("gamma_steps", int),
-    "c00": ("c00", parse_complex),
-    "c01": ("c01", parse_complex),
-    "c10": ("c10", parse_complex),
-    "c11": ("c11", parse_complex),
-    "alpha_u": ("alpha_u", parse_complex),
-    "beta_u": ("beta_u", parse_complex),
-    "omega_rabi": ("omega_rabi", float),
-    "field_convention": ("field_convention", str),
-    "eps_trunc": ("eps_trunc", float),
-    "out": ("out", str),
-    "svg": ("svg", _parse_bool),
+#: Every setting, under its config-file key: (built-in default, parser of
+#: the config text). Presets and flags set the same keys.
+SETTINGS = {
+    "gamma": ((0.5,), _parse_float_list),
+    "alpha_field": (5.0, float),
+    "t_min": (0.0, float),
+    "t_max": (10.0, float),
+    "steps": (500, int),
+    "gamma_steps": (100, int),
+    "c00": (complex(SQRT_HALF), parse_complex),
+    "c01": (0.0j, parse_complex),
+    "c10": (0.0j, parse_complex),
+    "c11": (complex(SQRT_HALF), parse_complex),
+    "alpha_u": (complex(0.95), parse_complex),
+    "beta_u": (None, parse_complex),
+    "omega_rabi": (1.0, float),
+    "field_convention": ("amplitude", str),
+    "eps_trunc": (1e-12, float),
+    "out": (None, str),
+    "svg": (False, _parse_bool),
 }
-
 
 def parse_config_file(path):
     """key = value lines, # comments, keys matching the long CLI flags."""
@@ -141,11 +122,10 @@ def parse_config_file(path):
         if not sep:
             raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
         key = key.strip().lower().replace("-", "_")
-        if key not in _CONFIG_PARSERS:
+        if key not in SETTINGS:
             raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        target, parser = _CONFIG_PARSERS[key]
         try:
-            settings[target] = parser(value.strip())
+            settings[key] = SETTINGS[key][1](value.strip())
         except (ValueError, ConfigError) as exc:
             raise ConfigError(f"{path}:{lineno}: {exc}") from None
     return settings
@@ -205,7 +185,7 @@ def build_parser():
 
 
 def _merge_settings(args):
-    settings = dict(DEFAULTS)
+    settings = {key: default for key, (default, _) in SETTINGS.items()}
     if args.config:
         settings.update(parse_config_file(args.config))
     if args.fig:
@@ -221,7 +201,7 @@ def _merge_settings(args):
         "out": args.out, "svg": args.svg,
     }
     if args.gamma is not None:
-        overrides["gammas"] = tuple(args.gamma)
+        overrides["gamma"] = tuple(args.gamma)
     if args.init is not None:
         for key, text in zip(("c00", "c01", "c10", "c11"), args.init):
             overrides[key] = parse_complex(text)
@@ -271,9 +251,9 @@ def _finalize(settings, command):
         # exp(-i omega t) of an infinite phase is NaN in every later column.
         raise ConfigError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
     times = np.linspace(t_min, t_max, steps)
-    gammas = np.asarray(settings["gammas"], dtype=float)
+    gammas = np.asarray(settings["gamma"], dtype=float)
     if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
-        raise ConfigError(f"gamma values must be finite and >= 0, got {settings['gammas']}")
+        raise ConfigError(f"gamma values must be finite and >= 0, got {settings['gamma']}")
     if command == "contour":
         gamma_steps = int(settings["gamma_steps"])
         if gamma_steps < 2:
@@ -402,6 +382,10 @@ def main(argv=None):
         written = run_sweep(cfg, args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        print(f"error: out of memory: {exc or 'allocation failed'}; "
+              "use a smaller grid or field", file=sys.stderr)
         return 2
     except RuntimeError as exc:
         print(f"error: {exc}", file=sys.stderr)

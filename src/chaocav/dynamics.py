@@ -8,6 +8,10 @@ averaged_q(t, gamma) and renormalises the state of these phase-averaged
 amplitudes. That is not the ensemble average of the state: its raw trace
 drains below 1. The trace-preserving ensemble average of the density
 matrix is oracle.joint_averaged_density.
+
+Every state takes one route: amplitude_table (or deterministic_table, for
+one frozen phase) builds the amplitudes at the sampled times, a scalar
+time giving one row, and table_density traces out the field.
 """
 
 from __future__ import annotations
@@ -107,7 +111,10 @@ def averaged_q(t, gamma):
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
         raise ValueError("time must be finite and >= 0")
     root = np.sqrt(math.pi * g_arr)
-    arg = -0.5 * t_arr * root * erf_array(t_arr * np.sqrt(g_arr))
+    # A product past the float range saturates to inf and exp(-inf) to
+    # the exact limit 0, so the overflow is not an error.
+    with np.errstate(over="ignore"):
+        arg = -0.5 * t_arr * root * erf_array(t_arr * np.sqrt(g_arr))
     # math.exp, not np.exp: the two differ in the last bit.
     q = np.array([math.exp(v) for v in arg.ravel().tolist()]).reshape(arg.shape)
     return float(q) if q.ndim == 0 else q
@@ -130,25 +137,19 @@ class ModelParams:
 
 @dataclass(frozen=True)
 class AtomicInit:
-    """Initial two-atom amplitudes over (|gg>, |ge>, |eg>, |ee>).
-
-    Unit norm is enforced to 1e-12 unless enforce_norm is disabled for
-    linearity tests on raw amplitudes.
-    """
+    """Initial two-atom amplitudes over (|gg>, |ge>, |eg>, |ee>), unit norm to 1e-12."""
 
     c00: complex
     c01: complex
     c10: complex
     c11: complex
-    enforce_norm: bool = True
 
     def __post_init__(self):
         for name in ("c00", "c01", "c10", "c11"):
             object.__setattr__(self, name, complex(getattr(self, name)))
-        if self.enforce_norm:
-            norm = self.norm_squared()
-            if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
-                raise ValueError(f"initial amplitudes have norm {norm:.15g}, expected 1 within {NORM_TOL}")
+        norm = self.norm_squared()
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"initial amplitudes have norm {norm:.15g}, expected 1 within {NORM_TOL}")
 
     def norm_squared(self):
         return abs(self.c00) ** 2 + abs(self.c01) ** 2 + abs(self.c10) ** 2 + abs(self.c11) ** 2
@@ -168,7 +169,7 @@ class AmplitudeTable:
     The (T, 4, N + 1) photon array holds the amplitudes of the N sectors
     n = 0..N-1, and photon_a..photon_d are its views photon[:, 0]..photon[:, 3]:
     photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
-    component, also kept as ground), photon_b[m] and photon_c[m] multiply
+    component), photon_b[m] and photon_c[m] multiply
     |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>. Sector n over
     (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) is therefore
     (photon_a[n+1], photon_b[n], photon_c[n], photon_d[n-1]), with no
@@ -176,7 +177,6 @@ class AmplitudeTable:
     """
 
     t: np.ndarray
-    ground: np.ndarray
     photon: np.ndarray
     photon_a: np.ndarray
     photon_b: np.ndarray
@@ -240,15 +240,14 @@ def _build_table(t, qp, qm, init, field, params):
     ep = np.exp(-1j * params.omega_rabi * t_arr)[:, None]
     em = np.conj(ep)
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext)
-    ground = ep[:, 0] * (w_ext[0] * init.c00)
     photon = np.zeros((t_arr.size, 4, n_sec + 1), dtype=complex)
     pa, pb, pc, pd = (photon[:, k] for k in range(4))
-    pa[:, 0] = ground
+    pa[:, 0] = ep[:, 0] * (w_ext[0] * init.c00)
     pa[:, 1:] = amp_a
     pb[:, :n_sec] = amp_b
     pc[:, :n_sec] = amp_c
     pd[:, : n_sec - 1] = amp_d[:, 1:]
-    return AmplitudeTable(t=t_arr, ground=ground, photon=photon,
+    return AmplitudeTable(t=t_arr, photon=photon,
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 
@@ -286,27 +285,11 @@ def deterministic_table(t, init, field, params, kf_x=0.0):
     return _build_table(t_arr, qp, np.conj(qp), init, field, params)
 
 
-@dataclass(frozen=True)
-class ReducedState:
-    """Two-atom density matrix after tracing the field, plus its raw trace.
-
-    In the scalar channel, substituting the phase mean into the amplitudes
-    shrinks the raw trace below 1, so the matrix is always renormalized and
-    the pre-normalization trace reported alongside. For the trace-preserving
-    ensemble average (pre_norm_trace 1 up to the field's truncated tail
-    mass) see oracle.joint_averaged_density.
-    """
-
-    rho: np.ndarray
-    pre_norm_trace: object
-    t: object
-
-
 def table_density(table):
     """Photon-summed density matrices for every time in the table.
 
-    Returns (rho, pre_norm_trace) with shapes (T, 4, 4) and (T,). The
-    outer-product assembly keeps the matrix Hermitian and positive by
+    Returns (rho, pre_norm_trace) with shapes (T, 4, 4) and (T,); a table
+    built at a scalar time has T = 1. The outer-product assembly keeps the matrix Hermitian and positive by
     construction before renormalization.
     """
     v = table.photon
@@ -317,24 +300,3 @@ def table_density(table):
     rho /= pre[:, None, None]
     return rho, pre
 
-
-def _reduced_state(table, scalar):
-    # Density of a table; a scalar time gives one matrix and float trace.
-    rho, pre = table_density(table)
-    if scalar:
-        return ReducedState(rho=rho[0], pre_norm_trace=float(pre[0]), t=float(table.t[0]))
-    return ReducedState(rho=rho, pre_norm_trace=pre, t=table.t)
-
-
-def atomic_density(t, init, field, params):
-    """Renormalised two-atom state of the phase-averaged amplitudes at time t.
-
-    This is the scalar channel, for scalar or array t; the trace-preserving
-    ensemble average of the state is oracle.joint_averaged_density.
-    """
-    return _reduced_state(amplitude_table(t, init, field, params), np.ndim(t) == 0)
-
-
-def deterministic_density(t, init, field, params, kf_x=0.0):
-    """Two-atom state for one frozen coupling phase (no averaging)."""
-    return _reduced_state(deterministic_table(t, init, field, params, kf_x), np.ndim(t) == 0)

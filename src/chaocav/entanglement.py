@@ -10,7 +10,7 @@ DOE_CEILING_TOL = 1e-12
 
 
 def _doe_from_rhos(rhos):
-    pt = partial_transpose(rhos, subsystem=2)
+    pt = partial_transpose(rhos)
     mu = jacobi_eigh(pt)
     doe = np.sum(np.abs(mu), axis=-1) - 1.0
     doe = np.where(doe > 0.0, doe, 0.0)

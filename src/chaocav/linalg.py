@@ -45,25 +45,19 @@ def _check_square(m):
     return m
 
 
-def partial_transpose(rho, subsystem):
-    """Partial transpose over atom 1 or atom 2 of a 4x4 matrix or a (..., 4, 4) stack.
+def partial_transpose(rho):
+    """Partial transpose over atom 2 of a 4x4 matrix or a (..., 4, 4) stack.
 
-    subsystem is 1-based; the result has the input's shape. Rejects input
-    that is not Hermitian within 1e-9 because the operation is only used
-    on density matrices.
+    The result has the input's shape. Rejects input that is not Hermitian
+    within 1e-9 because the operation is only used on density matrices.
     """
     rho = np.asarray(rho, dtype=complex)
     if rho.ndim < 2 or rho.shape[-2:] != (4, 4):
         raise InvariantViolation(f"partial_transpose needs 4x4 matrices, got shape {rho.shape}")
     if not is_hermitian(rho):
         raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")
-    if subsystem not in (1, 2):
-        raise InvariantViolation(f"subsystem must be 1 or 2, got {subsystem}")
     k = rho.ndim - 2
-    if subsystem == 1:
-        perm = tuple(range(k)) + (k + 2, k + 1, k, k + 3)
-    else:
-        perm = tuple(range(k)) + (k, k + 3, k + 2, k + 1)
+    perm = tuple(range(k)) + (k, k + 3, k + 2, k + 1)
     return rho.reshape(rho.shape[:k] + (2, 2, 2, 2)).transpose(perm).reshape(rho.shape)
 
 
@@ -74,18 +68,14 @@ def _off_norm(a):
 
 
 def jacobi_eigh(mats):
-    """Eigenvalues (ascending) of Hermitian matrices by cyclic Jacobi rotations.
+    """Eigenvalues (ascending) of a (B, d, d) stack of Hermitian matrices.
 
-    Accepts a single (d, d) matrix or a (B, d, d) stack and sweeps until the
-    off-diagonal Frobenius norm of every matrix drops below JACOBI_OFF_TOL.
-    A pair (p, q) whose entry is below 1e-300 in every matrix of the batch
-    is skipped, as its rotation would be the identity.
+    Cyclic Jacobi rotations sweep until the off-diagonal Frobenius norm of
+    every matrix drops below JACOBI_OFF_TOL; the result is (B, d). A pair
+    (p, q) whose entry is below 1e-300 in every matrix of the batch is
+    skipped, as its rotation would be the identity.
     """
-    a = np.asarray(mats, dtype=complex)
-    single = a.ndim == 2
-    if single:
-        a = a[None, :, :]
-    a = a.copy()
+    a = np.array(mats, dtype=complex)
     d = a.shape[-1]
     for _ in range(JACOBI_MAX_SWEEPS):
         if _off_norm(a) < JACOBI_OFF_TOL:
@@ -123,7 +113,7 @@ def jacobi_eigh(mats):
             raise InvariantViolation(f"Jacobi sweep did not converge, off-diagonal norm {worst:.3e}")
     w = np.einsum("bii->bi", a).real
     w = np.take_along_axis(w, np.argsort(w, axis=1), axis=1)
-    return w[0] if single else w
+    return w
 
 
 def partial_trace(rho, keep):
@@ -180,7 +170,7 @@ def require_density_matrix(rho, context=""):
     tr = np.trace(rho)
     if abs(tr - 1.0) > DENSITY_TRACE_TOL:
         raise InvariantViolation(f"density matrix trace {tr:.15g} != 1{where}")
-    w = jacobi_eigh(rho)
+    w = jacobi_eigh(rho[None])[0]
     if w[0] < EIGENVALUE_FLOOR:
         raise InvariantViolation(f"density matrix eigenvalue {w[0]:.3e} below floor{where}")
     return rho

@@ -17,9 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SQRT2, AtomicInit, ModelParams, ReducedState, atomic_density,
-                       averaged_q, deterministic_density, deterministic_table,
-                       erf_array, _build_table)
+from .dynamics import (SQRT2, AtomicInit, ModelParams, amplitude_table, averaged_q,
+                       deterministic_table, erf_array, table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -35,20 +34,13 @@ S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 NORM_DRIFT_TOL = 1e-6
 
 
-@dataclass(frozen=True)
-class HamiltonianBlock:
-    """One excitation sector over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>)."""
-
-    n: int
-    matrix: np.ndarray
-
-
 def build_block(n, params, kf_x=0.0, interaction_picture=True, omega0=1.0, omega_f=1.0):
-    """Sector Hamiltonian written down independently of the closed form.
+    """4x4 Hamiltonian of sector n, written down independently of the closed form.
 
-    With interaction_picture the bare atomic and field energies are
-    subtracted, which zeroes the diagonal of every sector. The n = 0
-    block has its |ee,-1> row and column removed entirely.
+    The basis is (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>). With
+    interaction_picture the bare atomic and field energies are subtracted,
+    which zeroes the diagonal of every sector. The n = 0 block has its
+    |ee,-1> row and column removed entirely.
     """
     n = int(n)
     if n < 0:
@@ -67,7 +59,7 @@ def build_block(n, params, kf_x=0.0, interaction_picture=True, omega0=1.0, omega
     if n == 0:
         h[3, :] = 0.0
         h[:, 3] = 0.0
-    return HamiltonianBlock(n=n, matrix=h)
+    return h
 
 
 def full_hamiltonian(n_fock, params, kf_x=0.0, interaction_picture=True,
@@ -187,7 +179,7 @@ def _integrate_groups(init, field, groups, times, dt, **block_kw):
     # steps after the last leaves the bits of one longer run. At every stop
     # each group's summed norm must stay within NORM_DRIFT_TOL of its start,
     # else dt is too large. Returns the stacked (S, 4) state at each time.
-    blocks = np.concatenate([np.stack([build_block(n, p, **block_kw).matrix for n in s])
+    blocks = np.concatenate([np.stack([build_block(n, p, **block_kw) for n in s])
                              for p, s in groups])
     psi0 = np.concatenate([_sector_psi0(init, field, s) for _, s in groups])
     edges = np.cumsum([0] + [len(s) for _, s in groups])
@@ -389,14 +381,16 @@ def joint_averaged_density(t, init, field, params, n_samples=0, seed=0):
     The amplitudes are linear in (q_plus, q_minus), so with a Gaussian
     accumulated phase the exact second moments close the average:
     <e^{2i phi}> = q^4 and <e^{i phi}> = q with phase variance -2 ln q.
-    Contrast with atomic_density, which substitutes the scalar mean for
-    both factors before forming the density. n_samples > 0 replaces the
-    analytic moments with a sample average over Gaussian phases.
+    Contrast with the scalar channel, table_density(amplitude_table(...)),
+    which substitutes the scalar mean for both factors before forming the
+    density. n_samples > 0 replaces the analytic moments with a sample
+    average over Gaussian phases.
 
-    The map preserves the trace up to the field's truncated tail mass, so pre_norm_trace stays within eps_trunc
-    of 1 and the renormalisation is cosmetic. The acceptance gate checks
-    the gamma-ordering guarantee (entanglement falls as gamma rises) on
-    this state.
+    Returns (rho, pre_norm_trace) like table_density, for one time. The
+    map preserves the trace up to the field's truncated tail mass, so
+    pre_norm_trace stays within eps_trunc of 1 and the renormalisation is
+    cosmetic. The acceptance gate checks the gamma-ordering guarantee
+    (entanglement falls as gamma rises) on this state.
     """
     tt = float(t)
     one = np.ones((1, 1), dtype=complex)
@@ -421,7 +415,7 @@ def joint_averaged_density(t, init, field, params, n_samples=0, seed=0):
     pre = float(np.trace(rho).real)
     if pre <= 0.0:
         raise InvariantViolation("jointly averaged state carries no weight")
-    return ReducedState(rho=rho / pre, pre_norm_trace=pre, t=tt)
+    return rho / pre, pre
 
 
 @dataclass(frozen=True)
@@ -449,16 +443,16 @@ def ou_mean_q(t_grid, spec):
     return np.exp(-(spec.sigma * spec.tau_c) ** 2 * (x + np.expm1(-x)))
 
 
-def mc_short_time(gamma, seed, n_samples=100000):
+def mc_short_time(gamma, seed):
     """Monte Carlo mean of the surrogate at t = 0.005 and 0.01 against its exact mean.
 
-    Returns (ok, detail). ok holds when both gaps are within three
-    standard errors, which fails by chance for a few seeds in a thousand.
-    The detail also reports the deterministic gap between the exact mean
+    Returns (ok, detail) from 100,000 samples. ok holds when both gaps
+    are within three standard errors, which fails by chance for a few
+    seeds in a thousand. The detail also reports the deterministic gap between the exact mean
     and exp(-gamma t^2), the averaged channel's short-time form.
     """
     spec = noise_spec_for_gamma(gamma, seed=seed)
-    mc = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=n_samples)
+    mc = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=100000)
     exact = ou_mean_q(mc.t, spec)
     ok = True
     details = []
@@ -473,7 +467,7 @@ def mc_short_time(gamma, seed, n_samples=100000):
 
 def _doe_reference(rho):
     # Library eigensolver on the partial transpose; used only as a cross-check.
-    mu = np.linalg.eigvalsh(partial_transpose(rho, subsystem=2))
+    mu = np.linalg.eigvalsh(partial_transpose(rho))
     return max(0.0, float(np.sum(np.abs(mu)) - 1.0))
 
 
@@ -552,7 +546,7 @@ def run_verification(seed=8):
     # Closed form against the integrator, sector by sector, no spin-spin term.
     table = deterministic_table(np.array([1.0]), init, field, params0, kf_x=0.0)
     dev = float(np.abs(_closed_quadruples(table, sectors) - amps0).max())
-    dev = max(dev, abs(complex(table.ground[0]) - ground))
+    dev = max(dev, abs(complex(table.photon_a[0, 0]) - ground))
     check("amplitudes_vs_integrator", dev <= 1e-6,
           f"max |closed - rk4| {dev:.2e} over sectors {sectors} at t=1")
 
@@ -587,9 +581,10 @@ def run_verification(seed=8):
 
     # gamma = 0 must freeze the averaged channel exactly; a zero-coupling
     # phase (kf_x = pi/2) freezes the deterministic one the same way.
-    rho_avg = atomic_density(np.linspace(0.0, 3.0, 7), init, field, params0).rho
-    rho_frozen = deterministic_density(np.linspace(0.0, 3.0, 7), init, field,
-                                       params0, kf_x=math.pi / 2.0).rho
+    ts = np.linspace(0.0, 3.0, 7)
+    rho_avg, _ = table_density(amplitude_table(ts, init, field, params0))
+    rho_frozen, _ = table_density(deterministic_table(ts, init, field, params0,
+                                                      kf_x=math.pi / 2.0))
     dev_frz = float(np.abs(rho_avg - rho_frozen).max())
     doe_pkg = negativity(rho_avg[3])
     doe_ref = _doe_reference(rho_frozen[3])
@@ -600,7 +595,7 @@ def run_verification(seed=8):
     # Entanglement of the frozen-phase dynamics against the integrator.
     doe_dev = 0.0
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
-        rho_cf = deterministic_density(t_chk, init, field, params0, kf_x=0.0).rho
+        rho_cf = table_density(deterministic_table(t_chk, init, field, params0))[0][0]
         rho_rk, _ = sector_density(every, psi[:split], ground)
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_rk)))
     check("negativity_vs_integrator", doe_dev <= 5e-4,
@@ -617,9 +612,9 @@ def run_verification(seed=8):
     for i, gamma in enumerate(gamma_spots):
         params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
         for k, t_chk in enumerate(t_spots):
-            rho_ch = atomic_density(t_chk, init, field, params)
+            rho_ch = table_density(amplitude_table(t_chk, init, field, params))[0][0]
             for unknown, grid in zip(qubits, grids):
-                proj = bell_project_teleport(rho_ch.rho, unknown)[0]
+                proj = bell_project_teleport(rho_ch, unknown)[0]
                 k2 = grid.kappa2[i, k]
                 bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
                 bob /= grid.weight[i, k]
@@ -680,26 +675,26 @@ def run_verification(seed=8):
     params_mid = ModelParams(gamma=0.5, omega_rabi=1.0, g0=1.0)
     joint_dev = 0.0
     for t_chk in (1.0, 3.0):
-        rho_s = atomic_density(t_chk, init, field, params_mid).rho
-        rho_j = joint_averaged_density(t_chk, init, field, params_mid).rho
+        rho_s = table_density(amplitude_table(t_chk, init, field, params_mid))[0][0]
+        rho_j, _ = joint_averaged_density(t_chk, init, field, params_mid)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
-    rho_j = joint_averaged_density(2.0, init, field, params_mid).rho
-    rho_m = joint_averaged_density(2.0, init, field, params_mid,
-                                   n_samples=3000, seed=seed).rho
+    rho_j, _ = joint_averaged_density(2.0, init, field, params_mid)
+    rho_m, _ = joint_averaged_density(2.0, init, field, params_mid, n_samples=3000, seed=seed)
     info("joint_mc_consistency",
          f"analytic vs sampled joint moments differ by {float(np.abs(rho_j - rho_m).max()):.2e}")
 
     # Every averaged state on a coarse grid must be a valid density matrix.
     ok_grid = True
     worst = ""
+    ts = np.linspace(0.0, 10.0, 21)
     for gamma in (0.0, 0.3, 0.8):
         params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
-        states = atomic_density(np.linspace(0.0, 10.0, 21), init, field, params)
-        for k in range(states.rho.shape[0]):
+        rhos, _ = table_density(amplitude_table(ts, init, field, params))
+        for k in range(ts.size):
             try:
-                require_density_matrix(states.rho[k], context=f"t={states.t[k]}, gamma={gamma}")
+                require_density_matrix(rhos[k], context=f"t={ts[k]}, gamma={gamma}")
             except InvariantViolation as exc:
                 ok_grid = False
                 worst = str(exc)

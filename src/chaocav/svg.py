@@ -43,12 +43,13 @@ def _heat_rgb(u):
     return np.rint(c0 + w[:, None] * (_KNOT_RGB[k + 1] - c0)).astype(int)
 
 
-def _nice_ticks(lo, hi, target=6):
+def _nice_ticks(lo, hi):
+    # About six round-number ticks covering [lo, hi].
     if not (math.isfinite(lo) and math.isfinite(hi)):
         return [0.0, 1.0]
     if hi <= lo:
         hi = lo + 1.0
-    raw = (hi - lo) / max(2, target - 1)
+    raw = (hi - lo) / 5
     mag = 10.0 ** math.floor(math.log10(raw))
     step = next((c * mag for c in (1.0, 2.0, 2.5, 5.0, 10.0) if c * mag >= raw), 10.0 * mag)
     first = math.ceil(lo / step) * step
@@ -66,10 +67,10 @@ def _fmt_tick(v):
     return f"{v:.4g}"
 
 
-def _span(values, fallback=(0.0, 1.0)):
+def _span(values):
     finite = values[np.isfinite(values)]
     if finite.size == 0:
-        return fallback
+        return 0.0, 1.0
     lo = float(finite.min())
     hi = float(finite.max())
     if hi <= lo:
@@ -137,13 +138,13 @@ class _Frame:
         return "\n".join(parts) + "\n"
 
 
-def render_line_chart(series, title="", xlabel="", ylabel="", width=720, height=480):
-    """SVG string for labeled (x, y) series; NaN samples break the line."""
+def render_line_chart(series, title="", xlabel="", ylabel=""):
+    """720 x 480 SVG string for labeled (x, y) series; NaN samples break the line."""
     if not series:
         raise ValueError("need at least one series")
     xs = np.concatenate([np.asarray(s[1], dtype=float) for s in series])
     ys = np.concatenate([np.asarray(s[2], dtype=float) for s in series])
-    frame = _Frame(width, height, 72, 26, 44, 54, _span(xs), _span(ys))
+    frame = _Frame(720, 480, 72, 26, 44, 54, _span(xs), _span(ys))
     out = [frame.open_tag(), frame.chrome(title, xlabel, ylabel)]
     for k, (label, sx, sy) in enumerate(series):
         color = LINE_COLORS[k % len(LINE_COLORS)]
@@ -217,9 +218,8 @@ def _iso_segments(x, y, z, level):
     return segs
 
 
-def render_contour_chart(x, y, z, title="", xlabel="", ylabel="",
-                         iso_levels=(0.95,), width=760, height=520):
-    """Filled contour of z[i, j] sampled at (y[i], x[j]), plus iso lines.
+def render_contour_chart(x, y, z, title="", xlabel="", ylabel="", iso_levels=(0.95,)):
+    """760 x 520 SVG filled contour of z[i, j] sampled at (y[i], x[j]), plus iso lines.
 
     Cells are painted with the mean of their corner values; iso_levels
     are overlaid with marching squares and a colorbar sits on the right.
@@ -231,7 +231,7 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel="",
         raise ValueError(f"z must have shape (len(y), len(x)) = {(y.size, x.size)}, got {z.shape}")
     if x.size < 2 or y.size < 2:
         raise ValueError("need at least a 2x2 grid")
-    frame = _Frame(width, height, 72, 96, 44, 54, (float(x[0]), float(x[-1])),
+    frame = _Frame(760, 520, 72, 96, 44, 54, (float(x[0]), float(x[-1])),
                    (float(y[0]), float(y[-1])))
     vlo, vhi = _span(z)
     out = [frame.open_tag()]

@@ -46,7 +46,8 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    params = [ModelParams(gamma=float(g), omega_rabi=omega_rabi) for g in gammas]
+    # Each row passes its own q, so only omega_rabi is read from params.
+    params = ModelParams(omega_rabi=omega_rabi)
     shape = (gammas.size, times.size)
     q = averaged_q(np.broadcast_to(times, shape), gammas[:, None])
     doe = np.empty(shape)
@@ -60,8 +61,8 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         kappa2 = np.empty(shape, dtype=complex)
         kappa4 = np.empty(shape)
         weight = np.empty(shape)
-    for i, p in enumerate(params):
-        table = amplitude_table(times, init, field, p, q=q[i])
+    for i in range(gammas.size):
+        table = amplitude_table(times, init, field, params, q=q[i])
         rhos, pre[i] = table_density(table)
         doe[i], mu[i] = _doe_from_rhos(rhos)
         if unknown is None:

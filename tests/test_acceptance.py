@@ -15,9 +15,10 @@ from chaocav import cli
 from chaocav.dynamics import (
     AtomicInit,
     ModelParams,
-    atomic_density,
+    amplitude_table,
     averaged_q,
     deterministic_table,
+    table_density,
 )
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
@@ -93,8 +94,8 @@ def fig1_joint_curves():
     for gamma in (0.1, 0.5, 0.9):
         params = ModelParams(gamma=gamma)
         states = [joint_averaged_density(t, FIG_INIT, field, params) for t in times]
-        trace_dev = max(trace_dev, max(abs(s.pre_norm_trace - 1.0) for s in states))
-        curves[gamma] = np.array([negativity(s.rho) for s in states])
+        trace_dev = max(trace_dev, max(abs(pre - 1.0) for _, pre in states))
+        curves[gamma] = np.array([negativity(rho) for rho, _ in states])
     return times, curves, trace_dev
 
 
@@ -192,8 +193,8 @@ def test_closed_form_matches_projection():
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            state = atomic_density(t, BELL_INIT, field, params)
-            projected = bell_project_teleport(state.rho, ALPHA_U)[0]
+            rho, _ = table_density(amplitude_table(t, BELL_INIT, field, params))
+            projected = bell_project_teleport(rho[0], ALPHA_U)[0]
             worst = max(worst,
                         float(np.max(np.abs(bob - projected.bob_state))),
                         abs(grid.fidelity[i, k] - projected.fidelity))
@@ -219,7 +220,7 @@ def test_closed_form_matches_integrator():
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
                                field, params)
     legacy_dev = float(np.max(np.abs(legacy - state.amplitudes)))
-    block = build_block(25, params).matrix
+    block = build_block(25, params)
     w = field.weights
     psi0 = np.array([w[26] * BELL_INIT.c00, 0.0, 0.0, w[24] * BELL_INIT.c11])
     norm0 = float(np.sum(np.abs(psi0) ** 2))
@@ -282,15 +283,15 @@ def test_structural_invariants_and_reproducibility(tmp_path):
     for field, gammas, t_max in ((field5, (0.1, 0.5, 0.9), 10.0),
                                  (field6, (0.1, 0.5, 0.9), 10.0)):
         for gamma in gammas:
-            state = atomic_density(np.linspace(0.0, t_max, 21), FIG_INIT, field,
-                                   ModelParams(gamma=gamma))
+            rhos, _ = table_density(amplitude_table(np.linspace(0.0, t_max, 21), FIG_INIT,
+                                                    field, ModelParams(gamma=gamma)))
             for k in range(21):
-                require_density_matrix(state.rho[k])
+                require_density_matrix(rhos[k])
     for gamma in (0.0, 0.5, 1.0):
-        state = atomic_density(np.linspace(0.0, 3.0, 11), BELL_INIT, field5,
-                               ModelParams(gamma=gamma))
+        rhos, _ = table_density(amplitude_table(np.linspace(0.0, 3.0, 11), BELL_INIT, field5,
+                                                ModelParams(gamma=gamma)))
         for k in range(11):
-            require_density_matrix(state.rho[k])
+            require_density_matrix(rhos[k])
     ok = identical and bounded and states_ok
     assert report(ok, "sweep invariants and byte-identical reruns",
                   f"reruns identical={identical}, columns bounded={bounded}, "

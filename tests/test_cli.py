@@ -55,7 +55,7 @@ def test_config_file_parsing(tmp_path):
         "c00 = 1,0\n"
         "svg = off\n")
     settings = cli.parse_config_file(cfg)
-    assert settings == {"steps": 10, "gammas": (0.1, 0.5),
+    assert settings == {"steps": 10, "gamma": (0.1, 0.5),
                         "c00": complex(1.0), "svg": False}
 
 
@@ -67,8 +67,10 @@ def test_config_file_unknown_key(tmp_path):
 
 
 def test_every_config_key_sets_a_default():
-    # a knob removed from the parsers must not leave a dead default behind
-    assert {target for target, _ in cli._CONFIG_PARSERS.values()} == set(cli.DEFAULTS)
+    # one table holds each key's default and parser; a preset may set only
+    # those keys, so it cannot leave a value nothing reads
+    for name, preset in cli.PRESETS.items():
+        assert set(preset) - {"command"} <= set(cli.SETTINGS), name
 
 
 def test_config_file_malformed_number(tmp_path):
@@ -102,6 +104,19 @@ def test_flags_beat_config_beats_defaults(tmp_path):
     assert len(rows) == 7  # flag wins over config
     assert rows[-1][0] == pytest.approx(2.0)  # config wins over the default 10
     assert all(r[1] == pytest.approx(0.3) for r in rows)
+
+
+def test_preset_beats_config_file(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("steps = 7\ngamma = 0.3\nt_max = 2.0\n")
+    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--fig", "1a",
+                               "--alpha-field", "1"])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert len(rows) == 3 * 500  # the preset's steps and gammas, not the file's
+    assert sorted({r[1] for r in rows}) == pytest.approx([0.1, 0.5, 0.9])
+    assert rows[-1][0] == pytest.approx(10.0)
+    assert all(r[2] == pytest.approx(1.0) for r in rows)  # the flag beats the preset
 
 
 def test_preset_must_match_command(tmp_path, capsys):
@@ -152,6 +167,20 @@ def test_fidelity_csv_layout(tmp_path):
         assert 0.0 <= r[5] <= 1.0 + 1e-12
         assert r[6] >= 0.0 and r[9] >= 0.0
         assert r[10] == pytest.approx(r[6] + r[9])
+
+
+def test_unreachable_branch_writes_nan_fidelity(tmp_path, capsys):
+    # |ge> with alpha_u = 0 leaves the phi_plus branch empty at t = 0
+    code, out = run(tmp_path, ["fidelity", "--init", "0", "1", "0", "0", "--alpha-u", "0",
+                               "--beta-u", "1", "--gamma", "0", "--steps", "3"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    first = out.read_text().splitlines()[1].split(",")
+    assert first[0] == "0.000000000000e+00"
+    assert first[5] == "nan"
+    assert first[10] == "0.000000000000e+00"  # weight
+    _, rows = read_csv(out)
+    assert all(r[10] > 1e-15 and not np.isnan(r[5]) for r in rows[1:])
 
 
 def test_rerun_writes_identical_bytes(tmp_path):
@@ -371,6 +400,19 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
                      "--out", str(tmp_path / "missing_dir" / "x.csv")])
     assert code == 3
     assert "cannot write" in capsys.readouterr().err
+
+
+def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 9.10 GiB for an array")
+
+    monkeypatch.setattr(cli, "sweep_grid", exhausted)
+    code, out = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "3"])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: out of memory: Unable to allocate 9.10 GiB" in captured.err
+    assert "wrote" not in captured.out
+    assert not out.exists()
 
 
 def test_steps_below_two_exits_2(tmp_path, capsys):

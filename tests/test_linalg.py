@@ -55,63 +55,49 @@ def test_jacobi_matches_reference_on_large_batch(rng):
 
 def test_jacobi_diagonal_input_is_exact():
     d = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
-    w = jacobi_eigh(d)
-    assert np.array_equal(w, np.array([-1.0, 0.5, 2.0, 3.0]))
-
-
-def test_jacobi_single_matrix_shape(rng):
-    m = random_hermitian(rng, dim=3)
-    w = jacobi_eigh(m)
-    assert w.shape == (3,)
-    assert np.all(np.diff(w) >= 0)
+    w = jacobi_eigh(d[None])
+    assert np.array_equal(w, np.array([[-1.0, 0.5, 2.0, 3.0]]))
 
 
 def test_partial_transpose_bell_spectrum():
     rho = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-    w = jacobi_eigh(partial_transpose(rho, 2))
+    w = jacobi_eigh(partial_transpose(rho)[None])[0]
     assert np.max(np.abs(w - np.array([-0.5, 0.5, 0.5, 0.5]))) <= 1e-12
-    w1 = jacobi_eigh(partial_transpose(rho, 1))
-    assert np.max(np.abs(w1 - np.array([-0.5, 0.5, 0.5, 0.5]))) <= 1e-12
 
 
 def test_partial_transpose_involution(rng):
     for _ in range(25):
         rho = random_density(rng)
-        again = partial_transpose(partial_transpose(rho, 2), 2)
+        again = partial_transpose(partial_transpose(rho))
         assert np.array_equal(again, rho)
 
 
 def test_partial_transpose_batch_agrees_with_single(rng):
     rhos = np.array([random_density(rng) for _ in range(12)])
-    for subsystem in (1, 2):
-        batch = partial_transpose(rhos, subsystem)
-        grid = partial_transpose(rhos.reshape(3, 4, 4, 4), subsystem)
-        assert grid.shape == (3, 4, 4, 4)
-        assert np.array_equal(grid.reshape(batch.shape), batch)
-        for i in range(12):
-            assert np.array_equal(batch[i], partial_transpose(rhos[i], subsystem))
+    batch = partial_transpose(rhos)
+    grid = partial_transpose(rhos.reshape(3, 4, 4, 4))
+    assert grid.shape == (3, 4, 4, 4)
+    assert np.array_equal(grid.reshape(batch.shape), batch)
+    for i in range(12):
+        assert np.array_equal(batch[i], partial_transpose(rhos[i]))
 
 
 def test_partial_transpose_input_checks():
     with pytest.raises(InvariantViolation):
-        partial_transpose(np.eye(3, dtype=complex), 2)
+        partial_transpose(np.eye(3, dtype=complex))
     bad = np.eye(4, dtype=complex)
     bad[0, 1] = 1.0
     with pytest.raises(InvariantViolation):
-        partial_transpose(bad, 2)
-    with pytest.raises(InvariantViolation):
-        partial_transpose(np.eye(4, dtype=complex) / 4.0, 3)
+        partial_transpose(bad)
     # the same checks hold for every matrix of a stack
     stack = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (5, 4, 4)).copy()
     with pytest.raises(InvariantViolation):
-        partial_transpose(stack[:, :3, :3], 2)
+        partial_transpose(stack[:, :3, :3])
     with pytest.raises(InvariantViolation):
-        partial_transpose(np.ones(4, dtype=complex), 2)
+        partial_transpose(np.ones(4, dtype=complex))
     stack[3, 0, 1] = 1.0
     with pytest.raises(InvariantViolation):
-        partial_transpose(stack, 2)
-    with pytest.raises(InvariantViolation):
-        partial_transpose(np.eye(4, dtype=complex)[None] / 4.0, 0)
+        partial_transpose(stack)
 
 
 def test_partial_trace_of_product_state(rng):
@@ -187,7 +173,7 @@ def test_is_hermitian_tolerance():
 def test_eigenvalue_sum_equals_trace(seed):
     rng = np.random.default_rng(seed)
     m = random_hermitian(rng)
-    w = jacobi_eigh(m)
+    w = jacobi_eigh(m[None])[0]
     assert abs(w.sum() - np.trace(m).real) <= 1e-10
 
 
@@ -195,7 +181,7 @@ def test_eigenvalue_sum_equals_trace(seed):
 def test_partial_transpose_preserves_trace_and_hermiticity(seed):
     rng = np.random.default_rng(seed)
     rho = random_density(rng)
-    pt = partial_transpose(rho, 2)
+    pt = partial_transpose(rho)
     assert abs(np.trace(pt) - np.trace(rho)) <= 1e-12
     assert np.max(np.abs(pt - pt.conj().T)) <= 1e-12
 
@@ -207,8 +193,8 @@ def test_local_rotation_keeps_partial_transpose_spectrum(seed):
     rho = random_density(rng)
     u = tensor(random_unitary(rng), np.eye(2))
     rotated = u @ rho @ u.conj().T
-    w0 = jacobi_eigh(partial_transpose(rho, 2))
-    w1 = jacobi_eigh(partial_transpose(rotated, 2))
+    w0 = jacobi_eigh(partial_transpose(rho)[None])[0]
+    w1 = jacobi_eigh(partial_transpose(rotated)[None])[0]
     assert np.max(np.abs(w0 - w1)) <= 1e-9
 
 
@@ -217,6 +203,5 @@ def test_pure_state_marginals_share_spectrum(seed):
     rng = np.random.default_rng(seed)
     psi = random_pure_state(rng)
     rho = np.outer(psi, psi.conj())
-    wa = jacobi_eigh(partial_trace(rho, 1))
-    wb = jacobi_eigh(partial_trace(rho, 2))
+    wa, wb = jacobi_eigh(np.stack([partial_trace(rho, 1), partial_trace(rho, 2)]))
     assert np.max(np.abs(wa - wb)) <= 1e-10

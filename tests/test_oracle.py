@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 import chaocav.oracle as oracle
-from chaocav.dynamics import AtomicInit, ModelParams, atomic_density, deterministic_density, deterministic_table
+from chaocav.dynamics import (AtomicInit, ModelParams, amplitude_table, deterministic_table,
+                              table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation, require_density_matrix
@@ -49,7 +50,7 @@ def test_spin_operator_commutators_are_exact():
 
 def test_block_matrix_structure():
     params = ModelParams(gamma=0.0, omega_rabi=0.7, g0=1.3)
-    h = build_block(3, params).matrix
+    h = build_block(3, params)
     g = 1.3
     assert h[0, 1] == h[1, 0] == h[0, 2] == h[2, 0] == -g * math.sqrt(4.0)
     assert h[1, 3] == h[3, 1] == h[2, 3] == h[3, 2] == -g * math.sqrt(3.0)
@@ -60,22 +61,22 @@ def test_block_matrix_structure():
 
 def test_block_lab_frame_diagonal():
     params = ModelParams(omega_rabi=0.0, g0=1.0)
-    h = build_block(2, params, interaction_picture=False, omega0=1.5, omega_f=2.0).matrix
+    h = build_block(2, params, interaction_picture=False, omega0=1.5, omega_f=2.0)
     assert np.allclose(np.diag(h), [-3.0 + 6.0, 4.0, 4.0, 3.0 + 2.0])
 
 
 def test_block_zero_sector_has_no_ee_component():
-    h = build_block(0, ModelParams(omega_rabi=1.0), interaction_picture=False).matrix
+    h = build_block(0, ModelParams(omega_rabi=1.0), interaction_picture=False)
     assert np.all(h[3, :] == 0.0)
     assert np.all(h[:, 3] == 0.0)
 
 
 def test_block_scales_with_position_phase():
     params = ModelParams(g0=2.0)
-    h0 = build_block(1, params, kf_x=0.0).matrix
-    hq = build_block(1, params, kf_x=math.pi / 3.0).matrix
+    h0 = build_block(1, params, kf_x=0.0)
+    hq = build_block(1, params, kf_x=math.pi / 3.0)
     assert abs(hq[0, 1] - 0.5 * h0[0, 1]) <= 1e-15  # cos(pi/3) = 1/2
-    hz = build_block(1, params, kf_x=math.pi / 2.0).matrix
+    hz = build_block(1, params, kf_x=math.pi / 2.0)
     assert abs(hz[0, 1]) <= 1e-15
 
 
@@ -90,7 +91,7 @@ def test_block_is_restriction_of_full_hamiltonian(interaction):
         idx = [i for i in sector_basis_indices(n, n_fock) if i is not None]
         sub = full[np.ix_(idx, idx)]
         block = build_block(n, params, kf_x=0.4, interaction_picture=interaction,
-                            omega0=1.0, omega_f=2.0).matrix
+                            omega0=1.0, omega_f=2.0)
         want = block[: len(idx), : len(idx)]
         assert np.max(np.abs(sub - want)) <= 1e-12
 
@@ -266,9 +267,9 @@ def test_oracle_density_matches_closed_form_density():
     params = ModelParams(gamma=0.0, omega_rabi=0.0)
     state = integrate_schrodinger(init, field, params, t_final=0.7, dt=1e-3)
     rho, pre = sector_density(state.sectors, state.amplitudes, state.ground)
-    want = deterministic_density(0.7, init, field, params)
-    assert np.max(np.abs(rho - want.rho)) <= 1e-8
-    assert abs(pre - want.pre_norm_trace) <= 1e-10
+    want_rho, want_pre = table_density(deterministic_table(0.7, init, field, params))
+    assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
+    assert abs(pre - want_pre[0]) <= 1e-10
     require_density_matrix(rho)
 
 
@@ -436,17 +437,17 @@ def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
     params = ModelParams(gamma=0.5, omega_rabi=1.0)
-    joint = joint_averaged_density(2.0, init, field, params)
-    require_density_matrix(joint.rho)
-    scalar = atomic_density(2.0, init, field, params)
-    assert np.max(np.abs(joint.rho - scalar.rho)) > 1e-4
+    joint, _ = joint_averaged_density(2.0, init, field, params)
+    require_density_matrix(joint)
+    scalar, _ = table_density(amplitude_table(2.0, init, field, params))
+    assert np.max(np.abs(joint - scalar[0])) > 1e-4
 
 
 def test_joint_average_sampling_matches_analytic_moments():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
     params = ModelParams(gamma=0.5, omega_rabi=1.0)
-    analytic = joint_averaged_density(2.0, init, field, params)
-    sampled = joint_averaged_density(2.0, init, field, params, n_samples=20000, seed=8)
-    assert np.max(np.abs(analytic.rho - sampled.rho)) <= 0.02
-    assert negativity(sampled.rho) >= 0.0
+    analytic, _ = joint_averaged_density(2.0, init, field, params)
+    sampled, _ = joint_averaged_density(2.0, init, field, params, n_samples=20000, seed=8)
+    assert np.max(np.abs(analytic - sampled)) <= 0.02
+    assert negativity(sampled) >= 0.0

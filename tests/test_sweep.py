@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from chaocav import sweep
-from chaocav.dynamics import AtomicInit, ModelParams, atomic_density
+from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, table_density
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.teleport import UnknownQubit, bell_project_teleport
@@ -54,10 +54,10 @@ def test_grid_matches_single_point_routes():
     for i, gamma in enumerate(gammas):
         params = ModelParams(gamma=float(gamma))
         for k, t in enumerate(ts):
-            state = atomic_density(float(t), INIT, field, params)
-            assert abs(grid.doe[i, k] - negativity(state.rho)) <= 1e-12
-            assert abs(grid.pre_norm_trace[i, k] - state.pre_norm_trace) <= 1e-12
-            out = bell_project_teleport(state.rho, UNKNOWN)[0]
+            rho, pre = table_density(amplitude_table(float(t), INIT, field, params))
+            assert abs(grid.doe[i, k] - negativity(rho[0])) <= 1e-12
+            assert abs(grid.pre_norm_trace[i, k] - pre[0]) <= 1e-12
+            out = bell_project_teleport(rho[0], UNKNOWN)[0]
             assert abs(grid.fidelity[i, k] - out.fidelity) <= 1e-12
             outcome_weight = grid.weight[i, k] / grid.pre_norm_trace[i, k]
             assert abs(outcome_weight - out.outcome_weight) <= 1e-12

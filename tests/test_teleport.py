@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, atomic_density
+from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, table_density
 from chaocav.field import coherent_weights
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import (
@@ -125,8 +125,8 @@ def test_closed_form_matches_projection_on_grid():
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            state = atomic_density(t, init, field, params)
-            projected = bell_project_teleport(state.rho, unknown)[0]
+            rho, _ = table_density(amplitude_table(t, init, field, params))
+            projected = bell_project_teleport(rho[0], unknown)[0]
             assert np.max(np.abs(bob - projected.bob_state)) <= 1e-9
             assert abs(grid.fidelity[i, k] - projected.fidelity) <= 1e-9
             assert abs(outcome_weight[i, k] - projected.outcome_weight) <= 1e-9
