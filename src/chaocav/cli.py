@@ -194,22 +194,16 @@ def _merge_settings(args):
             raise ConfigError(f"preset {args.fig} belongs to the "
                               f"{preset['command']} command, not {args.command}")
         settings.update({k: v for k, v in preset.items() if k != "command"})
-    overrides = {
-        "alpha_field": args.alpha_field, "t_max": args.t_max, "steps": args.steps,
-        "omega_rabi": args.omega_rabi,
-        "field_convention": args.field_convention, "eps_trunc": args.eps_trunc,
-        "out": args.out, "svg": args.svg,
-    }
-    if args.gamma is not None:
-        overrides["gamma"] = tuple(args.gamma)
     if args.init is not None:
         for key, text in zip(("c00", "c01", "c10", "c11"), args.init):
-            overrides[key] = parse_complex(text)
-    for key in ("alpha_u", "beta_u", "gamma_steps"):
-        if hasattr(args, key) and getattr(args, key) is not None:
-            value = getattr(args, key)
-            overrides[key] = parse_complex(value) if key != "gamma_steps" else value
-    settings.update({k: v for k, v in overrides.items() if v is not None})
+            settings[key] = parse_complex(text)
+    # Each flag's dest is its settings key. argparse has already converted
+    # the numeric flags, which their key's parser passes through unchanged;
+    # --gamma alone gives a list.
+    for key, (_, parse) in SETTINGS.items():
+        value = getattr(args, key, None)
+        if value is not None:
+            settings[key] = tuple(value) if key == "gamma" else parse(value)
     return settings
 
 
@@ -335,7 +329,7 @@ def _chart(command, grid):
     if command == "contour":
         return render_contour_chart(grid.t, grid.gammas, grid.fidelity,
                                     title="Teleportation fidelity", xlabel="t",
-                                    ylabel="gamma", iso_levels=(0.95,))
+                                    ylabel="gamma")
     if command == "entanglement":
         values, title, ylabel = grid.doe, "Degree of entanglement", "DoE"
     else:

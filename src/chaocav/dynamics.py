@@ -110,11 +110,13 @@ def averaged_q(t, gamma):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     if not np.all(np.isfinite(t_arr)) or np.any(t_arr < 0.0):
         raise ValueError("time must be finite and >= 0")
-    root = np.sqrt(math.pi * g_arr)
     # A product past the float range saturates to inf and exp(-inf) to
-    # the exact limit 0, so the overflow is not an error.
-    with np.errstate(over="ignore"):
+    # the exact limit 0, so the overflow is not an error; at t = 0, where
+    # 0 * inf is NaN, q is exactly 1.
+    with np.errstate(over="ignore", invalid="ignore"):
+        root = np.sqrt(math.pi * g_arr)
         arg = -0.5 * t_arr * root * erf_array(t_arr * np.sqrt(g_arr))
+    arg = np.where(t_arr == 0.0, 0.0, arg)
     # math.exp, not np.exp: the two differ in the last bit.
     q = np.array([math.exp(v) for v in arg.ravel().tolist()]).reshape(arg.shape)
     return float(q) if q.ndim == 0 else q
@@ -176,7 +178,6 @@ class AmplitudeTable:
     |ee> component at n = 0.
     """
 
-    t: np.ndarray
     photon: np.ndarray
     photon_a: np.ndarray
     photon_b: np.ndarray
@@ -247,7 +248,7 @@ def _build_table(t, qp, qm, init, field, params):
     pb[:, :n_sec] = amp_b
     pc[:, :n_sec] = amp_c
     pd[:, : n_sec - 1] = amp_d[:, 1:]
-    return AmplitudeTable(t=t_arr, photon=photon,
+    return AmplitudeTable(photon=photon,
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 

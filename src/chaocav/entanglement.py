@@ -16,7 +16,7 @@ def _doe_from_rhos(rhos):
     doe = np.where(doe > 0.0, doe, 0.0)
     if np.any(~np.isfinite(doe)) or np.any(doe > 1.0 + DOE_CEILING_TOL):
         raise InvariantViolation(f"degree of entanglement left [0, 1]: max {np.max(doe)}")
-    return np.minimum(doe, 1.0), mu
+    return np.minimum(doe, 1.0)
 
 
 def negativity(rho):
@@ -29,6 +29,5 @@ def negativity(rho):
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (4, 4):
         raise InvariantViolation(f"negativity needs a 4x4 matrix, got {rho.shape}")
-    doe, _ = _doe_from_rhos(rho[None, :, :])
-    return float(doe[0])
+    return float(_doe_from_rhos(rho[None, :, :])[0])
 

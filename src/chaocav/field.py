@@ -22,9 +22,6 @@ class CoherentField:
     n_max: int
     weights: np.ndarray = dc_field(repr=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "weights", np.asarray(self.weights, dtype=float))
-
 
 def coherent_weights(alpha, eps_trunc=1e-12):
     """Build the coherent weight vector W_n = alpha^n / sqrt(n!) * exp(-alpha^2 / 2).

@@ -132,25 +132,13 @@ def partial_trace(rho, keep):
     keep = tuple(keep)
     if not keep or any(k < 1 or k > n for k in keep) or len(set(keep)) != len(keep):
         raise InvariantViolation(f"keep must be distinct indices in 1..{n}, got {keep}")
-    letters = "abcdefghijklmnopqrstuvwxyz"
-    row = list(letters[:n])
-    col = []
-    out_r = []
-    out_c = []
-    nxt = n
-    for i in range(n):
-        if (i + 1) in keep:
-            fresh = letters[nxt]
-            nxt += 1
-            col.append(fresh)
-            out_r.append(row[i])
-            out_c.append(fresh)
-        else:
-            col.append(row[i])
-    sub = "".join(row) + "".join(col) + "->" + "".join(out_r) + "".join(out_c)
+    # Qubit i has row axis i and column axis n + i; a traced qubit shares
+    # its row axis with its column, so einsum sums over it.
+    kept = [i for i in range(n) if i + 1 in keep]
+    cols = [n + i if i in kept else i for i in range(n)]
     t = rho.reshape((2,) * (2 * n))
     m = 2 ** len(keep)
-    return np.einsum(sub, t).reshape(m, m)
+    return np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept]).reshape(m, m)
 
 
 def require_density_matrix(rho, context=""):

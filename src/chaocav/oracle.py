@@ -110,17 +110,13 @@ def sector_basis_indices(n, n_fock):
 def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
     """Fixed-step RK4 for d psi/dt = -i H psi with constant block-diagonal H.
 
-    blocks has shape (S, d, d) and psi0 (S, d); a single (d, d) block
-    with a (d,) vector also works. A trailing partial step lands exactly
-    on t_final. Rows never mix, so blocks with different parameters can
-    share one pass, each row ending bit for bit where a separate run would.
+    blocks has shape (S, d, d) and psi0 (S, d). A trailing partial step
+    lands exactly on t_final. Rows never mix, so blocks with different
+    parameters can share one pass, each row ending bit for bit where a
+    separate run would.
     """
     blocks = np.asarray(blocks, dtype=complex)
     psi = np.array(psi0, dtype=complex, copy=True)
-    single = blocks.ndim == 2
-    if single:
-        blocks = blocks[None]
-        psi = psi[None]
     t_final = float(t_final)
     dt = float(dt)
     if not math.isfinite(t_final) or t_final < 0.0:
@@ -148,17 +144,7 @@ def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
     rem = t_final - n_full * dt
     if rem > 1e-15:
         psi = step(psi, rem)
-    return psi[0] if single else psi
-
-
-@dataclass(frozen=True)
-class IntegratedState:
-    """Sector amplitudes after numerical integration to t_final."""
-
-    t_final: float
-    sectors: np.ndarray
-    amplitudes: np.ndarray
-    ground: complex
+    return psi
 
 
 def _sector_psi0(init, field, sectors):
@@ -172,13 +158,20 @@ def _sector_psi0(init, field, sectors):
                      for n in sectors])
 
 
-def _integrate_groups(init, field, groups, times, dt, **block_kw):
-    # Integrates the sectors of every (params, sectors) group in one stacked
-    # RK4 pass from the factorized initial state. The pass stops at each of
-    # the increasing times and goes on from there; a stop a whole number of
-    # steps after the last leaves the bits of one longer run. At every stop
-    # each group's summed norm must stay within NORM_DRIFT_TOL of its start,
-    # else dt is too large. Returns the stacked (S, 4) state at each time.
+def integrate_schrodinger(init, field, groups, times, dt=1e-4, **block_kw):
+    """Numerically exact sector amplitudes for frozen coupling phases.
+
+    Integrates the sectors of every (params, sectors) group in one stacked
+    RK4 pass from the factorized initial state; block_kw goes to
+    build_block. The pass stops at each of the increasing times and goes
+    on from there; a stop a whole number of steps after the last leaves
+    the bits of one longer run. Returns the stacked (S, 4) state at each
+    time, the groups' rows in order. Raises InvariantViolation when a
+    group's summed norm drifts by more than NORM_DRIFT_TOL at a stop,
+    which signals that dt is too large.
+    """
+    if any(n < 0 or n > field.n_max + 1 for _, s in groups for n in s):
+        raise ValueError(f"sectors must lie in 0..{field.n_max + 1}")
     blocks = np.concatenate([np.stack([build_block(n, p, **block_kw) for n in s])
                              for p, s in groups])
     psi0 = np.concatenate([_sector_psi0(init, field, s) for _, s in groups])
@@ -199,36 +192,12 @@ def _integrate_groups(init, field, groups, times, dt, **block_kw):
     return states
 
 
-def integrate_schrodinger(init, field, params, kf_x=0.0, t_final=1.0, dt=1e-4,
-                          sectors=None, interaction_picture=True,
-                          omega0=1.0, omega_f=1.0):
-    """Numerically exact sector amplitudes for one frozen coupling phase.
-
-    Integrates every requested sector of the block Hamiltonian from the
-    factorized initial state. Raises InvariantViolation when the summed
-    norm drifts by more than 1e-6, which signals that dt is too large.
-    """
-    if sectors is None:
-        sectors = list(range(field.n_max + 2))
-    sectors = [int(s) for s in sectors]
-    if any(s < 0 or s > field.n_max + 1 for s in sectors):
-        raise ValueError(f"sectors must lie in 0..{field.n_max + 1}")
-    (psi,) = _integrate_groups(init, field, [(params, sectors)], [t_final], dt, kf_x=kf_x,
-                               interaction_picture=interaction_picture,
-                               omega0=omega0, omega_f=omega_f)
-    ground = field.weights[0] * init.c00
-    if not interaction_picture:
-        ground *= np.exp(1j * 2.0 * omega0 * t_final)
-    return IntegratedState(t_final=float(t_final), sectors=np.array(sectors),
-                           amplitudes=psi, ground=complex(ground))
-
-
 def sector_density(sectors, amplitudes, ground):
     """Renormalised two-atom state of sector quadruples, the field traced out.
 
     amplitudes is (S, 4): one (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>)
-    quadruple per sector n in sectors, the layout of
-    IntegratedState.amplitudes; ground multiplies |gg,0>. The quadruples
+    quadruple per sector n in sectors, the layout of each state that
+    integrate_schrodinger returns; ground multiplies |gg,0>. The quadruples
     are regrouped by Fock level like dynamics.AmplitudeTable.photon.
     Returns (rho, pre_norm_trace).
     """
@@ -257,7 +226,7 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, params):
     q_minus stand for the random phase factor and its inverse: scalars,
     or one value per sector such as the frozen phases of
     dynamics.deterministic_table. Returns an (S, 4) array in the layout of
-    IntegratedState.amplitudes, with no |gg,0> component.
+    integrate_schrodinger's states, with no |gg,0> component.
     """
     c00, c01, c10, c11 = init.c00, init.c01, init.c10, init.c11
     ns = np.asarray(sectors)
@@ -284,18 +253,15 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, params):
 
 @dataclass(frozen=True)
 class NoiseSpec:
-    """Phase-noise surrogate: a constant phase or an Ornstein-Uhlenbeck drive."""
+    """Phase-noise surrogate: an Ornstein-Uhlenbeck drive, or a constant phase at sigma = 0."""
 
-    process: str = "ornstein_uhlenbeck"
     sigma: float = 0.0
     tau_c: float = 0.0
     seed: int = 0
 
     def __post_init__(self):
-        if self.process not in ("constant", "ornstein_uhlenbeck"):
-            raise ValueError(f"unknown noise process {self.process!r}")
-        if self.process == "ornstein_uhlenbeck" and (self.sigma <= 0.0 or self.tau_c <= 0.0):
-            raise ValueError("ornstein_uhlenbeck noise needs sigma > 0 and tau_c > 0")
+        if not self.sigma >= 0.0 or (self.sigma > 0.0 and not self.tau_c > 0.0):
+            raise ValueError("noise needs sigma >= 0, and tau_c > 0 when sigma > 0")
 
 
 def noise_spec_for_gamma(gamma, seed=0):
@@ -308,9 +274,8 @@ def noise_spec_for_gamma(gamma, seed=0):
     """
     gamma = float(gamma)
     if gamma <= 0.0:
-        return NoiseSpec(process="constant", seed=seed)
-    return NoiseSpec(process="ornstein_uhlenbeck",
-                     sigma=math.sqrt(2.0 * gamma),
+        return NoiseSpec(seed=seed)
+    return NoiseSpec(sigma=math.sqrt(2.0 * gamma),
                      tau_c=math.sqrt(math.pi) / (4.0 * math.sqrt(gamma)),
                      seed=seed)
 
@@ -343,7 +308,7 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    if spec.process == "constant":
+    if spec.sigma == 0.0:
         return MonteCarloQ(t=t_grid, q_mean=np.ones(t_grid.shape, dtype=complex),
                            stderr=np.zeros(t_grid.shape), n_samples=n_samples)
     rng = np.random.Generator(np.random.Philox(spec.seed))
@@ -436,7 +401,7 @@ def ou_mean_q(t_grid, spec):
     exp(-sigma^2 t^2 / 2) as t -> 0 but sits above it at every t > 0.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if spec.process == "constant":
+    if spec.sigma == 0.0:
         return np.ones(t_grid.shape)
     x = t_grid / spec.tau_c
     # x + expm1(-x) keeps its digits where x is small.
@@ -473,7 +438,7 @@ def _doe_reference(rho):
 
 def _closed_quadruples(table, sectors):
     # The table's quadruples at its first time, laid out like
-    # IntegratedState.amplitudes: sector n is (photon_a[n+1], photon_b[n],
+    # integrate_schrodinger's states: sector n is (photon_a[n+1], photon_b[n],
     # photon_c[n], photon_d[n-1]), with no |ee> component at n = 0.
     ns = np.asarray(sectors)
     d = np.where(ns > 0, table.photon_d[0, np.maximum(ns - 1, 0)], 0.0j)
@@ -536,8 +501,8 @@ def run_verification(seed=8):
     params1 = ModelParams(gamma=0.0, omega_rabi=1.0, g0=1.0)
     every = list(range(field.n_max + 2))
     sectors = [0, 1, 5, 25]
-    psi_half, psi_1 = _integrate_groups(init, field, ((params0, every), (params1, sectors)),
-                                        (0.5, 1.0), 1e-4)
+    psi_half, psi_1 = integrate_schrodinger(init, field, ((params0, every), (params1, sectors)),
+                                            (0.5, 1.0))
     split = len(every)
     ground = complex(field.weights[0] * init.c00)
     amps0 = psi_1[sectors]
@@ -572,8 +537,7 @@ def run_verification(seed=8):
 
     # Long-horizon norm conservation of the integrator itself.
     psi0 = _sector_psi0(init, field, sectors)
-    psi10 = integrate_schrodinger(init, field, params1, t_final=10.0, dt=2e-4,
-                                  sectors=sectors).amplitudes
+    (psi10,) = integrate_schrodinger(init, field, ((params1, sectors),), (10.0,), dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
     drift /= float(np.sum(np.abs(psi0) ** 2))
     check("norm_conservation", drift < 1e-9,

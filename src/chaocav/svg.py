@@ -11,6 +11,9 @@ from xml.sax.saxutils import escape
 
 import numpy as np
 
+#: Fidelity level that render_contour_chart traces as an iso line.
+ISO_LEVEL = 0.95
+
 LINE_COLORS = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#17becf")
 
 _PALETTE = (
@@ -218,11 +221,11 @@ def _iso_segments(x, y, z, level):
     return segs
 
 
-def render_contour_chart(x, y, z, title="", xlabel="", ylabel="", iso_levels=(0.95,)):
-    """760 x 520 SVG filled contour of z[i, j] sampled at (y[i], x[j]), plus iso lines.
+def render_contour_chart(x, y, z, title="", xlabel="", ylabel=""):
+    """760 x 520 SVG filled contour of z[i, j] sampled at (y[i], x[j]), plus an iso line.
 
-    Cells are painted with the mean of their corner values; iso_levels
-    are overlaid with marching squares and a colorbar sits on the right.
+    Cells are painted with the mean of their corner values; the ISO_LEVEL
+    line is overlaid with marching squares and a colorbar sits on the right.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -257,11 +260,10 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel="", iso_levels=(0.
     cells = np.column_stack([xa[cols], top[rows], width_px[cols], hgt[rows]])
     rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%02x%02x%02x"/>\n'
     out.extend(rect % (*geom, *color) for geom, color in zip(cells.tolist(), rgb.tolist()))
-    for level in iso_levels:
-        for (xa, ya), (xb, yb) in _iso_segments(x, y, z, level):
-            out.append(f'<line x1="{frame.px(xa):.2f}" y1="{frame.py(ya):.2f}" '
-                       f'x2="{frame.px(xb):.2f}" y2="{frame.py(yb):.2f}" '
-                       f'stroke="white" stroke-width="1.5"/>\n')
+    for (xa, ya), (xb, yb) in _iso_segments(x, y, z, ISO_LEVEL):
+        out.append(f'<line x1="{frame.px(xa):.2f}" y1="{frame.py(ya):.2f}" '
+                   f'x2="{frame.px(xb):.2f}" y2="{frame.py(yb):.2f}" '
+                   f'stroke="white" stroke-width="1.5"/>\n')
     out.append(frame.chrome(title, xlabel, ylabel, grid=False))
     bar_x = frame.ml + frame.pw + 24
     steps = 32
@@ -275,12 +277,11 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel="", iso_levels=(0.
     out.append(f'<text x="{bar_x + 22}" y="{frame.mt + frame.ph + 4}" '
                f'font-size="11">{_fmt_tick(vlo)}</text>\n')
     out.append(f'<text x="{bar_x + 22}" y="{frame.mt + 10}" font-size="11">{_fmt_tick(vhi)}</text>\n')
-    for level in iso_levels:
-        if vlo < level < vhi:
-            ly = frame.mt + frame.ph * (1.0 - (level - vlo) / (vhi - vlo))
-            out.append(f'<line x1="{bar_x}" y1="{ly:.2f}" x2="{bar_x + 16}" y2="{ly:.2f}" '
-                       f'stroke="white" stroke-width="2"/>\n')
-            out.append(f'<text x="{bar_x + 22}" y="{ly + 4:.2f}" '
-                       f'font-size="11">{_fmt_tick(level)}</text>\n')
+    if vlo < ISO_LEVEL < vhi:
+        ly = frame.mt + frame.ph * (1.0 - (ISO_LEVEL - vlo) / (vhi - vlo))
+        out.append(f'<line x1="{bar_x}" y1="{ly:.2f}" x2="{bar_x + 16}" y2="{ly:.2f}" '
+                   f'stroke="white" stroke-width="2"/>\n')
+        out.append(f'<text x="{bar_x + 22}" y="{ly + 4:.2f}" '
+                   f'font-size="11">{_fmt_tick(ISO_LEVEL)}</text>\n')
     out.append("</svg>\n")
     return "".join(out)

@@ -24,16 +24,14 @@ from .teleport import WEIGHT_FLOOR, kappa_sums
 class SweepGrid:
     """Scalar-channel results; arrays are (G, T) over gammas x times.
 
-    pt_eigenvalues is (G, T, 4). The teleportation arrays (fidelity,
-    kappa1, kappa2, kappa4, weight) are None when no unknown qubit was
-    given. Fidelity is nan where the phi_plus branch weight kappa1 + kappa4
+    The teleportation arrays (fidelity, kappa1, kappa2, kappa4, weight)
+    are None when no unknown qubit was given. Fidelity is nan where the phi_plus branch weight kappa1 + kappa4
     falls below WEIGHT_FLOOR.
     """
 
     t: np.ndarray
     gammas: np.ndarray
     doe: np.ndarray
-    pt_eigenvalues: np.ndarray
     pre_norm_trace: np.ndarray
     fidelity: np.ndarray | None
     kappa1: np.ndarray | None
@@ -51,7 +49,6 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     shape = (gammas.size, times.size)
     q = averaged_q(np.broadcast_to(times, shape), gammas[:, None])
     doe = np.empty(shape)
-    mu = np.empty(shape + (4,))
     pre = np.empty(shape)
     fid = kappa1 = kappa2 = kappa4 = weight = None
     if unknown is not None:
@@ -64,15 +61,15 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     for i in range(gammas.size):
         table = amplitude_table(times, init, field, params, q=q[i])
         rhos, pre[i] = table_density(table)
-        doe[i], mu[i] = _doe_from_rhos(rhos)
+        doe[i] = _doe_from_rhos(rhos)
         if unknown is None:
             continue
-        k1, k2, k3, k4 = kappa_sums(table, unknown)
+        k1, k2, k4 = kappa_sums(table, unknown)
         weight[i] = (k1 + k4).real
         numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
-                 + au * np.conj(bu) * k3 + abs(bu) ** 2 * k4).real
+                 + au * np.conj(bu) * np.conj(k2) + abs(bu) ** 2 * k4).real
         np.divide(numer, weight[i], out=fid[i], where=weight[i] > WEIGHT_FLOOR)
         kappa1[i], kappa2[i], kappa4[i] = k1.real, k2, k4.real
-    return SweepGrid(t=times, gammas=gammas, doe=doe, pt_eigenvalues=mu,
-                     pre_norm_trace=pre, fidelity=fid, kappa1=kappa1,
-                     kappa2=kappa2, kappa4=kappa4, weight=weight)
+    return SweepGrid(t=times, gammas=gammas, doe=doe, pre_norm_trace=pre,
+                     fidelity=fid, kappa1=kappa1, kappa2=kappa2, kappa4=kappa4,
+                     weight=weight)

@@ -62,11 +62,11 @@ class TeleportOutcome:
 
 
 def kappa_sums(table, unknown):
-    """Amplitude sums (kappa1..kappa4) entering Bob's unnormalized state.
+    """Amplitude sums (kappa1, kappa2, kappa4) entering Bob's unnormalized state.
 
     Shapes follow the table, one value per time. The sums run over the
     photon-grouped amplitudes, which is exactly the phi_plus Bell
-    projection; kappa3 is the conjugate of kappa2.
+    projection. Bob's state is [[kappa1, kappa2], [conj(kappa2), kappa4]].
     """
     au = unknown.alpha_u
     bu = unknown.beta_u
@@ -74,9 +74,8 @@ def kappa_sums(table, unknown):
     bot = au * table.photon_b + bu * table.photon_d
     k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)
     k2 = 0.5 * np.sum(top * np.conj(bot), axis=1)
-    k3 = np.conj(k2)
     k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)
-    return k1, k2, k3, k4
+    return k1, k2, k4
 
 
 def bell_project_teleport(channel_rho, unknown):

@@ -207,24 +207,23 @@ def test_closed_form_matches_integrator():
     field = coherent_weights(5.0)
     params = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
     sectors = [0, 1, 5, 25]
-    state = integrate_schrodinger(BELL_INIT, field, params, t_final=1.0, dt=1e-4,
-                                  sectors=sectors)
+    (psi,) = integrate_schrodinger(BELL_INIT, field, ((params, sectors),), (1.0,))
     table = deterministic_table(np.array([1.0]), BELL_INIT, field, params)
     # Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>); |ee,-1> does not exist.
     worst = max(float(np.max(np.abs(np.array(
         [table.photon_a[0, n + 1], table.photon_b[0, n], table.photon_c[0, n],
-         table.photon_d[0, n - 1] if n > 0 else 0.0]) - state.amplitudes[k])))
+         table.photon_d[0, n - 1] if n > 0 else 0.0]) - psi[k])))
         for k, n in enumerate(sectors))
     # The paper's printed formulas, at the frozen phases of the table above.
     q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
                                field, params)
-    legacy_dev = float(np.max(np.abs(legacy - state.amplitudes)))
+    legacy_dev = float(np.max(np.abs(legacy - psi)))
     block = build_block(25, params)
     w = field.weights
     psi0 = np.array([w[26] * BELL_INIT.c00, 0.0, 0.0, w[24] * BELL_INIT.c11])
     norm0 = float(np.sum(np.abs(psi0) ** 2))
-    psi10 = rk4_evolve(block, psi0, 10.0, dt=2e-4)
+    psi10 = rk4_evolve(block[None], psi0[None], 10.0, dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2)) - norm0) / norm0
     ok = worst <= 1e-6 and drift < 1e-9 and legacy_dev > 0.01
     assert report(ok, "closed form tracks the numerical integrator",

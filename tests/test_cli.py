@@ -92,6 +92,51 @@ def test_config_file_unreadable():
         cli.parse_config_file("/no/such/file.cfg")
 
 
+# Each flag that sets a settings key, with the same value as config text.
+# --init sets four keys at once.
+FLAG_CASES = [
+    (["--gamma", "0.1", "0.7"], "gamma = 0.1 0.7"),
+    (["--alpha-field", "2.5"], "alpha_field = 2.5"),
+    (["--t-max", "3.5"], "t_max = 3.5"),
+    (["--steps", "7"], "steps = 7"),
+    (["--gamma-steps", "9"], "gamma_steps = 9"),
+    (["--init", "0.6", "0,0.8", "0", "0"], "c00 = 0.6\nc01 = 0,0.8\nc10 = 0\nc11 = 0"),
+    (["--alpha-u", "0.6,0.1"], "alpha_u = 0.6,0.1"),
+    (["--beta-u", "0.8"], "beta_u = 0.8"),
+    (["--omega", "2.5"], "omega_rabi = 2.5"),
+    (["--field-convention", "mean"], "field_convention = mean"),
+    (["--eps-trunc", "1e-9"], "eps_trunc = 1e-9"),
+    (["--out", "run.csv"], "out = run.csv"),
+    (["--svg"], "svg = true"),
+]
+
+
+@pytest.mark.parametrize("flags, config_text", FLAG_CASES,
+                         ids=[flags[0] for flags, _ in FLAG_CASES])
+def test_flag_and_config_file_give_the_same_settings(tmp_path, flags, config_text):
+    # each flag's dest is its key, and its value goes through that key's
+    # parser, so the flag and the config line merge to the same settings
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(config_text + "\n")
+    parser = cli.build_parser()
+    by_flag = cli._merge_settings(parser.parse_args(["contour"] + flags))
+    by_file = cli._merge_settings(parser.parse_args(["contour", "--config", str(cfg)]))
+    assert by_flag == by_file
+    assert by_flag != {key: default for key, (default, _) in cli.SETTINGS.items()}
+
+
+def test_every_settings_flag_has_a_case():
+    # contour has every sweep flag; each dest is a settings key or one of
+    # the flags that set none, and each key's flag has a case above
+    parser = cli.build_parser()
+    dests = set(vars(parser.parse_args(["contour"])))
+    assert dests - set(cli.SETTINGS) == {"command", "fig", "config", "seed", "init"}
+    cased = {dest for flags, _ in FLAG_CASES
+             for dest, value in vars(parser.parse_args(["contour"] + flags)).items()
+             if value is not None and dest != "command"}
+    assert cased == dests - {"command", "fig", "config", "seed"}
+
+
 # ---------------------------------------------------------------- precedence
 
 def test_flags_beat_config_beats_defaults(tmp_path):
@@ -413,6 +458,16 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert "error: out of memory: Unable to allocate 9.10 GiB" in captured.err
     assert "wrote" not in captured.out
     assert not out.exists()
+
+
+def test_gamma_whose_pi_gamma_overflows_runs(tmp_path, capsys):
+    # q = 1 exactly at t = 0, so the first row is the preparation's
+    code, out = run(tmp_path, ["entanglement", "--gamma", "1e308", "--steps", "3"])
+    assert code == 0
+    assert capsys.readouterr().err == ""
+    _, rows = read_csv(out)
+    assert all(np.isfinite(rows).ravel())
+    assert rows[0][3] == pytest.approx(1.0)  # the default Bell preparation
 
 
 def test_steps_below_two_exits_2(tmp_path, capsys):

@@ -102,6 +102,12 @@ def test_averaged_q_saturates_past_the_float_range():
     assert np.array_equal(averaged_q(np.array([0.0, 1e200]), 1e300), [1.0, 0.0])
 
 
+def test_averaged_q_is_one_at_t_zero_when_pi_gamma_overflows():
+    # pi * 1e308 is inf and 0 * inf is NaN; t = 0 still gives q = 1 exactly,
+    # and the suite turns any RuntimeWarning into a failure
+    assert np.array_equal(averaged_q([0.0, 1.0], 1e308), [1.0, 0.0])
+
+
 def test_averaged_q_monotone():
     ts = np.linspace(0.0, 20.0, 201)
     q = averaged_q(ts, 0.8)

@@ -89,9 +89,6 @@ def test_sweep_ordering_and_fields():
     assert grid.doe.shape == grid.pre_norm_trace.shape == (2, 3)
     assert np.all((grid.doe >= 0.0) & (grid.doe <= 1.0))
     assert np.all((grid.pre_norm_trace > 0.0) & (grid.pre_norm_trace <= 1.0 + 1e-12))
-    assert np.all(np.diff(grid.pt_eigenvalues, axis=-1) >= 0)
-    # the partial transpose preserves the trace
-    assert np.max(np.abs(np.sum(grid.pt_eigenvalues, axis=-1) - 1.0)) <= 1e-10
     assert np.all(np.abs(grid.doe[:, 0] - 1.0) <= 1e-9)  # Bell preparation at t = 0
 
 

@@ -1,6 +1,9 @@
 """Linear algebra layer: eigensolver against an independent reference,
 partial transpose/trace identities, and density matrix validation."""
 
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -119,6 +122,17 @@ def test_partial_trace_three_qubit_register(rng):
     bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
     marg = partial_trace(tensor(rho1, bell), 3)
     assert np.max(np.abs(marg - np.eye(2) / 2.0)) <= 1e-12
+
+
+def test_partial_trace_of_four_qubit_product_keeps_every_subset(rng):
+    # the marginal of a product state is the product of the kept factors,
+    # in register order whatever order keep lists them in
+    factors = [random_density(rng, dim=2, rank=2) for _ in range(4)]
+    joint = reduce(np.kron, factors)
+    keeps = [keep for r in range(1, 5) for keep in itertools.combinations((1, 2, 3, 4), r)]
+    for keep in keeps + [(3, 1), (4, 2, 1)]:
+        want = reduce(np.kron, [factors[k - 1] for k in sorted(keep)])
+        assert np.max(np.abs(partial_trace(joint, keep) - want)) <= 1e-12, keep
 
 
 def test_partial_trace_index_validation():

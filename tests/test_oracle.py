@@ -121,7 +121,7 @@ def test_sector_index_bounds():
 def test_rk4_reproduces_a_two_level_rotation():
     w = 1.3
     h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
-    psi = rk4_evolve(h, np.array([1.0, 0.0], dtype=complex), 0.8, dt=1e-3)
+    psi = rk4_evolve(h[None], np.array([[1.0, 0.0]], dtype=complex), 0.8, dt=1e-3)[0]
     want = np.array([math.cos(w * 0.8), 1j * math.sin(w * 0.8)])
     assert np.max(np.abs(psi - want)) <= 1e-9
 
@@ -131,7 +131,7 @@ def test_rk4_error_scales_at_fourth_order():
     h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     want = np.array([math.cos(w), 1j * math.sin(w)])
-    err = [np.max(np.abs(rk4_evolve(h, psi0, 1.0, dt=dt) - want))
+    err = [np.max(np.abs(rk4_evolve(h[None], psi0[None], 1.0, dt=dt)[0] - want))
            for dt in (2e-3, 1e-3)]
     ratio = err[0] / err[1]
     assert 12.0 < ratio < 20.0
@@ -142,12 +142,12 @@ def test_rk4_partial_final_step_lands_on_t():
     h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
     psi0 = np.array([1.0, 0.0], dtype=complex)
     t = 0.0105  # not a multiple of dt
-    psi = rk4_evolve(h, psi0, t, dt=1e-3)
+    psi = rk4_evolve(h[None], psi0[None], t, dt=1e-3)[0]
     want = np.array([math.cos(w * t), 1j * math.sin(w * t)])
     assert np.max(np.abs(psi - want)) <= 1e-12
-    assert np.array_equal(rk4_evolve(h, psi0, 0.0, dt=1e-3), psi0)
+    assert np.array_equal(rk4_evolve(h[None], psi0[None], 0.0, dt=1e-3), psi0[None])
     with pytest.raises(ValueError):
-        rk4_evolve(h, psi0, -1.0)
+        rk4_evolve(h[None], psi0[None], -1.0)
 
 
 def reference_rk4(blocks, psi0, t_final, dt):
@@ -193,12 +193,11 @@ def test_stacked_groups_equal_separate_runs():
     p1 = ModelParams(gamma=0.0, omega_rabi=1.0)
     every = list(range(field.n_max + 2))
     picked = [0, 3]
-    states = oracle._integrate_groups(init, field, ((p0, every), (p1, picked)),
-                                      (0.25, 0.5), 1e-3)
+    states = integrate_schrodinger(init, field, ((p0, every), (p1, picked)),
+                                   (0.25, 0.5), 1e-3)
     for t, psi in zip((0.25, 0.5), states):
-        alone0 = integrate_schrodinger(init, field, p0, t_final=t, dt=1e-3).amplitudes
-        alone1 = integrate_schrodinger(init, field, p1, t_final=t, dt=1e-3,
-                                       sectors=picked).amplitudes
+        (alone0,) = integrate_schrodinger(init, field, ((p0, every),), (t,), 1e-3)
+        (alone1,) = integrate_schrodinger(init, field, ((p1, picked),), (t,), 1e-3)
         assert np.array_equal(psi, np.concatenate([alone0, alone1]))
 
 
@@ -214,7 +213,7 @@ def test_rk4_rejects_bad_times(kwargs, name):
     h = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
     args = {"t_final": 1.0, "dt": 1e-3, **kwargs}
     with pytest.raises(ValueError, match=name):
-        rk4_evolve(h, np.array([1.0, 0.0]), **args)
+        rk4_evolve(h[None], np.array([[1.0, 0.0]]), **args)
 
 
 def test_run_verification_takes_60000_rk4_steps(monkeypatch):
@@ -237,13 +236,12 @@ def test_integrator_matches_closed_form_without_spin_exchange():
     field = coherent_weights(5.0)
     params = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
     sectors = [0, 1, 5, 25]
-    state = integrate_schrodinger(init, field, params, t_final=1.0, dt=1e-3,
-                                  sectors=sectors)
+    (psi,) = integrate_schrodinger(init, field, ((params, sectors),), (1.0,), dt=1e-3)
     table = deterministic_table(np.array([1.0]), init, field, params)
     want = oracle._closed_quadruples(table, sectors)
     assert want[0, 3] == 0.0  # sector 0 has no |ee> component
     for k in range(len(sectors)):
-        assert np.max(np.abs(state.amplitudes[k] - want[k])) <= 1e-6
+        assert np.max(np.abs(psi[k] - want[k])) <= 1e-6
 
 
 def test_integrator_norm_guard_trips_on_coarse_steps():
@@ -251,22 +249,23 @@ def test_integrator_norm_guard_trips_on_coarse_steps():
     field = coherent_weights(5.0)
     params = ModelParams(gamma=0.0, omega_rabi=0.0)
     with pytest.raises(InvariantViolation, match="drift"):
-        integrate_schrodinger(init, field, params, t_final=1.0, dt=0.2, sectors=[25])
+        integrate_schrodinger(init, field, ((params, [25]),), (1.0,), dt=0.2)
 
 
 def test_integrator_sector_validation():
     field = coherent_weights(1.0)
     with pytest.raises(ValueError):
-        integrate_schrodinger(AtomicInit.bell_phi_plus(), field, ModelParams(),
-                              sectors=[field.n_max + 2])
+        integrate_schrodinger(AtomicInit.bell_phi_plus(), field,
+                              ((ModelParams(), [field.n_max + 2]),), (1.0,))
 
 
 def test_oracle_density_matches_closed_form_density():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     field = coherent_weights(2.0)
     params = ModelParams(gamma=0.0, omega_rabi=0.0)
-    state = integrate_schrodinger(init, field, params, t_final=0.7, dt=1e-3)
-    rho, pre = sector_density(state.sectors, state.amplitudes, state.ground)
+    every = list(range(field.n_max + 2))
+    (psi,) = integrate_schrodinger(init, field, ((params, every),), (0.7,), dt=1e-3)
+    rho, pre = sector_density(every, psi, field.weights[0] * init.c00)
     want_rho, want_pre = table_density(deterministic_table(0.7, init, field, params))
     assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
     assert abs(pre - want_pre[0]) <= 1e-10
@@ -280,12 +279,11 @@ def test_lab_frame_amplitudes_keep_the_same_magnitudes():
     field = coherent_weights(2.0)
     params = ModelParams(gamma=0.0, omega_rabi=1.0)
     sectors = [0, 1, 3]
-    kw = dict(t_final=0.9, dt=1e-3, sectors=sectors)
-    rotating = integrate_schrodinger(init, field, params, **kw)
-    lab = integrate_schrodinger(init, field, params, interaction_picture=False,
-                                omega0=1.0, omega_f=2.0, **kw)
-    assert np.max(np.abs(np.abs(lab.amplitudes) - np.abs(rotating.amplitudes))) <= 1e-8
-    assert abs(abs(lab.ground) - abs(rotating.ground)) <= 1e-12
+    groups, times = ((params, sectors),), (0.9,)
+    (rotating,) = integrate_schrodinger(init, field, groups, times, dt=1e-3)
+    (lab,) = integrate_schrodinger(init, field, groups, times, dt=1e-3,
+                                   interaction_picture=False, omega0=1.0, omega_f=2.0)
+    assert np.max(np.abs(np.abs(lab) - np.abs(rotating))) <= 1e-8
 
 
 def test_legacy_variant_distorts_the_initial_state():
@@ -326,18 +324,18 @@ def test_noise_spec_matching_formulas():
     assert abs(spec.sigma - 1.0) <= 1e-15
     assert abs(spec.tau_c - math.sqrt(math.pi) / (4.0 * math.sqrt(0.5))) <= 1e-15
     assert abs(spec.sigma**2 * spec.tau_c**2 - math.pi / 8.0) <= 1e-15
-    assert noise_spec_for_gamma(0.0).process == "constant"
+    assert noise_spec_for_gamma(0.0).sigma == 0.0  # a constant phase
 
 
 def test_noise_spec_validation():
     with pytest.raises(ValueError):
-        NoiseSpec(process="brownian")
+        NoiseSpec(sigma=-1.0, tau_c=1.0)
     with pytest.raises(ValueError):
-        NoiseSpec(process="ornstein_uhlenbeck", sigma=0.0, tau_c=1.0)
+        NoiseSpec(sigma=1.0, tau_c=0.0)
 
 
 def test_monte_carlo_constant_process_is_exact():
-    out = monte_carlo_q(np.array([0.0, 1.0, 5.0]), NoiseSpec(process="constant"))
+    out = monte_carlo_q(np.array([0.0, 1.0, 5.0]), NoiseSpec())
     assert np.array_equal(out.q_mean, np.ones(3, dtype=complex))
     assert np.array_equal(out.stderr, np.zeros(3))
 
@@ -402,7 +400,7 @@ def test_ou_mean_matches_gaussian_closure():
     ts = np.array([0.005, 0.01, 0.5, 3.0])
     want = [kubo_mean(t, spec) for t in ts]
     assert ou_mean_q(ts, spec) == pytest.approx(want, rel=1e-12)
-    assert np.array_equal(ou_mean_q(ts, NoiseSpec(process="constant")), np.ones(4))
+    assert np.array_equal(ou_mean_q(ts, NoiseSpec()), np.ones(4))
 
 
 def test_mc_short_time_fails_only_at_the_nominal_rate():

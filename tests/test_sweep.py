@@ -37,7 +37,6 @@ def test_each_grid_point_is_computed_once(monkeypatch):
     for arr in (grid.doe, grid.pre_norm_trace, grid.fidelity, grid.kappa1,
                 grid.kappa2, grid.kappa4, grid.weight):
         assert arr.shape == (3, 7)
-    assert grid.pt_eigenvalues.shape == (3, 7, 4)
 
 
 def test_entanglement_only_sweep_has_no_teleport_arrays():
