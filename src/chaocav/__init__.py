@@ -1,8 +1,8 @@
 """Entanglement and teleportation for two atoms coupled to a cavity mode
 through a randomly phased position-dependent coupling."""
 
-from .dynamics import (AmplitudeTable, AtomicInit, ModelParams, amplitude_table,
-                       averaged_q, deterministic_table, erf_array, table_density)
+from .dynamics import (AmplitudeTable, AtomicInit, amplitude_table, averaged_q,
+                       deterministic_table, erf_array, table_density)
 from .entanglement import negativity
 from .field import CoherentField, coherent_weights
 from .linalg import (InvariantViolation, jacobi_eigh, partial_trace, partial_transpose,

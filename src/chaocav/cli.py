@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import math
+import re
 import sys
 from pathlib import Path
 
@@ -131,8 +132,16 @@ def parse_config_file(path):
     return settings
 
 
+class _Parser(argparse.ArgumentParser):
+    """Reads any "-" then a digit or ".digit" (-1e3, -0.1,0.8) as a value; subparsers inherit it."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        self._negative_number_matcher = re.compile(r"^-\.?\d")
+
+
 def build_parser():
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="chaocav",
         description="Entanglement and teleportation through a randomly phased "
                     "atom-cavity coupling.")
@@ -150,7 +159,8 @@ def build_parser():
         sp.add_argument("--init", nargs=4, metavar=("C00", "C01", "C10", "C11"),
                         help="initial amplitudes over |gg>,|ge>,|eg>,|ee> as 're,im'")
         sp.add_argument("--omega", type=float, dest="omega_rabi",
-                        help="spin-spin coupling strength")
+                        help="spin-spin coupling strength; changes no output "
+                             "when c01 = c10 = 0, as in every preset")
         sp.add_argument("--field-convention", choices=("amplitude", "mean"),
                         help="read --alpha-field as the amplitude or as the mean "
                              "photon number (default amplitude)")
@@ -167,14 +177,11 @@ def build_parser():
                             help="degree of entanglement over a time grid")
     add_common(sp_ent)
     sp_fid = sub.add_parser("fidelity", help="teleportation fidelity over a time grid")
-    add_common(sp_fid)
-    sp_fid.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'")
-    sp_fid.add_argument("--beta-u", help="unknown qubit amplitude on |e>, 're,im' "
-                                         "(default: completes the norm)")
     sp_con = sub.add_parser("contour", help="fidelity on a (t, gamma) grid")
-    add_common(sp_con)
-    sp_con.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'")
-    sp_con.add_argument("--beta-u", help="unknown qubit amplitude on |e>, 're,im' "
+    for sp in (sp_fid, sp_con):
+        add_common(sp)
+        sp.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'")
+        sp.add_argument("--beta-u", help="unknown qubit amplitude on |e>, 're,im' "
                                          "(default: completes the norm)")
     sp_con.add_argument("--gamma-steps", type=int,
                         help="number of gamma samples when --gamma gives a range")

@@ -123,21 +123,6 @@ def averaged_q(t, gamma):
 
 
 @dataclass(frozen=True)
-class ModelParams:
-    """Coupling constants: chaotic parameter gamma, spin-spin coupling, field coupling."""
-
-    gamma: float = 0.0
-    omega_rabi: float = 1.0
-    g0: float = 1.0
-
-    def __post_init__(self):
-        if not (self.gamma >= 0.0 and math.isfinite(self.gamma)):
-            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
-        if not (math.isfinite(self.omega_rabi) and math.isfinite(self.g0)):
-            raise ValueError("omega_rabi and g0 must be finite")
-
-
-@dataclass(frozen=True)
 class AtomicInit:
     """Initial two-atom amplitudes over (|gg>, |ge>, |eg>, |ee>), unit norm to 1e-12."""
 
@@ -232,13 +217,13 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     return amp_a, amp_b, amp_c, amp_d
 
 
-def _build_table(t, qp, qm, init, field, params):
+def _build_table(t, qp, qm, init, field, omega_rabi):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n_sec = field.n_max + 2
     ns = np.arange(n_sec)
     w_ext = np.zeros(n_sec + 1)
     w_ext[: field.n_max + 1] = field.weights
-    ep = np.exp(-1j * params.omega_rabi * t_arr)[:, None]
+    ep = np.exp(-1j * omega_rabi * t_arr)[:, None]
     em = np.conj(ep)
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext)
     photon = np.zeros((t_arr.size, 4, n_sec + 1), dtype=complex)
@@ -252,38 +237,32 @@ def _build_table(t, qp, qm, init, field, params):
                           photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
 
 
-def amplitude_table(t, init, field, params, q=None):
+def amplitude_table(t, q, init, field, omega_rabi):
     """Phase-averaged amplitudes of the scalar channel at the given times.
 
-    Both random phase factors are replaced by the scalar mean
-    averaged_q(t, params.gamma), which freezes the coupled dynamics
-    entirely at gamma = 0. A sweep that has already evaluated that mean
-    passes it as q, one value per time. The density built from these
-    amplitudes is not the ensemble-averaged state;
-    oracle.joint_averaged_density is.
+    Both random phase factors are replaced by the scalar mean q, one value
+    per time: averaged_q(t, gamma), which freezes the coupled dynamics
+    entirely at gamma = 0. The density built from these amplitudes is not
+    the ensemble-averaged state; oracle.joint_averaged_density is.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    if q is None:
-        q = averaged_q(t_arr, params.gamma)
-    q = np.asarray(q, dtype=float).astype(complex)[:, None]
-    return _build_table(t_arr, q, q, init, field, params)
+    q = np.atleast_1d(np.asarray(q, dtype=float)).astype(complex)[:, None]
+    return _build_table(t, q, q, init, field, omega_rabi)
 
 
-def deterministic_table(t, init, field, params, kf_x=0.0):
+def deterministic_table(t, init, field, omega_rabi, kf_x=0.0):
     """Amplitudes for one frozen realization of the coupling phase.
 
     Every sector evolves with its own phase exp(+-i omega_n t) where
-    omega_n = sqrt(2 (2n+1)) g0 cos(kf_x). This is the reference dynamics
-    the numerical integrator must reproduce.
+    omega_n = sqrt(2 (2n+1)) cos(kf_x) in units of the field coupling. This
+    is the reference dynamics the numerical integrator must reproduce.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n_sec = field.n_max + 2
     ns = np.arange(n_sec)
-    g_eff = params.g0 * math.cos(kf_x)
-    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * g_eff
+    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * math.cos(kf_x)
     phase = t_arr[:, None] * omega_n[None, :]
     qp = np.exp(1j * phase)
-    return _build_table(t_arr, qp, np.conj(qp), init, field, params)
+    return _build_table(t_arr, qp, np.conj(qp), init, field, omega_rabi)
 
 
 def table_density(table):

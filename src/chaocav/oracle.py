@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SQRT2, AtomicInit, ModelParams, amplitude_table, averaged_q,
-                       deterministic_table, erf_array, table_density, _build_table)
+from .dynamics import (SQRT2, AtomicInit, amplitude_table, averaged_q, deterministic_table,
+                       erf_array, table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -34,36 +34,28 @@ S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 NORM_DRIFT_TOL = 1e-6
 
 
-def build_block(n, params, kf_x=0.0, interaction_picture=True, omega0=1.0, omega_f=1.0):
+def build_block(n, omega_rabi, kf_x=0.0):
     """4x4 Hamiltonian of sector n, written down independently of the closed form.
 
-    The basis is (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>). With
-    interaction_picture the bare atomic and field energies are subtracted,
-    which zeroes the diagonal of every sector. The n = 0 block has its
-    |ee,-1> row and column removed entirely.
+    The basis is (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>), in the interaction
+    picture (zero diagonal) with the field coupling as the unit of energy,
+    so the coupling is cos(kf_x). At n = 0 the |ee,-1> couplings carry
+    sqrt(n) = 0, so that row and column are zero.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"sector index must be >= 0, got {n}")
-    g = params.g0 * math.cos(kf_x)
+    g = math.cos(kf_x)
     root_up = math.sqrt(n + 1.0)
     root_dn = math.sqrt(float(n))
     h = np.zeros((4, 4), dtype=complex)
     h[0, 1] = h[1, 0] = h[0, 2] = h[2, 0] = -g * root_up
     h[1, 3] = h[3, 1] = h[2, 3] = h[3, 2] = -g * root_dn
-    h[1, 2] = h[2, 1] = params.omega_rabi
-    if not interaction_picture:
-        h[0, 0] = -2.0 * omega0 + omega_f * (n + 1.0)
-        h[1, 1] = h[2, 2] = omega_f * n
-        h[3, 3] = 2.0 * omega0 + omega_f * (n - 1.0)
-    if n == 0:
-        h[3, :] = 0.0
-        h[:, 3] = 0.0
+    h[1, 2] = h[2, 1] = omega_rabi
     return h
 
 
-def full_hamiltonian(n_fock, params, kf_x=0.0, interaction_picture=True,
-                     omega0=1.0, omega_f=1.0):
+def full_hamiltonian(n_fock, omega_rabi, kf_x=0.0):
     """Two atoms and a truncated Fock space assembled from operator tensors.
 
     Used to confirm that the sector blocks really are the restriction of
@@ -72,7 +64,7 @@ def full_hamiltonian(n_fock, params, kf_x=0.0, interaction_picture=True,
     """
     if n_fock < 2:
         raise ValueError("n_fock must be at least 2")
-    g = params.g0 * math.cos(kf_x)
+    g = math.cos(kf_x)
     id2 = np.eye(2, dtype=complex)
     idf = np.eye(n_fock, dtype=complex)
     lower = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
@@ -82,13 +74,8 @@ def full_hamiltonian(n_fock, params, kf_x=0.0, interaction_picture=True,
     sm2 = tensor(id2, S_MINUS, idf)
     af = tensor(id2, id2, lower)
     adf = af.conj().T
-    h = params.omega_rabi * (sp1 @ sm2 + sm1 @ sp2)
-    h = h - g * (af @ (sp1 + sp2) + adf @ (sm1 + sm2))
-    if not interaction_picture:
-        sz1 = tensor(S_Z, id2, idf)
-        sz2 = tensor(id2, S_Z, idf)
-        h = h + omega0 * (sz1 + sz2) + omega_f * (adf @ af)
-    return h
+    h = omega_rabi * (sp1 @ sm2 + sm1 @ sp2)
+    return h - g * (af @ (sp1 + sp2) + adf @ (sm1 + sm2))
 
 
 def sector_basis_indices(n, n_fock):
@@ -158,22 +145,22 @@ def _sector_psi0(init, field, sectors):
                      for n in sectors])
 
 
-def integrate_schrodinger(init, field, groups, times, dt=1e-4, **block_kw):
+def integrate_schrodinger(init, field, groups, times, dt=1e-4):
     """Numerically exact sector amplitudes for frozen coupling phases.
 
-    Integrates the sectors of every (params, sectors) group in one stacked
-    RK4 pass from the factorized initial state; block_kw goes to
-    build_block. The pass stops at each of the increasing times and goes
-    on from there; a stop a whole number of steps after the last leaves
-    the bits of one longer run. Returns the stacked (S, 4) state at each
-    time, the groups' rows in order. Raises InvariantViolation when a
-    group's summed norm drifts by more than NORM_DRIFT_TOL at a stop,
-    which signals that dt is too large.
+    Integrates the sectors of every (omega_rabi, sectors) group at
+    kf_x = 0 in one stacked RK4 pass from the factorized initial state. The
+    pass stops at each of the increasing times and goes on from there; a
+    stop a whole number of steps after the last leaves the bits of one
+    longer run. Returns the stacked (S, 4) state at each time, the groups'
+    rows in order. Raises InvariantViolation when a group's summed norm
+    drifts by more than NORM_DRIFT_TOL at a stop, which signals that dt is
+    too large.
     """
     if any(n < 0 or n > field.n_max + 1 for _, s in groups for n in s):
         raise ValueError(f"sectors must lie in 0..{field.n_max + 1}")
-    blocks = np.concatenate([np.stack([build_block(n, p, **block_kw) for n in s])
-                             for p, s in groups])
+    blocks = np.concatenate([np.stack([build_block(n, omega) for n in s])
+                             for omega, s in groups])
     psi0 = np.concatenate([_sector_psi0(init, field, s) for _, s in groups])
     edges = np.cumsum([0] + [len(s) for _, s in groups])
     states = []
@@ -216,7 +203,7 @@ def sector_density(sectors, amplitudes, ground):
     return rho / pre, pre
 
 
-def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, params):
+def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
     """The paper's printed sector quadruples at time t, index errors included.
 
     The printed algebraic form shifts its indices inconsistently: it does
@@ -236,7 +223,7 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, params):
     wn = w_ext[ns]
     qp = np.asarray(q_plus, dtype=complex)
     qm = np.asarray(q_minus, dtype=complex)
-    ep = np.exp(-1j * params.omega_rabi * float(t))
+    ep = np.exp(-1j * omega_rabi * float(t))
     em = np.conj(ep)
     pref = 1.0 / (2.0 * SQRT2 * (2.0 * nf + 1.0))
     com = c00 * qp - c01 * qm
@@ -340,16 +327,16 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
     return MonteCarloQ(t=t_grid, q_mean=q_mean, stderr=stderr, n_samples=n_samples)
 
 
-def joint_averaged_density(t, init, field, params, n_samples=0, seed=0):
+def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     """Two-atom state averaged jointly over the phase factor pair.
 
     The amplitudes are linear in (q_plus, q_minus), so with a Gaussian
     accumulated phase the exact second moments close the average:
-    <e^{2i phi}> = q^4 and <e^{i phi}> = q with phase variance -2 ln q.
+    <e^{2i phi}> = q^4 and <e^{i phi}> = q = averaged_q(t, gamma).
     Contrast with the scalar channel, table_density(amplitude_table(...)),
     which substitutes the scalar mean for both factors before forming the
     density. n_samples > 0 replaces the analytic moments with a sample
-    average over Gaussian phases.
+    average over Gaussian phases of variance -2 ln q.
 
     Returns (rho, pre_norm_trace) like table_density, for one time. The
     map preserves the trace up to the field's truncated tail mass, so
@@ -360,10 +347,9 @@ def joint_averaged_density(t, init, field, params, n_samples=0, seed=0):
     tt = float(t)
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    base = _build_table(tt, zero, zero, init, field, params).photon[0]
-    vx = _build_table(tt, one, zero, init, field, params).photon[0] - base
-    vy = _build_table(tt, zero, one, init, field, params).photon[0] - base
-    q = averaged_q(tt, params.gamma)
+    base = _build_table(tt, zero, zero, init, field, omega_rabi).photon[0]
+    vx = _build_table(tt, one, zero, init, field, omega_rabi).photon[0] - base
+    vy = _build_table(tt, zero, one, init, field, omega_rabi).photon[0] - base
     if n_samples <= 0:
         q4 = q ** 4
         rho = (vx @ vx.conj().T + vy @ vy.conj().T + base @ base.conj().T
@@ -497,11 +483,9 @@ def run_verification(seed=8):
     # separate run.
     field = coherent_weights(5.0)
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
-    params0 = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
-    params1 = ModelParams(gamma=0.0, omega_rabi=1.0, g0=1.0)
     every = list(range(field.n_max + 2))
     sectors = [0, 1, 5, 25]
-    psi_half, psi_1 = integrate_schrodinger(init, field, ((params0, every), (params1, sectors)),
+    psi_half, psi_1 = integrate_schrodinger(init, field, ((0.0, every), (1.0, sectors)),
                                             (0.5, 1.0))
     split = len(every)
     ground = complex(field.weights[0] * init.c00)
@@ -509,7 +493,7 @@ def run_verification(seed=8):
     amps1 = psi_1[split:]
 
     # Closed form against the integrator, sector by sector, no spin-spin term.
-    table = deterministic_table(np.array([1.0]), init, field, params0, kf_x=0.0)
+    table = deterministic_table(np.array([1.0]), init, field, 0.0)
     dev = float(np.abs(_closed_quadruples(table, sectors) - amps0).max())
     dev = max(dev, abs(complex(table.photon_a[0, 0]) - ground))
     check("amplitudes_vs_integrator", dev <= 1e-6,
@@ -517,27 +501,27 @@ def run_verification(seed=8):
 
     # The same comparison with the spin-spin coupling on: the closed form
     # treats those phases approximately, so this is reported, not asserted.
-    table1 = deterministic_table(np.array([1.0]), init, field, params1, kf_x=0.0)
+    table1 = deterministic_table(np.array([1.0]), init, field, 1.0)
     dev1 = float(np.abs(_closed_quadruples(table1, sectors) - amps1).max())
     info("amplitudes_vs_integrator_rabi",
          f"spin-spin phases are approximate: max |closed - rk4| {dev1:.2e} at omega=1, t=1")
 
     # The paper's printed formulas: document, do not assert.
     rho_vb, _ = sector_density(every, legacy_quadruples(every, 0.0, 1.0, 1.0, init,
-                                                        field, params1), 0.0)
+                                                        field, 1.0), 0.0)
     psi0 = init.as_vector()
     dev_vb = float(np.abs(rho_vb - np.outer(psi0, np.conj(psi0))).max())
     info("verbatim_initial_state",
          f"verbatim state at t=0 deviates from the preparation by {dev_vb:.3f} (max element)")
     # The frozen phases of deterministic_table at kf_x = 0 and t = 1.
-    q_frozen = np.exp(1j * (np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)) * params0.g0))
-    legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), init, field, params0)
+    q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
+    legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), init, field, 0.0)
     dev_vb1 = float(np.abs(legacy - amps0).max())
     info("verbatim_vs_integrator", f"max |verbatim - rk4| {dev_vb1:.3f} at omega=0, t=1")
 
     # Long-horizon norm conservation of the integrator itself.
     psi0 = _sector_psi0(init, field, sectors)
-    (psi10,) = integrate_schrodinger(init, field, ((params1, sectors),), (10.0,), dt=2e-4)
+    (psi10,) = integrate_schrodinger(init, field, ((1.0, sectors),), (10.0,), dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
     drift /= float(np.sum(np.abs(psi0) ** 2))
     check("norm_conservation", drift < 1e-9,
@@ -546,9 +530,8 @@ def run_verification(seed=8):
     # gamma = 0 must freeze the averaged channel exactly; a zero-coupling
     # phase (kf_x = pi/2) freezes the deterministic one the same way.
     ts = np.linspace(0.0, 3.0, 7)
-    rho_avg, _ = table_density(amplitude_table(ts, init, field, params0))
-    rho_frozen, _ = table_density(deterministic_table(ts, init, field, params0,
-                                                      kf_x=math.pi / 2.0))
+    rho_avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 0.0))
+    rho_frozen, _ = table_density(deterministic_table(ts, init, field, 0.0, kf_x=math.pi / 2.0))
     dev_frz = float(np.abs(rho_avg - rho_frozen).max())
     doe_pkg = negativity(rho_avg[3])
     doe_ref = _doe_reference(rho_frozen[3])
@@ -559,7 +542,7 @@ def run_verification(seed=8):
     # Entanglement of the frozen-phase dynamics against the integrator.
     doe_dev = 0.0
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
-        rho_cf = table_density(deterministic_table(t_chk, init, field, params0))[0][0]
+        rho_cf = table_density(deterministic_table(t_chk, init, field, 0.0))[0][0]
         rho_rk, _ = sector_density(every, psi[:split], ground)
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_rk)))
     check("negativity_vs_integrator", doe_dev <= 5e-4,
@@ -574,9 +557,9 @@ def run_verification(seed=8):
              for unknown in qubits]
     tele_dev = 0.0
     for i, gamma in enumerate(gamma_spots):
-        params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
         for k, t_chk in enumerate(t_spots):
-            rho_ch = table_density(amplitude_table(t_chk, init, field, params))[0][0]
+            q = averaged_q(t_chk, gamma)
+            rho_ch = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
             for unknown, grid in zip(qubits, grids):
                 proj = bell_project_teleport(rho_ch, unknown)[0]
                 k2 = grid.kappa2[i, k]
@@ -636,16 +619,17 @@ def run_verification(seed=8):
           f"se(n)/se(4n) = {ratio:.3f}, expected about 2")
 
     # Scalar substitution versus the jointly averaged second moments.
-    params_mid = ModelParams(gamma=0.5, omega_rabi=1.0, g0=1.0)
     joint_dev = 0.0
     for t_chk in (1.0, 3.0):
-        rho_s = table_density(amplitude_table(t_chk, init, field, params_mid))[0][0]
-        rho_j, _ = joint_averaged_density(t_chk, init, field, params_mid)
+        q = averaged_q(t_chk, 0.5)
+        rho_s = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
+        rho_j, _ = joint_averaged_density(t_chk, q, init, field, 1.0)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
-    rho_j, _ = joint_averaged_density(2.0, init, field, params_mid)
-    rho_m, _ = joint_averaged_density(2.0, init, field, params_mid, n_samples=3000, seed=seed)
+    q = averaged_q(2.0, 0.5)
+    rho_j, _ = joint_averaged_density(2.0, q, init, field, 1.0)
+    rho_m, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=3000, seed=seed)
     info("joint_mc_consistency",
          f"analytic vs sampled joint moments differ by {float(np.abs(rho_j - rho_m).max()):.2e}")
 
@@ -654,8 +638,7 @@ def run_verification(seed=8):
     worst = ""
     ts = np.linspace(0.0, 10.0, 21)
     for gamma in (0.0, 0.3, 0.8):
-        params = ModelParams(gamma=gamma, omega_rabi=1.0, g0=1.0)
-        rhos, _ = table_density(amplitude_table(ts, init, field, params))
+        rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), init, field, 1.0))
         for k in range(ts.size):
             try:
                 require_density_matrix(rhos[k], context=f"t={ts[k]}, gamma={gamma}")

@@ -4,9 +4,10 @@ Every sweep command goes through sweep_grid. The phase factor q is
 evaluated for the whole grid in one call; then each gamma row builds its
 amplitude table once, and that table feeds the density, the
 partial-transpose eigensolve and, when an unknown qubit is given, the
-teleportation sums. Memory is bounded by one gamma row of table. The
-field coupling g0 takes no part: the scalar channel sees the coupling
-only through averaged_q(t, gamma).
+teleportation sums. Memory holds one gamma row at a time: a table of
+T x 4 x (n_max + 3) complex values and the (T, n_max + 2) arrays that
+build it. The field coupling is the unit of time; the scalar channel
+sees the coupling phase only through averaged_q(t, gamma).
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import ModelParams, amplitude_table, averaged_q, table_density
+from .dynamics import amplitude_table, averaged_q, table_density
 from .entanglement import _doe_from_rhos
 from .teleport import WEIGHT_FLOOR, kappa_sums
 
@@ -44,8 +45,6 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
-    # Each row passes its own q, so only omega_rabi is read from params.
-    params = ModelParams(omega_rabi=omega_rabi)
     shape = (gammas.size, times.size)
     q = averaged_q(np.broadcast_to(times, shape), gammas[:, None])
     doe = np.empty(shape)
@@ -59,7 +58,7 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         kappa4 = np.empty(shape)
         weight = np.empty(shape)
     for i in range(gammas.size):
-        table = amplitude_table(times, init, field, params, q=q[i])
+        table = amplitude_table(times, q[i], init, field, omega_rabi)
         rhos, pre[i] = table_density(table)
         doe[i] = _doe_from_rhos(rhos)
         if unknown is None:

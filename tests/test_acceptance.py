@@ -14,7 +14,6 @@ import numpy as np
 from chaocav import cli
 from chaocav.dynamics import (
     AtomicInit,
-    ModelParams,
     amplitude_table,
     averaged_q,
     deterministic_table,
@@ -92,8 +91,8 @@ def fig1_joint_curves():
     curves = {}
     trace_dev = 0.0
     for gamma in (0.1, 0.5, 0.9):
-        params = ModelParams(gamma=gamma)
-        states = [joint_averaged_density(t, FIG_INIT, field, params) for t in times]
+        states = [joint_averaged_density(t, q, FIG_INIT, field, 1.0)
+                  for t, q in zip(times, averaged_q(times, gamma).tolist())]
         trace_dev = max(trace_dev, max(abs(pre - 1.0) for _, pre in states))
         curves[gamma] = np.array([negativity(rho) for rho, _ in states])
     return times, curves, trace_dev
@@ -188,12 +187,12 @@ def test_closed_form_matches_projection():
     grid = sweep_grid(ts, gammas, BELL_INIT, field, ALPHA_U, omega_rabi=1.0)
     worst = 0.0
     for i, gamma in enumerate(gammas):
-        params = ModelParams(gamma=float(gamma), omega_rabi=1.0)
         for k, t in enumerate(ts):
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            rho, _ = table_density(amplitude_table(t, BELL_INIT, field, params))
+            rho, _ = table_density(amplitude_table(t, averaged_q(t, gamma), BELL_INIT, field,
+                                                   1.0))
             projected = bell_project_teleport(rho[0], ALPHA_U)[0]
             worst = max(worst,
                         float(np.max(np.abs(bob - projected.bob_state))),
@@ -205,10 +204,9 @@ def test_closed_form_matches_projection():
 
 def test_closed_form_matches_integrator():
     field = coherent_weights(5.0)
-    params = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
     sectors = [0, 1, 5, 25]
-    (psi,) = integrate_schrodinger(BELL_INIT, field, ((params, sectors),), (1.0,))
-    table = deterministic_table(np.array([1.0]), BELL_INIT, field, params)
+    (psi,) = integrate_schrodinger(BELL_INIT, field, ((0.0, sectors),), (1.0,))
+    table = deterministic_table(np.array([1.0]), BELL_INIT, field, 0.0)
     # Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>); |ee,-1> does not exist.
     worst = max(float(np.max(np.abs(np.array(
         [table.photon_a[0, n + 1], table.photon_b[0, n], table.photon_c[0, n],
@@ -217,9 +215,9 @@ def test_closed_form_matches_integrator():
     # The paper's printed formulas, at the frozen phases of the table above.
     q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
-                               field, params)
+                               field, 0.0)
     legacy_dev = float(np.max(np.abs(legacy - psi)))
-    block = build_block(25, params)
+    block = build_block(25, 0.0)
     w = field.weights
     psi0 = np.array([w[26] * BELL_INIT.c00, 0.0, 0.0, w[24] * BELL_INIT.c11])
     norm0 = float(np.sum(np.abs(psi0) ** 2))
@@ -281,14 +279,16 @@ def test_structural_invariants_and_reproducibility(tmp_path):
     field6 = coherent_weights(6.0)
     for field, gammas, t_max in ((field5, (0.1, 0.5, 0.9), 10.0),
                                  (field6, (0.1, 0.5, 0.9), 10.0)):
+        ts = np.linspace(0.0, t_max, 21)
         for gamma in gammas:
-            rhos, _ = table_density(amplitude_table(np.linspace(0.0, t_max, 21), FIG_INIT,
-                                                    field, ModelParams(gamma=gamma)))
+            rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), FIG_INIT, field,
+                                                    1.0))
             for k in range(21):
                 require_density_matrix(rhos[k])
+    ts = np.linspace(0.0, 3.0, 11)
     for gamma in (0.0, 0.5, 1.0):
-        rhos, _ = table_density(amplitude_table(np.linspace(0.0, 3.0, 11), BELL_INIT, field5,
-                                                ModelParams(gamma=gamma)))
+        rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), BELL_INIT, field5,
+                                                1.0))
         for k in range(11):
             require_density_matrix(rhos[k])
     ok = identical and bounded and states_ok

@@ -264,6 +264,42 @@ def test_init_flag_changes_preparation(tmp_path):
     assert rows[0][3] == pytest.approx(2.0 * 0.6 * 0.8, abs=1e-9)
 
 
+GRID = ["--gamma", "0.2", "--steps", "3", "--t-max", "1.0", "--alpha-field", "1"]
+
+
+@pytest.mark.parametrize("argv, key, value", [
+    (["fidelity", "--init", "0.6", "0", "0", "-0.1,0.7937253933193772"],
+     "c11", complex(-0.1, 0.7937253933193772)),
+    (["fidelity", "--alpha-u", "-0.6,0.8"], "alpha_u", complex(-0.6, 0.8)),
+    (["entanglement", "--omega", "-1e3"], "omega_rabi", -1000.0),
+], ids=["init", "alpha-u", "omega"])
+def test_negative_values_in_the_documented_forms_parse(tmp_path, argv, key, value):
+    # argparse's own rule takes only -5 and -.5 as negative numbers
+    settings = cli._merge_settings(cli.build_parser().parse_args(argv))
+    assert settings[key] == value
+    code, out = run(tmp_path, argv + GRID)
+    assert code == 0 and out.exists()
+
+
+def test_an_option_after_a_short_init_is_still_an_option(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, ["fidelity", "--init", "0.6", "0", "0", "--alpha-u", "1"])
+    assert exc.value.code == 2
+    assert "expected 4 argument" in capsys.readouterr().err
+
+
+def test_omega_is_inert_on_x_preparations(tmp_path):
+    # with c01 = c10 = 0, as in every preset, exp(-i omega t) cancels from
+    # the state; what is left is eigensolver rounding in doe and fidelity
+    tables = []
+    for omega in ("0", "1", "3.7"):
+        out = tmp_path / f"omega_{omega}.csv"
+        assert cli.main(["fidelity", "--fig", "2", "--omega", omega, "--out", str(out)]) == 0
+        tables.append(np.array(read_csv(out)[1]))
+    for other in tables[1:]:
+        assert np.max(np.abs(other - tables[0])) <= 1e-12
+
+
 def test_beta_u_defaults_to_norm_completion(tmp_path):
     # an |ee> channel hands Bob exactly the |beta_u|^2 overlap at t = 0
     code, out = run(tmp_path, ["fidelity", "--gamma", "0.0", "--steps", "2",

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 
 from chaocav.dynamics import (
     AtomicInit,
-    ModelParams,
     amplitude_table,
     averaged_q,
     deterministic_table,
@@ -155,32 +154,21 @@ def test_atomic_init_norm_enforcement():
     assert np.array_equal(vec, np.array([0, 0, 0, 1], dtype=complex))
 
 
-def test_model_params_validation():
-    with pytest.raises(ValueError):
-        ModelParams(gamma=-0.5)
-    with pytest.raises(ValueError):
-        ModelParams(gamma=float("nan"))
-    with pytest.raises(ValueError):
-        ModelParams(g0=float("inf"))
-
-
 # ---------------------------------------------------------------- amplitude tables
 
-def small_setup(gamma=0.3, omega=1.0):
-    return (AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
-            coherent_weights(2.0),
-            ModelParams(gamma=gamma, omega_rabi=omega))
+def small_setup():
+    return AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), coherent_weights(2.0)
 
 
 def test_photon_regrouping_aligns_with_sectors():
-    init, field, params = small_setup()
+    init, field = small_setup()
     ts = np.linspace(0.0, 3.0, 7)
-    table = amplitude_table(ts, init, field, params)
+    table = amplitude_table(ts, averaged_q(ts, 0.3), init, field, 1.0)
     # the sector quadruples straight from the closed form
     n_sec = field.n_max + 2
     w_ext = np.append(field.weights, [0.0, 0.0])
-    q = averaged_q(ts, params.gamma).astype(complex)[:, None]
-    ep = np.exp(-1j * params.omega_rabi * ts)[:, None]
+    q = averaged_q(ts, 0.3).astype(complex)[:, None]
+    ep = np.exp(-1j * ts)[:, None]
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(np.arange(n_sec), q, q, ep,
                                                     np.conj(ep), init, w_ext)
     assert table.photon.shape == (ts.size, 4, n_sec + 1)
@@ -212,7 +200,8 @@ def test_initial_state_is_reproduced():
                  AtomicInit(0.5, 0.5j, -0.5, 0.5j)):
         for gamma in (0.0, 0.5):
             field = coherent_weights(3.0)
-            rho, pre = table_density(amplitude_table(0.0, init, field, ModelParams(gamma=gamma)))
+            rho, pre = table_density(amplitude_table(0.0, averaged_q(0.0, gamma), init, field,
+                                                     1.0))
             vec = init.as_vector()
             want = np.outer(vec, vec.conj())
             assert np.max(np.abs(rho[0] - want)) <= 1e-9
@@ -222,9 +211,9 @@ def test_initial_state_is_reproduced():
 def test_zero_coupling_keeps_state_frozen():
     # gamma = 0 freezes the averaged field coupling; with the spin exchange
     # also off nothing moves at all
-    init, field, _ = small_setup()
-    params = ModelParams(gamma=0.0, omega_rabi=0.0)
-    rho, _ = table_density(amplitude_table(np.linspace(0.0, 8.0, 9), init, field, params))
+    init, field = small_setup()
+    ts = np.linspace(0.0, 8.0, 9)
+    rho, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 0.0))
     dev = np.max(np.abs(rho - rho[0]))
     assert dev <= 1e-12
 
@@ -232,27 +221,26 @@ def test_zero_coupling_keeps_state_frozen():
 def test_averaged_gamma_zero_equals_decoupled_phase():
     # cos(pi/2) kills the effective coupling, so one frozen realization at
     # kf_x = pi/2 must match the gamma = 0 averaged channel
-    init, field, _ = small_setup()
+    init, field = small_setup()
     ts = np.linspace(0.0, 5.0, 11)
-    params = ModelParams(gamma=0.0, omega_rabi=1.0)
-    avg, _ = table_density(amplitude_table(ts, init, field, params))
-    det, _ = table_density(deterministic_table(ts, init, field, params, kf_x=math.pi / 2.0))
+    avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 1.0))
+    det, _ = table_density(deterministic_table(ts, init, field, 1.0, kf_x=math.pi / 2.0))
     assert np.max(np.abs(avg - det)) <= 1e-12
 
 
 def test_deterministic_evolution_preserves_norm():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
-    table = deterministic_table(np.linspace(0.0, 6.0, 13), init, field,
-                                ModelParams(omega_rabi=1.0))
+    table = deterministic_table(np.linspace(0.0, 6.0, 13), init, field, 1.0)
     _, pre = table_density(table)
     total = float(np.sum(field.weights**2))
     assert np.max(np.abs(pre - total)) <= 1e-12
 
 
 def test_averaging_shrinks_the_raw_trace_monotonically():
-    init, field, params = small_setup(gamma=0.5)
-    _, pre = table_density(amplitude_table(np.linspace(0.0, 10.0, 41), init, field, params))
+    init, field = small_setup()
+    ts = np.linspace(0.0, 10.0, 41)
+    _, pre = table_density(amplitude_table(ts, averaged_q(ts, 0.5), init, field, 1.0))
     assert np.all(np.diff(pre) <= 1e-15)
     assert pre[-1] < pre[0]
     assert np.all(pre > 0.0)
@@ -263,7 +251,7 @@ def test_density_invariants_over_parameter_grid():
     field = coherent_weights(5.0)
     ts = np.linspace(0.0, 10.0, 41)
     for gamma in (0.0, 0.1, 0.5, 0.9, 1.0):
-        rho, _ = table_density(amplitude_table(ts, init, field, ModelParams(gamma=gamma)))
+        rho, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), init, field, 1.0))
         for k in range(len(ts)):
             require_density_matrix(rho[k], context=f"t={ts[k]:.2f} gamma={gamma}")
 
@@ -274,15 +262,15 @@ def test_amplitudes_are_linear_in_the_preparation(seed):
     # state involved is a valid AtomicInit
     rng = np.random.default_rng(seed)
     field = coherent_weights(1.5)
-    params = ModelParams(gamma=0.4, omega_rabi=1.0)
     ts = np.array([0.0, 0.9, 2.1])
+    q = averaged_q(ts, 0.4)
     basis = random_unitary(rng, dim=4)
     ca, cb = random_pure_state(rng, dim=2)
     base_a = AtomicInit(*basis[:, 0])
     base_b = AtomicInit(*basis[:, 1])
     mixed = AtomicInit(*(ca * basis[:, 0] + cb * basis[:, 1]))
-    ta = amplitude_table(ts, base_a, field, params)
-    tb = amplitude_table(ts, base_b, field, params)
-    tm = amplitude_table(ts, mixed, field, params)
+    ta = amplitude_table(ts, q, base_a, field, 1.0)
+    tb = amplitude_table(ts, q, base_b, field, 1.0)
+    tm = amplitude_table(ts, q, mixed, field, 1.0)
     combo = ca * ta.photon + cb * tb.photon
     assert np.max(np.abs(tm.photon - combo)) <= 1e-12

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 import chaocav.oracle as oracle
-from chaocav.dynamics import (AtomicInit, ModelParams, amplitude_table, deterministic_table,
+from chaocav.dynamics import (AtomicInit, amplitude_table, averaged_q, deterministic_table,
                               table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
@@ -49,9 +49,9 @@ def test_spin_operator_commutators_are_exact():
 
 
 def test_block_matrix_structure():
-    params = ModelParams(gamma=0.0, omega_rabi=0.7, g0=1.3)
-    h = build_block(3, params)
-    g = 1.3
+    kf_x = 0.3
+    h = build_block(3, 0.7, kf_x=kf_x)
+    g = math.cos(kf_x)
     assert h[0, 1] == h[1, 0] == h[0, 2] == h[2, 0] == -g * math.sqrt(4.0)
     assert h[1, 3] == h[3, 1] == h[2, 3] == h[3, 2] == -g * math.sqrt(3.0)
     assert h[1, 2] == h[2, 1] == 0.7
@@ -59,47 +59,35 @@ def test_block_matrix_structure():
     assert np.max(np.abs(h - h.conj().T)) == 0.0
 
 
-def test_block_lab_frame_diagonal():
-    params = ModelParams(omega_rabi=0.0, g0=1.0)
-    h = build_block(2, params, interaction_picture=False, omega0=1.5, omega_f=2.0)
-    assert np.allclose(np.diag(h), [-3.0 + 6.0, 4.0, 4.0, 3.0 + 2.0])
-
-
 def test_block_zero_sector_has_no_ee_component():
-    h = build_block(0, ModelParams(omega_rabi=1.0), interaction_picture=False)
+    h = build_block(0, 1.0)
     assert np.all(h[3, :] == 0.0)
     assert np.all(h[:, 3] == 0.0)
 
 
 def test_block_scales_with_position_phase():
-    params = ModelParams(g0=2.0)
-    h0 = build_block(1, params, kf_x=0.0)
-    hq = build_block(1, params, kf_x=math.pi / 3.0)
+    h0 = build_block(1, 1.0, kf_x=0.0)
+    hq = build_block(1, 1.0, kf_x=math.pi / 3.0)
     assert abs(hq[0, 1] - 0.5 * h0[0, 1]) <= 1e-15  # cos(pi/3) = 1/2
-    hz = build_block(1, params, kf_x=math.pi / 2.0)
+    hz = build_block(1, 1.0, kf_x=math.pi / 2.0)
     assert abs(hz[0, 1]) <= 1e-15
 
 
-@pytest.mark.parametrize("interaction", [True, False])
-def test_block_is_restriction_of_full_hamiltonian(interaction):
-    params = ModelParams(gamma=0.0, omega_rabi=0.9, g0=1.1)
+def test_block_is_restriction_of_full_hamiltonian():
     n_fock = 8
-    full = full_hamiltonian(n_fock, params, kf_x=0.4, interaction_picture=interaction,
-                            omega0=1.0, omega_f=2.0)
+    full = full_hamiltonian(n_fock, 0.9, kf_x=0.4)
     assert np.max(np.abs(full - full.conj().T)) <= 1e-12
     for n in (0, 2, 5):
         idx = [i for i in sector_basis_indices(n, n_fock) if i is not None]
         sub = full[np.ix_(idx, idx)]
-        block = build_block(n, params, kf_x=0.4, interaction_picture=interaction,
-                            omega0=1.0, omega_f=2.0)
+        block = build_block(n, 0.9, kf_x=0.4)
         want = block[: len(idx), : len(idx)]
         assert np.max(np.abs(sub - want)) <= 1e-12
 
 
 def test_full_hamiltonian_does_not_mix_sectors():
-    params = ModelParams(omega_rabi=1.0, g0=1.0)
     n_fock = 7
-    full = full_hamiltonian(n_fock, params)
+    full = full_hamiltonian(n_fock, 1.0)
     idx = [i for i in sector_basis_indices(3, n_fock) if i is not None]
     vec = np.zeros(4 * n_fock, dtype=complex)
     vec[idx] = [0.5, 0.5, 0.5, 0.5]
@@ -113,7 +101,7 @@ def test_sector_index_bounds():
     with pytest.raises(ValueError):
         sector_basis_indices(5, 6)  # needs Fock level 6
     with pytest.raises(ValueError):
-        build_block(-1, ModelParams())
+        build_block(-1, 1.0)
 
 
 # ---------------------------------------------------------------- integrator
@@ -189,15 +177,13 @@ def test_stacked_groups_equal_separate_runs():
     # 0.5, gives each group's rows bit for bit as separate runs would
     init = AtomicInit(0.5, 0.5j, -0.5, 0.5)
     field = coherent_weights(2.0)
-    p0 = ModelParams(gamma=0.0, omega_rabi=0.0)
-    p1 = ModelParams(gamma=0.0, omega_rabi=1.0)
     every = list(range(field.n_max + 2))
     picked = [0, 3]
-    states = integrate_schrodinger(init, field, ((p0, every), (p1, picked)),
+    states = integrate_schrodinger(init, field, ((0.0, every), (1.0, picked)),
                                    (0.25, 0.5), 1e-3)
     for t, psi in zip((0.25, 0.5), states):
-        (alone0,) = integrate_schrodinger(init, field, ((p0, every),), (t,), 1e-3)
-        (alone1,) = integrate_schrodinger(init, field, ((p1, picked),), (t,), 1e-3)
+        (alone0,) = integrate_schrodinger(init, field, ((0.0, every),), (t,), 1e-3)
+        (alone1,) = integrate_schrodinger(init, field, ((1.0, picked),), (t,), 1e-3)
         assert np.array_equal(psi, np.concatenate([alone0, alone1]))
 
 
@@ -234,10 +220,9 @@ def test_run_verification_takes_60000_rk4_steps(monkeypatch):
 def test_integrator_matches_closed_form_without_spin_exchange():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(5.0)
-    params = ModelParams(gamma=0.0, omega_rabi=0.0, g0=1.0)
     sectors = [0, 1, 5, 25]
-    (psi,) = integrate_schrodinger(init, field, ((params, sectors),), (1.0,), dt=1e-3)
-    table = deterministic_table(np.array([1.0]), init, field, params)
+    (psi,) = integrate_schrodinger(init, field, ((0.0, sectors),), (1.0,), dt=1e-3)
+    table = deterministic_table(np.array([1.0]), init, field, 0.0)
     want = oracle._closed_quadruples(table, sectors)
     assert want[0, 3] == 0.0  # sector 0 has no |ee> component
     for k in range(len(sectors)):
@@ -247,43 +232,27 @@ def test_integrator_matches_closed_form_without_spin_exchange():
 def test_integrator_norm_guard_trips_on_coarse_steps():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(5.0)
-    params = ModelParams(gamma=0.0, omega_rabi=0.0)
     with pytest.raises(InvariantViolation, match="drift"):
-        integrate_schrodinger(init, field, ((params, [25]),), (1.0,), dt=0.2)
+        integrate_schrodinger(init, field, ((0.0, [25]),), (1.0,), dt=0.2)
 
 
 def test_integrator_sector_validation():
     field = coherent_weights(1.0)
     with pytest.raises(ValueError):
         integrate_schrodinger(AtomicInit.bell_phi_plus(), field,
-                              ((ModelParams(), [field.n_max + 2]),), (1.0,))
+                              ((1.0, [field.n_max + 2]),), (1.0,))
 
 
 def test_oracle_density_matches_closed_form_density():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     field = coherent_weights(2.0)
-    params = ModelParams(gamma=0.0, omega_rabi=0.0)
     every = list(range(field.n_max + 2))
-    (psi,) = integrate_schrodinger(init, field, ((params, every),), (0.7,), dt=1e-3)
+    (psi,) = integrate_schrodinger(init, field, ((0.0, every),), (0.7,), dt=1e-3)
     rho, pre = sector_density(every, psi, field.weights[0] * init.c00)
-    want_rho, want_pre = table_density(deterministic_table(0.7, init, field, params))
+    want_rho, want_pre = table_density(deterministic_table(0.7, init, field, 0.0))
     assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
     assert abs(pre - want_pre[0]) <= 1e-10
     require_density_matrix(rho)
-
-
-def test_lab_frame_amplitudes_keep_the_same_magnitudes():
-    # on resonance (omega_f = 2 omega0) the bare energies are constant
-    # within each sector, so the two pictures differ by phases only
-    init = AtomicInit(0.5, 0.5j, -0.5, 0.5)
-    field = coherent_weights(2.0)
-    params = ModelParams(gamma=0.0, omega_rabi=1.0)
-    sectors = [0, 1, 3]
-    groups, times = ((params, sectors),), (0.9,)
-    (rotating,) = integrate_schrodinger(init, field, groups, times, dt=1e-3)
-    (lab,) = integrate_schrodinger(init, field, groups, times, dt=1e-3,
-                                   interaction_picture=False, omega0=1.0, omega_f=2.0)
-    assert np.max(np.abs(np.abs(lab) - np.abs(rotating))) <= 1e-8
 
 
 def test_legacy_variant_distorts_the_initial_state():
@@ -292,7 +261,7 @@ def test_legacy_variant_distorts_the_initial_state():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(5.0)
     sectors = np.arange(field.n_max + 2)
-    legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, ModelParams(gamma=0.0))
+    legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, 1.0)
     rho, _ = sector_density(sectors, legacy, 0.0)
     vec = init.as_vector()
     dev = np.max(np.abs(rho - np.outer(vec, vec.conj())))
@@ -307,8 +276,7 @@ def test_legacy_quadruples_pinned_with_mixed_preparation():
     field = coherent_weights(2.0)
     sectors = np.array([0, 1, 5])
     q = np.exp(1j * np.sqrt(2.0 * (2.0 * sectors + 1.0)))
-    legacy = legacy_quadruples(sectors, 1.0, q, np.conj(q), init, field,
-                               ModelParams(omega_rabi=1.0))
+    legacy = legacy_quadruples(sectors, 1.0, q, np.conj(q), init, field, 1.0)
     want = np.array([0.08260100182254922 - 0.026215862597354284j,
                      0.11637616197768139 + 0.20589614077889862j,
                      -0.10010825310520537 - 0.1312583595385874j,
@@ -434,18 +402,18 @@ def test_monte_carlo_grid_validation():
 def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
-    params = ModelParams(gamma=0.5, omega_rabi=1.0)
-    joint, _ = joint_averaged_density(2.0, init, field, params)
+    q = averaged_q(2.0, 0.5)
+    joint, _ = joint_averaged_density(2.0, q, init, field, 1.0)
     require_density_matrix(joint)
-    scalar, _ = table_density(amplitude_table(2.0, init, field, params))
+    scalar, _ = table_density(amplitude_table(2.0, q, init, field, 1.0))
     assert np.max(np.abs(joint - scalar[0])) > 1e-4
 
 
 def test_joint_average_sampling_matches_analytic_moments():
     init = AtomicInit.bell_phi_plus()
     field = coherent_weights(2.0)
-    params = ModelParams(gamma=0.5, omega_rabi=1.0)
-    analytic, _ = joint_averaged_density(2.0, init, field, params)
-    sampled, _ = joint_averaged_density(2.0, init, field, params, n_samples=20000, seed=8)
+    q = averaged_q(2.0, 0.5)
+    analytic, _ = joint_averaged_density(2.0, q, init, field, 1.0)
+    sampled, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=20000, seed=8)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
     assert negativity(sampled) >= 0.0

@@ -7,7 +7,7 @@ import math
 import numpy as np
 
 from chaocav import sweep
-from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, table_density
+from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.teleport import UnknownQubit, bell_project_teleport
@@ -51,9 +51,9 @@ def test_grid_matches_single_point_routes():
     gammas = np.array([0.1, 0.7])
     grid = sweep.sweep_grid(ts, gammas, INIT, field, UNKNOWN)
     for i, gamma in enumerate(gammas):
-        params = ModelParams(gamma=float(gamma))
         for k, t in enumerate(ts):
-            rho, pre = table_density(amplitude_table(float(t), INIT, field, params))
+            q = averaged_q(float(t), float(gamma))
+            rho, pre = table_density(amplitude_table(float(t), q, INIT, field, 1.0))
             assert abs(grid.doe[i, k] - negativity(rho[0])) <= 1e-12
             assert abs(grid.pre_norm_trace[i, k] - pre[0]) <= 1e-12
             out = bell_project_teleport(rho[0], UNKNOWN)[0]

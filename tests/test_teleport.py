@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaocav.dynamics import AtomicInit, ModelParams, amplitude_table, table_density
+from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
 from chaocav.field import coherent_weights
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import (
@@ -120,12 +120,11 @@ def test_closed_form_matches_projection_on_grid():
     assert np.all(grid.kappa1 >= 0.0) and np.all(grid.kappa4 >= 0.0)
     outcome_weight = grid.weight / grid.pre_norm_trace
     for i, gamma in enumerate(gammas):
-        params = ModelParams(gamma=float(gamma), omega_rabi=1.0)
         for k, t in enumerate(ts):
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            rho, _ = table_density(amplitude_table(t, init, field, params))
+            rho, _ = table_density(amplitude_table(t, averaged_q(t, gamma), init, field, 1.0))
             projected = bell_project_teleport(rho[0], unknown)[0]
             assert np.max(np.abs(bob - projected.bob_state)) <= 1e-9
             assert abs(grid.fidelity[i, k] - projected.fidelity) <= 1e-9
