@@ -173,8 +173,11 @@ class AmplitudeTable:
 def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     """Evaluate the closed-form quadruples for every sector in ns.
 
-    qp and qm are the phase factors standing in for Q and its inverse;
-    they may be per-sector arrays or the scalar mean averaged_q. The form
+    qp and qm are the phase factors standing in for Q and its inverse,
+    arrays that broadcast against the (T, N) grid of times and sectors.
+    qm = None is the scalar channel, where both factors are the mean qp
+    (a (T, 1) column of averaged_q): their cosine part is then exactly qp
+    and their sine part exactly 0, so the sine terms are left out. The form
     solves the bright/dark coupling block exactly and reproduces the
     initial state at t = 0. The paper's printed formulas, which do not,
     survive only in oracle.legacy_quadruples, as a comparison.
@@ -192,16 +195,21 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     ud0 = r2 * a0 - r1 * d0
     s0 = (b0 + c0) / SQRT2
     an0 = (b0 - c0) / SQRT2
-    cosf = (qp + qm) / 2.0
-    isin = (qp - qm) / 2.0
     # Each (T, N) term once, sums updated in place, operands in their
     # original order: every value is bit-for-bit that of the expression
-    # in the comment. Products stay out of place: numpy's in-place complex
-    # multiply can round a one-element array differently.
-    ub = cosf * ub0
-    ub += isin * s0  # ub = cosf * ub0 + isin * s0
-    sym = isin * ub0
-    sym += cosf * s0  # sym = isin * ub0 + cosf * s0
+    # in the comment, except that the sign of a zero may differ. Products
+    # stay out of place: numpy's in-place complex multiply can round a
+    # one-element array differently.
+    if qm is None:
+        ub = qp * ub0
+        sym = qp * s0
+    else:
+        cosf = (qp + qm) / 2.0
+        isin = (qp - qm) / 2.0
+        ub = cosf * ub0
+        ub += isin * s0  # ub = cosf * ub0 + isin * s0
+        sym = isin * ub0
+        sym += cosf * s0  # sym = isin * ub0 + cosf * s0
     amp_a = r1 * ub
     amp_a += r2 * ud0
     amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
@@ -211,9 +219,11 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     sym = ep * sym
     dark = em * an0
     amp_b = sym + dark
-    amp_b /= SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
+    # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
+    # so scaling by 1 / SQRT2 gives the quotient but for the sign of a zero.
+    amp_b *= 1.0 / SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
     amp_c = np.subtract(sym, dark, out=sym)
-    amp_c /= SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
+    amp_c *= 1.0 / SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
     return amp_a, amp_b, amp_c, amp_d
 
 
@@ -246,7 +256,7 @@ def amplitude_table(t, q, init, field, omega_rabi):
     the ensemble-averaged state; oracle.joint_averaged_density is.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float)).astype(complex)[:, None]
-    return _build_table(t, q, q, init, field, omega_rabi)
+    return _build_table(t, q, None, init, field, omega_rabi)
 
 
 def deterministic_table(t, init, field, omega_rabi, kf_x=0.0):

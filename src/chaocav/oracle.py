@@ -336,7 +336,8 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     Contrast with the scalar channel, table_density(amplitude_table(...)),
     which substitutes the scalar mean for both factors before forming the
     density. n_samples > 0 replaces the analytic moments with a sample
-    average over Gaussian phases of variance -2 ln q.
+    average over Gaussian phases of variance -2 ln q; at q = 0, where that
+    variance is infinite, the phases are uniform on [0, 2 pi).
 
     Returns (rho, pre_norm_trace) like table_density, for one time. The
     map preserves the trace up to the field's truncated tail mass, so
@@ -357,9 +358,12 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
                + q * (vx @ base.conj().T + base @ vx.conj().T
                       + vy @ base.conj().T + base @ vy.conj().T))
     else:
-        var = -2.0 * math.log(q) if q < 1.0 else 0.0
         rng = np.random.Generator(np.random.Philox(seed))
-        phases = np.exp(1j * rng.normal(0.0, math.sqrt(var), n_samples))
+        if q > 0.0:
+            var = -2.0 * math.log(q) if q < 1.0 else 0.0
+            phases = np.exp(1j * rng.normal(0.0, math.sqrt(var), n_samples))
+        else:
+            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_samples))
         v = (vx[None] * phases[:, None, None]
              + vy[None] * np.conj(phases)[:, None, None] + base[None])
         rho = np.einsum("sim,sjm->ij", v, np.conj(v)) / n_samples

@@ -6,8 +6,8 @@ text so the files can be archived alongside the CSV output.
 
 from __future__ import annotations
 
+import html
 import math
-from xml.sax.saxutils import escape
 
 import numpy as np
 
@@ -82,6 +82,11 @@ def _span(values):
     return lo, hi
 
 
+def escape(text):
+    """Text with &, < and > replaced by XML entities; quotes stay as they are."""
+    return html.escape(text, quote=False)
+
+
 class _Frame:
     """Pixel mapping and shared chrome (axes, ticks, labels) for one chart."""
 
@@ -154,23 +159,19 @@ def render_line_chart(series, title="", xlabel="", ylabel=""):
         sx = np.asarray(sx, dtype=float)
         sy = np.asarray(sy, dtype=float)
         good = np.isfinite(sx) & np.isfinite(sy)
-        run = []
-        segments = []
-        for i in range(sx.size):
-            if good[i]:
-                run.append(f"{frame.px(sx[i]):.2f},{frame.py(sy[i]):.2f}")
-            elif run:
-                segments.append(run)
-                run = []
-        if run:
-            segments.append(run)
-        for seg in segments:
-            if len(seg) == 1:
-                cx, cy = seg[0].split(",")
-                out.append(f'<circle cx="{cx}" cy="{cy}" r="2" fill="{color}"/>\n')
+        # Runs of finite samples: a lone point is a dot, a longer run a
+        # polyline. One format string per series takes every point in a
+        # single %.
+        edges = np.flatnonzero(np.diff(good, prepend=False, append=False))
+        parts = []
+        for n in (edges[1::2] - edges[0::2]).tolist():
+            if n == 1:
+                parts.append(f'<circle cx="%.2f" cy="%.2f" r="2" fill="{color}"/>\n')
             else:
-                out.append(f'<polyline points="{" ".join(seg)}" fill="none" '
-                           f'stroke="{color}" stroke-width="1.6"/>\n')
+                parts.append('<polyline points="' + " ".join(["%.2f,%.2f"] * n)
+                             + f'" fill="none" stroke="{color}" stroke-width="1.6"/>\n')
+        points = np.column_stack([frame.px(sx[good]), frame.py(sy[good])])
+        out.append("".join(parts) % tuple(points.ravel().tolist()))
         ly = frame.mt + 16 + 16 * k
         lx = frame.ml + frame.pw - 150
         out.append(f'<line x1="{lx}" y1="{ly - 4}" x2="{lx + 22}" y2="{ly - 4}" '
@@ -259,7 +260,8 @@ def render_contour_chart(x, y, z, title="", xlabel="", ylabel=""):
     rows, cols = np.nonzero(painted)
     cells = np.column_stack([xa[cols], top[rows], width_px[cols], hgt[rows]])
     rect = '<rect x="%.2f" y="%.2f" width="%.2f" height="%.2f" fill="#%02x%02x%02x"/>\n'
-    out.extend(rect % (*geom, *color) for geom, color in zip(cells.tolist(), rgb.tolist()))
+    values = np.hstack([cells.astype(object), rgb.astype(object)])
+    out.append((rect * len(rows)) % tuple(values.ravel().tolist()))
     for (xa, ya), (xb, yb) in _iso_segments(x, y, z, ISO_LEVEL):
         out.append(f'<line x1="{frame.px(xa):.2f}" y1="{frame.py(ya):.2f}" '
                    f'x2="{frame.px(xb):.2f}" y2="{frame.py(yb):.2f}" '

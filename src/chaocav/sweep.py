@@ -1,13 +1,17 @@
 """One pass over a (gamma, t) grid of the scalar channel.
 
 Every sweep command goes through sweep_grid. The phase factor q is
-evaluated for the whole grid in one call; then each gamma row builds its
-amplitude table once, and that table feeds the density, the
-partial-transpose eigensolve and, when an unknown qubit is given, the
-teleportation sums. Memory holds one gamma row at a time: a table of
-T x 4 x (n_max + 3) complex values and the (T, n_max + 2) arrays that
-build it. The field coupling is the unit of time; the scalar channel
-sees the coupling phase only through averaged_q(t, gamma).
+evaluated for the whole grid in one call; the rest runs in two stages
+over groups of max(1, GROUP_POINTS // T) gamma rows. In the Fock-wide
+stage each gamma row builds its amplitude table once, and that table
+feeds the row's densities and, when an unknown qubit is given, its
+teleportation sums. A row whose table would exceed TABLE_BUDGET_BYTES is
+built in pieces over t, so the stage holds at most that much table, plus
+the (piece, n_max + 2) sector arrays that build it, whatever the number
+of times or the field. In the 4x4 stage the group's densities go through one
+partial-transpose eigensolve, and the branch weight and fidelity are
+formed over the whole group. The field coupling is the unit of time; the
+scalar channel sees the coupling phase only through averaged_q(t, gamma).
 """
 
 from __future__ import annotations
@@ -20,14 +24,20 @@ from .dynamics import amplitude_table, averaged_q, table_density
 from .entanglement import _doe_from_rhos
 from .teleport import WEIGHT_FLOOR, kappa_sums
 
+#: Grid points per group of gamma rows in the 4x4 stage (at least one row).
+GROUP_POINTS = 4096
+
+#: Largest amplitude table built at once; a longer row is built in pieces over t.
+TABLE_BUDGET_BYTES = 8 * 2 ** 20
+
 
 @dataclass(frozen=True)
 class SweepGrid:
     """Scalar-channel results; arrays are (G, T) over gammas x times.
 
     The teleportation arrays (fidelity, kappa1, kappa2, kappa4, weight)
-    are None when no unknown qubit was given. Fidelity is nan where the phi_plus branch weight kappa1 + kappa4
-    falls below WEIGHT_FLOOR.
+    are None when no unknown qubit was given. Fidelity is nan where the
+    phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR.
     """
 
     t: np.ndarray
@@ -57,18 +67,27 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         kappa2 = np.empty(shape, dtype=complex)
         kappa4 = np.empty(shape)
         weight = np.empty(shape)
-    for i in range(gammas.size):
-        table = amplitude_table(times, q[i], init, field, omega_rabi)
-        rhos, pre[i] = table_density(table)
-        doe[i] = _doe_from_rhos(rhos)
+    # A table holds 4 x (n_max + 3) complex values per time.
+    piece = max(1, TABLE_BUDGET_BYTES // (64 * (field.n_max + 3)))
+    pieces = [slice(k, k + piece) for k in range(0, times.size, piece)]
+    group = max(1, GROUP_POINTS // times.size)
+    for g0 in range(0, gammas.size, group):
+        rows = slice(g0, min(g0 + group, gammas.size))
+        rhos = np.empty((rows.stop - g0, times.size, 4, 4), dtype=complex)
+        for i in range(g0, rows.stop):
+            for cols in pieces:
+                table = amplitude_table(times[cols], q[i, cols], init, field, omega_rabi)
+                rhos[i - g0, cols], pre[i, cols] = table_density(table)
+                if unknown is not None:
+                    kappa1[i, cols], kappa2[i, cols], kappa4[i, cols] = kappa_sums(table, unknown)
+        doe[rows] = _doe_from_rhos(rhos.reshape(-1, 4, 4)).reshape(rhos.shape[:2])
         if unknown is None:
             continue
-        k1, k2, k4 = kappa_sums(table, unknown)
-        weight[i] = (k1 + k4).real
+        k1, k2, k4 = kappa1[rows], kappa2[rows], kappa4[rows]
+        weight[rows] = k1 + k4
         numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
                  + au * np.conj(bu) * np.conj(k2) + abs(bu) ** 2 * k4).real
-        np.divide(numer, weight[i], out=fid[i], where=weight[i] > WEIGHT_FLOOR)
-        kappa1[i], kappa2[i], kappa4[i] = k1.real, k2, k4.real
+        np.divide(numer, weight[rows], out=fid[rows], where=weight[rows] > WEIGHT_FLOOR)
     return SweepGrid(t=times, gammas=gammas, doe=doe, pre_norm_trace=pre,
                      fidelity=fid, kappa1=kappa1, kappa2=kappa2, kappa4=kappa4,
                      weight=weight)

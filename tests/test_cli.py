@@ -3,14 +3,17 @@ outputs, exit codes and rerun determinism."""
 
 import csv
 import re
+import subprocess
+import sys
 import xml.etree.ElementTree as ET
+from xml.sax.saxutils import escape as sax_escape
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from chaocav import cli
-from chaocav.svg import _PALETTE, _heat_rgb
+from chaocav.svg import _PALETTE, _heat_rgb, escape, render_line_chart
 
 VERIFY_REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference" / "verify.txt"
 FLOAT_RE = re.compile(r"^-?\d\.\d{12}e[+-]\d{2,3}$")
@@ -369,6 +372,36 @@ def test_contour_svg_has_cells_and_iso_line(tmp_path):
     assert text.count("<rect") > 40  # heat cells plus the colorbar
     # white segments draw the 0.95 iso line; one more marks it on the colorbar
     assert text.count('stroke="white"') > 1
+
+
+def test_line_chart_breaks_at_nan_and_dots_lone_points():
+    y = np.array([0.1, 0.2, np.nan, 0.3, np.nan, np.nan, 0.4, 0.5, 0.6])
+    text = render_line_chart([("s", np.arange(9.0), y)])
+    ET.fromstring(text)
+    polylines = re.findall(r'<polyline points="([^"]*)"', text)
+    assert [len(p.split()) for p in polylines] == [2, 3]
+    dots = re.findall(r'<circle cx="([^"]*)" cy="([^"]*)"', text)
+    assert len(dots) == 1
+    # the lone point sits between the two runs, at the pixel the runs use
+    first = [float(v) for v in polylines[0].split()[-1].split(",")]
+    last = [float(v) for v in polylines[1].split()[0].split(",")]
+    cx, cy = (float(v) for v in dots[0])
+    assert abs(cx - (first[0] + 2.0 * (last[0] - first[0]) / 5.0)) <= 0.01
+    assert abs(cy - (first[1] + (last[1] - first[1]) / 2.0)) <= 0.01
+
+
+def test_escape_matches_saxutils():
+    text = "a&b<c>d\"e'f"
+    assert escape(text) == sax_escape(text) == "a&amp;b&lt;c&gt;d\"e'f"
+
+
+def test_cli_import_skips_the_network_modules():
+    # xml.sax.saxutils would pull these in; html.escape does not.
+    code = ("import sys, chaocav.cli; "
+            "print(sorted({'urllib.request', 'http.client', 'email', 'ssl'} & set(sys.modules)))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          check=True, cwd=Path(cli.__file__).parents[1])
+    assert proc.stdout.strip() == "[]"
 
 
 def heat_rgb_reference(u):

@@ -194,6 +194,22 @@ def test_photon_regrouping_aligns_with_sectors():
     assert np.array_equal(got_rho, rho / pre[:, None, None])
 
 
+@pytest.mark.parametrize("init", [AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
+                                  AtomicInit(0.5, 0.5j, -0.5, 0.5j)], ids=["x_state", "c01_c10"])
+def test_scalar_form_equals_the_general_form(init):
+    # qm = None leaves out the sine terms, which vanish when qm equals qp.
+    field = coherent_weights(3.0)
+    ts = np.linspace(0.0, 4.0, 9)
+    ns = np.arange(field.n_max + 2)
+    w_ext = np.append(field.weights, [0.0, 0.0])
+    qp = averaged_q(ts, 0.7).astype(complex)[:, None]
+    ep = np.exp(-1.3j * ts)[:, None]
+    scalar = _sector_amplitudes(ns, qp, None, ep, np.conj(ep), init, w_ext)
+    general = _sector_amplitudes(ns, qp, qp.copy(), ep, np.conj(ep), init, w_ext)
+    for got, want in zip(scalar, general):
+        assert np.array_equal(got, want)
+
+
 def test_initial_state_is_reproduced():
     for init in (AtomicInit.bell_phi_plus(),
                  AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),

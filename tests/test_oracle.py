@@ -417,3 +417,19 @@ def test_joint_average_sampling_matches_analytic_moments():
     sampled, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=20000, seed=8)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
     assert negativity(sampled) >= 0.0
+
+
+def test_joint_average_sampling_at_zero_q_draws_uniform_phases():
+    # q = 0 is what averaged_q gives once pi * gamma overflows; the
+    # Gaussian variance -2 ln q is infinite there.
+    init = AtomicInit(0.6, 0.3 + 0.1j, -0.2, math.sqrt(1.0 - 0.36 - 0.1 - 0.04))
+    field = coherent_weights(2.0)
+    q = averaged_q(1.0, 1e308)
+    assert q == 0.0
+    analytic, _ = joint_averaged_density(1.0, q, init, field, 1.0)
+    sampled, _ = joint_averaged_density(1.0, q, init, field, 1.0, n_samples=20000, seed=8)
+    require_density_matrix(sampled)
+    assert np.max(np.abs(analytic - sampled)) <= 0.02
+    # the bound tells q = 0 from the frozen state at q = 1
+    frozen, _ = joint_averaged_density(1.0, 1.0, init, field, 1.0)
+    assert np.max(np.abs(frozen - analytic)) > 0.1

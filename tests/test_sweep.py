@@ -1,18 +1,23 @@
 """The shared (gamma, t) sweep: one phase-factor evaluation per sweep, one
-amplitude table per gamma row, and the same numbers as the single-point
-density and the Bell-projection reference."""
+amplitude table per gamma row, the same numbers as per-row evaluation, the
+single-point density and the Bell-projection reference, and a table that
+stays within its memory budget."""
 
 import math
+import tracemalloc
 
 import numpy as np
+import pytest
 
 from chaocav import sweep
 from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
-from chaocav.entanglement import negativity
+from chaocav.entanglement import _doe_from_rhos, negativity
 from chaocav.field import coherent_weights
-from chaocav.teleport import UnknownQubit, bell_project_teleport
+from chaocav.teleport import WEIGHT_FLOOR, UnknownQubit, bell_project_teleport, kappa_sums
 
 INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
+# c01, c10 != 0: the preparation through which omega reaches the outputs
+MIXED_INIT = AtomicInit(0.6, 0.3 + 0.1j, -0.2, math.sqrt(1.0 - 0.36 - 0.1 - 0.04))
 UNKNOWN = UnknownQubit(0.95, math.sqrt(1.0 - 0.95 ** 2))
 
 
@@ -60,3 +65,71 @@ def test_grid_matches_single_point_routes():
             assert abs(grid.fidelity[i, k] - out.fidelity) <= 1e-12
             outcome_weight = grid.weight[i, k] / grid.pre_norm_trace[i, k]
             assert abs(outcome_weight - out.outcome_weight) <= 1e-12
+
+
+def per_row(times, gammas, init, field, unknown, omega_rabi):
+    # Each gamma row on its own: one table, one eigensolve, its own fidelity.
+    rows = []
+    au, bu = unknown.alpha_u, unknown.beta_u
+    for gamma in gammas:
+        table = amplitude_table(times, averaged_q(times, gamma), init, field, omega_rabi)
+        rhos, pre = table_density(table)
+        k1, k2, k4 = kappa_sums(table, unknown)
+        weight = k1 + k4
+        numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
+                 + au * np.conj(bu) * np.conj(k2) + abs(bu) ** 2 * k4).real
+        fid = np.full(times.size, np.nan)
+        np.divide(numer, weight, out=fid, where=weight > WEIGHT_FLOOR)
+        rows.append((_doe_from_rhos(rhos), pre, fid, k1, k2, k4, weight))
+    return [np.array(column) for column in zip(*rows)]
+
+
+def grid_columns(grid):
+    return [grid.doe, grid.pre_norm_trace, grid.fidelity, grid.kappa1, grid.kappa2,
+            grid.kappa4, grid.weight]
+
+
+@pytest.mark.parametrize("init", [INIT, MIXED_INIT], ids=["x_state", "c01_c10"])
+def test_row_groups_equal_per_row_evaluation(init):
+    # 23 rows of 300 times span two groups of 13 and 10 rows.
+    ts = np.linspace(0.0, 3.0, 300)
+    gammas = np.linspace(0.0, 1.0, 23)
+    assert sweep.GROUP_POINTS // ts.size < gammas.size
+    field = coherent_weights(2.0)
+    grid = sweep.sweep_grid(ts, gammas, init, field, UNKNOWN, omega_rabi=1.3)
+    for got, want in zip(grid_columns(grid), per_row(ts, gammas, init, field, UNKNOWN, 1.3)):
+        assert np.array_equal(got, want, equal_nan=True)
+
+
+def test_rows_split_over_t_match_the_whole_row(monkeypatch):
+    field = coherent_weights(2.0)
+    ts = np.linspace(0.0, 3.0, 41)
+    gammas = [0.0, 0.4, 0.9]
+    whole = sweep.sweep_grid(ts, gammas, MIXED_INIT, field, UNKNOWN)
+    calls = {}
+    counting(monkeypatch, "amplitude_table", calls)
+    # a table of 6 times: pieces of 6, the last of 5
+    monkeypatch.setattr(sweep, "TABLE_BUDGET_BYTES", 6 * 64 * (field.n_max + 3))
+    split = sweep.sweep_grid(ts, gammas, MIXED_INIT, field, UNKNOWN)
+    assert calls["amplitude_table"] == 3 * 7
+    assert np.array_equal(split.doe, whole.doe)
+    assert np.array_equal(split.pre_norm_trace, whole.pre_norm_trace)
+    for name in ("fidelity", "kappa1", "kappa2", "kappa4", "weight"):
+        assert np.max(np.abs(getattr(split, name) - getattr(whole, name))) <= 1e-15, name
+
+
+def test_sweep_memory_does_not_grow_with_the_time_grid():
+    # One row of 4000 times at alpha 20 held a 270 MiB table before rows
+    # were split; now the peak stays within a few table budgets.
+    peaks = {}
+    for alpha in (5.0, 20.0):
+        field = coherent_weights(alpha)
+        for steps in (500, 4000):
+            tracemalloc.start()
+            try:
+                sweep.sweep_grid(np.linspace(0.0, 10.0, steps), [0.5], INIT, field)
+                peaks[alpha, steps] = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+    assert max(peaks.values()) <= 4 * sweep.TABLE_BUDGET_BYTES, peaks
+    assert peaks[20.0, 4000] <= 1.2 * peaks[20.0, 500], peaks
