@@ -5,7 +5,7 @@ from .dynamics import (AmplitudeTable, AtomicInit, amplitude_table, averaged_q,
                        deterministic_table, erf_array, table_density)
 from .entanglement import negativity
 from .field import CoherentField, coherent_weights
-from .linalg import (InvariantViolation, jacobi_eigh, partial_trace, partial_transpose,
+from .linalg import (InvariantViolation, jacobi_eigh, partial_transpose,
                      require_density_matrix, tensor)
 from .oracle import (MonteCarloQ, NoiseSpec, build_block, full_hamiltonian,
                      integrate_schrodinger, joint_averaged_density, monte_carlo_q,

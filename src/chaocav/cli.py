@@ -16,15 +16,13 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import AtomicInit
+from .dynamics import INV_SQRT2, AtomicInit
 from .field import coherent_weights
 from .linalg import InvariantViolation
 from .oracle import run_verification
 from .svg import render_contour_chart, render_line_chart
 from .sweep import sweep_grid
 from .teleport import UnknownQubit
-
-SQRT_HALF = 1.0 / math.sqrt(2.0)
 
 
 class ConfigError(Exception):
@@ -33,8 +31,8 @@ class ConfigError(Exception):
 
 _FIG1_INIT = {"c00": complex(0.2), "c01": 0.0j, "c10": 0.0j,
               "c11": complex(math.sqrt(0.96))}
-_BELL_INIT = {"c00": complex(SQRT_HALF), "c01": 0.0j, "c10": 0.0j,
-              "c11": complex(SQRT_HALF)}
+_BELL_INIT = {"c00": complex(INV_SQRT2), "c01": 0.0j, "c10": 0.0j,
+              "c11": complex(INV_SQRT2)}
 
 PRESETS = {
     "1a": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
@@ -95,10 +93,10 @@ SETTINGS = {
     "t_max": (10.0, float),
     "steps": (500, int),
     "gamma_steps": (100, int),
-    "c00": (complex(SQRT_HALF), parse_complex),
+    "c00": (complex(INV_SQRT2), parse_complex),
     "c01": (0.0j, parse_complex),
     "c10": (0.0j, parse_complex),
-    "c11": (complex(SQRT_HALF), parse_complex),
+    "c11": (complex(INV_SQRT2), parse_complex),
     "alpha_u": (complex(0.95), parse_complex),
     "beta_u": (None, parse_complex),
     "omega_rabi": (1.0, float),
@@ -285,7 +283,7 @@ def _finalize(settings, command):
                           "give --out a name that does not end in .svg")
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
-        "unknown": unknown, "alpha": alpha, "omega_rabi": omega_rabi,
+        "unknown": unknown, "omega_rabi": omega_rabi,
         "out": out, "svg": bool(settings["svg"]),
     }
 
@@ -316,14 +314,15 @@ ENT_HEADER = "t,gamma,alpha_field,doe,pre_norm_trace"
 FID_HEADER = ENT_HEADER + ",fidelity,kappa1,kappa2_re,kappa2_im,kappa4,weight"
 
 
-def _csv_blocks(grid, alpha):
+def _csv_blocks(grid, cfg):
     # One block of %.12e lines per gamma row, columns in the order of
     # ENT_HEADER or FID_HEADER. t, gamma and alpha_field repeat, so each is
     # formatted once and set into the block's format string, which then
     # takes the row's other values in a single % operation. A formatted
     # number holds no "%".
-    t_text = ["%.12e," % t for t in grid.t.tolist()]
-    for i, gamma in enumerate(grid.gammas):
+    alpha = cfg["field"].alpha
+    t_text = ["%.12e," % t for t in cfg["times"].tolist()]
+    for i, gamma in enumerate(cfg["gammas"]):
         cols = [grid.doe[i], grid.pre_norm_trace[i]]
         if grid.fidelity is not None:
             cols += [grid.fidelity[i], grid.kappa1[i], grid.kappa2[i].real,
@@ -332,16 +331,17 @@ def _csv_blocks(grid, alpha):
         yield (line.join(t_text) + line) % tuple(np.column_stack(cols).ravel().tolist())
 
 
-def _chart(command, grid):
+def _chart(command, grid, cfg):
+    times, gammas = cfg["times"], cfg["gammas"]
     if command == "contour":
-        return render_contour_chart(grid.t, grid.gammas, grid.fidelity,
+        return render_contour_chart(times, gammas, grid.fidelity,
                                     title="Teleportation fidelity", xlabel="t",
                                     ylabel="gamma")
     if command == "entanglement":
         values, title, ylabel = grid.doe, "Degree of entanglement", "DoE"
     else:
         values, title, ylabel = grid.fidelity, "Teleportation fidelity", "fidelity"
-    series = [(f"gamma={gamma:g}", grid.t, values[i]) for i, gamma in enumerate(grid.gammas)]
+    series = [(f"gamma={gamma:g}", times, values[i]) for i, gamma in enumerate(gammas)]
     return render_line_chart(series, title=title, xlabel="t", ylabel=ylabel)
 
 
@@ -350,10 +350,10 @@ def run_sweep(cfg, command):
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
                       cfg["unknown"], omega_rabi=cfg["omega_rabi"])
     header = ENT_HEADER if grid.fidelity is None else FID_HEADER
-    _write_csv(cfg["out"], header, _csv_blocks(grid, cfg["alpha"]))
+    _write_csv(cfg["out"], header, _csv_blocks(grid, cfg))
     written = [cfg["out"]]
     if cfg["svg"]:
-        _write_svg(_svg_path(cfg["out"]), _chart(command, grid))
+        _write_svg(_svg_path(cfg["out"]), _chart(command, grid, cfg))
         written.append(_svg_path(cfg["out"]))
     return written
 

@@ -24,6 +24,7 @@ import numpy as np
 from .linalg import InvariantViolation
 
 SQRT2 = math.sqrt(2.0)
+INV_SQRT2 = 1.0 / SQRT2
 NORM_TOL = 1e-12
 
 
@@ -144,17 +145,13 @@ class AtomicInit:
     def as_vector(self):
         return np.array([self.c00, self.c01, self.c10, self.c11], dtype=complex)
 
-    @classmethod
-    def bell_phi_plus(cls):
-        return cls(1.0 / SQRT2, 0.0, 0.0, 1.0 / SQRT2)
-
 
 @dataclass(frozen=True)
 class AmplitudeTable:
     """Amplitudes at the sampled times, grouped by Fock level.
 
     The (T, 4, N + 1) photon array holds the amplitudes of the N sectors
-    n = 0..N-1, and photon_a..photon_d are its views photon[:, 0]..photon[:, 3]:
+    n = 0..N-1; photon_a..photon_d are read-only views photon[:, 0]..photon[:, 3]:
     photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
     component), photon_b[m] and photon_c[m] multiply
     |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>. Sector n over
@@ -164,10 +161,29 @@ class AmplitudeTable:
     """
 
     photon: np.ndarray
-    photon_a: np.ndarray
-    photon_b: np.ndarray
-    photon_c: np.ndarray
-    photon_d: np.ndarray
+
+    photon_a = property(lambda self: self.photon[:, 0])
+    photon_b = property(lambda self: self.photon[:, 1])
+    photon_c = property(lambda self: self.photon[:, 2])
+    photon_d = property(lambda self: self.photon[:, 3])
+
+
+def padded_weights(field):
+    """Fock weights W_0..W_n_max and two zeros, so every sector 0..n_max + 1 can read W[n + 1]."""
+    return np.append(field.weights, [0.0, 0.0])
+
+
+def start_quadruples(ns, init, w_ext):
+    """Amplitudes of the factorized state init x field in the sectors ns.
+
+    Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) starts at
+    (W[n+1] c00, W[n] c01, W[n] c10, W[n-1] c11), with no |ee> component
+    at n = 0. ns is an integer array and w_ext is padded_weights(field);
+    returns the four components as arrays shaped like ns.
+    """
+    wn = w_ext[ns]
+    return (w_ext[ns + 1] * init.c00, wn * init.c01, wn * init.c10,
+            np.where(ns > 0, w_ext[np.maximum(ns - 1, 0)] * init.c11, 0.0j))
 
 
 def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
@@ -182,13 +198,8 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     initial state at t = 0. The paper's printed formulas, which do not,
     survive only in oracle.legacy_quadruples, as a comparison.
     """
-    c00, c01, c10, c11 = init.c00, init.c01, init.c10, init.c11
     nf = ns.astype(float)
-    wn = w_ext[ns]
-    a0 = w_ext[ns + 1] * c00
-    b0 = wn * c01
-    c0 = wn * c10
-    d0 = np.where(ns > 0, w_ext[np.maximum(ns - 1, 0)] * c11, 0.0j)
+    a0, b0, c0, d0 = start_quadruples(ns, init, w_ext)
     r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
     r2 = np.sqrt(nf / (2.0 * nf + 1.0))
     ub0 = r1 * a0 + r2 * d0
@@ -220,10 +231,10 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     dark = em * an0
     amp_b = sym + dark
     # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
-    # so scaling by 1 / SQRT2 gives the quotient but for the sign of a zero.
-    amp_b *= 1.0 / SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
+    # so scaling by INV_SQRT2 gives the quotient but for the sign of a zero.
+    amp_b *= INV_SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
     amp_c = np.subtract(sym, dark, out=sym)
-    amp_c *= 1.0 / SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
+    amp_c *= INV_SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
     return amp_a, amp_b, amp_c, amp_d
 
 
@@ -231,8 +242,7 @@ def _build_table(t, qp, qm, init, field, omega_rabi):
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
     n_sec = field.n_max + 2
     ns = np.arange(n_sec)
-    w_ext = np.zeros(n_sec + 1)
-    w_ext[: field.n_max + 1] = field.weights
+    w_ext = padded_weights(field)
     ep = np.exp(-1j * omega_rabi * t_arr)[:, None]
     em = np.conj(ep)
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext)
@@ -243,8 +253,7 @@ def _build_table(t, qp, qm, init, field, omega_rabi):
     pb[:, :n_sec] = amp_b
     pc[:, :n_sec] = amp_c
     pd[:, : n_sec - 1] = amp_d[:, 1:]
-    return AmplitudeTable(photon=photon,
-                          photon_a=pa, photon_b=pb, photon_c=pc, photon_d=pd)
+    return AmplitudeTable(photon)
 
 
 def amplitude_table(t, q, init, field, omega_rabi):

@@ -18,7 +18,6 @@ class CoherentField:
     """
 
     alpha: float
-    eps_trunc: float
     n_max: int
     weights: np.ndarray = dc_field(repr=False)
 
@@ -36,7 +35,7 @@ def coherent_weights(alpha, eps_trunc=1e-12):
     if not (0.0 < eps_trunc < 1.0):
         raise ValueError(f"eps_trunc must lie in (0, 1), got {eps_trunc}")
     if alpha == 0.0:
-        return CoherentField(alpha=0.0, eps_trunc=eps_trunc, n_max=0, weights=np.array([1.0]))
+        return CoherentField(alpha=0.0, n_max=0, weights=np.array([1.0]))
     mean = alpha * alpha
     # Poisson tails beyond mean + 20 sqrt(mean) + 60 are far below any sane eps_trunc.
     hard_cap = int(mean + 20.0 * math.sqrt(mean) + 60.0)
@@ -50,5 +49,5 @@ def coherent_weights(alpha, eps_trunc=1e-12):
             n_max = n
             break
     weights = np.exp(log_w[: n_max + 1])
-    return CoherentField(alpha=alpha, eps_trunc=eps_trunc, n_max=n_max, weights=weights)
+    return CoherentField(alpha=alpha, n_max=n_max, weights=weights)
 

@@ -38,13 +38,6 @@ def is_hermitian(m):
     return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= HERMITIAN_INPUT_TOL)
 
 
-def _check_square(m):
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise InvariantViolation(f"rho must be square, got shape {m.shape}")
-    return m
-
-
 def partial_transpose(rho):
     """Partial transpose over atom 2 of a 4x4 matrix or a (..., 4, 4) stack.
 
@@ -116,31 +109,6 @@ def jacobi_eigh(mats):
     return w
 
 
-def partial_trace(rho, keep):
-    """Trace out all qubits except the 1-based indices in keep.
-
-    Works for any register of k qubits (matrix of size 2^k). The kept
-    qubits stay in their original relative order.
-    """
-    rho = _check_square(rho)
-    dim = rho.shape[0]
-    n = int(round(np.log2(dim)))
-    if 2 ** n != dim:
-        raise InvariantViolation(f"partial_trace needs a 2^k dimension, got {dim}")
-    if isinstance(keep, int):
-        keep = (keep,)
-    keep = tuple(keep)
-    if not keep or any(k < 1 or k > n for k in keep) or len(set(keep)) != len(keep):
-        raise InvariantViolation(f"keep must be distinct indices in 1..{n}, got {keep}")
-    # Qubit i has row axis i and column axis n + i; a traced qubit shares
-    # its row axis with its column, so einsum sums over it.
-    kept = [i for i in range(n) if i + 1 in keep]
-    cols = [n + i if i in kept else i for i in range(n)]
-    t = rho.reshape((2,) * (2 * n))
-    m = 2 ** len(keep)
-    return np.einsum(t, list(range(n)) + cols, kept + [n + i for i in kept]).reshape(m, m)
-
-
 def require_density_matrix(rho, context=""):
     """Raise InvariantViolation unless rho is a valid density matrix.
 
@@ -149,7 +117,9 @@ def require_density_matrix(rho, context=""):
     long Fock sums.
     """
     where = f" ({context})" if context else ""
-    rho = _check_square(rho)
+    rho = np.asarray(rho, dtype=complex)
+    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+        raise InvariantViolation(f"rho must be square, got shape {rho.shape}")
     if not np.all(np.isfinite(rho.view(float))):
         raise InvariantViolation(f"density matrix has non-finite entries{where}")
     herm = np.max(np.abs(rho - rho.conj().T))

@@ -17,8 +17,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (SQRT2, AtomicInit, amplitude_table, averaged_q, deterministic_table,
-                       erf_array, table_density, _build_table)
+from .dynamics import (INV_SQRT2, SQRT2, AtomicInit, amplitude_table, averaged_q,
+                       deterministic_table, erf_array, padded_weights, start_quadruples,
+                       table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -78,22 +79,6 @@ def full_hamiltonian(n_fock, omega_rabi, kf_x=0.0):
     return h - g * (af @ (sp1 + sp2) + adf @ (sm1 + sm2))
 
 
-def sector_basis_indices(n, n_fock):
-    """Indices of (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) in the tensor space.
-
-    The last entry is None for n = 0, where |ee,-1> does not exist.
-    Raises if the sector pokes past the Fock truncation.
-    """
-    n = int(n)
-    if n < 0 or n + 1 >= n_fock:
-        raise ValueError(f"sector {n} needs Fock level {n + 1}, have 0..{n_fock - 1}")
-    idx_gg = 0 * n_fock + (n + 1)
-    idx_ge = 1 * n_fock + n
-    idx_eg = 2 * n_fock + n
-    idx_ee = 3 * n_fock + (n - 1) if n >= 1 else None
-    return (idx_gg, idx_ge, idx_eg, idx_ee)
-
-
 def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
     """Fixed-step RK4 for d psi/dt = -i H psi with constant block-diagonal H.
 
@@ -134,17 +119,6 @@ def rk4_evolve(blocks, psi0, t_final, dt=1e-4):
     return psi
 
 
-def _sector_psi0(init, field, sectors):
-    # The factorized initial state in each sector, one quadruple per row.
-    w_ext = np.zeros(field.n_max + 3)
-    w_ext[: field.n_max + 1] = field.weights
-    return np.stack([np.array([w_ext[n + 1] * init.c00,
-                               w_ext[n] * init.c01,
-                               w_ext[n] * init.c10,
-                               (w_ext[n - 1] * init.c11) if n >= 1 else 0.0j])
-                     for n in sectors])
-
-
 def integrate_schrodinger(init, field, groups, times, dt=1e-4):
     """Numerically exact sector amplitudes for frozen coupling phases.
 
@@ -161,7 +135,8 @@ def integrate_schrodinger(init, field, groups, times, dt=1e-4):
         raise ValueError(f"sectors must lie in 0..{field.n_max + 1}")
     blocks = np.concatenate([np.stack([build_block(n, omega) for n in s])
                              for omega, s in groups])
-    psi0 = np.concatenate([_sector_psi0(init, field, s) for _, s in groups])
+    ns = np.array([n for _, s in groups for n in s], dtype=int)
+    psi0 = np.stack(start_quadruples(ns, init, padded_weights(field)), axis=1)
     edges = np.cumsum([0] + [len(s) for _, s in groups])
     states = []
     psi, t_prev = psi0, 0.0
@@ -218,9 +193,7 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
     c00, c01, c10, c11 = init.c00, init.c01, init.c10, init.c11
     ns = np.asarray(sectors)
     nf = ns.astype(float)
-    w_ext = np.zeros(field.n_max + 3)
-    w_ext[: field.n_max + 1] = field.weights
-    wn = w_ext[ns]
+    wn = padded_weights(field)[ns]
     qp = np.asarray(q_plus, dtype=complex)
     qm = np.asarray(q_minus, dtype=complex)
     ep = np.exp(-1j * omega_rabi * float(t))
@@ -271,7 +244,6 @@ def noise_spec_for_gamma(gamma, seed=0):
 class MonteCarloQ:
     """Sample mean of exp(i phi(t)) with the standard error of its real part."""
 
-    t: np.ndarray
     q_mean: np.ndarray
     stderr: np.ndarray
     n_samples: int
@@ -296,7 +268,7 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
     if spec.sigma == 0.0:
-        return MonteCarloQ(t=t_grid, q_mean=np.ones(t_grid.shape, dtype=complex),
+        return MonteCarloQ(q_mean=np.ones(t_grid.shape, dtype=complex),
                            stderr=np.zeros(t_grid.shape), n_samples=n_samples)
     rng = np.random.Generator(np.random.Philox(spec.seed))
     sigma, tau = spec.sigma, spec.tau_c
@@ -324,7 +296,7 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
         q_mean[k] = vals.mean()
         stderr[k] = float(np.std(vals.real, ddof=1) / math.sqrt(n_samples))
         t_prev = tk
-    return MonteCarloQ(t=t_grid, q_mean=q_mean, stderr=stderr, n_samples=n_samples)
+    return MonteCarloQ(q_mean=q_mean, stderr=stderr, n_samples=n_samples)
 
 
 def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
@@ -407,11 +379,12 @@ def mc_short_time(gamma, seed):
     and exp(-gamma t^2), the averaged channel's short-time form.
     """
     spec = noise_spec_for_gamma(gamma, seed=seed)
-    mc = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=100000)
-    exact = ou_mean_q(mc.t, spec)
+    t_grid = np.array([0.005, 0.01])
+    mc = monte_carlo_q(t_grid, spec, n_samples=100000)
+    exact = ou_mean_q(t_grid, spec)
     ok = True
     details = []
-    for k, t_chk in enumerate(mc.t):
+    for k, t_chk in enumerate(t_grid):
         gap = abs(mc.q_mean[k].real - exact[k])
         bias = exact[k] - math.exp(-gamma * t_chk ** 2)
         ok = ok and gap <= 3.0 * mc.stderr[k]
@@ -524,7 +497,7 @@ def run_verification(seed=8):
     info("verbatim_vs_integrator", f"max |verbatim - rk4| {dev_vb1:.3f} at omega=0, t=1")
 
     # Long-horizon norm conservation of the integrator itself.
-    psi0 = _sector_psi0(init, field, sectors)
+    psi0 = np.stack(start_quadruples(np.array(sectors), init, padded_weights(field)), axis=1)
     (psi10,) = integrate_schrodinger(init, field, ((1.0, sectors),), (10.0,), dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
     drift /= float(np.sum(np.abs(psi0) ** 2))
@@ -581,7 +554,7 @@ def run_verification(seed=8):
     # on every measurement branch.
     rng = np.random.Generator(np.random.Philox(seed))
     bell = np.zeros(4, dtype=complex)
-    bell[0] = bell[3] = 1.0 / math.sqrt(2.0)
+    bell[0] = bell[3] = INV_SQRT2
     rho_bell = np.outer(bell, np.conj(bell))
     bell_dev = 0.0
     for _ in range(40):

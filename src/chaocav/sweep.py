@@ -40,8 +40,6 @@ class SweepGrid:
     phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR.
     """
 
-    t: np.ndarray
-    gammas: np.ndarray
     doe: np.ndarray
     pre_norm_trace: np.ndarray
     fidelity: np.ndarray | None
@@ -88,6 +86,5 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
                  + au * np.conj(bu) * np.conj(k2) + abs(bu) ** 2 * k4).real
         np.divide(numer, weight[rows], out=fid[rows], where=weight[rows] > WEIGHT_FLOOR)
-    return SweepGrid(t=times, gammas=gammas, doe=doe, pre_norm_trace=pre,
-                     fidelity=fid, kappa1=kappa1, kappa2=kappa2, kappa4=kappa4,
-                     weight=weight)
+    return SweepGrid(doe=doe, pre_norm_trace=pre, fidelity=fid, kappa1=kappa1,
+                     kappa2=kappa2, kappa4=kappa4, weight=weight)

@@ -10,26 +10,25 @@ the second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .linalg import partial_trace, tensor
+from .dynamics import INV_SQRT2
+from .linalg import tensor
 
 WEIGHT_FLOOR = 1e-15
 
-_INV_SQRT2 = 1.0 / math.sqrt(2.0)
 _ID2 = np.eye(2, dtype=complex)
 _X = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
 _Z = np.array([[1.0, 0.0], [0.0, -1.0]], dtype=complex)
 
 #: Bell vectors over (|gg>, |ge>, |eg>, |ee>) and the unitary Bob applies.
 BELL_OUTCOMES = (
-    ("phi_plus", np.array([1.0, 0.0, 0.0, 1.0]) * _INV_SQRT2, _ID2),
-    ("phi_minus", np.array([-1.0, 0.0, 0.0, 1.0]) * _INV_SQRT2, _Z),
-    ("psi_plus", np.array([0.0, 1.0, 1.0, 0.0]) * _INV_SQRT2, _X),
-    ("psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) * _INV_SQRT2, _X @ _Z),
+    ("phi_plus", np.array([1.0, 0.0, 0.0, 1.0]) * INV_SQRT2, _ID2),
+    ("phi_minus", np.array([-1.0, 0.0, 0.0, 1.0]) * INV_SQRT2, _Z),
+    ("psi_plus", np.array([0.0, 1.0, 1.0, 0.0]) * INV_SQRT2, _X),
+    ("psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) * INV_SQRT2, _X @ _Z),
 )
 
 
@@ -100,7 +99,8 @@ def bell_project_teleport(channel_rho, unknown):
             outcomes.append(TeleportOutcome(bell_label=label, bob_state=_ID2 / 2.0,
                                             outcome_weight=0.0, fidelity=float("nan")))
             continue
-        bob_raw = partial_trace(selected, keep=3) / weight
+        # Trace out atoms 1 and 2, keeping Bob's atom 3.
+        bob_raw = np.einsum("abiabj->ij", selected.reshape((2,) * 6)) / weight
         bob = correction @ bob_raw @ np.conj(correction.T)
         fidelity = float(np.real(np.conj(chi) @ bob @ chi))
         outcomes.append(TeleportOutcome(bell_label=label, bob_state=bob,

@@ -2,9 +2,15 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+from chaocav.dynamics import INV_SQRT2, AtomicInit
+
 settings.register_profile("suite", max_examples=40, deadline=None,
                           suppress_health_check=[HealthCheck.too_slow])
 settings.load_profile("suite")
+
+
+#: The Bell preparation (|gg> + |ee>) / sqrt(2).
+BELL_INIT = AtomicInit(INV_SQRT2, 0.0, 0.0, INV_SQRT2)
 
 
 @pytest.fixture

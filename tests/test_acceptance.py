@@ -33,9 +33,9 @@ from chaocav.oracle import (
 )
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import UnknownQubit, bell_project_teleport
+from conftest import BELL_INIT
 
 FIG_INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
-BELL_INIT = AtomicInit.bell_phi_plus()
 ALPHA_U = UnknownQubit(0.95, math.sqrt(1.0 - 0.95**2))
 
 
@@ -233,11 +233,12 @@ def test_closed_form_matches_integrator():
 def test_noise_surrogate_asymptotics():
     gamma = 1.0
     spec = noise_spec_for_gamma(gamma, seed=8)
-    small = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=100000)
-    again = monte_carlo_q(np.array([0.005, 0.01]), spec, n_samples=100000)
+    t_short = np.array([0.005, 0.01])
+    small = monte_carlo_q(t_short, spec, n_samples=100000)
+    again = monte_carlo_q(t_short, spec, n_samples=100000)
     deterministic = (np.array_equal(small.q_mean, again.q_mean)
                      and np.array_equal(small.stderr, again.stderr))
-    short_sigmas = max(abs(small.q_mean[k].real - math.exp(-gamma * small.t[k] ** 2))
+    short_sigmas = max(abs(small.q_mean[k].real - math.exp(-gamma * t_short[k] ** 2))
                        / small.stderr[k] for k in (0, 1))
     long = monte_carlo_q(np.array([3.0]), spec, n_samples=100000)
     rate_hat = (-math.log(long.q_mean[0].real) + math.pi / 8.0) / 3.0

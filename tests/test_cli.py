@@ -258,6 +258,34 @@ def test_mean_field_convention_rescales_alpha(tmp_path):
     assert all(r[2] == pytest.approx(5.0) for r in rows)
 
 
+def test_negative_zero_alpha_prints_as_zero(tmp_path):
+    # the column prints the built field's alpha, and coherent_weights
+    # stores a zero amplitude as 0.0
+    code, out = run(tmp_path, ["entanglement", "--alpha-field", "-0", "--steps", "3"])
+    assert code == 0
+    cells = [line.split(",")[2] for line in out.read_text().splitlines()[1:]]
+    assert cells == ["0.000000000000e+00"] * 3
+
+
+def test_t_min_from_config_starts_the_time_grid(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_min = 1\n")
+    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--t-max", "3",
+                               "--steps", "3", "--gamma", "0.2", "--alpha-field", "1"])
+    assert code == 0
+    _, rows = read_csv(out)
+    assert [r[0] for r in rows] == [1.0, 2.0, 3.0]
+
+
+def test_t_min_past_t_max_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("t_min = 5\n")
+    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--t-max", "3"])
+    assert code == 2
+    assert "need 0 <= t_min < t_max" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_init_flag_changes_preparation(tmp_path):
     code, out = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "3",
                                "--t-max", "1.0", "--alpha-field", "2",

@@ -19,12 +19,14 @@ from chaocav.dynamics import (
     averaged_q,
     deterministic_table,
     erf_array,
+    padded_weights,
+    start_quadruples,
     table_density,
     _sector_amplitudes,
 )
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
-from conftest import random_pure_state, random_unitary
+from conftest import BELL_INIT, random_pure_state, random_unitary
 
 ERF_ONE = 0.8427007929497149
 Q_ONE_HALF = 0.6519338391203583  # averaged_q(1.0, 0.5), frozen from the direct formula
@@ -147,8 +149,7 @@ def test_averaged_q_grid_equals_per_gamma_rows():
 def test_atomic_init_norm_enforcement():
     with pytest.raises(ValueError, match="norm"):
         AtomicInit(1.0, 1.0, 0.0, 0.0)
-    bell = AtomicInit.bell_phi_plus()
-    assert abs(bell.norm_squared() - 1.0) <= 1e-15
+    assert abs(BELL_INIT.norm_squared() - 1.0) <= 1e-15
     vec = AtomicInit(0, 0, 0, 1).as_vector()
     assert vec.dtype == complex
     assert np.array_equal(vec, np.array([0, 0, 0, 1], dtype=complex))
@@ -166,7 +167,7 @@ def test_photon_regrouping_aligns_with_sectors():
     table = amplitude_table(ts, averaged_q(ts, 0.3), init, field, 1.0)
     # the sector quadruples straight from the closed form
     n_sec = field.n_max + 2
-    w_ext = np.append(field.weights, [0.0, 0.0])
+    w_ext = padded_weights(field)
     q = averaged_q(ts, 0.3).astype(complex)[:, None]
     ep = np.exp(-1j * ts)[:, None]
     amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(np.arange(n_sec), q, q, ep,
@@ -201,7 +202,7 @@ def test_scalar_form_equals_the_general_form(init):
     field = coherent_weights(3.0)
     ts = np.linspace(0.0, 4.0, 9)
     ns = np.arange(field.n_max + 2)
-    w_ext = np.append(field.weights, [0.0, 0.0])
+    w_ext = padded_weights(field)
     qp = averaged_q(ts, 0.7).astype(complex)[:, None]
     ep = np.exp(-1.3j * ts)[:, None]
     scalar = _sector_amplitudes(ns, qp, None, ep, np.conj(ep), init, w_ext)
@@ -210,8 +211,23 @@ def test_scalar_form_equals_the_general_form(init):
         assert np.array_equal(got, want)
 
 
+@pytest.mark.parametrize("alpha", [2.0, 5.0])
+def test_start_quadruples_equal_a_per_sector_loop(alpha):
+    # sectors 0 (no |ee,-1>) through n_max + 1 (reads the padding), with
+    # c01, c10 != 0 so every component carries weight; the uint64 views
+    # make signed zeros count
+    init = AtomicInit(0.5, 0.5j, -0.5, 0.5j)
+    field = coherent_weights(alpha)
+    w = list(field.weights) + [0.0, 0.0]
+    ns = np.array([0, 1, 5, field.n_max, field.n_max + 1])
+    want = np.array([[w[n + 1] * init.c00, w[n] * init.c01, w[n] * init.c10,
+                      w[n - 1] * init.c11 if n >= 1 else 0.0j] for n in ns])
+    got = np.stack(start_quadruples(ns, init, padded_weights(field)), axis=1)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_initial_state_is_reproduced():
-    for init in (AtomicInit.bell_phi_plus(),
+    for init in (BELL_INIT,
                  AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
                  AtomicInit(0.5, 0.5j, -0.5, 0.5j)):
         for gamma in (0.0, 0.5):
@@ -245,7 +261,7 @@ def test_averaged_gamma_zero_equals_decoupled_phase():
 
 
 def test_deterministic_evolution_preserves_norm():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(2.0)
     table = deterministic_table(np.linspace(0.0, 6.0, 13), init, field, 1.0)
     _, pre = table_density(table)
@@ -263,7 +279,7 @@ def test_averaging_shrinks_the_raw_trace_monotonically():
 
 
 def test_density_invariants_over_parameter_grid():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(5.0)
     ts = np.linspace(0.0, 10.0, 41)
     for gamma in (0.0, 0.1, 0.5, 0.9, 1.0):

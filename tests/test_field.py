@@ -64,7 +64,7 @@ def test_large_alpha_stays_finite():
 def test_truncation_is_minimal():
     field = coherent_weights(5.0)
     kept = float(np.sum(field.weights[:-1] ** 2))
-    assert 1.0 - kept >= field.eps_trunc  # dropping one more level breaks the bound
+    assert 1.0 - kept >= 1e-12  # dropping one more level breaks the default bound
 
 
 def test_looser_tolerance_shortens_vector():

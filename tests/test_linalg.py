@@ -1,8 +1,5 @@
 """Linear algebra layer: eigensolver against an independent reference,
-partial transpose/trace identities, and density matrix validation."""
-
-import itertools
-from functools import reduce
+partial transpose identities, and density matrix validation."""
 
 import numpy as np
 import pytest
@@ -13,7 +10,6 @@ from chaocav.linalg import (
     InvariantViolation,
     is_hermitian,
     jacobi_eigh,
-    partial_trace,
     partial_transpose,
     require_density_matrix,
     tensor,
@@ -103,46 +99,11 @@ def test_partial_transpose_input_checks():
         partial_transpose(stack)
 
 
-def test_partial_trace_of_product_state(rng):
-    rho1 = random_density(rng, dim=2)
-    rho2 = random_density(rng, dim=2)
-    joint = tensor(rho1, rho2)
-    assert np.max(np.abs(partial_trace(joint, 1) - rho1)) <= 1e-12
-    assert np.max(np.abs(partial_trace(joint, 2) - rho2)) <= 1e-12
-    assert np.max(np.abs(partial_trace(joint, (1, 2)) - joint)) <= 1e-12
-
-
-def test_partial_trace_three_qubit_register(rng):
-    rho1 = random_density(rng, dim=2)
-    rho23 = random_density(rng, dim=4)
-    joint = tensor(rho1, rho23)
-    assert np.max(np.abs(partial_trace(joint, (2, 3)) - rho23)) <= 1e-12
-    assert np.max(np.abs(partial_trace(joint, 1) - rho1)) <= 1e-12
-    # tracing everything but one qubit of an entangled pair gives its marginal
-    bell = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-    marg = partial_trace(tensor(rho1, bell), 3)
-    assert np.max(np.abs(marg - np.eye(2) / 2.0)) <= 1e-12
-
-
-def test_partial_trace_of_four_qubit_product_keeps_every_subset(rng):
-    # the marginal of a product state is the product of the kept factors,
-    # in register order whatever order keep lists them in
-    factors = [random_density(rng, dim=2, rank=2) for _ in range(4)]
-    joint = reduce(np.kron, factors)
-    keeps = [keep for r in range(1, 5) for keep in itertools.combinations((1, 2, 3, 4), r)]
-    for keep in keeps + [(3, 1), (4, 2, 1)]:
-        want = reduce(np.kron, [factors[k - 1] for k in sorted(keep)])
-        assert np.max(np.abs(partial_trace(joint, keep) - want)) <= 1e-12, keep
-
-
-def test_partial_trace_index_validation():
-    rho = np.eye(4, dtype=complex) / 4.0
-    with pytest.raises(InvariantViolation):
-        partial_trace(rho, 3)
-    with pytest.raises(InvariantViolation):
-        partial_trace(rho, ())
-    with pytest.raises(InvariantViolation):
-        partial_trace(np.eye(3, dtype=complex) / 3.0, 1)
+def test_require_density_matrix_rejects_non_square():
+    for bad in (np.ones(4, dtype=complex), np.ones((2, 4), dtype=complex),
+                np.ones((2, 2, 2), dtype=complex)):
+        with pytest.raises(InvariantViolation, match="square"):
+            require_density_matrix(bad)
 
 
 def test_require_density_matrix_accepts_valid(rng):
@@ -217,5 +178,8 @@ def test_pure_state_marginals_share_spectrum(seed):
     rng = np.random.default_rng(seed)
     psi = random_pure_state(rng)
     rho = np.outer(psi, psi.conj())
-    wa, wb = jacobi_eigh(np.stack([partial_trace(rho, 1), partial_trace(rho, 2)]))
+    pair = rho.reshape(2, 2, 2, 2)
+    marginal_1 = np.einsum("abcb->ac", pair)
+    marginal_2 = np.einsum("abad->bd", pair)
+    wa, wb = jacobi_eigh(np.stack([marginal_1, marginal_2]))
     assert np.max(np.abs(wa - wb)) <= 1e-10

@@ -28,10 +28,22 @@ from chaocav.oracle import (
     noise_spec_for_gamma,
     ou_mean_q,
     rk4_evolve,
-    sector_basis_indices,
     sector_density,
 )
-from conftest import random_hermitian
+from conftest import BELL_INIT, random_hermitian
+
+
+def sector_basis_indices(n, n_fock):
+    """Indices of (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) in full_hamiltonian's space.
+
+    The last entry is None for n = 0, where |ee,-1> does not exist.
+    Raises if the sector pokes past the Fock truncation.
+    """
+    n = int(n)
+    if n < 0 or n + 1 >= n_fock:
+        raise ValueError(f"sector {n} needs Fock level {n + 1}, have 0..{n_fock - 1}")
+    idx_ee = 3 * n_fock + (n - 1) if n >= 1 else None
+    return (n + 1, n_fock + n, 2 * n_fock + n, idx_ee)
 
 
 def kubo_mean(t, spec):
@@ -218,7 +230,7 @@ def test_run_verification_takes_60000_rk4_steps(monkeypatch):
 
 
 def test_integrator_matches_closed_form_without_spin_exchange():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(5.0)
     sectors = [0, 1, 5, 25]
     (psi,) = integrate_schrodinger(init, field, ((0.0, sectors),), (1.0,), dt=1e-3)
@@ -230,7 +242,7 @@ def test_integrator_matches_closed_form_without_spin_exchange():
 
 
 def test_integrator_norm_guard_trips_on_coarse_steps():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(5.0)
     with pytest.raises(InvariantViolation, match="drift"):
         integrate_schrodinger(init, field, ((0.0, [25]),), (1.0,), dt=0.2)
@@ -239,7 +251,7 @@ def test_integrator_norm_guard_trips_on_coarse_steps():
 def test_integrator_sector_validation():
     field = coherent_weights(1.0)
     with pytest.raises(ValueError):
-        integrate_schrodinger(AtomicInit.bell_phi_plus(), field,
+        integrate_schrodinger(BELL_INIT, field,
                               ((1.0, [field.n_max + 2]),), (1.0,))
 
 
@@ -258,7 +270,7 @@ def test_oracle_density_matches_closed_form_density():
 def test_legacy_variant_distorts_the_initial_state():
     # the paper's printed form carries inconsistent index shifts; it does
     # not reproduce the preparation at t = 0 and is kept only for comparison
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(5.0)
     sectors = np.arange(field.n_max + 2)
     legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, 1.0)
@@ -400,7 +412,7 @@ def test_monte_carlo_grid_validation():
 # ---------------------------------------------------------------- joint averaging
 
 def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
     joint, _ = joint_averaged_density(2.0, q, init, field, 1.0)
@@ -410,7 +422,7 @@ def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
 
 
 def test_joint_average_sampling_matches_analytic_moments():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
     analytic, _ = joint_averaged_density(2.0, q, init, field, 1.0)

@@ -22,7 +22,7 @@ from chaocav.teleport import (
     UnknownQubit,
     bell_project_teleport,
 )
-from conftest import random_density
+from conftest import BELL_INIT, random_density
 
 # phi_plus fidelity at t = 0 for the 0.2 preparation and alpha_u = 0.95,
 # frozen from |a^2 c00 + b^2 c11|^2 / (|a c00|^2 + |b c11|^2)
@@ -111,7 +111,7 @@ def test_degenerate_branch_routes():
 
 
 def test_closed_form_matches_projection_on_grid():
-    init = AtomicInit.bell_phi_plus()
+    init = BELL_INIT
     field = coherent_weights(5.0)
     unknown = UnknownQubit(0.95, math.sqrt(1.0 - 0.95**2))
     gammas = np.linspace(0.0, 1.0, 5)
