@@ -16,7 +16,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .dynamics import INV_SQRT2, AtomicInit
+from .dynamics import INV_SQRT2, NORM_TOL, AtomicInit
 from .field import coherent_weights
 from .linalg import InvariantViolation
 from .oracle import run_verification
@@ -269,7 +269,7 @@ def _finalize(settings, command):
         beta_u = settings["beta_u"]
         if beta_u is None:
             rest = 1.0 - abs(alpha_u) ** 2
-            if rest < -1e-12:
+            if rest < -NORM_TOL:
                 raise ConfigError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1 and "
                                   "beta_u was not given")
             beta_u = complex(math.sqrt(max(rest, 0.0)))

@@ -154,10 +154,9 @@ class AmplitudeTable:
     n = 0..N-1; photon_a..photon_d are read-only views photon[:, 0]..photon[:, 3]:
     photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
     component), photon_b[m] and photon_c[m] multiply
-    |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>. Sector n over
-    (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) is therefore
-    (photon_a[n+1], photon_b[n], photon_c[n], photon_d[n-1]), with no
-    |ee> component at n = 0.
+    |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>.
+    scatter_sectors builds it from sector quadruples and gather_sectors
+    reads them back.
     """
 
     photon: np.ndarray
@@ -173,17 +172,41 @@ def padded_weights(field):
     return np.append(field.weights, [0.0, 0.0])
 
 
-def start_quadruples(ns, init, w_ext):
-    """Amplitudes of the factorized state init x field in the sectors ns.
+def scatter_sectors(quads, ground):
+    """Photon array (..., 4, N + 1) of the sectors n = 0..N-1, grouped by Fock level.
 
-    Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>) starts at
-    (W[n+1] c00, W[n] c01, W[n] c10, W[n-1] c11), with no |ee> component
-    at n = 0. ns is an integer array and w_ext is padded_weights(field);
-    returns the four components as arrays shaped like ns.
+    quads holds the four (..., N) components over (|gg,n+1>, |ge,n>, |eg,n>,
+    |ee,n-1>) and ground multiplies |gg,0>; sector 0's |ee> entry is dropped.
     """
-    wn = w_ext[ns]
-    return (w_ext[ns + 1] * init.c00, wn * init.c01, wn * init.c10,
-            np.where(ns > 0, w_ext[np.maximum(ns - 1, 0)] * init.c11, 0.0j))
+    a, b, c, d = quads
+    n_sec = a.shape[-1]
+    photon = np.zeros(a.shape[:-1] + (4, n_sec + 1), dtype=complex)
+    photon[..., 0, 0] = ground
+    photon[..., 0, 1:] = a
+    photon[..., 1, :n_sec] = b
+    photon[..., 2, :n_sec] = c
+    photon[..., 3, : n_sec - 1] = d[..., 1:]
+    return photon
+
+
+def gather_sectors(photon, ns):
+    """The (..., S, 4) quadruples of the sectors ns in a (..., 4, M) photon array.
+
+    The inverse of scatter_sectors: sector n reads (photon[0, n+1], photon[1, n],
+    photon[2, n], photon[3, n-1]), and 0 for |ee,-1>.
+    """
+    ns = np.asarray(ns)
+    d = np.where(ns > 0, photon[..., 3, np.maximum(ns - 1, 0)], 0.0j)
+    return np.stack([photon[..., 0, ns + 1], photon[..., 1, ns], photon[..., 2, ns], d], -1)
+
+
+def start_quadruples(ns, init, w_ext):
+    """(S, 4) amplitudes of the factorized state init x field in the sectors ns.
+
+    The product state holds c_k W[m] on atomic state k with m photons; ns is
+    an integer array and w_ext is padded_weights(field).
+    """
+    return gather_sectors(w_ext * init.as_vector()[:, None], ns)
 
 
 def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
@@ -199,7 +222,7 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     survive only in oracle.legacy_quadruples, as a comparison.
     """
     nf = ns.astype(float)
-    a0, b0, c0, d0 = start_quadruples(ns, init, w_ext)
+    a0, b0, c0, d0 = start_quadruples(ns, init, w_ext).T
     r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
     r2 = np.sqrt(nf / (2.0 * nf + 1.0))
     ub0 = r1 * a0 + r2 * d0
@@ -239,21 +262,10 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
 
 
 def _build_table(t, qp, qm, init, field, omega_rabi):
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    n_sec = field.n_max + 2
-    ns = np.arange(n_sec)
     w_ext = padded_weights(field)
-    ep = np.exp(-1j * omega_rabi * t_arr)[:, None]
-    em = np.conj(ep)
-    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext)
-    photon = np.zeros((t_arr.size, 4, n_sec + 1), dtype=complex)
-    pa, pb, pc, pd = (photon[:, k] for k in range(4))
-    pa[:, 0] = ep[:, 0] * (w_ext[0] * init.c00)
-    pa[:, 1:] = amp_a
-    pb[:, :n_sec] = amp_b
-    pc[:, :n_sec] = amp_c
-    pd[:, : n_sec - 1] = amp_d[:, 1:]
-    return AmplitudeTable(photon)
+    ep = np.exp(-1j * omega_rabi * np.atleast_1d(np.asarray(t, dtype=float)))[:, None]
+    quads = _sector_amplitudes(np.arange(field.n_max + 2), qp, qm, ep, np.conj(ep), init, w_ext)
+    return AmplitudeTable(scatter_sectors(quads, ep[:, 0] * (w_ext[0] * init.c00)))
 
 
 def amplitude_table(t, q, init, field, omega_rabi):
@@ -268,20 +280,25 @@ def amplitude_table(t, q, init, field, omega_rabi):
     return _build_table(t, q, None, init, field, omega_rabi)
 
 
+def frozen_phases(t, ns, kf_x=0.0):
+    """(T, S) phase factors exp(i omega_n t) of the sectors ns for one frozen coupling phase.
+
+    omega_n = sqrt(2 (2n+1)) cos(kf_x), in units of the field coupling.
+    """
+    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
+    omega_n = np.sqrt(2.0 * (2.0 * np.asarray(ns) + 1.0)) * math.cos(kf_x)
+    return np.exp(1j * (t_arr[:, None] * omega_n[None, :]))
+
+
 def deterministic_table(t, init, field, omega_rabi, kf_x=0.0):
     """Amplitudes for one frozen realization of the coupling phase.
 
-    Every sector evolves with its own phase exp(+-i omega_n t) where
-    omega_n = sqrt(2 (2n+1)) cos(kf_x) in units of the field coupling. This
-    is the reference dynamics the numerical integrator must reproduce.
+    Every sector evolves with its own phases frozen_phases(t, ns, kf_x)
+    and their conjugates. This is the reference dynamics the numerical
+    integrator must reproduce.
     """
-    t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    n_sec = field.n_max + 2
-    ns = np.arange(n_sec)
-    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * math.cos(kf_x)
-    phase = t_arr[:, None] * omega_n[None, :]
-    qp = np.exp(1j * phase)
-    return _build_table(t_arr, qp, np.conj(qp), init, field, omega_rabi)
+    qp = frozen_phases(t, np.arange(field.n_max + 2), kf_x)
+    return _build_table(t, qp, np.conj(qp), init, field, omega_rabi)
 
 
 def table_density(table):

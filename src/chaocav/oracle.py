@@ -18,8 +18,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dynamics import (INV_SQRT2, SQRT2, AtomicInit, amplitude_table, averaged_q,
-                       deterministic_table, erf_array, padded_weights, start_quadruples,
-                       table_density, _build_table)
+                       deterministic_table, erf_array, frozen_phases, gather_sectors,
+                       padded_weights, scatter_sectors, start_quadruples, table_density,
+                       _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -136,7 +137,7 @@ def integrate_schrodinger(init, field, groups, times, dt=1e-4):
     blocks = np.concatenate([np.stack([build_block(n, omega) for n in s])
                              for omega, s in groups])
     ns = np.array([n for _, s in groups for n in s], dtype=int)
-    psi0 = np.stack(start_quadruples(ns, init, padded_weights(field)), axis=1)
+    psi0 = start_quadruples(ns, init, padded_weights(field))
     edges = np.cumsum([0] + [len(s) for _, s in groups])
     states = []
     psi, t_prev = psi0, 0.0
@@ -154,23 +155,14 @@ def integrate_schrodinger(init, field, groups, times, dt=1e-4):
     return states
 
 
-def sector_density(sectors, amplitudes, ground):
+def sector_density(amplitudes, ground):
     """Renormalised two-atom state of sector quadruples, the field traced out.
 
-    amplitudes is (S, 4): one (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>)
-    quadruple per sector n in sectors, the layout of each state that
-    integrate_schrodinger returns; ground multiplies |gg,0>. The quadruples
-    are regrouped by Fock level like dynamics.AmplitudeTable.photon.
-    Returns (rho, pre_norm_trace).
+    amplitudes is (S, 4): the quadruple of every sector n = 0..S-1, laid out
+    like integrate_schrodinger's states; ground multiplies |gg,0>. Returns
+    (rho, pre_norm_trace).
     """
-    rows = np.zeros((4, int(max(sectors)) + 2), dtype=complex)
-    rows[0, 0] = ground
-    for k, n in enumerate(sectors):
-        rows[0, n + 1] = amplitudes[k, 0]
-        rows[1, n] = amplitudes[k, 1]
-        rows[2, n] = amplitudes[k, 2]
-        if n >= 1:
-            rows[3, n - 1] = amplitudes[k, 3]
+    rows = scatter_sectors(amplitudes.T, ground)
     rho = rows @ rows.conj().T
     pre = float(np.trace(rho).real)
     if pre <= 0.0:
@@ -399,16 +391,6 @@ def _doe_reference(rho):
     return max(0.0, float(np.sum(np.abs(mu)) - 1.0))
 
 
-def _closed_quadruples(table, sectors):
-    # The table's quadruples at its first time, laid out like
-    # integrate_schrodinger's states: sector n is (photon_a[n+1], photon_b[n],
-    # photon_c[n], photon_d[n-1]), with no |ee> component at n = 0.
-    ns = np.asarray(sectors)
-    d = np.where(ns > 0, table.photon_d[0, np.maximum(ns - 1, 0)], 0.0j)
-    return np.stack([table.photon_a[0, ns + 1], table.photon_b[0, ns],
-                     table.photon_c[0, ns], d], axis=1)
-
-
 def run_verification(seed=8):
     """Re-derive the headline quantities independently and compare.
 
@@ -471,7 +453,7 @@ def run_verification(seed=8):
 
     # Closed form against the integrator, sector by sector, no spin-spin term.
     table = deterministic_table(np.array([1.0]), init, field, 0.0)
-    dev = float(np.abs(_closed_quadruples(table, sectors) - amps0).max())
+    dev = float(np.abs(gather_sectors(table.photon[0], sectors) - amps0).max())
     dev = max(dev, abs(complex(table.photon_a[0, 0]) - ground))
     check("amplitudes_vs_integrator", dev <= 1e-6,
           f"max |closed - rk4| {dev:.2e} over sectors {sectors} at t=1")
@@ -479,25 +461,25 @@ def run_verification(seed=8):
     # The same comparison with the spin-spin coupling on: the closed form
     # treats those phases approximately, so this is reported, not asserted.
     table1 = deterministic_table(np.array([1.0]), init, field, 1.0)
-    dev1 = float(np.abs(_closed_quadruples(table1, sectors) - amps1).max())
+    dev1 = float(np.abs(gather_sectors(table1.photon[0], sectors) - amps1).max())
     info("amplitudes_vs_integrator_rabi",
          f"spin-spin phases are approximate: max |closed - rk4| {dev1:.2e} at omega=1, t=1")
 
     # The paper's printed formulas: document, do not assert.
-    rho_vb, _ = sector_density(every, legacy_quadruples(every, 0.0, 1.0, 1.0, init,
-                                                        field, 1.0), 0.0)
+    rho_vb, _ = sector_density(
+        legacy_quadruples(every, 0.0, 1.0, 1.0, init, field, 1.0), 0.0)
     psi0 = init.as_vector()
     dev_vb = float(np.abs(rho_vb - np.outer(psi0, np.conj(psi0))).max())
     info("verbatim_initial_state",
          f"verbatim state at t=0 deviates from the preparation by {dev_vb:.3f} (max element)")
     # The frozen phases of deterministic_table at kf_x = 0 and t = 1.
-    q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
+    q_frozen = frozen_phases(1.0, sectors)[0]
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), init, field, 0.0)
     dev_vb1 = float(np.abs(legacy - amps0).max())
     info("verbatim_vs_integrator", f"max |verbatim - rk4| {dev_vb1:.3f} at omega=0, t=1")
 
     # Long-horizon norm conservation of the integrator itself.
-    psi0 = np.stack(start_quadruples(np.array(sectors), init, padded_weights(field)), axis=1)
+    psi0 = start_quadruples(sectors, init, padded_weights(field))
     (psi10,) = integrate_schrodinger(init, field, ((1.0, sectors),), (10.0,), dt=2e-4)
     drift = abs(float(np.sum(np.abs(psi10) ** 2) - np.sum(np.abs(psi0) ** 2)))
     drift /= float(np.sum(np.abs(psi0) ** 2))
@@ -520,7 +502,7 @@ def run_verification(seed=8):
     doe_dev = 0.0
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
         rho_cf = table_density(deterministic_table(t_chk, init, field, 0.0))[0][0]
-        rho_rk, _ = sector_density(every, psi[:split], ground)
+        rho_rk, _ = sector_density(psi[:split], ground)
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_rk)))
     check("negativity_vs_integrator", doe_dev <= 5e-4,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")

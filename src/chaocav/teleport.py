@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import INV_SQRT2
+from .dynamics import INV_SQRT2, NORM_TOL
 from .linalg import tensor
 
 WEIGHT_FLOOR = 1e-15
@@ -43,8 +43,8 @@ class UnknownQubit:
         object.__setattr__(self, "alpha_u", complex(self.alpha_u))
         object.__setattr__(self, "beta_u", complex(self.beta_u))
         norm = abs(self.alpha_u) ** 2 + abs(self.beta_u) ** 2
-        if not abs(norm - 1.0) <= 1e-12:  # NaN fails too
-            raise ValueError(f"unknown qubit has norm {norm:.15g}, expected 1 within 1e-12")
+        if not abs(norm - 1.0) <= NORM_TOL:  # NaN fails too
+            raise ValueError(f"unknown qubit has norm {norm:.15g}, expected 1 within {NORM_TOL}")
 
     def as_vector(self):
         return np.array([self.alpha_u, self.beta_u], dtype=complex)

@@ -17,6 +17,8 @@ from chaocav.dynamics import (
     amplitude_table,
     averaged_q,
     deterministic_table,
+    frozen_phases,
+    gather_sectors,
     table_density,
 )
 from chaocav.entanglement import negativity
@@ -207,13 +209,9 @@ def test_closed_form_matches_integrator():
     sectors = [0, 1, 5, 25]
     (psi,) = integrate_schrodinger(BELL_INIT, field, ((0.0, sectors),), (1.0,))
     table = deterministic_table(np.array([1.0]), BELL_INIT, field, 0.0)
-    # Sector n over (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>); |ee,-1> does not exist.
-    worst = max(float(np.max(np.abs(np.array(
-        [table.photon_a[0, n + 1], table.photon_b[0, n], table.photon_c[0, n],
-         table.photon_d[0, n - 1] if n > 0 else 0.0]) - psi[k])))
-        for k, n in enumerate(sectors))
+    worst = float(np.max(np.abs(gather_sectors(table.photon[0], sectors) - psi)))
     # The paper's printed formulas, at the frozen phases of the table above.
-    q_frozen = np.exp(1j * np.sqrt(2.0 * (2.0 * np.array(sectors) + 1.0)))
+    q_frozen = frozen_phases(1.0, sectors)[0]
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
                                field, 0.0)
     legacy_dev = float(np.max(np.abs(legacy - psi)))

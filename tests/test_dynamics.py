@@ -19,13 +19,18 @@ from chaocav.dynamics import (
     averaged_q,
     deterministic_table,
     erf_array,
+    frozen_phases,
+    gather_sectors,
     padded_weights,
+    scatter_sectors,
     start_quadruples,
     table_density,
+    _build_table,
     _sector_amplitudes,
 )
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
+from chaocav.oracle import build_block
 from conftest import BELL_INIT, random_pure_state, random_unitary
 
 ERF_ONE = 0.8427007929497149
@@ -222,8 +227,69 @@ def test_start_quadruples_equal_a_per_sector_loop(alpha):
     ns = np.array([0, 1, 5, field.n_max, field.n_max + 1])
     want = np.array([[w[n + 1] * init.c00, w[n] * init.c01, w[n] * init.c10,
                       w[n - 1] * init.c11 if n >= 1 else 0.0j] for n in ns])
-    got = np.stack(start_quadruples(ns, init, padded_weights(field)), axis=1)
+    got = start_quadruples(ns, init, padded_weights(field))
     assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
+    # c01, c10 != 0 so every component carries weight; the uint64 views
+    # make signed zeros count
+    init = AtomicInit(0.5, 0.5j, -0.5, 0.5j)
+    field = coherent_weights(2.0)
+    n_sec = field.n_max + 2
+    ns = np.arange(n_sec)
+    w_ext = padded_weights(field)
+    ts = np.linspace(0.0, 2.0, 5)
+    qp = frozen_phases(ts, ns, 0.4)
+    ep = np.exp(-0.7j * ts)[:, None]
+    quads = _sector_amplitudes(ns, qp, np.conj(qp), ep, np.conj(ep), init, w_ext)
+    ground = ep[:, 0] * (w_ext[0] * init.c00)
+    # a (T, N) batch against slice assignments
+    want = np.zeros((ts.size, 4, n_sec + 1), dtype=complex)
+    want[:, 0, 0] = ground
+    want[:, 0, 1:] = quads[0]
+    want[:, 1, :n_sec] = quads[1]
+    want[:, 2, :n_sec] = quads[2]
+    want[:, 3, : n_sec - 1] = quads[3][:, 1:]
+    photon = scatter_sectors(quads, ground)
+    assert np.array_equal(photon.view(np.uint64), want.view(np.uint64))
+    back = np.stack(quads, axis=-1)
+    back[:, 0, 3] = 0.0  # |ee,-1> does not exist
+    assert np.array_equal(gather_sectors(photon, ns).view(np.uint64), back.view(np.uint64))
+    picked = [0, 1, n_sec - 1]
+    assert np.array_equal(gather_sectors(photon, picked), back[:, picked])
+    # one (N,) quadruple set against a per-sector loop
+    start = start_quadruples(ns, init, w_ext)
+    want = np.zeros((4, n_sec + 1), dtype=complex)
+    want[0, 0] = w_ext[0] * init.c00
+    for n in ns:
+        want[0, n + 1] = start[n, 0]
+        want[1, n] = start[n, 1]
+        want[2, n] = start[n, 2]
+        if n >= 1:
+            want[3, n - 1] = start[n, 3]
+    photon = scatter_sectors(start.T, w_ext[0] * init.c00)
+    assert np.array_equal(photon.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(gather_sectors(photon, ns).view(np.uint64), start.view(np.uint64))
+
+
+def test_frozen_phases_are_the_deterministic_tables_phases():
+    # the inline form deterministic_table used, at a kf_x != 0, bit for bit,
+    # and the bright-state eigenfrequency of each sector block
+    init = AtomicInit(0.5, 0.5j, -0.5, 0.5j)
+    field = coherent_weights(2.0)
+    kf_x = 0.4
+    ts = np.linspace(0.0, 3.0, 7)
+    ns = np.arange(field.n_max + 2)
+    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * math.cos(kf_x)
+    qp = np.exp(1j * (ts[:, None] * omega_n[None, :]))
+    got = frozen_phases(ts, ns, kf_x)
+    assert np.array_equal(got.view(np.uint64), qp.view(np.uint64))
+    want = _build_table(ts, qp, np.conj(qp), init, field, 0.9).photon
+    table = deterministic_table(ts, init, field, 0.9, kf_x=kf_x)
+    assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
+    bright = [np.linalg.eigvalsh(build_block(n, 0.0, kf_x))[-1] for n in (0, 1, 5)]
+    assert np.max(np.abs(frozen_phases(ts, [0, 1, 5], kf_x) - np.exp(1j * np.outer(ts, bright)))) <= 1e-12
 
 
 def test_initial_state_is_reproduced():

@@ -9,7 +9,7 @@ import pytest
 
 import chaocav.oracle as oracle
 from chaocav.dynamics import (AtomicInit, amplitude_table, averaged_q, deterministic_table,
-                              table_density)
+                              frozen_phases, gather_sectors, table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation, require_density_matrix
@@ -235,7 +235,7 @@ def test_integrator_matches_closed_form_without_spin_exchange():
     sectors = [0, 1, 5, 25]
     (psi,) = integrate_schrodinger(init, field, ((0.0, sectors),), (1.0,), dt=1e-3)
     table = deterministic_table(np.array([1.0]), init, field, 0.0)
-    want = oracle._closed_quadruples(table, sectors)
+    want = gather_sectors(table.photon[0], sectors)
     assert want[0, 3] == 0.0  # sector 0 has no |ee> component
     for k in range(len(sectors)):
         assert np.max(np.abs(psi[k] - want[k])) <= 1e-6
@@ -260,7 +260,7 @@ def test_oracle_density_matches_closed_form_density():
     field = coherent_weights(2.0)
     every = list(range(field.n_max + 2))
     (psi,) = integrate_schrodinger(init, field, ((0.0, every),), (0.7,), dt=1e-3)
-    rho, pre = sector_density(every, psi, field.weights[0] * init.c00)
+    rho, pre = sector_density(psi, field.weights[0] * init.c00)
     want_rho, want_pre = table_density(deterministic_table(0.7, init, field, 0.0))
     assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
     assert abs(pre - want_pre[0]) <= 1e-10
@@ -274,7 +274,7 @@ def test_legacy_variant_distorts_the_initial_state():
     field = coherent_weights(5.0)
     sectors = np.arange(field.n_max + 2)
     legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, 1.0)
-    rho, _ = sector_density(sectors, legacy, 0.0)
+    rho, _ = sector_density(legacy, 0.0)
     vec = init.as_vector()
     dev = np.max(np.abs(rho - np.outer(vec, vec.conj())))
     assert dev > 0.01
@@ -287,7 +287,7 @@ def test_legacy_quadruples_pinned_with_mixed_preparation():
     init = AtomicInit(0.5, 0.5j, -0.5, 0.5)
     field = coherent_weights(2.0)
     sectors = np.array([0, 1, 5])
-    q = np.exp(1j * np.sqrt(2.0 * (2.0 * sectors + 1.0)))
+    q = frozen_phases(1.0, sectors)[0]
     legacy = legacy_quadruples(sectors, 1.0, q, np.conj(q), init, field, 1.0)
     want = np.array([0.08260100182254922 - 0.026215862597354284j,
                      0.11637616197768139 + 0.20589614077889862j,
