@@ -289,10 +289,10 @@ def _finalize(settings, command):
 
 
 def _write_csv(path, header, blocks):
-    """Header line, then each block of already formatted lines."""
+    """Header line, then each block of already formatted ASCII bytes."""
     try:
-        with open(path, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(header + "\n")
+        with open(path, "wb") as fh:
+            fh.write(header.encode("ascii") + b"\n")
             for block in blocks:
                 fh.write(block)
     except OSError as exc:
@@ -314,21 +314,94 @@ ENT_HEADER = "t,gamma,alpha_field,doe,pre_norm_trace"
 FID_HEADER = ENT_HEADER + ",fidelity,kappa1,kappa2_re,kappa2_im,kappa4,weight"
 
 
+#: Lines per call of format_lines; bounds the CSV stage's temporaries.
+CSV_BLOCK_LINES = 1024
+
+#: Correctly rounded 10**k for k = -87..111, at index k + 87: the powers
+#: 10**(12 - e) = _POW10[99 - e] that format_lines scales by when the
+#: decimal exponent e has |e| <= 99.
+_POW10 = np.array([float("1e%d" % k) for k in range(-87, 112)])
+
+
+def format_lines(block):
+    """ASCII bytes of each row of the (L, C) float block as "%.12e" values
+    joined by ",", each line ending in "\n".
+
+    Byte-equal to Python's formatting. With e = floor(log10|x|), the
+    mantissa m = |x| * 10**(12 - e) rounded to an integer gives the 13
+    printed digits. The product carries two errors: its own rounding, at
+    most half an ulp, which for m < 2**44 is 2**-10 < 0.001; and that of
+    the power, exact for 0 <= 12 - e <= 22 and otherwise correctly rounded,
+    at most 2**-53 relative, which for m < 1e13 is below 0.0012. Their sum
+    is below 1/256, so wherever the computed fraction of m lies more than
+    1/256 from one half, m and the exact product round to the same
+    integer. The rest take Python's "%.12e": values in that band, a
+    mantissa outside [1e12, 1e13) (log10 misjudged the decade), |e| > 99
+    (three exponent digits), NaN and infinities.
+    """
+    ncol = block.shape[1]
+    x = block.reshape(-1)
+    a = np.abs(x)
+    e = np.floor(np.log10(a, out=np.zeros_like(a), where=(a > 0.0) & (a < np.inf)))
+    fast = np.isfinite(a) & (np.abs(e) <= 99.0)
+    e = np.where(fast, e, 0.0).astype(np.int64)
+    m = np.where(fast, a, 0.0) * _POW10[99 - e]
+    r = np.rint(m)
+    up = r == 1e13  # decade round-up, e.g. 9.9999999999996 -> 1.0e+01
+    e += up
+    r[up] = 1e12
+    fast &= (((r >= 1e12) & (r < 1e13)) | (a == 0.0)) & (np.abs(e) <= 99)
+    fast &= np.abs(m - np.floor(m) - 0.5) > 1.0 / 256.0
+    # One 21-byte field per value: sign (0 for none), 13 digits around
+    # ".", "e", the exponent's sign and two digits, a 0 byte, then "," or
+    # "\n". A slow value's text, at most 20 bytes, replaces the first 20.
+    out = np.empty((x.size, 21), dtype=np.uint8)
+    out[:, 0] = np.where(np.signbit(x), np.uint8(ord("-")), np.uint8(0))
+    digits = r.astype(np.int64)
+    for k in range(14, 2, -1):
+        # Floor division by a constant is about twice as fast as np.divmod.
+        rest = digits // 10
+        out[:, k] = digits + ord("0") - rest * 10
+        digits = rest
+    out[:, 1] = digits + ord("0")
+    out[:, 2] = ord(".")
+    out[:, 15] = ord("e")
+    out[:, 16] = np.where(e < 0, np.uint8(ord("-")), np.uint8(ord("+")))
+    e = np.abs(e)
+    tens = e // 10
+    out[:, 17] = tens + ord("0")
+    out[:, 18] = e + ord("0") - tens * 10
+    out[:, 19] = 0
+    out[:, 20] = ord(",")
+    out[ncol - 1::ncol, 20] = ord("\n")
+    slow = np.flatnonzero(~fast)
+    if slow.size:
+        texts = b"".join([(b"%.12e" % v).ljust(20, b"\0") for v in x[slow].tolist()])
+        out[slow, :20] = np.frombuffer(texts, dtype=np.uint8).reshape(-1, 20)
+    return out.tobytes().replace(b"\0", b"")
+
+
 def _csv_blocks(grid, cfg):
-    # One block of %.12e lines per gamma row, columns in the order of
-    # ENT_HEADER or FID_HEADER. t, gamma and alpha_field repeat, so each is
-    # formatted once and set into the block's format string, which then
-    # takes the row's other values in a single % operation. A formatted
-    # number holds no "%".
-    alpha = cfg["field"].alpha
-    t_text = ["%.12e," % t for t in cfg["times"].tolist()]
-    for i, gamma in enumerate(cfg["gammas"]):
-        cols = [grid.doe[i], grid.pre_norm_trace[i]]
-        if grid.fidelity is not None:
-            cols += [grid.fidelity[i], grid.kappa1[i], grid.kappa2[i].real,
-                     grid.kappa2[i].imag, grid.kappa4[i], grid.weight[i]]
-        line = "%.12e,%.12e," % (gamma, alpha) + ",".join(["%.12e"] * len(cols)) + "\n"
-        yield (line.join(t_text) + line) % tuple(np.column_stack(cols).ravel().tolist())
+    # The grid's lines in (gamma, t) order, CSV_BLOCK_LINES at a time
+    # whatever the gamma rows, columns in the order of ENT_HEADER or
+    # FID_HEADER.
+    times, gammas = cfg["times"], cfg["gammas"]
+    cols = [grid.doe, grid.pre_norm_trace]
+    if grid.fidelity is not None:
+        cols += [grid.fidelity, grid.kappa1, grid.kappa2.real,
+                 grid.kappa2.imag, grid.kappa4, grid.weight]
+    flat = [c.reshape(-1) for c in cols]
+    n = gammas.size * times.size
+    for start in range(0, n, CSV_BLOCK_LINES):
+        stop = min(start + CSV_BLOCK_LINES, n)
+        row, col = np.divmod(np.arange(start, stop), times.size)
+        block = np.empty((stop - start, 3 + len(flat)))
+        block[:, 0] = times[col]
+        block[:, 1] = gammas[row]
+        block[:, 2] = cfg["field"].alpha
+        for k, values in enumerate(flat, start=3):
+            block[:, k] = values[start:stop]
+        yield format_lines(block)
 
 
 def _chart(command, grid, cfg):
