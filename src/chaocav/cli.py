@@ -36,17 +36,17 @@ _BELL_INIT = {"c00": complex(INV_SQRT2), "c01": 0.0j, "c10": 0.0j,
 
 PRESETS = {
     "1a": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
-           "alpha_field": 5.0, "t_min": 0.0, "t_max": 10.0, "steps": 500,
+           "alpha_field": 5.0, "t_max": 10.0, "steps": 500,
            **_FIG1_INIT},
     "1b": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
-           "alpha_field": 6.0, "t_min": 0.0, "t_max": 10.0, "steps": 500,
+           "alpha_field": 6.0, "t_max": 10.0, "steps": 500,
            **_FIG1_INIT},
     "2": {"command": "fidelity", "gamma": (0.0, 0.25, 0.5, 0.75, 1.0),
-          "alpha_field": 5.0, "t_min": 0.0, "t_max": 3.0, "steps": 300,
+          "alpha_field": 5.0, "t_max": 3.0, "steps": 300,
           "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
           **_BELL_INIT},
     "3": {"command": "contour", "gamma": (0.0, 1.0), "gamma_steps": 100,
-          "alpha_field": 5.0, "t_min": 0.0, "t_max": 3.0, "steps": 150,
+          "alpha_field": 5.0, "t_max": 3.0, "steps": 150,
           "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
           **_BELL_INIT},
 }
@@ -89,7 +89,6 @@ def _parse_float_list(text):
 SETTINGS = {
     "gamma": ((0.5,), _parse_float_list),
     "alpha_field": (5.0, float),
-    "t_min": (0.0, float),
     "t_max": (10.0, float),
     "steps": (500, int),
     "gamma_steps": (100, int),
@@ -100,7 +99,6 @@ SETTINGS = {
     "alpha_u": (complex(0.95), parse_complex),
     "beta_u": (None, parse_complex),
     "omega_rabi": (1.0, float),
-    "field_convention": ("amplitude", str),
     "eps_trunc": (1e-12, float),
     "out": (None, str),
     "svg": (False, _parse_bool),
@@ -151,17 +149,15 @@ def build_parser():
         sp.add_argument("--gamma", type=float, nargs="+", metavar="G",
                         help="chaotic parameter value(s)")
         sp.add_argument("--alpha-field", type=float,
-                        help="coherent field parameter (see --field-convention)")
-        sp.add_argument("--t-max", type=float, help="end of the time grid")
+                        help="coherent field amplitude alpha; the mean photon "
+                             "number is its square")
+        sp.add_argument("--t-max", type=float, help="end of the time grid, from t = 0")
         sp.add_argument("--steps", type=int, help="number of time samples")
         sp.add_argument("--init", nargs=4, metavar=("C00", "C01", "C10", "C11"),
                         help="initial amplitudes over |gg>,|ge>,|eg>,|ee> as 're,im'")
         sp.add_argument("--omega", type=float, dest="omega_rabi",
                         help="spin-spin coupling strength; changes no output "
                              "when c01 = c10 = 0, as in every preset")
-        sp.add_argument("--field-convention", choices=("amplitude", "mean"),
-                        help="read --alpha-field as the amplitude or as the mean "
-                             "photon number (default amplitude)")
         sp.add_argument("--eps-trunc", type=float,
                         help="photon-distribution tail mass to drop (default 1e-12)")
         sp.add_argument("--out", help="output CSV path (default chaocav_<command>.csv)")
@@ -219,18 +215,12 @@ _FINITE_FLAGS = (("omega_rabi", "--omega"), ("alpha_field", "--alpha-field"),
 
 def _finalize(settings, command):
     """Validate the merged settings and build the model objects."""
-    if settings["field_convention"] not in ("amplitude", "mean"):
-        raise ConfigError(f"unknown field convention {settings['field_convention']!r}")
     for key, flag in _FINITE_FLAGS:
         if not math.isfinite(float(settings[key])):
             raise ConfigError(f"{flag} must be finite, got {settings[key]}")
-    alpha = float(settings["alpha_field"])
-    if settings["field_convention"] == "mean":
-        if alpha < 0.0:
-            raise ConfigError(f"mean photon number must be >= 0, got {alpha}")
-        alpha = math.sqrt(alpha)
     try:
-        field = coherent_weights(alpha, eps_trunc=float(settings["eps_trunc"]))
+        field = coherent_weights(float(settings["alpha_field"]),
+                                 eps_trunc=float(settings["eps_trunc"]))
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
@@ -239,17 +229,16 @@ def _finalize(settings, command):
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     steps = int(settings["steps"])
-    t_min = float(settings["t_min"])
     t_max = float(settings["t_max"])
     if steps < 2:
         raise ConfigError(f"steps must be >= 2, got {steps}")
-    if t_min < 0.0 or not t_max > t_min:
-        raise ConfigError(f"need 0 <= t_min < t_max, got t_min={t_min}, t_max={t_max}")
+    if not t_max > 0.0:
+        raise ConfigError(f"--t-max must be > 0, got {t_max}")
     omega_rabi = float(settings["omega_rabi"])
     if not math.isfinite(omega_rabi * t_max):
         # exp(-i omega t) of an infinite phase is NaN in every later column.
         raise ConfigError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
-    times = np.linspace(t_min, t_max, steps)
+    times = np.linspace(0.0, t_max, steps)
     gammas = np.asarray(settings["gamma"], dtype=float)
     if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
         raise ConfigError(f"gamma values must be finite and >= 0, got {settings['gamma']}")

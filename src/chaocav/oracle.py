@@ -203,33 +203,22 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
     return np.stack([amp_a, amp_b, amp_c, amp_d], axis=-1)
 
 
-@dataclass(frozen=True)
-class NoiseSpec:
-    """Phase-noise surrogate: an Ornstein-Uhlenbeck drive, or a constant phase at sigma = 0."""
-
-    sigma: float = 0.0
-    tau_c: float = 0.0
-    seed: int = 0
-
-    def __post_init__(self):
-        if not self.sigma >= 0.0 or (self.sigma > 0.0 and not self.tau_c > 0.0):
-            raise ValueError("noise needs sigma >= 0, and tau_c > 0 when sigma > 0")
-
-
-def noise_spec_for_gamma(gamma, seed=0):
-    """Surrogate matched to the averaged channel at both ends of the time axis.
+def _noise_spec(gamma):
+    """(sigma, tau_c) of the Ornstein-Uhlenbeck surrogate for gamma.
 
     Variance sigma^2 = 2 gamma reproduces the short-time decay
     exp(-gamma t^2); correlation time sqrt(pi)/(4 sqrt(gamma)) reproduces
     the long-time decay rate sqrt(pi gamma)/2. The surrogate's long-time
-    average then carries a constant excess factor exp(pi/8).
+    average then carries a constant excess factor exp(pi/8). gamma = 0
+    gives (0, 0), a constant phase; non-finite or negative gamma raises
+    ValueError, as in averaged_q.
     """
     gamma = float(gamma)
-    if gamma <= 0.0:
-        return NoiseSpec(seed=seed)
-    return NoiseSpec(sigma=math.sqrt(2.0 * gamma),
-                     tau_c=math.sqrt(math.pi) / (4.0 * math.sqrt(gamma)),
-                     seed=seed)
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    if gamma == 0.0:
+        return 0.0, 0.0
+    return math.sqrt(2.0 * gamma), math.sqrt(math.pi) / (4.0 * math.sqrt(gamma))
 
 
 @dataclass(frozen=True)
@@ -241,13 +230,15 @@ class MonteCarloQ:
     n_samples: int
 
 
-def monte_carlo_q(t_grid, spec, n_samples=20000):
+def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
     """Monte Carlo estimate of the averaged phase factor on a time grid.
 
     The driving frequency follows the exact stationary discretization of
-    the Ornstein-Uhlenbeck process (64 substeps per correlation time);
-    the phase accumulates by the trapezoid rule. Deterministic for a
-    fixed spec: the counter-based generator is seeded from spec.seed.
+    the Ornstein-Uhlenbeck surrogate for gamma (64 substeps per
+    correlation time); the phase accumulates by the trapezoid rule.
+    gamma = 0 gives the constant phase, q = 1 with zero error, exactly.
+    Deterministic for a fixed (gamma, seed): the counter-based generator
+    is seeded from seed.
     The substeps draw into and update preallocated buffers, keeping the
     operand order of omega' = decay omega + kick z and
     phi += (h/2) (omega + omega'), so no substep allocates.
@@ -259,11 +250,11 @@ def monte_carlo_q(t_grid, spec, n_samples=20000):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    if spec.sigma == 0.0:
+    sigma, tau = _noise_spec(gamma)
+    if sigma == 0.0:
         return MonteCarloQ(q_mean=np.ones(t_grid.shape, dtype=complex),
                            stderr=np.zeros(t_grid.shape), n_samples=n_samples)
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    sigma, tau = spec.sigma, spec.tau_c
+    rng = np.random.Generator(np.random.Philox(seed))
     omega = rng.normal(0.0, sigma, n_samples)
     omega_next = np.empty(n_samples)
     z = np.empty(n_samples)
@@ -346,8 +337,8 @@ class VerifyCheck:
     detail: str
 
 
-def ou_mean_q(t_grid, spec):
-    """Exact mean of exp(i phi(t)) for the phase-noise surrogate.
+def ou_mean_q(t_grid, gamma):
+    """Exact mean of exp(i phi(t)) for the phase-noise surrogate of gamma.
 
     For the Ornstein-Uhlenbeck drive the phase is Gaussian with variance
     2 sigma^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c)), so the mean is
@@ -355,11 +346,12 @@ def ou_mean_q(t_grid, spec):
     exp(-sigma^2 t^2 / 2) as t -> 0 but sits above it at every t > 0.
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    if spec.sigma == 0.0:
+    sigma, tau = _noise_spec(gamma)
+    if sigma == 0.0:
         return np.ones(t_grid.shape)
-    x = t_grid / spec.tau_c
+    x = t_grid / tau
     # x + expm1(-x) keeps its digits where x is small.
-    return np.exp(-(spec.sigma * spec.tau_c) ** 2 * (x + np.expm1(-x)))
+    return np.exp(-(sigma * tau) ** 2 * (x + np.expm1(-x)))
 
 
 def mc_short_time(gamma, seed):
@@ -370,10 +362,9 @@ def mc_short_time(gamma, seed):
     seeds in a thousand. The detail also reports the deterministic gap between the exact mean
     and exp(-gamma t^2), the averaged channel's short-time form.
     """
-    spec = noise_spec_for_gamma(gamma, seed=seed)
     t_grid = np.array([0.005, 0.01])
-    mc = monte_carlo_q(t_grid, spec, n_samples=100000)
-    exact = ou_mean_q(t_grid, spec)
+    mc = monte_carlo_q(t_grid, gamma, seed=seed, n_samples=100000)
+    exact = ou_mean_q(t_grid, gamma)
     ok = True
     details = []
     for k, t_chk in enumerate(t_grid):
@@ -553,13 +544,12 @@ def run_verification(seed=8):
     # The noise surrogate must match its own exact mean at short times,
     # where it approaches the averaged factor's exp(-gamma t^2).
     gamma_mc = 1.0
-    spec = noise_spec_for_gamma(gamma_mc, seed=seed)
     check("mc_short_time", *mc_short_time(gamma_mc, seed))
 
     # At long times the surrogate decays at rate sigma^2 tau_c with a
     # known constant offset exp(pi/8); the rate must match sqrt(pi g)/2.
     t_long = 3.0
-    mc_long = monte_carlo_q(np.array([t_long]), spec, n_samples=100000)
+    mc_long = monte_carlo_q(np.array([t_long]), gamma_mc, seed=seed, n_samples=100000)
     q_hat = float(mc_long.q_mean[0].real)
     rate_hat = (-math.log(q_hat) + math.pi / 8.0) / t_long
     rate_expect = math.sqrt(math.pi * gamma_mc) / 2.0
@@ -569,10 +559,8 @@ def run_verification(seed=8):
 
     # Standard-error scaling of the estimator: quadrupling the samples
     # should halve the standard error.
-    se_a = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 1),
-                         n_samples=5000).stderr[0]
-    se_b = monte_carlo_q(np.array([1.0]), noise_spec_for_gamma(1.0, seed=seed + 2),
-                         n_samples=20000).stderr[0]
+    se_a = monte_carlo_q(np.array([1.0]), 1.0, seed=seed + 1, n_samples=5000).stderr[0]
+    se_b = monte_carlo_q(np.array([1.0]), 1.0, seed=seed + 2, n_samples=20000).stderr[0]
     ratio = se_a / se_b
     check("mc_stderr_scaling", 1.8 <= ratio <= 2.2,
           f"se(n)/se(4n) = {ratio:.3f}, expected about 2")

@@ -30,7 +30,6 @@ from chaocav.oracle import (
     joint_averaged_density,
     legacy_quadruples,
     monte_carlo_q,
-    noise_spec_for_gamma,
     rk4_evolve,
 )
 from chaocav.sweep import sweep_grid
@@ -230,15 +229,14 @@ def test_closed_form_matches_integrator():
 
 def test_noise_surrogate_asymptotics():
     gamma = 1.0
-    spec = noise_spec_for_gamma(gamma, seed=8)
     t_short = np.array([0.005, 0.01])
-    small = monte_carlo_q(t_short, spec, n_samples=100000)
-    again = monte_carlo_q(t_short, spec, n_samples=100000)
+    small = monte_carlo_q(t_short, gamma, seed=8, n_samples=100000)
+    again = monte_carlo_q(t_short, gamma, seed=8, n_samples=100000)
     deterministic = (np.array_equal(small.q_mean, again.q_mean)
                      and np.array_equal(small.stderr, again.stderr))
     short_sigmas = max(abs(small.q_mean[k].real - math.exp(-gamma * t_short[k] ** 2))
                        / small.stderr[k] for k in (0, 1))
-    long = monte_carlo_q(np.array([3.0]), spec, n_samples=100000)
+    long = monte_carlo_q(np.array([3.0]), gamma, seed=8, n_samples=100000)
     rate_hat = (-math.log(long.q_mean[0].real) + math.pi / 8.0) / 3.0
     rate_want = math.sqrt(math.pi * gamma) / 2.0
     rate_rel = abs(rate_hat / rate_want - 1.0)

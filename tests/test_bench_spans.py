@@ -31,8 +31,7 @@ def test_traced_calls_keep_the_span_counts(tmp_path, monkeypatch):
     try:
         # a counter that cannot read its argument or result raises out of main
         code = cli.main(["fidelity", "--fig", "2", "--out", str(tmp_path / "fig2.csv")])
-        oracle.monte_carlo_q(np.array([0.1, 0.2]), oracle.noise_spec_for_gamma(1.0),
-                             n_samples=100)
+        oracle.monte_carlo_q(np.array([0.1, 0.2]), 1.0, n_samples=100)
     finally:
         tracer.uninstall()
     assert code == 0

@@ -1,6 +1,7 @@
 """Command-line interface: settings precedence, config files, CSV and SVG
 outputs, exit codes and rerun determinism."""
 
+import argparse
 import csv
 import re
 import subprocess
@@ -107,7 +108,6 @@ FLAG_CASES = [
     (["--alpha-u", "0.6,0.1"], "alpha_u = 0.6,0.1"),
     (["--beta-u", "0.8"], "beta_u = 0.8"),
     (["--omega", "2.5"], "omega_rabi = 2.5"),
-    (["--field-convention", "mean"], "field_convention = mean"),
     (["--eps-trunc", "1e-9"], "eps_trunc = 1e-9"),
     (["--out", "run.csv"], "out = run.csv"),
     (["--svg"], "svg = true"),
@@ -126,6 +126,33 @@ def test_flag_and_config_file_give_the_same_settings(tmp_path, flags, config_tex
     by_file = cli._merge_settings(parser.parse_args(["contour", "--config", str(cfg)]))
     assert by_flag == by_file
     assert by_flag != {key: default for key, (default, _) in cli.SETTINGS.items()}
+
+
+SWEEP_FLAGS = {"--fig", "--gamma", "--alpha-field", "--t-max", "--steps", "--init",
+               "--omega", "--eps-trunc", "--out", "--svg", "--seed", "--config"}
+QUBIT_FLAGS = {"--alpha-u", "--beta-u"}
+
+
+def test_option_surface_is_pinned():
+    # every settable value is one more configuration to test and measure:
+    # a new flag or key must be added here on purpose
+    parser = cli.build_parser()
+    (commands,) = [a.choices for a in parser._actions
+                   if isinstance(a, argparse._SubParsersAction)]
+    flags = {name: {opt for a in sp._actions for opt in a.option_strings
+                    if opt.startswith("--") and opt != "--help"}
+             for name, sp in commands.items()}
+    assert flags == {"entanglement": SWEEP_FLAGS,
+                     "fidelity": SWEEP_FLAGS | QUBIT_FLAGS,
+                     "contour": SWEEP_FLAGS | QUBIT_FLAGS | {"--gamma-steps"},
+                     "verify": {"--seed"}}
+    assert set(cli.SETTINGS) == {"gamma", "alpha_field", "t_max", "steps", "gamma_steps",
+                                 "c00", "c01", "c10", "c11", "alpha_u", "beta_u",
+                                 "omega_rabi", "eps_trunc", "out", "svg"}
+    # each key has a flag: its dest, or --init for the four amplitudes
+    dests = {a.dest for a in commands["contour"]._actions}
+    assert dests >= set(cli.SETTINGS) - {"c00", "c01", "c10", "c11"}
+    assert "init" in dests
 
 
 def test_every_settings_flag_has_a_case():
@@ -249,15 +276,6 @@ def test_default_output_name(tmp_path, monkeypatch, capsys):
     assert "wrote chaocav_entanglement.csv" in capsys.readouterr().out
 
 
-def test_mean_field_convention_rescales_alpha(tmp_path):
-    code, out = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "3",
-                               "--t-max", "1.0", "--alpha-field", "25",
-                               "--field-convention", "mean"])
-    assert code == 0
-    _, rows = read_csv(out)
-    assert all(r[2] == pytest.approx(5.0) for r in rows)
-
-
 def test_negative_zero_alpha_prints_as_zero(tmp_path):
     # the column prints the built field's alpha, and coherent_weights
     # stores a zero amplitude as 0.0
@@ -267,22 +285,12 @@ def test_negative_zero_alpha_prints_as_zero(tmp_path):
     assert cells == ["0.000000000000e+00"] * 3
 
 
-def test_t_min_from_config_starts_the_time_grid(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_min = 1\n")
-    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--t-max", "3",
-                               "--steps", "3", "--gamma", "0.2", "--alpha-field", "1"])
-    assert code == 0
-    _, rows = read_csv(out)
-    assert [r[0] for r in rows] == [1.0, 2.0, 3.0]
-
-
-def test_t_min_past_t_max_exits_2(tmp_path, capsys):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("t_min = 5\n")
-    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--t-max", "3"])
+@pytest.mark.parametrize("t_max", ["0", "-1"])
+def test_non_positive_t_max_exits_2(tmp_path, capsys, t_max):
+    # every time grid starts at the t = 0 preparation
+    code, out = run(tmp_path, ["entanglement", "--t-max", t_max])
     assert code == 2
-    assert "need 0 <= t_min < t_max" in capsys.readouterr().err
+    assert "--t-max must be > 0" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -495,6 +503,13 @@ def test_variant_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+def test_field_convention_flag_is_gone(tmp_path):
+    # --alpha-field is always the amplitude; the mean photon number is its square
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, ["entanglement", "--field-convention", "mean"])
+    assert exc.value.code == 2
+
+
 def test_g0_flag_is_gone(tmp_path, capsys):
     # the scalar channel sees the coupling only through q(t, gamma)
     with pytest.raises(SystemExit) as exc:
@@ -507,13 +522,16 @@ def test_g0_flag_is_gone(tmp_path, capsys):
     assert "unknown key 'g0'" in capsys.readouterr().err
 
 
-def test_seed_config_key_is_gone(tmp_path, capsys):
-    # sweeps draw no random numbers; verify takes its seed from the flag only
+@pytest.mark.parametrize("line", ["seed = 3", "field_convention = mean", "t_min = 1"],
+                         ids=lambda line: line.split()[0])
+def test_removed_config_key_is_unknown(tmp_path, capsys, line):
+    # sweeps draw no random numbers, so verify takes its seed from the flag
+    # only; --alpha-field is always the amplitude; every grid starts at t = 0
     cfg = tmp_path / "run.cfg"
-    cfg.write_text("seed = 3\n")
+    cfg.write_text(line + "\n")
     code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
     assert code == 2
-    assert "unknown key 'seed'" in capsys.readouterr().err
+    assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
 
 
 def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):

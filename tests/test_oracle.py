@@ -17,7 +17,6 @@ from chaocav.oracle import (
     S_MINUS,
     S_PLUS,
     S_Z,
-    NoiseSpec,
     build_block,
     full_hamiltonian,
     integrate_schrodinger,
@@ -25,7 +24,6 @@ from chaocav.oracle import (
     legacy_quadruples,
     mc_short_time,
     monte_carlo_q,
-    noise_spec_for_gamma,
     ou_mean_q,
     rk4_evolve,
     sector_density,
@@ -46,10 +44,11 @@ def sector_basis_indices(n, n_fock):
     return (n + 1, n_fock + n, 2 * n_fock + n, idx_ee)
 
 
-def kubo_mean(t, spec):
+def kubo_mean(t, gamma):
     # exact average of exp(i phi) for a stationary Gaussian drive
-    x = t / spec.tau_c
-    return math.exp(-spec.sigma**2 * spec.tau_c**2 * (x - 1.0 + math.exp(-x)))
+    sigma, tau_c = oracle._noise_spec(gamma)
+    x = t / tau_c
+    return math.exp(-sigma**2 * tau_c**2 * (x - 1.0 + math.exp(-x)))
 
 
 # ---------------------------------------------------------------- operators and blocks
@@ -300,40 +299,41 @@ def test_legacy_quadruples_pinned_with_mixed_preparation():
 # ---------------------------------------------------------------- noise surrogate
 
 def test_noise_spec_matching_formulas():
-    spec = noise_spec_for_gamma(0.5)
-    assert abs(spec.sigma - 1.0) <= 1e-15
-    assert abs(spec.tau_c - math.sqrt(math.pi) / (4.0 * math.sqrt(0.5))) <= 1e-15
-    assert abs(spec.sigma**2 * spec.tau_c**2 - math.pi / 8.0) <= 1e-15
-    assert noise_spec_for_gamma(0.0).sigma == 0.0  # a constant phase
+    sigma, tau_c = oracle._noise_spec(0.5)
+    assert abs(sigma - 1.0) <= 1e-15
+    assert abs(tau_c - math.sqrt(math.pi) / (4.0 * math.sqrt(0.5))) <= 1e-15
+    assert abs(sigma**2 * tau_c**2 - math.pi / 8.0) <= 1e-15
+    assert oracle._noise_spec(0.0) == (0.0, 0.0)  # a constant phase
 
 
 def test_noise_spec_validation():
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=-1.0, tau_c=1.0)
-    with pytest.raises(ValueError):
-        NoiseSpec(sigma=1.0, tau_c=0.0)
+    # the surrogate rejects the gammas averaged_q rejects, in its wording
+    for gamma in (-1.0, float("nan"), float("inf")):
+        for estimate in (averaged_q, monte_carlo_q, ou_mean_q):
+            with pytest.raises(ValueError, match="gamma must be finite and >= 0"):
+                estimate(np.array([1.0]), gamma)
 
 
 def test_monte_carlo_constant_process_is_exact():
-    out = monte_carlo_q(np.array([0.0, 1.0, 5.0]), NoiseSpec())
+    out = monte_carlo_q(np.array([0.0, 1.0, 5.0]), 0.0)
     assert np.array_equal(out.q_mean, np.ones(3, dtype=complex))
     assert np.array_equal(out.stderr, np.zeros(3))
 
 
 def test_monte_carlo_is_deterministic_per_seed():
     grid = np.array([0.5, 1.5])
-    a = monte_carlo_q(grid, noise_spec_for_gamma(0.5, seed=8), n_samples=3000)
-    b = monte_carlo_q(grid, noise_spec_for_gamma(0.5, seed=8), n_samples=3000)
-    c = monte_carlo_q(grid, noise_spec_for_gamma(0.5, seed=9), n_samples=3000)
+    a = monte_carlo_q(grid, 0.5, seed=8, n_samples=3000)
+    b = monte_carlo_q(grid, 0.5, seed=8, n_samples=3000)
+    c = monte_carlo_q(grid, 0.5, seed=9, n_samples=3000)
     assert np.array_equal(a.q_mean, b.q_mean)
     assert np.array_equal(a.stderr, b.stderr)
     assert not np.array_equal(a.q_mean, c.q_mean)
 
 
-def reference_monte_carlo(t_grid, spec, n_samples):
+def reference_monte_carlo(t_grid, gamma, seed, n_samples):
     # The substep loop as first written, allocating a fresh array per operation.
-    rng = np.random.Generator(np.random.Philox(spec.seed))
-    sigma, tau = spec.sigma, spec.tau_c
+    rng = np.random.Generator(np.random.Philox(seed))
+    sigma, tau = oracle._noise_spec(gamma)
     omega = rng.normal(0.0, sigma, n_samples)
     phi = np.zeros(n_samples)
     q_mean, stderr = [], []
@@ -360,27 +360,24 @@ def reference_monte_carlo(t_grid, spec, n_samples):
 @pytest.mark.parametrize("n_samples", [2, 5000])
 def test_monte_carlo_matches_the_reference_bit_for_bit(seed, n_samples):
     grid = np.array([0.0, 0.013, 0.4, 0.4, 1.37])
-    spec = noise_spec_for_gamma(0.7, seed=seed)
-    out = monte_carlo_q(grid, spec, n_samples=n_samples)
-    q_mean, stderr = reference_monte_carlo(grid, spec, n_samples)
+    out = monte_carlo_q(grid, 0.7, seed=seed, n_samples=n_samples)
+    q_mean, stderr = reference_monte_carlo(grid, 0.7, seed, n_samples)
     assert np.array_equal(out.q_mean, q_mean)
     assert np.array_equal(out.stderr, stderr)
 
 
 def test_monte_carlo_matches_gaussian_closure():
-    spec = noise_spec_for_gamma(0.5, seed=8)
-    out = monte_carlo_q(np.array([1.0]), spec, n_samples=4000)
-    want = kubo_mean(1.0, spec)
+    out = monte_carlo_q(np.array([1.0]), 0.5, seed=8, n_samples=4000)
+    want = kubo_mean(1.0, 0.5)
     assert abs(out.q_mean[0].real - want) <= 5.0 * out.stderr[0]
     assert abs(out.q_mean[0].imag) <= 5.0 * out.stderr[0]
 
 
 def test_ou_mean_matches_gaussian_closure():
-    spec = noise_spec_for_gamma(1.0)
     ts = np.array([0.005, 0.01, 0.5, 3.0])
-    want = [kubo_mean(t, spec) for t in ts]
-    assert ou_mean_q(ts, spec) == pytest.approx(want, rel=1e-12)
-    assert np.array_equal(ou_mean_q(ts, NoiseSpec()), np.ones(4))
+    want = [kubo_mean(t, 1.0) for t in ts]
+    assert ou_mean_q(ts, 1.0) == pytest.approx(want, rel=1e-12)
+    assert np.array_equal(ou_mean_q(ts, 0.0), np.ones(4))
 
 
 def test_mc_short_time_fails_only_at_the_nominal_rate():
@@ -391,22 +388,20 @@ def test_mc_short_time_fails_only_at_the_nominal_rate():
 
 
 def test_monte_carlo_stderr_shrinks_with_samples():
-    spec = noise_spec_for_gamma(0.5, seed=8)
-    small = monte_carlo_q(np.array([1.0]), spec, n_samples=2000)
-    large = monte_carlo_q(np.array([1.0]), spec, n_samples=8000)
+    small = monte_carlo_q(np.array([1.0]), 0.5, seed=8, n_samples=2000)
+    large = monte_carlo_q(np.array([1.0]), 0.5, seed=8, n_samples=8000)
     ratio = small.stderr[0] / large.stderr[0]
     assert 1.7 < ratio < 2.3
 
 
 def test_monte_carlo_grid_validation():
-    spec = noise_spec_for_gamma(0.5)
     with pytest.raises(ValueError):
-        monte_carlo_q(np.array([1.0, 0.5]), spec)
+        monte_carlo_q(np.array([1.0, 0.5]), 0.5)
     with pytest.raises(ValueError):
-        monte_carlo_q(np.array([0.5]), spec, n_samples=1)
+        monte_carlo_q(np.array([0.5]), 0.5, n_samples=1)
     for bad in ([0.5, float("nan")], [float("inf")]):
         with pytest.raises(ValueError, match="finite"):
-            monte_carlo_q(np.array(bad), spec)
+            monte_carlo_q(np.array(bad), 0.5)
 
 
 # ---------------------------------------------------------------- joint averaging
