@@ -37,6 +37,8 @@ def coherent_weights(alpha, eps_trunc=1e-12):
     if alpha == 0.0:
         return CoherentField(alpha=0.0, n_max=0, weights=np.array([1.0]))
     mean = alpha * alpha
+    if not math.isfinite(mean):
+        raise ValueError(f"alpha * alpha must be finite, got alpha = {alpha}")
     # Poisson tails beyond mean + 20 sqrt(mean) + 60 are far below any sane eps_trunc.
     hard_cap = int(mean + 20.0 * math.sqrt(mean) + 60.0)
     log_w = np.empty(hard_cap + 1)

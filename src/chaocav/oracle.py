@@ -3,8 +3,9 @@
 Everything here rebuilds the physics from first principles: the sector
 Hamiltonians are written down directly and integrated with a fixed-step
 RK4 scheme, the random phase factor is re-estimated by Monte Carlo over
-an Ornstein-Uhlenbeck surrogate, and teleportation is re-done by
-explicit Bell projection. run_verification bundles the comparisons into
+the Gaussian phase whose exact mean is averaged_q (its variance integrated
+from the frequency covariance), and teleportation is re-done by explicit
+Bell projection. run_verification bundles the comparisons into
 a pass/fail report; the same checks back the test suite. This is also the
 only module that keeps the paper's printed amplitude formulas
 (legacy_quadruples), as a documented comparison.
@@ -203,22 +204,25 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
     return np.stack([amp_a, amp_b, amp_c, amp_d], axis=-1)
 
 
-def _noise_spec(gamma):
-    """(sigma, tau_c) of the Ornstein-Uhlenbeck surrogate for gamma.
+def _phase_variance(t, gamma):
+    """Phase variance V(t) = 2 int_0^t (t - tau) C(tau) dtau, elementwise over t.
 
-    Variance sigma^2 = 2 gamma reproduces the short-time decay
-    exp(-gamma t^2); correlation time sqrt(pi)/(4 sqrt(gamma)) reproduces
-    the long-time decay rate sqrt(pi gamma)/2. The surrogate's long-time
-    average then carries a constant excess factor exp(pi/8). gamma = 0
-    gives (0, 0), a constant phase; non-finite or negative gamma raises
-    ValueError, as in averaged_q.
+    C(tau) = 2 gamma (1 - gamma tau^2) exp(-gamma tau^2) is the frequency
+    covariance, integrated by a 64-node Gauss-Legendre rule on [0, t]. So
+    the Monte Carlo check reaches averaged_q = exp(-V/2) by a route apart
+    from its closed form sqrt(pi) s erf(s), s = t sqrt(gamma); the two agree
+    to about 1e-14 relative up to s = 40, where exp(-V/2) is below 1e-15.
     """
-    gamma = float(gamma)
-    if not math.isfinite(gamma) or gamma < 0.0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    if gamma == 0.0:
-        return 0.0, 0.0
-    return math.sqrt(2.0 * gamma), math.sqrt(math.pi) / (4.0 * math.sqrt(gamma))
+    # Golub-Welsch nodes and weights, so numpy.polynomial need not be imported.
+    k = np.arange(1.0, 64.0)
+    nodes, vecs = np.linalg.eigh(np.diag(k / np.sqrt(4.0 * k * k - 1.0), -1), UPLO="L")
+    t = np.asarray(t, dtype=float)
+    total = np.zeros(t.shape)
+    for node, weight in zip(nodes, 2.0 * vecs[0] ** 2):
+        tau = 0.5 * (node + 1.0) * t
+        gt2 = gamma * tau * tau
+        total += weight * (t - tau) * (2.0 * gamma * (1.0 - gt2) * np.exp(-gt2))
+    return t * total
 
 
 @dataclass(frozen=True)
@@ -230,18 +234,32 @@ class MonteCarloQ:
     n_samples: int
 
 
+def _phase_chunks(t_grid, gamma, seed, n_samples):
+    """The sampled phases phi(t_grid) as (m, T) arrays of at most 8,192 draws.
+
+    The phases are one multivariate normal with
+    Cov(phi(a), phi(b)) = (V(a) + V(b) - V(|a - b|)) / 2. In floating point
+    that matrix is only semidefinite, so it is factored with eigh and its
+    negative eigenvalues are clipped to 0. At gamma = 0 every phase is 0.
+    Memory does not grow with n_samples.
+    """
+    var = _phase_variance(t_grid, gamma)
+    lag = _phase_variance(np.abs(t_grid[:, None] - t_grid[None, :]), gamma)
+    eig, vecs = np.linalg.eigh(0.5 * (var[:, None] + var[None, :] - lag))
+    root_t = (vecs * np.sqrt(np.clip(eig, 0.0, None))).T
+    rng = np.random.Generator(np.random.Philox(seed))
+    for start in range(0, n_samples, 8192):
+        yield rng.standard_normal((min(8192, n_samples - start), t_grid.size)) @ root_t
+
+
 def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
     """Monte Carlo estimate of the averaged phase factor on a time grid.
 
-    The driving frequency follows the exact stationary discretization of
-    the Ornstein-Uhlenbeck surrogate for gamma (64 substeps per
-    correlation time); the phase accumulates by the trapezoid rule.
-    gamma = 0 gives the constant phase, q = 1 with zero error, exactly.
-    Deterministic for a fixed (gamma, seed): the counter-based generator
-    is seeded from seed.
-    The substeps draw into and update preallocated buffers, keeping the
-    operand order of omega' = decay omega + kick z and
-    phi += (h/2) (omega + omega'), so no substep allocates.
+    Samples the Gaussian phase whose exact mean is averaged_q(t, gamma)
+    jointly on the grid (_phase_chunks) and sums chunk by chunk. The real
+    part goes through 1 - cos(phi) = 2 sin(phi/2)^2, so the standard error
+    keeps its digits where cos(phi) is close to 1. gamma = 0 gives q = 1
+    with zero error, exactly. Deterministic for a fixed (gamma, seed).
     """
     t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
     if not np.all(np.isfinite(t_grid)):
@@ -250,36 +268,21 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
         raise ValueError("t_grid must be nonnegative and nondecreasing")
     if n_samples < 2:
         raise ValueError("need at least 2 samples")
-    sigma, tau = _noise_spec(gamma)
-    if sigma == 0.0:
-        return MonteCarloQ(q_mean=np.ones(t_grid.shape, dtype=complex),
-                           stderr=np.zeros(t_grid.shape), n_samples=n_samples)
-    rng = np.random.Generator(np.random.Philox(seed))
-    omega = rng.normal(0.0, sigma, n_samples)
-    omega_next = np.empty(n_samples)
-    z = np.empty(n_samples)
-    phi = np.zeros(n_samples)
-    q_mean = np.empty(t_grid.shape, dtype=complex)
-    stderr = np.empty(t_grid.shape)
-    t_prev = 0.0
-    for k, tk in enumerate(t_grid):
-        seg = tk - t_prev
-        if seg > 0.0:
-            n_steps = max(1, int(math.ceil(seg / (tau / 64.0))))
-            h = seg / n_steps
-            decay = math.exp(-h / tau)
-            kick = sigma * math.sqrt(1.0 - decay * decay)
-            for _ in range(n_steps):
-                rng.standard_normal(n_samples, out=z)
-                np.add(np.multiply(decay, omega, out=omega_next),
-                       np.multiply(kick, z, out=z), out=omega_next)
-                phi += np.multiply(0.5 * h, np.add(omega, omega_next, out=z), out=z)
-                omega, omega_next = omega_next, omega
-        vals = np.exp(1j * phi)
-        q_mean[k] = vals.mean()
-        stderr[k] = float(np.std(vals.real, ddof=1) / math.sqrt(n_samples))
-        t_prev = tk
-    return MonteCarloQ(q_mean=q_mean, stderr=stderr, n_samples=n_samples)
+    gamma = float(gamma)
+    if not math.isfinite(gamma) or gamma < 0.0:
+        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
+    sum_y = np.zeros(t_grid.shape)
+    sum_y2 = np.zeros(t_grid.shape)
+    sum_sin = np.zeros(t_grid.shape)
+    for phi in _phase_chunks(t_grid, gamma, seed, n_samples):
+        sum_sin += np.sin(phi).sum(axis=0)
+        # Rebinding phi to 1 - cos(phi) frees the draw; one chunk outlives the step.
+        phi = 2.0 * np.sin(0.5 * phi) ** 2
+        sum_y += phi.sum(axis=0)
+        sum_y2 += (phi * phi).sum(axis=0)
+    q_mean = (1.0 - sum_y / n_samples) + 1j * (sum_sin / n_samples)
+    var = (sum_y2 - sum_y * sum_y / n_samples) / (n_samples - 1)
+    return MonteCarloQ(q_mean=q_mean, stderr=np.sqrt(var / n_samples), n_samples=n_samples)
 
 
 def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
@@ -337,43 +340,19 @@ class VerifyCheck:
     detail: str
 
 
-def ou_mean_q(t_grid, gamma):
-    """Exact mean of exp(i phi(t)) for the phase-noise surrogate of gamma.
-
-    For the Ornstein-Uhlenbeck drive the phase is Gaussian with variance
-    2 sigma^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c)), so the mean is
-    exp(-sigma^2 tau_c^2 (t/tau_c - 1 + exp(-t/tau_c))). It tends to
-    exp(-sigma^2 t^2 / 2) as t -> 0 but sits above it at every t > 0.
-    """
-    t_grid = np.atleast_1d(np.asarray(t_grid, dtype=float))
-    sigma, tau = _noise_spec(gamma)
-    if sigma == 0.0:
-        return np.ones(t_grid.shape)
-    x = t_grid / tau
-    # x + expm1(-x) keeps its digits where x is small.
-    return np.exp(-(sigma * tau) ** 2 * (x + np.expm1(-x)))
-
-
 def mc_short_time(gamma, seed):
-    """Monte Carlo mean of the surrogate at t = 0.005 and 0.01 against its exact mean.
+    """Monte Carlo mean at t = 0.005 and 0.01 against averaged_q.
 
     Returns (ok, detail) from 100,000 samples. ok holds when both gaps
     are within three standard errors, which fails by chance for a few
-    seeds in a thousand. The detail also reports the deterministic gap between the exact mean
-    and exp(-gamma t^2), the averaged channel's short-time form.
+    seeds in a thousand.
     """
     t_grid = np.array([0.005, 0.01])
     mc = monte_carlo_q(t_grid, gamma, seed=seed, n_samples=100000)
-    exact = ou_mean_q(t_grid, gamma)
-    ok = True
-    details = []
-    for k, t_chk in enumerate(t_grid):
-        gap = abs(mc.q_mean[k].real - exact[k])
-        bias = exact[k] - math.exp(-gamma * t_chk ** 2)
-        ok = ok and gap <= 3.0 * mc.stderr[k]
-        details.append(f"t={t_chk}: gap {gap:.2e} vs 3*se {3.0 * mc.stderr[k]:.2e}, "
-                       f"exact mean - exp(-gamma t^2) {bias:.2e}")
-    return ok, "; ".join(details)
+    gaps = np.abs(mc.q_mean.real - averaged_q(t_grid, gamma))
+    detail = "; ".join(f"t={t}: gap {gap:.2e} vs 3*se {3.0 * se:.2e}"
+                       for t, gap, se in zip(t_grid, gaps, mc.stderr))
+    return bool(np.all(gaps <= 3.0 * mc.stderr)), detail
 
 
 def _doe_reference(rho):
@@ -388,8 +367,7 @@ def run_verification(seed=8):
     Returns VerifyCheck rows; any FAIL means the closed-form dynamics and
     the independent reconstruction disagree beyond tolerance. Statistical
     rows are deterministic for a fixed seed. They are 3-sigma gates, so
-    any seed may fail one by chance; mc_short_time fails for one of the
-    seeds 0..119 (46), and the default seed 8 passes them all.
+    any seed may fail one by chance; none of the seeds 0..119 does.
     """
     rows = []
 
@@ -541,18 +519,13 @@ def run_verification(seed=8):
     check("bell_channel_fidelity", bell_dev <= 1e-12,
           f"max deviation from unit fidelity and weight 1/4: {bell_dev:.2e}")
 
-    # The noise surrogate must match its own exact mean at short times,
-    # where it approaches the averaged factor's exp(-gamma t^2).
+    # The sampled phase must reproduce averaged_q at short times and its decay rate.
     gamma_mc = 1.0
     check("mc_short_time", *mc_short_time(gamma_mc, seed))
-
-    # At long times the surrogate decays at rate sigma^2 tau_c with a
-    # known constant offset exp(pi/8); the rate must match sqrt(pi g)/2.
     t_long = 3.0
     mc_long = monte_carlo_q(np.array([t_long]), gamma_mc, seed=seed, n_samples=100000)
-    q_hat = float(mc_long.q_mean[0].real)
-    rate_hat = (-math.log(q_hat) + math.pi / 8.0) / t_long
-    rate_expect = math.sqrt(math.pi * gamma_mc) / 2.0
+    rate_hat = -math.log(float(mc_long.q_mean[0].real)) / t_long
+    rate_expect = -math.log(float(averaged_q(t_long, gamma_mc))) / t_long
     rel = abs(rate_hat - rate_expect) / rate_expect
     check("mc_decay_rate", rel <= 0.05,
           f"estimated rate {rate_hat:.4f} vs {rate_expect:.4f} ({100 * rel:.2f}% off)")

