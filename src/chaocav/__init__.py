@@ -8,7 +8,7 @@ from .field import CoherentField, coherent_weights
 from .linalg import (InvariantViolation, jacobi_eigh, partial_transpose,
                      require_density_matrix, tensor)
 from .oracle import (MonteCarloQ, build_block, full_hamiltonian, integrate_schrodinger,
-                     joint_averaged_density, monte_carlo_q, rk4_evolve, run_verification)
+                     joint_averaged_density, monte_carlo_q, run_verification)
 from .sweep import SweepGrid, sweep_grid
 from .teleport import TeleportOutcome, UnknownQubit, bell_project_teleport, kappa_sums
 

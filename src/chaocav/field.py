@@ -41,6 +41,10 @@ def coherent_weights(alpha, eps_trunc=1e-12):
         raise ValueError(f"alpha * alpha must be finite, got alpha = {alpha}")
     # Poisson tails beyond mean + 20 sqrt(mean) + 60 are far below any sane eps_trunc.
     hard_cap = int(mean + 20.0 * math.sqrt(mean) + 60.0)
+    # numpy cannot size a float64 array whose byte count overflows its index type.
+    if (hard_cap + 1) * 8 > np.iinfo(np.intp).max:
+        raise ValueError(f"alpha = {alpha:g} is too large: it needs {hard_cap + 1:.3g} "
+                         "photon levels, more than an array can hold")
     log_w = np.empty(hard_cap + 1)
     cum = 0.0
     n_max = hard_cap

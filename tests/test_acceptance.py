@@ -25,12 +25,10 @@ from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
 from chaocav.oracle import (
-    build_block,
     integrate_schrodinger,
     joint_averaged_density,
     legacy_quadruples,
     monte_carlo_q,
-    rk4_evolve,
 )
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import UnknownQubit, bell_project_teleport
@@ -206,7 +204,7 @@ def test_closed_form_matches_projection():
 def test_closed_form_matches_integrator():
     field = coherent_weights(5.0)
     sectors = [0, 1, 5, 25]
-    (psi,) = integrate_schrodinger(BELL_INIT, field, ((0.0, sectors),), (1.0,))
+    (psi,) = integrate_schrodinger(BELL_INIT, field, sectors, (1.0,), 0.0)
     table = deterministic_table(np.array([1.0]), BELL_INIT, field, 0.0)
     worst = float(np.max(np.abs(gather_sectors(table.photon[0], sectors) - psi)))
     # The paper's printed formulas, at the frozen phases of the table above.
@@ -214,16 +212,14 @@ def test_closed_form_matches_integrator():
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), BELL_INIT,
                                field, 0.0)
     legacy_dev = float(np.max(np.abs(legacy - psi)))
-    block = build_block(25, 0.0)
     w = field.weights
-    psi0 = np.array([w[26] * BELL_INIT.c00, 0.0, 0.0, w[24] * BELL_INIT.c11])
-    norm0 = float(np.sum(np.abs(psi0) ** 2))
-    psi10 = rk4_evolve(block[None], psi0[None], 10.0, dt=2e-4)
+    norm0 = abs(w[26] * BELL_INIT.c00) ** 2 + abs(w[24] * BELL_INIT.c11) ** 2
+    (psi10,) = integrate_schrodinger(BELL_INIT, field, [25], (10.0,), 0.0)
     drift = abs(float(np.sum(np.abs(psi10) ** 2)) - norm0) / norm0
-    ok = worst <= 1e-6 and drift < 1e-9 and legacy_dev > 0.01
-    assert report(ok, "closed form tracks the numerical integrator",
-                  f"corrected dev={worst:.2e} (<=1e-6), norm drift at t=10 "
-                  f"{drift:.2e} (<1e-9), printed legacy form deviates by "
+    ok = worst <= 1e-12 and drift < 1e-12 and legacy_dev > 0.01
+    assert report(ok, "closed form tracks the exact propagator",
+                  f"corrected dev={worst:.2e} (<=1e-12), norm drift at t=10 "
+                  f"{drift:.2e} (<1e-12), printed legacy form deviates by "
                   f"{legacy_dev:.3f} as documented")
 
 

@@ -1,5 +1,5 @@
 """Independent cross-checks: operator algebra, the block Hamiltonian as a
-restriction of the full tensor-space Hamiltonian, the RK4 integrator, the
+restriction of the full tensor-space Hamiltonian, the exact propagator, the
 Monte Carlo phase sampler and the joint averaging reference."""
 
 import math
@@ -10,10 +10,11 @@ import pytest
 
 import chaocav.oracle as oracle
 from chaocav.dynamics import (AtomicInit, amplitude_table, averaged_q, deterministic_table,
-                              frozen_phases, gather_sectors, table_density)
+                              frozen_phases, gather_sectors, padded_weights, start_quadruples,
+                              table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
-from chaocav.linalg import InvariantViolation, require_density_matrix
+from chaocav.linalg import require_density_matrix
 from chaocav.oracle import (
     S_MINUS,
     S_PLUS,
@@ -25,10 +26,9 @@ from chaocav.oracle import (
     legacy_quadruples,
     mc_short_time,
     monte_carlo_q,
-    rk4_evolve,
     sector_density,
 )
-from conftest import BELL_INIT, random_hermitian
+from conftest import BELL_INIT
 
 
 def sector_basis_indices(n, n_fock):
@@ -108,150 +108,55 @@ def test_sector_index_bounds():
         build_block(-1, 1.0)
 
 
-# ---------------------------------------------------------------- integrator
+# ---------------------------------------------------------------- propagator
 
-def test_rk4_reproduces_a_two_level_rotation():
-    w = 1.3
-    h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
-    psi = rk4_evolve(h[None], np.array([[1.0, 0.0]], dtype=complex), 0.8, dt=1e-3)[0]
-    want = np.array([math.cos(w * 0.8), 1j * math.sin(w * 0.8)])
-    assert np.max(np.abs(psi - want)) <= 1e-9
-
-
-def test_rk4_error_scales_at_fourth_order():
-    w = 2.0
-    h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    want = np.array([math.cos(w), 1j * math.sin(w)])
-    err = [np.max(np.abs(rk4_evolve(h[None], psi0[None], 1.0, dt=dt)[0] - want))
-           for dt in (2e-3, 1e-3)]
-    ratio = err[0] / err[1]
-    assert 12.0 < ratio < 20.0
-
-
-def test_rk4_partial_final_step_lands_on_t():
-    w = 1.0
-    h = np.array([[0.0, -w], [-w, 0.0]], dtype=complex)
-    psi0 = np.array([1.0, 0.0], dtype=complex)
-    t = 0.0105  # not a multiple of dt
-    psi = rk4_evolve(h[None], psi0[None], t, dt=1e-3)[0]
-    want = np.array([math.cos(w * t), 1j * math.sin(w * t)])
-    assert np.max(np.abs(psi - want)) <= 1e-12
-    assert np.array_equal(rk4_evolve(h[None], psi0[None], 0.0, dt=1e-3), psi0[None])
-    with pytest.raises(ValueError):
-        rk4_evolve(h[None], psi0[None], -1.0)
-
-
-def reference_rk4(blocks, psi0, t_final, dt):
-    # The integrator as first written: allocating stages and -1j applied
-    # after each block product.
-    def deriv(p):
-        return -1j * np.einsum("sij,sj->si", blocks, p)
-
-    def step(p, h):
-        k1 = deriv(p)
-        k2 = deriv(p + 0.5 * h * k1)
-        k3 = deriv(p + 0.5 * h * k2)
-        k4 = deriv(p + h * k3)
-        return p + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-    psi = np.array(psi0, dtype=complex)
-    n_full = int(t_final / dt)
-    for _ in range(n_full):
-        psi = step(psi, dt)
-    rem = t_final - n_full * dt
-    return step(psi, rem) if rem > 1e-15 else psi
-
-
-def random_blocks(rng, sectors):
-    blocks = np.stack([random_hermitian(rng) for _ in range(sectors)])
-    psi0 = rng.normal(size=(sectors, 4)) + 1j * rng.normal(size=(sectors, 4))
-    return blocks, psi0
-
-
-def test_rk4_matches_the_reference_bit_for_bit(rng):
-    blocks, psi0 = random_blocks(rng, 7)
-    for t_final in (0.25, 0.3337):  # whole steps only, then a partial last step
-        got = rk4_evolve(blocks, psi0, t_final, dt=1e-3)
-        assert np.array_equal(got, reference_rk4(blocks, psi0, t_final, 1e-3))
-
-
-def test_stacked_groups_equal_separate_runs():
-    # one pass over two parameter groups, stopping at 0.25 and going on to
-    # 0.5, gives each group's rows bit for bit as separate runs would
+def test_exact_states_solve_the_schroedinger_equation():
+    # The start state and d psi/dt = -i H psi fix the solution; the rate is
+    # a central difference, with the spin-spin coupling on so every block
+    # entry enters.
     init = AtomicInit(0.5, 0.5j, -0.5, 0.5)
     field = coherent_weights(2.0)
     every = list(range(field.n_max + 2))
-    picked = [0, 3]
-    states = integrate_schrodinger(init, field, ((0.0, every), (1.0, picked)),
-                                   (0.25, 0.5), 1e-3)
-    for t, psi in zip((0.25, 0.5), states):
-        (alone0,) = integrate_schrodinger(init, field, ((0.0, every),), (t,), 1e-3)
-        (alone1,) = integrate_schrodinger(init, field, ((1.0, picked),), (t,), 1e-3)
-        assert np.array_equal(psi, np.concatenate([alone0, alone1]))
+    t, h = 0.7, 1e-4
+    start, before, now, after = integrate_schrodinger(init, field, every,
+                                                      (0.0, t - h, t, t + h), 1.0)
+    psi0 = start_quadruples(np.array(every), init, padded_weights(field))
+    assert np.max(np.abs(start - psi0)) <= 1e-14
+    blocks = np.stack([build_block(n, 1.0) for n in every])
+    rate = (after - before) / (2.0 * h)
+    want = -1j * np.einsum("sij,sj->si", blocks, now)
+    assert np.max(np.abs(rate - want)) <= 1e-7  # truncation error h^2 |H^3 psi| / 6: 4.2e-8
 
 
-@pytest.mark.parametrize("kwargs, name", [
-    ({"dt": -1e-3}, "dt"),
-    ({"dt": 0.0}, "dt"),
-    ({"dt": float("nan")}, "dt"),
-    ({"dt": float("inf")}, "dt"),
-    ({"t_final": float("nan")}, "t_final"),
-    ({"t_final": float("inf")}, "t_final"),
-])
-def test_rk4_rejects_bad_times(kwargs, name):
-    h = np.array([[0.0, -1.0], [-1.0, 0.0]], dtype=complex)
-    args = {"t_final": 1.0, "dt": 1e-3, **kwargs}
-    with pytest.raises(ValueError, match=name):
-        rk4_evolve(h[None], np.array([[1.0, 0.0]]), **args)
-
-
-def test_run_verification_takes_60000_rk4_steps(monkeypatch):
-    calls = []
-    original = oracle.rk4_evolve
-
-    def counting(blocks, psi0, t_final, dt=1e-4):
-        n_full = int(t_final / dt)
-        calls.append(n_full + (1 if t_final - n_full * dt > 1e-15 else 0))
-        return original(blocks, psi0, t_final, dt)
-
-    monkeypatch.setattr(oracle, "rk4_evolve", counting)
-    rows = oracle.run_verification()
-    assert not any(row.status == "FAIL" for row in rows)
-    assert sum(calls) == 60000
+@pytest.mark.parametrize("t", [float("nan"), float("inf"), -1.0])
+def test_integrator_rejects_bad_times(t):
+    with pytest.raises(ValueError, match="times must be finite and >= 0"):
+        integrate_schrodinger(BELL_INIT, coherent_weights(1.0), [0, 1], (0.5, t), 0.0)
 
 
 def test_integrator_matches_closed_form_without_spin_exchange():
     init = BELL_INIT
     field = coherent_weights(5.0)
-    sectors = [0, 1, 5, 25]
-    (psi,) = integrate_schrodinger(init, field, ((0.0, sectors),), (1.0,), dt=1e-3)
+    every = list(range(field.n_max + 2))
+    (psi,) = integrate_schrodinger(init, field, every, (1.0,), 0.0)
     table = deterministic_table(np.array([1.0]), init, field, 0.0)
-    want = gather_sectors(table.photon[0], sectors)
+    want = gather_sectors(table.photon[0], every)
     assert want[0, 3] == 0.0  # sector 0 has no |ee> component
-    for k in range(len(sectors)):
-        assert np.max(np.abs(psi[k] - want[k])) <= 1e-6
-
-
-def test_integrator_norm_guard_trips_on_coarse_steps():
-    init = BELL_INIT
-    field = coherent_weights(5.0)
-    with pytest.raises(InvariantViolation, match="drift"):
-        integrate_schrodinger(init, field, ((0.0, [25]),), (1.0,), dt=0.2)
+    assert np.max(np.abs(psi - want)) <= 1e-12
 
 
 def test_integrator_sector_validation():
     field = coherent_weights(1.0)
-    with pytest.raises(ValueError):
-        integrate_schrodinger(BELL_INIT, field,
-                              ((1.0, [field.n_max + 2]),), (1.0,))
+    for bad in (-1, field.n_max + 2):
+        with pytest.raises(ValueError, match="sectors must lie in"):
+            integrate_schrodinger(BELL_INIT, field, [0, bad], (1.0,), 1.0)
 
 
 def test_oracle_density_matches_closed_form_density():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
     field = coherent_weights(2.0)
     every = list(range(field.n_max + 2))
-    (psi,) = integrate_schrodinger(init, field, ((0.0, every),), (0.7,), dt=1e-3)
+    (psi,) = integrate_schrodinger(init, field, every, (0.7,), 0.0)
     rho, pre = sector_density(psi, field.weights[0] * init.c00)
     want_rho, want_pre = table_density(deterministic_table(0.7, init, field, 0.0))
     assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
@@ -411,6 +316,19 @@ def test_joint_average_sampling_matches_analytic_moments():
     sampled, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=20000, seed=8)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
     assert negativity(sampled) >= 0.0
+
+
+def test_joint_average_sampling_memory_does_not_grow_with_samples():
+    # One array of all 100,000 sampled states at alpha = 5 (71 photon
+    # columns) needs about 450 MB; the phases alone need 1.6 MB.
+    field = coherent_weights(5.0)
+    tracemalloc.start()
+    try:
+        joint_averaged_density(2.0, 0.5, BELL_INIT, field, 1.0, n_samples=100000, seed=8)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6, peak
 
 
 def test_joint_average_sampling_at_zero_q_draws_uniform_phases():
