@@ -1,9 +1,8 @@
 """Command-line front end: sweep commands, figure presets, CSV and SVG output.
 
-Settings are layered: built-in defaults, then a config file, then a
-figure preset, then explicit flags. Exit codes: 0 success, 2 bad
-configuration or a run too large for memory, 3 I/O failure, 4 violated
-invariant or failed verification.
+Settings are layered: built-in defaults, then a figure preset, then
+explicit flags. Exit codes: 0 success, 2 bad settings or a run too large
+for memory, 3 I/O failure, 4 violated invariant or failed verification.
 """
 
 from __future__ import annotations
@@ -65,67 +64,25 @@ def parse_complex(text):
     raise ConfigError(f"cannot parse complex value {text!r}; expected 're' or 're,im'")
 
 
-def _parse_bool(text):
-    low = str(text).strip().lower()
-    if low in ("1", "true", "yes", "on"):
-        return True
-    if low in ("0", "false", "no", "off"):
-        return False
-    raise ConfigError(f"cannot parse boolean value {text!r}")
-
-
-def _parse_float_list(text):
-    parts = str(text).replace(",", " ").split()
-    if not parts:
-        raise ConfigError("expected at least one number")
-    try:
-        return tuple(float(p) for p in parts)
-    except ValueError:
-        raise ConfigError(f"cannot parse number list {text!r}") from None
-
-
-#: Every setting, under its config-file key: (built-in default, parser of
-#: the config text). Presets and flags set the same keys.
+#: Every setting with its built-in default. Presets and flags set the same
+#: keys; each flag's dest is its key, except --init, which sets c00..c11.
 SETTINGS = {
-    "gamma": ((0.5,), _parse_float_list),
-    "alpha_field": (5.0, float),
-    "t_max": (10.0, float),
-    "steps": (500, int),
-    "gamma_steps": (100, int),
-    "c00": (complex(INV_SQRT2), parse_complex),
-    "c01": (0.0j, parse_complex),
-    "c10": (0.0j, parse_complex),
-    "c11": (complex(INV_SQRT2), parse_complex),
-    "alpha_u": (complex(0.95), parse_complex),
-    "beta_u": (None, parse_complex),
-    "omega_rabi": (1.0, float),
-    "eps_trunc": (1e-12, float),
-    "out": (None, str),
-    "svg": (False, _parse_bool),
+    "gamma": (0.5,),
+    "alpha_field": 5.0,
+    "t_max": 10.0,
+    "steps": 500,
+    "gamma_steps": 100,
+    "c00": complex(INV_SQRT2),
+    "c01": 0.0j,
+    "c10": 0.0j,
+    "c11": complex(INV_SQRT2),
+    "alpha_u": complex(0.95),
+    "beta_u": None,
+    "omega_rabi": 1.0,
+    "eps_trunc": 1e-12,
+    "out": None,
+    "svg": False,
 }
-
-def parse_config_file(path):
-    """key = value lines, # comments, keys matching the long CLI flags."""
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise ConfigError(f"cannot read config file {path}: {exc}") from None
-    settings = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise ConfigError(f"{path}:{lineno}: expected key = value, got {raw.strip()!r}")
-        key = key.strip().lower().replace("-", "_")
-        if key not in SETTINGS:
-            raise ConfigError(f"{path}:{lineno}: unknown key {key!r}")
-        try:
-            settings[key] = SETTINGS[key][1](value.strip())
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(f"{path}:{lineno}: {exc}") from None
-    return settings
 
 
 class _Parser(argparse.ArgumentParser):
@@ -165,7 +122,6 @@ def build_parser():
                         help="also render an SVG chart next to the CSV")
         sp.add_argument("--seed", type=int,
                         help="ignored: sweeps are deterministic and draw no random numbers")
-        sp.add_argument("--config", help="key = value settings file")
 
     sp_ent = sub.add_parser("entanglement",
                             help="degree of entanglement over a time grid")
@@ -186,9 +142,8 @@ def build_parser():
 
 
 def _merge_settings(args):
-    settings = {key: default for key, (default, _) in SETTINGS.items()}
-    if args.config:
-        settings.update(parse_config_file(args.config))
+    """Built-in defaults, then the --fig preset, then explicit flags."""
+    settings = dict(SETTINGS)
     if args.fig:
         preset = PRESETS[args.fig]
         if preset["command"] != args.command:
@@ -198,13 +153,14 @@ def _merge_settings(args):
     if args.init is not None:
         for key, text in zip(("c00", "c01", "c10", "c11"), args.init):
             settings[key] = parse_complex(text)
-    # Each flag's dest is its settings key. argparse has already converted
-    # the numeric flags, which their key's parser passes through unchanged;
-    # --gamma alone gives a list.
-    for key, (_, parse) in SETTINGS.items():
+    # argparse has already converted the numeric flags; --gamma gives a list.
+    for key in SETTINGS:
         value = getattr(args, key, None)
-        if value is not None:
-            settings[key] = tuple(value) if key == "gamma" else parse(value)
+        if value is None:
+            continue
+        if key in ("alpha_u", "beta_u"):
+            value = parse_complex(value)
+        settings[key] = tuple(value) if key == "gamma" else value
     return settings
 
 

@@ -312,7 +312,8 @@ def table_density(table):
     rho = np.einsum("tim,tjm->tij", v, np.conj(v))
     pre = np.einsum("tii->t", rho).real
     if np.any(pre <= 0.0):
-        raise InvariantViolation("density matrix trace vanished; initial state carries no weight")
+        raise InvariantViolation("density matrix trace vanished: q = 0, or a q whose square "
+                                 "underflows, drained the whole scalar-channel state")
     rho /= pre[:, None, None]
     return rho, pre
 

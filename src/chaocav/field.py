@@ -27,7 +27,7 @@ def coherent_weights(alpha, eps_trunc=1e-12):
 
     Evaluated in log space so large alpha neither overflows nor underflows.
     n_max is the smallest cutoff whose photon-number tail probability is
-    below eps_trunc.
+    below eps_trunc; a ValueError says when no cutoff below the hard cap is.
     """
     alpha = float(alpha)
     if alpha < 0:
@@ -45,15 +45,16 @@ def coherent_weights(alpha, eps_trunc=1e-12):
     if (hard_cap + 1) * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"alpha = {alpha:g} is too large: it needs {hard_cap + 1:.3g} "
                          "photon levels, more than an array can hold")
-    log_w = np.empty(hard_cap + 1)
-    cum = 0.0
-    n_max = hard_cap
-    for n in range(hard_cap + 1):
-        log_w[n] = n * math.log(alpha) - 0.5 * math.lgamma(n + 1) - 0.5 * mean
-        cum += math.exp(2.0 * log_w[n])
-        if 1.0 - cum < eps_trunc:
-            n_max = n
-            break
+    lgammas = np.array([math.lgamma(n + 1) for n in range(hard_cap + 1)])
+    log_w = np.arange(hard_cap + 1) * math.log(alpha) - 0.5 * lgammas - 0.5 * mean
+    # dropped[n] is the mass past level n, summed smallest term first: 1
+    # minus the kept mass would carry the kept terms' rounding, about 1e-11
+    # at alpha 100.
+    dropped = np.cumsum(np.exp(2.0 * log_w[:0:-1]))[::-1]
+    fits = np.flatnonzero(dropped < eps_trunc)
+    if fits.size == 0:
+        raise ValueError(f"eps_trunc = {eps_trunc:g} is below the tail mass of every cutoff "
+                         f"under {hard_cap} photon levels at alpha = {alpha:g}")
+    n_max = int(fits[0])
     weights = np.exp(log_w[: n_max + 1])
     return CoherentField(alpha=alpha, n_max=n_max, weights=weights)
-

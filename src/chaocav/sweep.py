@@ -22,6 +22,7 @@ import numpy as np
 
 from .dynamics import amplitude_table, averaged_q, table_density
 from .entanglement import _doe_from_rhos
+from .linalg import InvariantViolation
 from .teleport import WEIGHT_FLOOR, kappa_sums
 
 #: Grid points per group of gamma rows in the 4x4 stage (at least one row).
@@ -30,6 +31,10 @@ GROUP_POINTS = 4096
 #: Largest amplitude table built at once; a longer row is built in pieces over t.
 TABLE_BUDGET_BYTES = 8 * 2 ** 20
 
+#: Rounding by which a fidelity may leave [0, 1]. Values below 0 are clamped
+#: to 0; those above 1 stay, as the fig 2 chart was drawn from them.
+FIDELITY_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class SweepGrid:
@@ -37,7 +42,8 @@ class SweepGrid:
 
     The teleportation arrays (fidelity, kappa1, kappa2, kappa4, weight)
     are None when no unknown qubit was given. Fidelity is nan where the
-    phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR.
+    phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR, and
+    otherwise lies in [0, 1 + FIDELITY_TOL].
     """
 
     doe: np.ndarray
@@ -86,5 +92,10 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         numer = (abs(au) ** 2 * k1 + np.conj(au) * bu * k2
                  + au * np.conj(bu) * np.conj(k2) + abs(bu) ** 2 * k4).real
         np.divide(numer, weight[rows], out=fid[rows], where=weight[rows] > WEIGHT_FLOOR)
+    if fid is not None:
+        if np.any((fid < -FIDELITY_TOL) | (fid > 1.0 + FIDELITY_TOL)):
+            raise InvariantViolation(f"fidelity left [0, 1]: range [{np.nanmin(fid)}, "
+                                     f"{np.nanmax(fid)}]")
+        np.maximum(fid, 0.0, out=fid)
     return SweepGrid(doe=doe, pre_norm_trace=pre, fidelity=fid, kappa1=kappa1,
                      kappa2=kappa2, kappa4=kappa4, weight=weight)

@@ -1,5 +1,5 @@
-"""Command-line interface: settings precedence, config files, CSV and SVG
-outputs, exit codes and rerun determinism."""
+"""Command-line interface: flags, settings precedence, CSV and SVG outputs,
+exit codes and rerun determinism."""
 
 import argparse
 import csv
@@ -49,87 +49,45 @@ def test_parse_complex_rejects_garbage(bad):
         cli.parse_complex(bad)
 
 
-def test_config_file_parsing(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(
-        "# comment line\n"
-        "\n"
-        "steps = 10          # trailing comment\n"
-        "gamma = 0.1 0.5\n"
-        "c00 = 1,0\n"
-        "svg = off\n")
-    settings = cli.parse_config_file(cfg)
-    assert settings == {"steps": 10, "gamma": (0.1, 0.5),
-                        "c00": complex(1.0), "svg": False}
-
-
-def test_config_file_unknown_key(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("velocity = 3\n")
-    with pytest.raises(cli.ConfigError, match=r":1: unknown key"):
-        cli.parse_config_file(cfg)
-
-
 def test_every_config_key_sets_a_default():
-    # one table holds each key's default and parser; a preset may set only
-    # those keys, so it cannot leave a value nothing reads
+    # one table holds each key's default; a preset may set only those keys,
+    # so it cannot leave a value nothing reads
     for name, preset in cli.PRESETS.items():
         assert set(preset) - {"command"} <= set(cli.SETTINGS), name
 
 
-def test_config_file_malformed_number(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps = 5\ngamma = fast\n")
-    with pytest.raises(cli.ConfigError, match=r":2:"):
-        cli.parse_config_file(cfg)
-
-
-def test_config_file_missing_equals(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps 5\n")
-    with pytest.raises(cli.ConfigError, match="key = value"):
-        cli.parse_config_file(cfg)
-
-
-def test_config_file_unreadable():
-    with pytest.raises(cli.ConfigError, match="cannot read"):
-        cli.parse_config_file("/no/such/file.cfg")
-
-
-# Each flag that sets a settings key, with the same value as config text.
-# --init sets four keys at once.
+# Each flag that sets a settings key, with the keys and parsed values it
+# must produce. --init sets four keys at once.
 FLAG_CASES = [
-    (["--gamma", "0.1", "0.7"], "gamma = 0.1 0.7"),
-    (["--alpha-field", "2.5"], "alpha_field = 2.5"),
-    (["--t-max", "3.5"], "t_max = 3.5"),
-    (["--steps", "7"], "steps = 7"),
-    (["--gamma-steps", "9"], "gamma_steps = 9"),
-    (["--init", "0.6", "0,0.8", "0", "0"], "c00 = 0.6\nc01 = 0,0.8\nc10 = 0\nc11 = 0"),
-    (["--alpha-u", "0.6,0.1"], "alpha_u = 0.6,0.1"),
-    (["--beta-u", "0.8"], "beta_u = 0.8"),
-    (["--omega", "2.5"], "omega_rabi = 2.5"),
-    (["--eps-trunc", "1e-9"], "eps_trunc = 1e-9"),
-    (["--out", "run.csv"], "out = run.csv"),
-    (["--svg"], "svg = true"),
+    (["--gamma", "0.1", "0.7"], {"gamma": (0.1, 0.7)}),
+    (["--alpha-field", "2.5"], {"alpha_field": 2.5}),
+    (["--t-max", "3.5"], {"t_max": 3.5}),
+    (["--steps", "7"], {"steps": 7}),
+    (["--gamma-steps", "9"], {"gamma_steps": 9}),
+    (["--init", "0.6", "0,0.8", "0", "0"],
+     {"c00": complex(0.6), "c01": complex(0.0, 0.8), "c10": 0j, "c11": 0j}),
+    (["--alpha-u", "0.6,0.1"], {"alpha_u": complex(0.6, 0.1)}),
+    (["--beta-u", "0.8"], {"beta_u": complex(0.8)}),
+    (["--omega", "2.5"], {"omega_rabi": 2.5}),
+    (["--eps-trunc", "1e-9"], {"eps_trunc": 1e-9}),
+    (["--out", "run.csv"], {"out": "run.csv"}),
+    (["--svg"], {"svg": True}),
 ]
 
 
-@pytest.mark.parametrize("flags, config_text", FLAG_CASES,
+@pytest.mark.parametrize("flags, keys", FLAG_CASES,
                          ids=[flags[0] for flags, _ in FLAG_CASES])
-def test_flag_and_config_file_give_the_same_settings(tmp_path, flags, config_text):
-    # each flag's dest is its key, and its value goes through that key's
-    # parser, so the flag and the config line merge to the same settings
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(config_text + "\n")
-    parser = cli.build_parser()
-    by_flag = cli._merge_settings(parser.parse_args(["contour"] + flags))
-    by_file = cli._merge_settings(parser.parse_args(["contour", "--config", str(cfg)]))
-    assert by_flag == by_file
-    assert by_flag != {key: default for key, (default, _) in cli.SETTINGS.items()}
+def test_flag_sets_its_settings_key(flags, keys):
+    # each flag's dest is its key; the flag changes those keys alone, to
+    # values of the type the sweep reads
+    settings = cli._merge_settings(cli.build_parser().parse_args(["contour"] + flags))
+    assert settings == {**cli.SETTINGS, **keys}
+    assert settings != cli.SETTINGS
+    assert [type(settings[key]) for key in keys] == [type(value) for value in keys.values()]
 
 
 SWEEP_FLAGS = {"--fig", "--gamma", "--alpha-field", "--t-max", "--steps", "--init",
-               "--omega", "--eps-trunc", "--out", "--svg", "--seed", "--config"}
+               "--omega", "--eps-trunc", "--out", "--svg", "--seed"}
 QUBIT_FLAGS = {"--alpha-u", "--beta-u"}
 
 
@@ -160,38 +118,35 @@ def test_every_settings_flag_has_a_case():
     # the flags that set none, and each key's flag has a case above
     parser = cli.build_parser()
     dests = set(vars(parser.parse_args(["contour"])))
-    assert dests - set(cli.SETTINGS) == {"command", "fig", "config", "seed", "init"}
+    assert dests - set(cli.SETTINGS) == {"command", "fig", "seed", "init"}
     cased = {dest for flags, _ in FLAG_CASES
              for dest, value in vars(parser.parse_args(["contour"] + flags)).items()
              if value is not None and dest != "command"}
-    assert cased == dests - {"command", "fig", "config", "seed"}
+    assert cased == dests - {"command", "fig", "seed"}
 
 
 # ---------------------------------------------------------------- precedence
 
-def test_flags_beat_config_beats_defaults(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps = 10\nt_max = 2.0\ngamma = 0.3\n")
-    code, out = run(tmp_path, ["entanglement", "--config", str(cfg),
-                               "--steps", "7", "--alpha-field", "2"])
-    assert code == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 7  # flag wins over config
-    assert rows[-1][0] == pytest.approx(2.0)  # config wins over the default 10
-    assert all(r[1] == pytest.approx(0.3) for r in rows)
+FIG2 = {k: v for k, v in cli.PRESETS["2"].items() if k != "command"}
 
 
-def test_preset_beats_config_file(tmp_path):
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("steps = 7\ngamma = 0.3\nt_max = 2.0\n")
-    code, out = run(tmp_path, ["entanglement", "--config", str(cfg), "--fig", "1a",
-                               "--alpha-field", "1"])
+def test_preset_beats_default():
+    # the preset's keys replace their defaults; every other key keeps its default
+    settings = cli._merge_settings(cli.build_parser().parse_args(["fidelity", "--fig", "2"]))
+    assert settings == {**cli.SETTINGS, **FIG2}
+    assert settings["t_max"] == 3.0 != cli.SETTINGS["t_max"]
+
+
+def test_flag_beats_preset(tmp_path):
+    argv = ["fidelity", "--fig", "2", "--steps", "4", "--alpha-field", "1"]
+    settings = cli._merge_settings(cli.build_parser().parse_args(argv))
+    assert settings == {**cli.SETTINGS, **FIG2, "steps": 4, "alpha_field": 1.0}
+    code, out = run(tmp_path, argv)
     assert code == 0
     _, rows = read_csv(out)
-    assert len(rows) == 3 * 500  # the preset's steps and gammas, not the file's
-    assert sorted({r[1] for r in rows}) == pytest.approx([0.1, 0.5, 0.9])
-    assert rows[-1][0] == pytest.approx(10.0)
-    assert all(r[2] == pytest.approx(1.0) for r in rows)  # the flag beats the preset
+    assert len(rows) == 5 * 4  # the flag's steps for each of the preset's gammas
+    assert rows[-1][0] == pytest.approx(3.0)  # the preset's t_max, not the default 10
+    assert all(r[2] == 1.0 for r in rows)  # the flag's field, not the preset's 5
 
 
 def test_preset_must_match_command(tmp_path, capsys):
@@ -242,6 +197,14 @@ def test_fidelity_csv_layout(tmp_path):
         assert 0.0 <= r[5] <= 1.0 + 1e-12
         assert r[6] >= 0.0 and r[9] >= 0.0
         assert r[10] == pytest.approx(r[6] + r[9])
+    # the dark antisymmetric pair has fidelity 0, which rounds to -5.6e-17
+    # at t = 10; the sweep clamps it to 0
+    code, out = run(tmp_path, ["fidelity", "--init", "0", "0.70710678118654752",
+                               "-0.70710678118654752", "0", "--alpha-field", "0",
+                               "--gamma", "1e300", "--steps", "3"])
+    assert code == 0
+    assert [line.split(",")[5] for line in out.read_text().splitlines()[1:]] == [
+        "0.000000000000e+00"] * 3
 
 
 def test_unreachable_branch_writes_nan_fidelity(tmp_path, capsys):
@@ -484,19 +447,11 @@ def test_negative_gamma_exits_2(tmp_path, capsys):
 
 
 def test_missing_config_exits_2(tmp_path, capsys):
-    code, _ = run(tmp_path, ["entanglement", "--config", "/no/such.cfg"])
-    assert code == 2
-    assert "cannot read" in capsys.readouterr().err
-
-
-def test_bad_variant_in_config_exits_2(tmp_path, capsys):
-    # the closed form has no variants left, so the key itself is unknown
-    cfg = tmp_path / "run.cfg"
-    for value in ("experimental", "verbatim"):
-        cfg.write_text(f"variant = {value}\n")
-        code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
-        assert code == 2
-        assert "unknown key 'variant'" in capsys.readouterr().err
+    # settings come from flags and presets only; --config is no flag
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, ["entanglement", "--config", "/no/such.cfg"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --config" in capsys.readouterr().err
 
 
 def test_variant_flag_is_gone(tmp_path):
@@ -512,28 +467,11 @@ def test_field_convention_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
-def test_g0_flag_is_gone(tmp_path, capsys):
+def test_g0_flag_is_gone(tmp_path):
     # the scalar channel sees the coupling only through q(t, gamma)
     with pytest.raises(SystemExit) as exc:
         run(tmp_path, ["entanglement", "--g0", "2"])
     assert exc.value.code == 2
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text("g0 = 1\n")
-    code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
-    assert code == 2
-    assert "unknown key 'g0'" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("line", ["seed = 3", "field_convention = mean", "t_min = 1"],
-                         ids=lambda line: line.split()[0])
-def test_removed_config_key_is_unknown(tmp_path, capsys, line):
-    # sweeps draw no random numbers, so verify takes its seed from the flag
-    # only; --alpha-field is always the amplitude; every grid starts at t = 0
-    cfg = tmp_path / "run.cfg"
-    cfg.write_text(line + "\n")
-    code, _ = run(tmp_path, ["entanglement", "--config", str(cfg)])
-    assert code == 2
-    assert f"unknown key '{line.split()[0]}'" in capsys.readouterr().err
 
 
 def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):
@@ -553,6 +491,17 @@ def test_nan_unknown_qubit_exits_2(tmp_path, capsys, command, flags):
     code, out = run(tmp_path, [command, "--gamma", "0.2", "--steps", "3"] + flags)
     assert code == 2
     assert "unknown qubit has norm nan" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_drained_scalar_state_exits_4(tmp_path, capsys):
+    # q = 0 drains a symmetric one-excitation preparation with no photons entirely
+    code, out = run(tmp_path, ["entanglement", "--init", "0", "0.70710678118654752",
+                               "0.70710678118654752", "0", "--alpha-field", "0",
+                               "--gamma", "1e300", "--steps", "3"])
+    assert code == 4
+    assert ("invariant violated: density matrix trace vanished: q = 0, or a q whose square "
+            "underflows, drained the whole scalar-channel state") in capsys.readouterr().err
     assert not out.exists()
 
 

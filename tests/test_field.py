@@ -61,10 +61,21 @@ def test_large_alpha_stays_finite():
     assert field.weights[0] > 0.0  # naive exp(-450) evaluation would underflow to zero
 
 
+def poisson_tail(alpha, n):
+    # P(N > n) for N ~ Poisson(alpha**2), each term from lgamma, summed exactly
+    mean = alpha * alpha
+    top = int(mean + 40.0 * math.sqrt(mean) + 100.0)
+    return math.fsum(math.exp(k * math.log(mean) - mean - math.lgamma(k + 1))
+                     for k in range(n + 1, top))
+
+
 def test_truncation_is_minimal():
-    field = coherent_weights(5.0)
-    kept = float(np.sum(field.weights[:-1] ** 2))
-    assert 1.0 - kept >= 1e-12  # dropping one more level breaks the default bound
+    # 1 - sum(weights**2) carries the weights' rounding, about 1e-11 at
+    # alpha 100, so a cutoff chosen from it drops too much or runs to the cap
+    for alpha, n_max in [(5.0, 68), (6.0, 86), (80.0, 6971), (100.0, 10711), (300.0, 92118)]:
+        field = coherent_weights(alpha)
+        assert field.n_max == n_max, alpha
+        assert poisson_tail(alpha, n_max) < 1e-12 <= poisson_tail(alpha, n_max - 1), alpha
 
 
 def test_looser_tolerance_shortens_vector():
@@ -82,6 +93,8 @@ def test_invalid_arguments():
         coherent_weights(2.0, eps_trunc=1.5)
     with pytest.raises(ValueError, match="alpha"):
         coherent_weights(1e200)  # finite, but alpha * alpha overflows
+    with pytest.raises(ValueError, match="eps_trunc = 1e-100 is below the tail mass"):
+        coherent_weights(5.0, eps_trunc=1e-100)  # no cutoff under the hard cap drops so little
 
 
 @given(st.floats(min_value=0.01, max_value=8.0, allow_nan=False))
