@@ -42,11 +42,11 @@ PRESETS = {
            **_FIG1_INIT},
     "2": {"command": "fidelity", "gamma": (0.0, 0.25, 0.5, 0.75, 1.0),
           "alpha_field": 5.0, "t_max": 3.0, "steps": 300,
-          "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
+          "alpha_u": complex(0.95), "omega_rabi": 1.0,
           **_BELL_INIT},
     "3": {"command": "contour", "gamma": (0.0, 1.0), "gamma_steps": 100,
           "alpha_field": 5.0, "t_max": 3.0, "steps": 150,
-          "alpha_u": complex(0.95), "beta_u": None, "omega_rabi": 1.0,
+          "alpha_u": complex(0.95), "omega_rabi": 1.0,
           **_BELL_INIT},
 }
 
@@ -77,7 +77,6 @@ SETTINGS = {
     "c10": 0.0j,
     "c11": complex(INV_SQRT2),
     "alpha_u": complex(0.95),
-    "beta_u": None,
     "omega_rabi": 1.0,
     "eps_trunc": 1e-12,
     "out": None,
@@ -130,9 +129,8 @@ def build_parser():
     sp_con = sub.add_parser("contour", help="fidelity on a (t, gamma) grid")
     for sp in (sp_fid, sp_con):
         add_common(sp)
-        sp.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'")
-        sp.add_argument("--beta-u", help="unknown qubit amplitude on |e>, 're,im' "
-                                         "(default: completes the norm)")
+        sp.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'; "
+                                          "the amplitude on |e> is sqrt(1 - |alpha_u|^2)")
     sp_con.add_argument("--gamma-steps", type=int,
                         help="number of gamma samples when --gamma gives a range")
     sp_ver = sub.add_parser("verify", help="run the independent cross-checks")
@@ -158,7 +156,7 @@ def _merge_settings(args):
         value = getattr(args, key, None)
         if value is None:
             continue
-        if key in ("alpha_u", "beta_u"):
+        if key == "alpha_u":
             value = parse_complex(value)
         settings[key] = tuple(value) if key == "gamma" else value
     return settings
@@ -210,16 +208,14 @@ def _finalize(settings, command):
             raise ConfigError("contour needs an increasing gamma range")
     unknown = None
     if command in ("fidelity", "contour"):
+        # Every output is invariant under a global phase of the unknown
+        # qubit, so a real beta_u reaches every state.
         alpha_u = settings["alpha_u"]
-        beta_u = settings["beta_u"]
-        if beta_u is None:
-            rest = 1.0 - abs(alpha_u) ** 2
-            if rest < -NORM_TOL:
-                raise ConfigError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1 and "
-                                  "beta_u was not given")
-            beta_u = complex(math.sqrt(max(rest, 0.0)))
+        rest = 1.0 - abs(alpha_u) ** 2
+        if rest < -NORM_TOL:
+            raise ConfigError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1")
         try:
-            unknown = UnknownQubit(alpha_u, beta_u)
+            unknown = UnknownQubit(alpha_u, math.sqrt(max(rest, 0.0)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
     out = settings["out"] or f"chaocav_{command}.csv"

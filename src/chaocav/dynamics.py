@@ -49,49 +49,21 @@ def _erf_series_array(x):
     return out * 2.0 / math.sqrt(math.pi)
 
 
-def _erfc_fraction_array(x):
-    # Modified Lentz evaluation of the continued fraction
-    # erfc(x) * sqrt(pi) * exp(x^2) = 1/(x + (1/2)/(x + 1/(x + (3/2)/(x + ...)))),
-    # used for 3 < |x| < 6; each element stops at its own convergence.
-    tiny = 1e-300
-    f = np.full(x.shape, tiny)
-    c = np.full(x.shape, tiny)
-    d = np.zeros(x.shape)
-    live = np.ones(x.shape, dtype=bool)
-    for k in range(1, 300):
-        a = 1.0 if k == 1 else 0.5 * (k - 1)
-        xs = x[live]
-        dk = xs + a * d[live]
-        dk[dk == 0.0] = tiny
-        ck = xs + a / c[live]
-        ck[ck == 0.0] = tiny
-        dk = 1.0 / dk
-        delta = ck * dk
-        f[live] *= delta
-        d[live] = dk
-        c[live] = ck
-        live[np.flatnonzero(live)[np.abs(delta - 1.0) < 1e-16]] = False
-        if not live.any():
-            break
-    gauss = np.array([math.exp(v) for v in (-x * x).tolist()])
-    return gauss / math.sqrt(math.pi) * f
-
-
 def erf_array(x):
     """Error function on an array, absolute accuracy better than 1e-12 on all reals.
 
-    Series for |x| <= 3, continued fraction for the tail, saturation at
-    |x| >= 6. Odd symmetry holds exactly because only |x| is evaluated.
+    The Maclaurin series runs for |x| <= 3, odd by construction, and
+    math.erf, one element at a time, everywhere else (the tail, infinities
+    and NaN). The series stays because its bits set every preset output:
+    on [0, 3] math.erf differs from it at 82% of points, by up to 1.0e-13,
+    which moves preset values by up to 1.4e-11 relative.
     """
     x = np.asarray(x, dtype=float)
     ax = np.abs(x)
-    val = np.ones(x.shape)
     series = ax <= 3.0
-    tail = (ax > 3.0) & (ax < 6.0)
-    val[series] = _erf_series_array(ax[series])
-    val[tail] = 1.0 - _erfc_fraction_array(ax[tail])
-    val = np.where(x > 0, val, -val)
-    val[x == 0.0] = 0.0
+    val = np.empty(x.shape)
+    val[series] = np.copysign(_erf_series_array(ax[series]), x[series])
+    val[~series] = [math.erf(v) for v in x[~series].tolist()]
     return val
 
 

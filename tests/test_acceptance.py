@@ -223,7 +223,7 @@ def test_closed_form_matches_integrator():
                   f"{legacy_dev:.3f} as documented")
 
 
-def test_noise_surrogate_asymptotics():
+def test_stochastic_phase_asymptotics():
     # The sampled phase is the process whose exact mean is averaged_q.
     gamma = 1.0
     t_short = np.array([0.005, 0.01])

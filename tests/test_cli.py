@@ -67,7 +67,6 @@ FLAG_CASES = [
     (["--init", "0.6", "0,0.8", "0", "0"],
      {"c00": complex(0.6), "c01": complex(0.0, 0.8), "c10": 0j, "c11": 0j}),
     (["--alpha-u", "0.6,0.1"], {"alpha_u": complex(0.6, 0.1)}),
-    (["--beta-u", "0.8"], {"beta_u": complex(0.8)}),
     (["--omega", "2.5"], {"omega_rabi": 2.5}),
     (["--eps-trunc", "1e-9"], {"eps_trunc": 1e-9}),
     (["--out", "run.csv"], {"out": "run.csv"}),
@@ -88,7 +87,7 @@ def test_flag_sets_its_settings_key(flags, keys):
 
 SWEEP_FLAGS = {"--fig", "--gamma", "--alpha-field", "--t-max", "--steps", "--init",
                "--omega", "--eps-trunc", "--out", "--svg", "--seed"}
-QUBIT_FLAGS = {"--alpha-u", "--beta-u"}
+QUBIT_FLAGS = {"--alpha-u"}
 
 
 def test_option_surface_is_pinned():
@@ -105,7 +104,7 @@ def test_option_surface_is_pinned():
                      "contour": SWEEP_FLAGS | QUBIT_FLAGS | {"--gamma-steps"},
                      "verify": {"--seed"}}
     assert set(cli.SETTINGS) == {"gamma", "alpha_field", "t_max", "steps", "gamma_steps",
-                                 "c00", "c01", "c10", "c11", "alpha_u", "beta_u",
+                                 "c00", "c01", "c10", "c11", "alpha_u",
                                  "omega_rabi", "eps_trunc", "out", "svg"}
     # each key has a flag: its dest, or --init for the four amplitudes
     dests = {a.dest for a in commands["contour"]._actions}
@@ -210,7 +209,7 @@ def test_fidelity_csv_layout(tmp_path):
 def test_unreachable_branch_writes_nan_fidelity(tmp_path, capsys):
     # |ge> with alpha_u = 0 leaves the phi_plus branch empty at t = 0
     code, out = run(tmp_path, ["fidelity", "--init", "0", "1", "0", "0", "--alpha-u", "0",
-                               "--beta-u", "1", "--gamma", "0", "--steps", "3"])
+                               "--gamma", "0", "--steps", "3"])
     assert code == 0
     assert capsys.readouterr().err == ""
     first = out.read_text().splitlines()[1].split(",")
@@ -396,8 +395,8 @@ def test_escape_matches_saxutils():
 
 def test_cli_import_skips_the_network_modules():
     # xml.sax.saxutils would pull the first four in; html.escape does not.
-    # numpy.polynomial takes about 4 ms to import and no module needs it:
-    # the Monte Carlo oracle builds its Gauss-Legendre rule with eigh.
+    # numpy.polynomial takes about 4 ms to import and no sweep needs it:
+    # the Monte Carlo oracle imports leggauss only when it runs.
     code = ("import sys, chaocav.cli; print(sorted({'urllib.request', 'http.client', "
             "'email', 'ssl', 'numpy.polynomial'} & set(sys.modules)))")
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
@@ -474,6 +473,16 @@ def test_g0_flag_is_gone(tmp_path):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("command", ["fidelity", "contour"])
+def test_beta_u_flag_is_gone(tmp_path, capsys, command):
+    # outputs are invariant under a global phase of the unknown qubit, so
+    # --alpha-u with the real completion sqrt(1 - |alpha_u|^2) reaches every state
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, [command, "--alpha-u", "0.8", "--beta-u", "0.6"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: --beta-u" in capsys.readouterr().err
+
+
 def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):
     code, _ = run(tmp_path, ["fidelity", "--gamma", "0.2", "--steps", "3",
                              "--t-max", "1.0", "--alpha-field", "1",
@@ -484,7 +493,7 @@ def test_alpha_u_above_one_without_beta_exits_2(tmp_path, capsys):
 
 @pytest.mark.parametrize("command, flags", [
     ("fidelity", ["--alpha-u", "nan"]),
-    ("fidelity", ["--beta-u", "nan"]),
+    ("fidelity", ["--alpha-u", "0,nan"]),
     ("contour", ["--alpha-u", "nan"]),
 ])
 def test_nan_unknown_qubit_exits_2(tmp_path, capsys, command, flags):

@@ -1,4 +1,4 @@
-"""Closed-form channel amplitudes: the hand-rolled erf_array, the averaged
+"""Closed-form channel amplitudes: erf_array, the averaged
 phase factor, sector amplitudes, photon regrouping and the reduced density
 matrix.
 
@@ -56,6 +56,9 @@ def test_erf_matches_reference_grid():
     got = erf_array(xs)
     want = np.array([math.erf(x) for x in xs.tolist()])
     assert np.max(np.abs(got - want)) <= 1e-12
+    # beyond the series, erf_array is math.erf
+    tail = np.abs(xs) > 3.0
+    assert got[tail].view(np.int64).tolist() == want[tail].view(np.int64).tolist()
 
 
 def test_erf_array_is_bit_equal_to_scalar_erf():
@@ -78,8 +81,11 @@ def test_erf_odd_symmetry_is_exact():
 def test_erf_saturates_beyond_six():
     assert erf1(6.0) == 1.0
     assert erf1(-7.3) == -1.0
-    # the truncation error committed there is below double precision noise
+    # erfc(6) = 2.2e-17 is below half an ulp of 1, so erf(6) rounds to 1
     assert abs(1.0 - math.erf(6.0)) < 1e-16
+    assert erf1(math.inf) == 1.0
+    assert erf1(-math.inf) == -1.0
+    assert math.isnan(erf1(math.nan))
 
 
 @pytest.mark.parametrize("edge", [3.0, 6.0])

@@ -207,7 +207,7 @@ def test_phase_variance_quadrature_matches_the_closed_form(gamma):
         assert v == pytest.approx(math.sqrt(math.pi) * s * math.erf(s), rel=1e-10, abs=0.0)
 
 
-def test_noise_spec_validation():
+def test_monte_carlo_rejects_the_gammas_averaged_q_rejects():
     # the sampler rejects the gammas averaged_q rejects, in its wording
     for gamma in (-1.0, float("nan"), float("inf")):
         for estimate in (averaged_q, monte_carlo_q):

@@ -101,6 +101,21 @@ def test_row_groups_equal_per_row_evaluation(init):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def test_teleport_columns_ignore_a_global_phase_of_the_unknown_qubit():
+    # why the CLI takes only --alpha-u: (a, b) and (a e^{i phi}, b e^{i phi})
+    # are one state, so a real beta_u reaches every unknown qubit
+    ts = np.linspace(0.0, 3.0, 31)
+    gammas = [0.0, 0.4, 0.9]
+    field = coherent_weights(2.0)
+    a, b = 0.6 + 0.3j, 0.2 - math.sqrt(1.0 - 0.45 - 0.04) * 1j
+    phase = complex(math.cos(1.1), math.sin(1.1))
+    plain = sweep.sweep_grid(ts, gammas, MIXED_INIT, field, UnknownQubit(a, b))
+    turned = sweep.sweep_grid(ts, gammas, MIXED_INIT, field,
+                              UnknownQubit(a * phase, b * phase))
+    for name in ("fidelity", "kappa1", "kappa2", "kappa4", "weight"):
+        assert np.max(np.abs(getattr(turned, name) - getattr(plain, name))) <= 1e-12, name
+
+
 def test_rows_split_over_t_match_the_whole_row(monkeypatch):
     field = coherent_weights(2.0)
     ts = np.linspace(0.0, 3.0, 41)
