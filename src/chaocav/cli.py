@@ -8,6 +8,7 @@ for memory, 3 I/O failure, 4 violated invariant or failed verification.
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import re
 import sys
@@ -137,6 +138,12 @@ def build_parser():
     sp_ver.add_argument("--seed", type=int, default=8,
                         help="seed for the statistical checks (default 8)")
     return parser
+
+
+@functools.cache
+def _main_parser():
+    # parse_args keeps nothing between calls, so main builds its parser once.
+    return build_parser()
 
 
 def _merge_settings(args):
@@ -385,8 +392,7 @@ def run_verify(seed):
 
 
 def main(argv=None):
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _main_parser().parse_args(argv)
     try:
         if args.command == "verify":
             if args.seed < 0:

@@ -13,6 +13,7 @@ formulas (legacy_quadruples), as a documented comparison.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -146,6 +147,18 @@ def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
     return np.stack([amp_a, amp_b, amp_c, amp_d], axis=-1)
 
 
+@functools.cache
+def _legendre_rule():
+    """64-node Gauss-Legendre rule as (tau / t, weight) columns, built once.
+
+    Imported here, so importing the package does not load numpy.polynomial.
+    """
+    from numpy.polynomial.legendre import leggauss
+
+    nodes, weights = leggauss(64)
+    return 0.5 * (nodes + 1.0), weights
+
+
 def _phase_variance(t, gamma):
     """Phase variance V(t) = 2 int_0^t (t - tau) C(tau) dtau, elementwise over t.
 
@@ -155,16 +168,13 @@ def _phase_variance(t, gamma):
     from its closed form sqrt(pi) s erf(s), s = t sqrt(gamma); the two agree
     to about 1e-14 relative up to s = 40, where exp(-V/2) is below 1e-15.
     """
-    # Imported here, so importing the package does not load numpy.polynomial.
-    from numpy.polynomial.legendre import leggauss
-
+    frac, weights = _legendre_rule()
     t = np.asarray(t, dtype=float)
-    total = np.zeros(t.shape)
-    for node, weight in zip(*leggauss(64)):
-        tau = 0.5 * (node + 1.0) * t
-        gt2 = gamma * tau * tau
-        total += weight * (t - tau) * (2.0 * gamma * (1.0 - gt2) * np.exp(-gt2))
-    return t * total
+    axes = (slice(None),) + (None,) * t.ndim
+    tau = frac[axes] * t
+    gt2 = gamma * tau * tau
+    terms = weights[axes] * (t - tau) * (2.0 * gamma * (1.0 - gt2) * np.exp(-gt2))
+    return t * terms.sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -230,14 +240,18 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
 def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     """Two-atom state averaged jointly over the phase factor pair.
 
-    The amplitudes are linear in (q_plus, q_minus), so with a Gaussian
-    accumulated phase the exact second moments close the average:
-    <e^{2i phi}> = q^4 and <e^{i phi}> = q = averaged_q(t, gamma).
-    Contrast with the scalar channel, table_density(amplitude_table(...)),
-    which substitutes the scalar mean for both factors before forming the
-    density. n_samples > 0 replaces the analytic moments with a sample
-    average over Gaussian phases of variance -2 ln q; at q = 0, where that
-    variance is infinite, the phases are uniform on [0, 2 pi).
+    The amplitudes are v = vx p + vy conj(p) + base, linear in the phase
+    factor p = e^{i phi} and its inverse. Since |p| = 1, the average of
+    v v^H needs only the moments m1 = <p> and m2 = <p^2>:
+    vx vx^H + vy vy^H + base base^H + H + H^H with
+    H = m2 vx vy^H + m1 (vx base^H + base vy^H). With a Gaussian
+    accumulated phase the exact moments are m1 = q = averaged_q(t, gamma)
+    and m2 = q^4. Contrast with the scalar channel,
+    table_density(amplitude_table(...)), which substitutes the scalar mean
+    for both factors before forming the density. n_samples > 0 replaces
+    the exact moments with sample means over Gaussian phases of variance
+    -2 ln q; at q = 0, where that variance is infinite, the phases are
+    uniform on [0, 2 pi). q must lie in [0, 1].
 
     Returns (rho, pre_norm_trace) like table_density, for one time. The
     map preserves the trace up to the field's truncated tail mass, so
@@ -245,6 +259,9 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     cosmetic. The acceptance gate checks the gamma-ordering guarantee
     (entanglement falls as gamma rises) on this state.
     """
+    q = float(q)
+    if not 0.0 <= q <= 1.0:  # NaN fails too
+        raise ValueError(f"q must lie in [0, 1], got {q}")
     tt = float(t)
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
@@ -252,11 +269,7 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     vx = _build_table(tt, one, zero, init, field, omega_rabi).photon[0] - base
     vy = _build_table(tt, zero, one, init, field, omega_rabi).photon[0] - base
     if n_samples <= 0:
-        q4 = q ** 4
-        rho = (vx @ vx.conj().T + vy @ vy.conj().T + base @ base.conj().T
-               + q4 * (vx @ vy.conj().T + vy @ vx.conj().T)
-               + q * (vx @ base.conj().T + base @ vx.conj().T
-                      + vy @ base.conj().T + base @ vy.conj().T))
+        m1, m2 = q, q ** 4
     else:
         rng = np.random.Generator(np.random.Philox(seed))
         if q > 0.0:
@@ -264,13 +277,11 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
             phases = np.exp(1j * rng.normal(0.0, math.sqrt(var), n_samples))
         else:
             phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_samples))
-        # v v^H summed over chunks of 256 samples keeps memory flat in n_samples.
-        rho = np.zeros((4, 4), dtype=complex)
-        for start in range(0, n_samples, 256):
-            p = phases[start:start + 256, None, None]
-            v = vx[None] * p + vy[None] * np.conj(p) + base[None]
-            rho += np.einsum("sim,sjm->ij", v, np.conj(v))
-        rho /= n_samples
+        m1 = phases.mean()
+        m2 = (phases * phases).mean()
+    cross = m2 * (vx @ vy.conj().T) + m1 * (vx @ base.conj().T + base @ vy.conj().T)
+    rho = (vx @ vx.conj().T + vy @ vy.conj().T + base @ base.conj().T
+           + cross + cross.conj().T)
     pre = float(np.trace(rho).real)
     if pre <= 0.0:
         raise InvariantViolation("jointly averaged state carries no weight")

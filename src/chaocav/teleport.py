@@ -31,6 +31,10 @@ BELL_OUTCOMES = (
     ("psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) * INV_SQRT2, _X @ _Z),
 )
 
+#: The 8x8 projector of each Bell outcome on atoms 1 and 2, identity on Bob's atom 3.
+_BELL_PROJECTORS = tuple(tensor(np.outer(vec, np.conj(vec)), _ID2)
+                         for _, vec, _ in BELL_OUTCOMES)
+
 
 @dataclass(frozen=True)
 class UnknownQubit:
@@ -90,9 +94,7 @@ def bell_project_teleport(channel_rho, unknown):
     rho_in = np.outer(chi, np.conj(chi))
     rho3 = tensor(rho_in, channel_rho)
     outcomes = []
-    for label, bell_vec, correction in BELL_OUTCOMES:
-        proj4 = np.outer(bell_vec, np.conj(bell_vec))
-        proj8 = tensor(proj4, _ID2)
+    for (label, _, correction), proj8 in zip(BELL_OUTCOMES, _BELL_PROJECTORS):
         selected = proj8 @ rho3 @ proj8
         weight = float(np.trace(selected).real)
         if weight <= WEIGHT_FLOOR:

@@ -641,3 +641,21 @@ def test_verify_command_reports_and_exits_zero(capsys):
     for got, ref in zip(lines, want):
         name = ref.split(":", 1)[0].split("] ", 1)[1]
         assert got == changed_rows.get(name, ref)
+
+
+def test_process_caches_carry_no_state_between_calls(tmp_path, capsys):
+    # main keeps one parser per process, and the oracle one quadrature rule
+    # and the Bell projectors; none of them may leak one call into the next.
+    def fig3(name):
+        out = tmp_path / f"{name}.csv"
+        assert cli.main(["contour", "--fig", "3", "--svg", "--out", str(out)]) == 0
+        return out.read_bytes(), out.with_suffix(".svg").read_bytes()
+
+    before = fig3("before")
+    capsys.readouterr()
+    reports = []
+    for _ in range(2):
+        assert cli.main(["verify"]) == 0
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
+    assert fig3("after") == before

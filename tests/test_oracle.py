@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import chaocav.oracle as oracle
-from chaocav.dynamics import (AtomicInit, amplitude_table, averaged_q, deterministic_table,
-                              frozen_phases, gather_sectors, padded_weights, start_quadruples,
-                              table_density)
+from chaocav.dynamics import (AtomicInit, _build_table, amplitude_table, averaged_q,
+                              deterministic_table, frozen_phases, gather_sectors, padded_weights,
+                              start_quadruples, table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
@@ -207,6 +207,30 @@ def test_phase_variance_quadrature_matches_the_closed_form(gamma):
         assert v == pytest.approx(math.sqrt(math.pi) * s * math.erf(s), rel=1e-10, abs=0.0)
 
 
+def phase_variance_node_loop(t, gamma):
+    # The rule one node at a time, accumulated in node order.
+    from numpy.polynomial.legendre import leggauss
+
+    t = np.asarray(t, dtype=float)
+    total = np.zeros(t.shape)
+    for node, weight in zip(*leggauss(64)):
+        tau = 0.5 * (node + 1.0) * t
+        gt2 = gamma * tau * tau
+        total += weight * (t - tau) * (2.0 * gamma * (1.0 - gt2) * np.exp(-gt2))
+    return t * total
+
+
+@pytest.mark.parametrize("gamma", [0.7, 1.0])
+def test_phase_variance_broadcast_matches_the_node_loop(gamma):
+    grid = np.linspace(0.1, 5.0, 50)
+    for t in (np.abs(grid[:, None] - grid[None, :]),  # _phase_chunks' lag matrix
+              np.array([0.005, 0.3, 1.0, 2.5, 6.0, 10.0]), np.array([3.0]), 3.0):
+        got = oracle._phase_variance(t, gamma)
+        want = phase_variance_node_loop(t, gamma)
+        assert np.shape(got) == np.shape(want)
+        assert np.all(np.abs(got - want) <= 1e-14 * np.abs(want))
+
+
 def test_monte_carlo_rejects_the_gammas_averaged_q_rejects():
     # the sampler rejects the gammas averaged_q rejects, in its wording
     for gamma in (-1.0, float("nan"), float("inf")):
@@ -316,6 +340,42 @@ def test_joint_average_sampling_matches_analytic_moments():
     sampled, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=20000, seed=8)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
     assert negativity(sampled) >= 0.0
+
+
+def per_sample_joint_average(t, q, init, field, omega_rabi, n_samples, seed):
+    # The sampler's phases, drawn as joint_averaged_density draws them; one
+    # amplitude table per sample, then sum v v^H / n.
+    rng = np.random.Generator(np.random.Philox(seed))
+    if q > 0.0:
+        sigma = math.sqrt(-2.0 * math.log(q)) if q < 1.0 else 0.0
+        p = np.exp(1j * rng.normal(0.0, sigma, n_samples))
+    else:
+        p = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_samples))
+    v = _build_table(np.full(n_samples, t), p[:, None], np.conj(p)[:, None],
+                     init, field, omega_rabi).photon
+    rho = np.einsum("sim,sjm->ij", v, np.conj(v)) / n_samples
+    pre = float(np.trace(rho).real)
+    return rho / pre, pre
+
+
+@pytest.mark.parametrize("init", [BELL_INIT,
+                                  AtomicInit(0.6, 0.3 + 0.1j, -0.2,
+                                             math.sqrt(1.0 - 0.36 - 0.1 - 0.04))])
+@pytest.mark.parametrize("q", [0.0, averaged_q(2.0, 0.5), 1.0])
+def test_joint_average_sample_moments_match_the_per_sample_average(init, q):
+    field = coherent_weights(2.0)
+    rho, pre = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=500, seed=8)
+    want_rho, want_pre = per_sample_joint_average(2.0, q, init, field, 1.0, 500, 8)
+    assert np.max(np.abs(rho - want_rho)) <= 1e-12
+    assert abs(pre - want_pre) <= 1e-12
+
+
+@pytest.mark.parametrize("n_samples", [0, 100])
+@pytest.mark.parametrize("q", [float("nan"), -0.5, 1.5])
+def test_joint_average_rejects_q_outside_the_unit_interval(q, n_samples):
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+        joint_averaged_density(2.0, q, BELL_INIT, coherent_weights(2.0), 1.0,
+                               n_samples=n_samples, seed=8)
 
 
 def test_joint_average_sampling_memory_does_not_grow_with_samples():
