@@ -252,24 +252,25 @@ def amplitude_table(t, q, init, field, omega_rabi):
     return _build_table(t, q, None, init, field, omega_rabi)
 
 
-def frozen_phases(t, ns, kf_x=0.0):
-    """(T, S) phase factors exp(i omega_n t) of the sectors ns for one frozen coupling phase.
+def frozen_phases(t, ns):
+    """(T, S) phase factors exp(i omega_n t) of the sectors ns with the coupling phase frozen.
 
-    omega_n = sqrt(2 (2n+1)) cos(kf_x), in units of the field coupling.
+    omega_n = sqrt(2 (2n+1)), the bright-state frequency of sector n in
+    units of the field coupling.
     """
     t_arr = np.atleast_1d(np.asarray(t, dtype=float))
-    omega_n = np.sqrt(2.0 * (2.0 * np.asarray(ns) + 1.0)) * math.cos(kf_x)
+    omega_n = np.sqrt(2.0 * (2.0 * np.asarray(ns) + 1.0))
     return np.exp(1j * (t_arr[:, None] * omega_n[None, :]))
 
 
-def deterministic_table(t, init, field, omega_rabi, kf_x=0.0):
-    """Amplitudes for one frozen realization of the coupling phase.
+def deterministic_table(t, init, field, omega_rabi):
+    """Amplitudes with the coupling phase frozen, so the coupling is the unit of energy.
 
-    Every sector evolves with its own phases frozen_phases(t, ns, kf_x)
-    and their conjugates. This is the reference dynamics the numerical
-    integrator must reproduce.
+    Every sector evolves with its own phases frozen_phases(t, ns) and
+    their conjugates. This is the reference dynamics the exact propagator
+    must reproduce.
     """
-    qp = frozen_phases(t, np.arange(field.n_max + 2), kf_x)
+    qp = frozen_phases(t, np.arange(field.n_max + 2))
     return _build_table(t, qp, np.conj(qp), init, field, omega_rabi)
 
 

@@ -19,10 +19,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import (INV_SQRT2, SQRT2, AtomicInit, amplitude_table, averaged_q,
-                       deterministic_table, erf_array, frozen_phases, gather_sectors,
-                       padded_weights, scatter_sectors, start_quadruples, table_density,
-                       _build_table)
+from .dynamics import (INV_SQRT2, SQRT2, AmplitudeTable, AtomicInit, amplitude_table,
+                       averaged_q, deterministic_table, erf_array, frozen_phases,
+                       gather_sectors, padded_weights, scatter_sectors, start_quadruples,
+                       table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -36,28 +36,28 @@ S_PLUS = np.array([[0.0, 0.0], [1.0, 0.0]], dtype=complex)
 S_MINUS = np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex)
 
 
-def build_block(n, omega_rabi, kf_x=0.0):
+def build_block(n, omega_rabi):
     """4x4 Hamiltonian of sector n, written down independently of the closed form.
 
     The basis is (|gg,n+1>, |ge,n>, |eg,n>, |ee,n-1>), in the interaction
-    picture (zero diagonal) with the field coupling as the unit of energy,
-    so the coupling is cos(kf_x). At n = 0 the |ee,-1> couplings carry
-    sqrt(n) = 0, so that row and column are zero.
+    picture (zero diagonal) with the coupling phase frozen and the field
+    coupling as the unit of energy, so the couplings are -sqrt(n+1) and
+    -sqrt(n). At n = 0 the |ee,-1> couplings carry sqrt(n) = 0, so that
+    row and column are zero.
     """
     n = int(n)
     if n < 0:
         raise ValueError(f"sector index must be >= 0, got {n}")
-    g = math.cos(kf_x)
     root_up = math.sqrt(n + 1.0)
     root_dn = math.sqrt(float(n))
     h = np.zeros((4, 4), dtype=complex)
-    h[0, 1] = h[1, 0] = h[0, 2] = h[2, 0] = -g * root_up
-    h[1, 3] = h[3, 1] = h[2, 3] = h[3, 2] = -g * root_dn
+    h[0, 1] = h[1, 0] = h[0, 2] = h[2, 0] = -root_up
+    h[1, 3] = h[3, 1] = h[2, 3] = h[3, 2] = -root_dn
     h[1, 2] = h[2, 1] = omega_rabi
     return h
 
 
-def full_hamiltonian(n_fock, omega_rabi, kf_x=0.0):
+def full_hamiltonian(n_fock, omega_rabi):
     """Two atoms and a truncated Fock space assembled from operator tensors.
 
     Used to confirm that the sector blocks really are the restriction of
@@ -66,7 +66,6 @@ def full_hamiltonian(n_fock, omega_rabi, kf_x=0.0):
     """
     if n_fock < 2:
         raise ValueError("n_fock must be at least 2")
-    g = math.cos(kf_x)
     id2 = np.eye(2, dtype=complex)
     idf = np.eye(n_fock, dtype=complex)
     lower = np.diag(np.sqrt(np.arange(1, n_fock, dtype=float)), 1).astype(complex)
@@ -77,16 +76,16 @@ def full_hamiltonian(n_fock, omega_rabi, kf_x=0.0):
     af = tensor(id2, id2, lower)
     adf = af.conj().T
     h = omega_rabi * (sp1 @ sm2 + sm1 @ sp2)
-    return h - g * (af @ (sp1 + sp2) + adf @ (sm1 + sm2))
+    return h - (af @ (sp1 + sp2) + adf @ (sm1 + sm2))
 
 
 def integrate_schrodinger(init, field, sectors, times, omega_rabi):
-    """Exact sector amplitudes for frozen coupling phases.
+    """Exact sector amplitudes with the coupling phase frozen.
 
     Every block is a constant Hermitian 4x4 matrix, so with w, V from
     numpy's eigh the state at time t is V exp(-i w t) V^H psi0, psi0 the
-    factorized initial state and kf_x = 0. Returns the (S, 4) state of the
-    sectors at each of the times.
+    factorized initial state. Returns the (S, 4) state of the sectors at
+    each of the times.
     """
     if any(n < 0 or n > field.n_max + 1 for n in sectors):
         raise ValueError(f"sectors must lie in 0..{field.n_max + 1}")
@@ -97,21 +96,6 @@ def integrate_schrodinger(init, field, sectors, times, omega_rabi):
     psi0 = start_quadruples(np.asarray(sectors, dtype=int), init, padded_weights(field))
     coeff = np.einsum("sji,sj->si", v.conj(), psi0)
     return [np.einsum("sij,sj->si", v, np.exp(-1j * w * t) * coeff) for t in times]
-
-
-def sector_density(amplitudes, ground):
-    """Renormalised two-atom state of sector quadruples, the field traced out.
-
-    amplitudes is (S, 4): the quadruple of every sector n = 0..S-1, laid out
-    like integrate_schrodinger's states; ground multiplies |gg,0>. Returns
-    (rho, pre_norm_trace).
-    """
-    rows = scatter_sectors(amplitudes.T, ground)
-    rho = rows @ rows.conj().T
-    pre = float(np.trace(rho).real)
-    if pre <= 0.0:
-        raise InvariantViolation("sector state carries no weight")
-    return rho / pre, pre
 
 
 def legacy_quadruples(sectors, t, q_plus, q_minus, init, field, omega_rabi):
@@ -388,13 +372,14 @@ def run_verification(seed=8):
          f"spin-spin phases are approximate: max |closed - exact| {dev1:.2e} at omega=1, t=1")
 
     # The paper's printed formulas: document, do not assert.
-    rho_vb, _ = sector_density(
-        legacy_quadruples(every, 0.0, 1.0, 1.0, init, field, 1.0), 0.0)
-    psi0 = init.as_vector()
-    dev_vb = float(np.abs(rho_vb - np.outer(psi0, np.conj(psi0))).max())
+    legacy0 = legacy_quadruples(every, 0.0, 1.0, 1.0, init, field, 1.0)
+    rho_vb = table_density(AmplitudeTable(scatter_sectors(legacy0.T, 0.0)[None]))[0][0]
+    c = init.as_vector()
+    prep = np.outer(c, np.conj(c))
+    dev_vb = float(np.abs(rho_vb - prep).max())
     info("verbatim_initial_state",
          f"verbatim state at t=0 deviates from the preparation by {dev_vb:.3f} (max element)")
-    # The frozen phases of deterministic_table at kf_x = 0 and t = 1.
+    # The frozen phases of deterministic_table at t = 1.
     q_frozen = frozen_phases(1.0, sectors)[0]
     legacy = legacy_quadruples(sectors, 1.0, q_frozen, np.conj(q_frozen), init, field, 0.0)
     dev_vb1 = float(np.abs(legacy - amps0).max())
@@ -407,23 +392,19 @@ def run_verification(seed=8):
     check("norm_conservation", drift < 1e-12,
           f"relative drift {drift:.2e} at t=10 (tolerance 1e-12)")
 
-    # gamma = 0 must freeze the averaged channel exactly; a zero-coupling
-    # phase (kf_x = pi/2) freezes the deterministic one the same way.
+    # gamma = 0 must freeze the averaged channel at the preparation exactly.
     ts = np.linspace(0.0, 3.0, 7)
     rho_avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 0.0))
-    rho_frozen, _ = table_density(deterministic_table(ts, init, field, 0.0, kf_x=math.pi / 2.0))
-    dev_frz = float(np.abs(rho_avg - rho_frozen).max())
-    doe_pkg = negativity(rho_avg[3])
-    doe_ref = _doe_reference(rho_frozen[3])
-    check("averaged_frozen_limit",
-          dev_frz <= 1e-12 and abs(doe_pkg - doe_ref) <= 5e-4,
-          f"max state diff {dev_frz:.2e}, negativity diff {abs(doe_pkg - doe_ref):.2e}")
+    dev_frz = float(np.abs(rho_avg - prep).max())
+    doe_frz = abs(negativity(rho_avg[3]) - _doe_reference(prep))
+    check("averaged_frozen_limit", dev_frz <= 1e-12 and doe_frz <= 1e-12,
+          f"max state diff {dev_frz:.2e}, negativity diff {doe_frz:.2e}")
 
     # Entanglement of the frozen-phase dynamics against the integrator.
     doe_dev = 0.0
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
         rho_cf = table_density(deterministic_table(t_chk, init, field, 0.0))[0][0]
-        rho_ex, _ = sector_density(psi, ground)
+        rho_ex = table_density(AmplitudeTable(scatter_sectors(psi.T, ground)[None]))[0][0]
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_ex)))
     check("negativity_vs_integrator", doe_dev <= 1e-12,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")

@@ -69,6 +69,8 @@ def _nice_ticks(lo, hi):
     v = first
     while v <= hi + 1e-9 * step:
         ticks.append(0.0 if abs(v) < 1e-12 * step else v)
+        if v + step == v:  # a span a few ulps wide: step is below half an ulp of v
+            break
         v += step
     return ticks or [lo, hi]
 

@@ -372,6 +372,24 @@ def test_contour_svg_has_cells_and_iso_line(tmp_path):
     assert text.count('stroke="white"') > 1
 
 
+@pytest.mark.parametrize("argv", [
+    # doe spans 0.9999999999999996..1.0
+    ["entanglement", "--gamma", "0", "--steps", "50", "--svg"],
+    # the gamma axis spans 0.5..0.5000000000000001
+    ["contour", "--gamma", "0.5", "0.5000000000000001", "--gamma-steps", "2", "--steps", "3",
+     "--svg"],
+])
+def test_chart_of_a_span_a_few_ulps_wide_finishes(tmp_path, argv):
+    # Adding the tick step to a value can leave it unchanged there, so a
+    # tick loop that waits for the value to pass the span never ends. A
+    # subprocess with a timeout turns such a hang into a failure.
+    out = tmp_path / "out.csv"
+    code = "import sys; from chaocav.cli import main; sys.exit(main(sys.argv[1:]))"
+    subprocess.run([sys.executable, "-c", code, *argv, "--out", str(out)], capture_output=True,
+                   check=True, timeout=60, cwd=Path(cli.__file__).parents[1])
+    ET.parse(out.with_suffix(".svg"))
+
+
 def test_line_chart_breaks_at_nan_and_dots_lone_points():
     y = np.array([0.1, 0.2, np.nan, 0.3, np.nan, np.nan, 0.4, 0.5, 0.6])
     text = render_line_chart([("s", np.arange(9.0), y)])
@@ -618,7 +636,9 @@ def test_verify_command_reports_and_exits_zero(capsys):
     # default seed 8. The reference text of the three Monte Carlo rows
     # predates the sampler of averaged_q's own process; that of the five
     # integrator rows predates the exact propagator, which compares against
-    # "exact" rather than "rk4" and has no step error left.
+    # "exact" rather than "rk4" and has no step error left. The
+    # averaged_frozen_limit reference is now the preparation itself, not a
+    # frozen table at zero coupling.
     changed_rows = {
         "amplitudes_vs_integrator": "[PASS] amplitudes_vs_integrator: max |closed - exact| "
                                     "3.17e-16 over sectors [0, 1, 5, 25] at t=1",
@@ -629,6 +649,8 @@ def test_verify_command_reports_and_exits_zero(capsys):
                                   "at omega=0, t=1",
         "norm_conservation": "[PASS] norm_conservation: relative drift 5.24e-16 at t=10 "
                              "(tolerance 1e-12)",
+        "averaged_frozen_limit": "[PASS] averaged_frozen_limit: max state diff 1.11e-16, "
+                                 "negativity diff 2.22e-16",
         "negativity_vs_integrator": "[PASS] negativity_vs_integrator: max negativity diff "
                                     "6.66e-16 at t in (0.5, 1.0)",
         "mc_short_time": "[PASS] mc_short_time: t=0.005: gap 6.71e-08 vs 3*se 3.34e-07; "

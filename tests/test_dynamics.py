@@ -246,7 +246,7 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
     ns = np.arange(n_sec)
     w_ext = padded_weights(field)
     ts = np.linspace(0.0, 2.0, 5)
-    qp = frozen_phases(ts, ns, 0.4)
+    qp = frozen_phases(ts, ns)
     ep = np.exp(-0.7j * ts)[:, None]
     quads = _sector_amplitudes(ns, qp, np.conj(qp), ep, np.conj(ep), init, w_ext)
     ground = ep[:, 0] * (w_ext[0] * init.c00)
@@ -280,22 +280,21 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
 
 
 def test_frozen_phases_are_the_deterministic_tables_phases():
-    # the inline form deterministic_table used, at a kf_x != 0, bit for bit,
-    # and the bright-state eigenfrequency of each sector block
+    # the inline form deterministic_table used, bit for bit, and the
+    # bright-state eigenfrequency of each sector block
     init = AtomicInit(0.5, 0.5j, -0.5, 0.5j)
     field = coherent_weights(2.0)
-    kf_x = 0.4
     ts = np.linspace(0.0, 3.0, 7)
     ns = np.arange(field.n_max + 2)
-    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0)) * math.cos(kf_x)
+    omega_n = np.sqrt(2.0 * (2.0 * ns + 1.0))
     qp = np.exp(1j * (ts[:, None] * omega_n[None, :]))
-    got = frozen_phases(ts, ns, kf_x)
+    got = frozen_phases(ts, ns)
     assert np.array_equal(got.view(np.uint64), qp.view(np.uint64))
     want = _build_table(ts, qp, np.conj(qp), init, field, 0.9).photon
-    table = deterministic_table(ts, init, field, 0.9, kf_x=kf_x)
+    table = deterministic_table(ts, init, field, 0.9)
     assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
-    bright = [np.linalg.eigvalsh(build_block(n, 0.0, kf_x))[-1] for n in (0, 1, 5)]
-    assert np.max(np.abs(frozen_phases(ts, [0, 1, 5], kf_x) - np.exp(1j * np.outer(ts, bright)))) <= 1e-12
+    bright = [np.linalg.eigvalsh(build_block(n, 0.0))[-1] for n in (0, 1, 5)]
+    assert np.max(np.abs(frozen_phases(ts, [0, 1, 5]) - np.exp(1j * np.outer(ts, bright)))) <= 1e-12
 
 
 def test_initial_state_is_reproduced():
@@ -323,13 +322,14 @@ def test_zero_coupling_keeps_state_frozen():
 
 
 def test_averaged_gamma_zero_equals_decoupled_phase():
-    # cos(pi/2) kills the effective coupling, so one frozen realization at
-    # kf_x = pi/2 must match the gamma = 0 averaged channel
+    # at gamma = 0 both phase factors are exactly 1, so the scalar channel
+    # must match the two-phase path with both factors held at 1
     init, field = small_setup()
     ts = np.linspace(0.0, 5.0, 11)
+    ones = np.ones((ts.size, 1), dtype=complex)
     avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 1.0))
-    det, _ = table_density(deterministic_table(ts, init, field, 1.0, kf_x=math.pi / 2.0))
-    assert np.max(np.abs(avg - det)) <= 1e-12
+    two, _ = table_density(_build_table(ts, ones, ones, init, field, 1.0))
+    assert np.max(np.abs(avg - two)) <= 1e-12
 
 
 def test_deterministic_evolution_preserves_norm():

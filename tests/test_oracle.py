@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 import chaocav.oracle as oracle
-from chaocav.dynamics import (AtomicInit, _build_table, amplitude_table, averaged_q,
-                              deterministic_table, frozen_phases, gather_sectors, padded_weights,
-                              start_quadruples, table_density)
+from chaocav.dynamics import (AmplitudeTable, AtomicInit, _build_table, amplitude_table,
+                              averaged_q, deterministic_table, frozen_phases, gather_sectors,
+                              padded_weights, scatter_sectors, start_quadruples, table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
@@ -26,7 +26,6 @@ from chaocav.oracle import (
     legacy_quadruples,
     mc_short_time,
     monte_carlo_q,
-    sector_density,
 )
 from conftest import BELL_INIT
 
@@ -53,11 +52,9 @@ def test_spin_operator_commutators_are_exact():
 
 
 def test_block_matrix_structure():
-    kf_x = 0.3
-    h = build_block(3, 0.7, kf_x=kf_x)
-    g = math.cos(kf_x)
-    assert h[0, 1] == h[1, 0] == h[0, 2] == h[2, 0] == -g * math.sqrt(4.0)
-    assert h[1, 3] == h[3, 1] == h[2, 3] == h[3, 2] == -g * math.sqrt(3.0)
+    h = build_block(3, 0.7)
+    assert h[0, 1] == h[1, 0] == h[0, 2] == h[2, 0] == -math.sqrt(4.0)
+    assert h[1, 3] == h[3, 1] == h[2, 3] == h[3, 2] == -math.sqrt(3.0)
     assert h[1, 2] == h[2, 1] == 0.7
     assert np.all(np.diag(h) == 0.0)  # interaction picture strips the diagonal
     assert np.max(np.abs(h - h.conj().T)) == 0.0
@@ -69,22 +66,14 @@ def test_block_zero_sector_has_no_ee_component():
     assert np.all(h[:, 3] == 0.0)
 
 
-def test_block_scales_with_position_phase():
-    h0 = build_block(1, 1.0, kf_x=0.0)
-    hq = build_block(1, 1.0, kf_x=math.pi / 3.0)
-    assert abs(hq[0, 1] - 0.5 * h0[0, 1]) <= 1e-15  # cos(pi/3) = 1/2
-    hz = build_block(1, 1.0, kf_x=math.pi / 2.0)
-    assert abs(hz[0, 1]) <= 1e-15
-
-
 def test_block_is_restriction_of_full_hamiltonian():
     n_fock = 8
-    full = full_hamiltonian(n_fock, 0.9, kf_x=0.4)
+    full = full_hamiltonian(n_fock, 0.9)
     assert np.max(np.abs(full - full.conj().T)) <= 1e-12
     for n in (0, 2, 5):
         idx = [i for i in sector_basis_indices(n, n_fock) if i is not None]
         sub = full[np.ix_(idx, idx)]
-        block = build_block(n, 0.9, kf_x=0.4)
+        block = build_block(n, 0.9)
         want = block[: len(idx), : len(idx)]
         assert np.max(np.abs(sub - want)) <= 1e-12
 
@@ -157,11 +146,12 @@ def test_oracle_density_matches_closed_form_density():
     field = coherent_weights(2.0)
     every = list(range(field.n_max + 2))
     (psi,) = integrate_schrodinger(init, field, every, (0.7,), 0.0)
-    rho, pre = sector_density(psi, field.weights[0] * init.c00)
+    ground = field.weights[0] * init.c00
+    rho, pre = table_density(AmplitudeTable(scatter_sectors(psi.T, ground)[None]))
     want_rho, want_pre = table_density(deterministic_table(0.7, init, field, 0.0))
-    assert np.max(np.abs(rho - want_rho[0])) <= 1e-8
-    assert abs(pre - want_pre[0]) <= 1e-10
-    require_density_matrix(rho)
+    assert np.max(np.abs(rho - want_rho)) <= 1e-8
+    assert np.max(np.abs(pre - want_pre)) <= 1e-10
+    require_density_matrix(rho[0])
 
 
 def test_legacy_variant_distorts_the_initial_state():
@@ -171,7 +161,7 @@ def test_legacy_variant_distorts_the_initial_state():
     field = coherent_weights(5.0)
     sectors = np.arange(field.n_max + 2)
     legacy = legacy_quadruples(sectors, 0.0, 1.0, 1.0, init, field, 1.0)
-    rho, _ = sector_density(legacy, 0.0)
+    rho = table_density(AmplitudeTable(scatter_sectors(legacy.T, 0.0)[None]))[0][0]
     vec = init.as_vector()
     dev = np.max(np.abs(rho - np.outer(vec, vec.conj())))
     assert dev > 0.01
