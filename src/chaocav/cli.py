@@ -370,6 +370,13 @@ def run_sweep(cfg, command):
     """Run one sweep command: the grid, its CSV and, with --svg, its chart."""
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
                       cfg["unknown"], omega_rabi=cfg["omega_rabi"])
+    drained = int(np.count_nonzero(grid.pre_norm_trace == 0.0))
+    if drained == grid.doe.size:
+        raise InvariantViolation("density matrix trace vanished at every grid point: q = 0, "
+                                 "or a q whose square underflows, drained the scalar-channel state")
+    if drained:
+        print(f"warning: {drained} of {grid.doe.size} grid points drained (pre_norm_trace 0); "
+              "their doe is nan", file=sys.stderr)
     header = ENT_HEADER if grid.fidelity is None else FID_HEADER
     _write_csv(cfg["out"], header, _csv_blocks(grid, cfg))
     written = [cfg["out"]]

@@ -11,21 +11,27 @@ matrix is oracle.joint_averaged_density.
 
 Every state takes one route: amplitude_table (or deterministic_table, for
 one frozen phase) builds the amplitudes at the sampled times, a scalar
-time giving one row, and table_density traces out the field.
+time giving one row, and table_density traces out the field. On the
+scalar channel the pair (|gg>, |ee>) evolves from c00 and c11 alone and
+(|ge>, |eg>) from c01 and c10 alone, so a table holds only the pair its
+preparation fills and table_density contracts only that pair; rows of an
+empty pair are exact zeros, and leaving them out moves no bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-
-from .linalg import InvariantViolation
 
 SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
 NORM_TOL = 1e-12
+
+#: Basic slices of the atomic rows (a, b, c, d) of an amplitude table: all
+#: four, the pair (|gg>, |ee>) and the pair (|ge>, |eg>).
+ALL_ROWS, AD_ROWS, BC_ROWS = slice(0, 4), slice(0, 4, 3), slice(1, 3)
 
 
 def _erf_series_array(x):
@@ -128,10 +134,14 @@ class AmplitudeTable:
     component), photon_b[m] and photon_c[m] multiply
     |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>.
     scatter_sectors builds it from sector quadruples and gather_sectors
-    reads them back.
+    reads them back. live is the basic slice of the atomic rows that may
+    hold amplitude: all four by default, or 0::3 for the pair (a, d) or
+    1:3 for (b, c) when the other pair's rows are exactly zero.
+    table_density and teleport.kappa_sums contract only those rows.
     """
 
     photon: np.ndarray
+    live: slice = dataclass_field(default_factory=lambda: ALL_ROWS)
 
     photon_a = property(lambda self: self.photon[:, 0])
     photon_b = property(lambda self: self.photon[:, 1])
@@ -149,15 +159,20 @@ def scatter_sectors(quads, ground):
 
     quads holds the four (..., N) components over (|gg,n+1>, |ge,n>, |eg,n>,
     |ee,n-1>) and ground multiplies |gg,0>; sector 0's |ee> entry is dropped.
+    A pair given as None, (a, d) with the ground or (b, c), keeps its rows
+    at exact zero.
     """
     a, b, c, d = quads
-    n_sec = a.shape[-1]
-    photon = np.zeros(a.shape[:-1] + (4, n_sec + 1), dtype=complex)
-    photon[..., 0, 0] = ground
-    photon[..., 0, 1:] = a
-    photon[..., 1, :n_sec] = b
-    photon[..., 2, :n_sec] = c
-    photon[..., 3, : n_sec - 1] = d[..., 1:]
+    lead = b if a is None else a
+    n_sec = lead.shape[-1]
+    photon = np.zeros(lead.shape[:-1] + (4, n_sec + 1), dtype=complex)
+    if a is not None:
+        photon[..., 0, 0] = ground
+        photon[..., 0, 1:] = a
+        photon[..., 3, : n_sec - 1] = d[..., 1:]
+    if b is not None:
+        photon[..., 1, :n_sec] = b
+        photon[..., 2, :n_sec] = c
     return photon
 
 
@@ -188,10 +203,14 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     arrays that broadcast against the (T, N) grid of times and sectors.
     qm = None is the scalar channel, where both factors are the mean qp
     (a (T, 1) column of averaged_q): their cosine part is then exactly qp
-    and their sine part exactly 0, so the sine terms are left out. The form
-    solves the bright/dark coupling block exactly and reproduces the
-    initial state at t = 0. The paper's printed formulas, which do not,
-    survive only in oracle.legacy_quadruples, as a comparison.
+    and their sine part exactly 0, so the sine terms are left out. Without
+    them the pair (a, d) is built from c00 and c11 alone and the pair
+    (b, c) from c01 and c10 alone; a pair whose two amplitudes the
+    preparation sets to 0 is exactly 0 at every time, so it is not built
+    and both its entries are None. The form solves the bright/dark
+    coupling block exactly and reproduces the initial state at t = 0. The
+    paper's printed formulas, which do not, survive only in
+    oracle.legacy_quadruples, as a comparison.
     """
     nf = ns.astype(float)
     a0, b0, c0, d0 = start_quadruples(ns, init, w_ext).T
@@ -207,8 +226,8 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     # stay out of place: numpy's in-place complex multiply can round a
     # one-element array differently.
     if qm is None:
-        ub = qp * ub0
-        sym = qp * s0
+        ub = qp * ub0 if init.c00 or init.c11 else None
+        sym = qp * s0 if init.c01 or init.c10 else None
     else:
         cosf = (qp + qm) / 2.0
         isin = (qp - qm) / 2.0
@@ -216,20 +235,23 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
         ub += isin * s0  # ub = cosf * ub0 + isin * s0
         sym = isin * ub0
         sym += cosf * s0  # sym = isin * ub0 + cosf * s0
-    amp_a = r1 * ub
-    amp_a += r2 * ud0
-    amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
-    amp_d = r2 * ub
-    amp_d -= r1 * ud0
-    amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
-    sym = ep * sym
-    dark = em * an0
-    amp_b = sym + dark
-    # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
-    # so scaling by INV_SQRT2 gives the quotient but for the sign of a zero.
-    amp_b *= INV_SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
-    amp_c = np.subtract(sym, dark, out=sym)
-    amp_c *= INV_SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
+    amp_a = amp_b = amp_c = amp_d = None
+    if ub is not None:
+        amp_a = r1 * ub
+        amp_a += r2 * ud0
+        amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
+        amp_d = r2 * ub
+        amp_d -= r1 * ud0
+        amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
+    if sym is not None:
+        sym = ep * sym
+        dark = em * an0
+        amp_b = sym + dark
+        # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
+        # so scaling by INV_SQRT2 gives the quotient but for the sign of a zero.
+        amp_b *= INV_SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
+        amp_c = np.subtract(sym, dark, out=sym)
+        amp_c *= INV_SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
     return amp_a, amp_b, amp_c, amp_d
 
 
@@ -237,7 +259,8 @@ def _build_table(t, qp, qm, init, field, omega_rabi):
     w_ext = padded_weights(field)
     ep = np.exp(-1j * omega_rabi * np.atleast_1d(np.asarray(t, dtype=float)))[:, None]
     quads = _sector_amplitudes(np.arange(field.n_max + 2), qp, qm, ep, np.conj(ep), init, w_ext)
-    return AmplitudeTable(scatter_sectors(quads, ep[:, 0] * (w_ext[0] * init.c00)))
+    live = BC_ROWS if quads[0] is None else AD_ROWS if quads[1] is None else ALL_ROWS
+    return AmplitudeTable(scatter_sectors(quads, ep[:, 0] * (w_ext[0] * init.c00)), live)
 
 
 def amplitude_table(t, q, init, field, omega_rabi):
@@ -278,15 +301,22 @@ def table_density(table):
     """Photon-summed density matrices for every time in the table.
 
     Returns (rho, pre_norm_trace) with shapes (T, 4, 4) and (T,); a table
-    built at a scalar time has T = 1. The outer-product assembly keeps the matrix Hermitian and positive by
-    construction before renormalization.
-    """
-    v = table.photon
-    rho = np.einsum("tim,tjm->tij", v, np.conj(v))
-    pre = np.einsum("tii->t", rho).real
-    if np.any(pre <= 0.0):
-        raise InvariantViolation("density matrix trace vanished: q = 0, or a q whose square "
-                                 "underflows, drained the whole scalar-channel state")
-    rho /= pre[:, None, None]
-    return rho, pre
+    built at a scalar time has T = 1. The outer-product assembly keeps the
+    matrix Hermitian and positive by construction before renormalization.
+    Where the phase averaging drained the state (q = 0, or a q whose square
+    underflows), the trace is 0 and that time's matrix is NaN.
 
+    Only the table's live rows are contracted, through a basic slice, and
+    einsum writes their block of rho in place. This is exact: einsum sums
+    each entry in order from +0, so an entry that touches an all-zero row
+    is +0, which the zero-filled rho already holds. matmul and np.sum
+    accumulate in other orders and would move preset bits.
+    """
+    s = table.live
+    v = table.photon[:, s]
+    rho = np.zeros((v.shape[0], 4, 4), dtype=complex)
+    np.einsum("tim,tjm->tij", v, np.conj(v), out=rho[:, s, s])
+    pre = np.einsum("tii->t", rho).real
+    with np.errstate(invalid="ignore"):  # 0 / 0 at a drained time
+        rho /= pre[:, None, None]
+    return rho, pre

@@ -5,12 +5,18 @@ evaluated for the whole grid in one call; the rest runs in two stages
 over groups of max(1, GROUP_POINTS // T) gamma rows. In the Fock-wide
 stage each gamma row builds its amplitude table once, and that table
 feeds the row's densities and, when an unknown qubit is given, its
-teleportation sums. A row whose table would exceed TABLE_BUDGET_BYTES is
+teleportation sums. The scalar channel never mixes the atomic pair
+(|gg>, |ee>) with (|ge>, |eg>), so a pair the preparation leaves empty is
+exactly zero at every point: the table does not build it, and the
+densities and sums contract only the live pair, with the same bits as
+contracting all four rows (an X preparation, as in every preset, carries
+only (|gg>, |ee>)). A row whose table would exceed TABLE_BUDGET_BYTES is
 built in pieces over t, so the stage holds at most that much table, plus
 the (piece, n_max + 2) sector arrays that build it, whatever the number
 of times or the field. In the 4x4 stage the group's densities go through one
 partial-transpose eigensolve, and the branch weight and fidelity are
-formed over the whole group. The field coupling is the unit of time; the
+formed over the whole group; a drained point (trace 0) stays out of the
+eigensolve and reads doe = nan. The field coupling is the unit of time; the
 scalar channel sees the coupling phase only through averaged_q(t, gamma).
 """
 
@@ -43,7 +49,9 @@ class SweepGrid:
     The teleportation arrays (fidelity, kappa1, kappa2, kappa4, weight)
     are None when no unknown qubit was given. Fidelity is nan where the
     phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR, and
-    otherwise lies in [0, 1 + FIDELITY_TOL].
+    otherwise lies in [0, 1 + FIDELITY_TOL]. doe is nan at a drained
+    point, where pre_norm_trace is 0: q = 0, or a q whose square
+    underflows, leaves no state to renormalise.
     """
 
     doe: np.ndarray
@@ -84,7 +92,14 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
                 rhos[i - g0, cols], pre[i, cols] = table_density(table)
                 if unknown is not None:
                     kappa1[i, cols], kappa2[i, cols], kappa4[i, cols] = kappa_sums(table, unknown)
-        doe[rows] = _doe_from_rhos(rhos.reshape(-1, 4, 4)).reshape(rhos.shape[:2])
+        # A drained point (trace 0) has no state: it stays out of the
+        # eigensolve and reads doe = nan. A group without one solves its
+        # whole batch, as the solver's skip rule depends on the batch.
+        kept = pre[rows] > 0.0
+        doe[rows] = np.nan
+        if kept.any():
+            batch = rhos if kept.all() else rhos[kept]
+            doe[rows][kept] = _doe_from_rhos(batch.reshape(-1, 4, 4))
         if unknown is None:
             continue
         k1, k2, k4 = kappa1[rows], kappa2[rows], kappa4[rows]

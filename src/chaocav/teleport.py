@@ -70,11 +70,16 @@ def kappa_sums(table, unknown):
     Shapes follow the table, one value per time. The sums run over the
     photon-grouped amplitudes, which is exactly the phi_plus Bell
     projection. Bob's state is [[kappa1, kappa2], [conj(kappa2), kappa4]].
+    A row outside the table's live pair is all zero and enters as the
+    scalar 0j, so au * 0j stands for au times that row, bit for bit,
+    without the multiply.
     """
     au = unknown.alpha_u
     bu = unknown.beta_u
-    top = au * table.photon_a + bu * table.photon_c
-    bot = au * table.photon_b + bu * table.photon_d
+    live = range(4)[table.live]
+    a, b, c, d = (table.photon[:, k] if k in live else 0j for k in range(4))
+    top = au * a + bu * c
+    bot = au * b + bu * d
     k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)
     k2 = 0.5 * np.sum(top * np.conj(bot), axis=1)
     k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)

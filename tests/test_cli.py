@@ -521,14 +521,35 @@ def test_nan_unknown_qubit_exits_2(tmp_path, capsys, command, flags):
     assert not out.exists()
 
 
-def test_drained_scalar_state_exits_4(tmp_path, capsys):
-    # q = 0 drains a symmetric one-excitation preparation with no photons entirely
+def test_drained_points_read_nan_and_the_rest_of_the_grid_is_written(tmp_path, capsys):
+    # q^2 underflows at t = 10 (q = 1.6e-211) and drains a symmetric
+    # one-excitation preparation with no photons; t = 0 (q = 1) and t = 5
+    # keep a positive trace
+    code, out = run(tmp_path, ["entanglement", "--init", "0", "0.70710678118654752",
+                               "0.70710678118654752", "0", "--alpha-field", "0",
+                               "--gamma", "3e3", "--steps", "3"])
+    assert code == 0
+    assert capsys.readouterr().err == ("warning: 1 of 3 grid points drained (pre_norm_trace 0); "
+                                       "their doe is nan\n")
+    lines = out.read_text().splitlines()[1:]
+    assert [line.split(",")[3:] for line in lines] == [
+        ["1.000000000000e+00", "1.000000000000e+00"],
+        ["1.000000000000e+00", "1.551118809017e-211"],
+        ["nan", "0.000000000000e+00"]]
+
+
+def test_drained_scalar_state_exits_4(tmp_path, monkeypatch, capsys):
+    # every CLI grid starts at t = 0, where q = 1, so the sweep is moved
+    # off it: at t > 0 a gamma of 1e300 gives q = 0 everywhere
+    real = cli.sweep_grid
+    monkeypatch.setattr(cli, "sweep_grid", lambda times, *args, **kw: real(times + 1.0, *args, **kw))
     code, out = run(tmp_path, ["entanglement", "--init", "0", "0.70710678118654752",
                                "0.70710678118654752", "0", "--alpha-field", "0",
                                "--gamma", "1e300", "--steps", "3"])
     assert code == 4
-    assert ("invariant violated: density matrix trace vanished: q = 0, or a q whose square "
-            "underflows, drained the whole scalar-channel state") in capsys.readouterr().err
+    assert ("invariant violated: density matrix trace vanished at every grid point: q = 0, "
+            "or a q whose square underflows, drained the scalar-channel state"
+            in capsys.readouterr().err)
     assert not out.exists()
 
 

@@ -209,7 +209,9 @@ def test_photon_regrouping_aligns_with_sectors():
 @pytest.mark.parametrize("init", [AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
                                   AtomicInit(0.5, 0.5j, -0.5, 0.5j)], ids=["x_state", "c01_c10"])
 def test_scalar_form_equals_the_general_form(init):
-    # qm = None leaves out the sine terms, which vanish when qm equals qp.
+    # qm = None leaves out the sine terms, which vanish when qm equals qp,
+    # and builds no pair the preparation leaves empty: the x state's (b, c)
+    # come back as None, where the general form gives exact zeros
     field = coherent_weights(3.0)
     ts = np.linspace(0.0, 4.0, 9)
     ns = np.arange(field.n_max + 2)
@@ -218,8 +220,39 @@ def test_scalar_form_equals_the_general_form(init):
     ep = np.exp(-1.3j * ts)[:, None]
     scalar = _sector_amplitudes(ns, qp, None, ep, np.conj(ep), init, w_ext)
     general = _sector_amplitudes(ns, qp, qp.copy(), ep, np.conj(ep), init, w_ext)
+    dead_bc = init.c01 == 0 and init.c10 == 0
+    assert [got is None for got in scalar] == [False, dead_bc, dead_bc, False]
     for got, want in zip(scalar, general):
-        assert np.array_equal(got, want)
+        if got is None:
+            assert not np.any(want)
+        else:
+            assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("alpha", [0.0, 2.0, 5.0])
+def test_scalar_channel_never_mixes_the_two_atomic_pairs(alpha):
+    # The scalar channel builds (a, d) from c00, c11 and (b, c) from c01,
+    # c10 alone, which is why a table carries only the pair its preparation
+    # fills. Both halves are pinned: an empty pair's rows, |gg,0> included,
+    # are exactly 0, and with both pairs filled, flipping the sign of one
+    # pair's amplitudes leaves the other pair's rows unchanged bit for bit
+    # and negates its own, so a change that couples the pairs fails here.
+    field = coherent_weights(alpha)
+    ts = np.array([0.0, 0.4, 1.3, 2.9])
+    for gamma in (0.0, 0.3, 2.0, 1e300):
+        q = averaged_q(ts, gamma)
+        x = amplitude_table(ts, q, AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), field, 1.3)
+        psi = amplitude_table(ts, q, AtomicInit(0.0, 0.6, 0.8j, 0.0), field, 1.3)
+        assert not np.any(x.photon[:, 1:3]) and np.any(x.photon[:, 0::3])
+        assert not np.any(psi.photon[:, 0::3]) and np.any(psi.photon[:, 1:3])
+        both = np.array([0.6, 0.48, 0.64j, 0.0])
+        base = amplitude_table(ts, q, AtomicInit(*both), field, 1.3).photon
+        for own, other in [(slice(1, 3), slice(0, 4, 3)), (slice(0, 4, 3), slice(1, 3))]:
+            signs = np.ones(4)
+            signs[own] = -1.0
+            photon = amplitude_table(ts, q, AtomicInit(*(signs * both)), field, 1.3).photon
+            assert np.array_equal(photon[:, other].view(np.uint64), base[:, other].view(np.uint64))
+            assert np.array_equal(photon[:, own], -base[:, own])
 
 
 @pytest.mark.parametrize("alpha", [2.0, 5.0])

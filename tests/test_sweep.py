@@ -101,6 +101,55 @@ def test_row_groups_equal_per_row_evaluation(init):
         assert np.array_equal(got, want, equal_nan=True)
 
 
+def four_row_density(table):
+    # every atomic row contracted, whatever the table's live pair
+    v = table.photon
+    rho = np.einsum("tim,tjm->tij", v, np.conj(v))
+    pre = np.einsum("tii->t", rho).real
+    return rho / pre[:, None, None], pre
+
+
+def four_row_kappas(table, unknown):
+    top = unknown.alpha_u * table.photon_a + unknown.beta_u * table.photon_c
+    bot = unknown.alpha_u * table.photon_b + unknown.beta_u * table.photon_d
+    return (0.5 * np.sum(np.abs(top) ** 2, axis=1), 0.5 * np.sum(top * np.conj(bot), axis=1),
+            0.5 * np.sum(np.abs(bot) ** 2, axis=1))
+
+
+SQRT_HALF = math.sqrt(0.5)
+LIVE_PAIR_CASES = [
+    (INIT, 5.0, slice(0, 4, 3)),  # fig 1's X state
+    (AtomicInit(SQRT_HALF, 0.0, 0.0, SQRT_HALF), 5.0, slice(0, 4, 3)),  # Bell
+    (AtomicInit(0.0, SQRT_HALF, SQRT_HALF, 0.0), 0.0, slice(1, 3)),  # psi+ in the vacuum
+    (AtomicInit(0.5, 0.5j, -0.5, 0.5j), 2.0, slice(0, 4)),
+]
+# alpha_u in each complex quadrant, on both axes, 0 and 1
+ALPHA_US = [0.6 + 0.3j, -0.6 + 0.3j, -0.3 - 0.5j, 0.4 - 0.7j, 1j, -0.8, 0.0, 1.0]
+
+
+@pytest.mark.parametrize("init, alpha, live", LIVE_PAIR_CASES,
+                         ids=["x_state", "bell", "psi_plus_vacuum", "all_four"])
+def test_live_pair_contraction_equals_all_four_rows_bit_for_bit(monkeypatch, init, alpha, live):
+    # The uint64 views make signed zeros count, which np.array_equal cannot see.
+    field = coherent_weights(alpha)
+    ts = np.linspace(0.0, 3.0, 31)
+    gammas = [0.0, 0.4, 1.0]
+    table = amplitude_table(ts, averaged_q(ts, 0.4), init, field, 1.3)
+    assert table.live == live
+    for got, want in zip(table_density(table), four_row_density(table)):
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    unknowns = [UnknownQubit(au, math.sqrt(1.0 - abs(au) ** 2)) for au in ALPHA_US]
+    fast = [sweep.sweep_grid(ts, gammas, init, field, u, omega_rabi=1.3) for u in unknowns]
+    monkeypatch.setattr(sweep, "table_density", four_row_density)
+    monkeypatch.setattr(sweep, "kappa_sums", four_row_kappas)
+    for unknown, grid in zip(unknowns, fast):
+        for got, want in zip(kappa_sums(table, unknown), four_row_kappas(table, unknown)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), unknown
+        ref = sweep.sweep_grid(ts, gammas, init, field, unknown, omega_rabi=1.3)
+        for got, want in zip(grid_columns(grid), grid_columns(ref)):
+            assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), unknown
+
+
 def test_teleport_columns_ignore_a_global_phase_of_the_unknown_qubit():
     # why the CLI takes only --alpha-u: (a, b) and (a e^{i phi}, b e^{i phi})
     # are one state, so a real beta_u reaches every unknown qubit
