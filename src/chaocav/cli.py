@@ -370,7 +370,7 @@ def run_sweep(cfg, command):
     """Run one sweep command: the grid, its CSV and, with --svg, its chart."""
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"],
                       cfg["unknown"], omega_rabi=cfg["omega_rabi"])
-    drained = int(np.count_nonzero(grid.pre_norm_trace == 0.0))
+    drained = int(np.count_nonzero(np.isnan(grid.doe)))
     if drained == grid.doe.size:
         raise InvariantViolation("density matrix trace vanished at every grid point: q = 0, "
                                  "or a q whose square underflows, drained the scalar-channel state")

@@ -93,13 +93,11 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
                 if unknown is not None:
                     kappa1[i, cols], kappa2[i, cols], kappa4[i, cols] = kappa_sums(table, unknown)
         # A drained point (trace 0) has no state: it stays out of the
-        # eigensolve and reads doe = nan. A group without one solves its
-        # whole batch, as the solver's skip rule depends on the batch.
+        # eigensolve and reads doe = nan.
         kept = pre[rows] > 0.0
         doe[rows] = np.nan
         if kept.any():
-            batch = rhos if kept.all() else rhos[kept]
-            doe[rows][kept] = _doe_from_rhos(batch.reshape(-1, 4, 4))
+            doe[rows][kept] = _doe_from_rhos(rhos[kept])
         if unknown is None:
             continue
         k1, k2, k4 = kappa1[rows], kappa2[rows], kappa4[rows]
