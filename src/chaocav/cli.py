@@ -93,7 +93,9 @@ class _Parser(argparse.ArgumentParser):
         self._negative_number_matcher = re.compile(r"^-\.?\d")
 
 
+@functools.cache
 def build_parser():
+    # parse_args keeps nothing between calls, so a process builds its parser once.
     parser = _Parser(
         prog="chaocav",
         description="Entanglement and teleportation through a randomly phased "
@@ -138,12 +140,6 @@ def build_parser():
     sp_ver.add_argument("--seed", type=int, default=8,
                         help="seed for the statistical checks (default 8)")
     return parser
-
-
-@functools.cache
-def _main_parser():
-    # parse_args keeps nothing between calls, so main builds its parser once.
-    return build_parser()
 
 
 def _merge_settings(args):
@@ -399,7 +395,7 @@ def run_verify(seed):
 
 
 def main(argv=None):
-    args = _main_parser().parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         if args.command == "verify":
             if args.seed < 0:

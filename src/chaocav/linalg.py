@@ -35,7 +35,8 @@ def is_hermitian(m):
     m is one square matrix or a stack of them along the last two axes.
     """
     m = np.asarray(m)
-    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2))) <= HERMITIAN_INPUT_TOL)
+    return bool(np.max(np.abs(m - np.swapaxes(m.conj(), -1, -2)), initial=0.0)
+                <= HERMITIAN_INPUT_TOL)
 
 
 def partial_transpose(rho):
@@ -57,7 +58,7 @@ def partial_transpose(rho):
 def _off_norm(a):
     # Largest off-diagonal Frobenius norm over a (B, d, d) batch.
     off = np.abs(a) ** 2 * ~np.eye(a.shape[-1], dtype=bool)
-    return np.sqrt(np.max(np.sum(off, axis=(1, 2))))
+    return np.sqrt(np.max(np.sum(off, axis=(1, 2)), initial=0.0))
 
 
 def jacobi_eigh(mats):

@@ -221,7 +221,7 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
     return MonteCarloQ(q_mean=q_mean, stderr=np.sqrt(var / n_samples), n_samples=n_samples)
 
 
-def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
+def joint_averaged_density(t, m1, m2, init, field, omega_rabi):
     """Two-atom state averaged jointly over the phase factor pair.
 
     The amplitudes are v = vx p + vy conj(p) + base, linear in the phase
@@ -230,12 +230,11 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     vx vx^H + vy vy^H + base base^H + H + H^H with
     H = m2 vx vy^H + m1 (vx base^H + base vy^H). With a Gaussian
     accumulated phase the exact moments are m1 = q = averaged_q(t, gamma)
-    and m2 = q^4. Contrast with the scalar channel,
+    and m2 = q^4; sample means of p and p^2 over _phase_chunks give the
+    sampled average. Contrast with the scalar channel,
     table_density(amplitude_table(...)), which substitutes the scalar mean
-    for both factors before forming the density. n_samples > 0 replaces
-    the exact moments with sample means over Gaussian phases of variance
-    -2 ln q; at q = 0, where that variance is infinite, the phases are
-    uniform on [0, 2 pi). q must lie in [0, 1].
+    for both factors before forming the density. Moments of a unimodular
+    p lie on the closed unit disc; anything else, NaN included, is rejected.
 
     Returns (rho, pre_norm_trace) like table_density, for one time. The
     map preserves the trace up to the field's truncated tail mass, so
@@ -243,26 +242,15 @@ def joint_averaged_density(t, q, init, field, omega_rabi, n_samples=0, seed=0):
     cosmetic. The acceptance gate checks the gamma-ordering guarantee
     (entanglement falls as gamma rises) on this state.
     """
-    q = float(q)
-    if not 0.0 <= q <= 1.0:  # NaN fails too
-        raise ValueError(f"q must lie in [0, 1], got {q}")
+    m1, m2 = complex(m1), complex(m2)
+    if not (abs(m1) <= 1.0 and abs(m2) <= 1.0):  # NaN fails too
+        raise ValueError(f"moments must lie on the unit disc, got m1={m1}, m2={m2}")
     tt = float(t)
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
     base = _build_table(tt, zero, zero, init, field, omega_rabi).photon[0]
     vx = _build_table(tt, one, zero, init, field, omega_rabi).photon[0] - base
     vy = _build_table(tt, zero, one, init, field, omega_rabi).photon[0] - base
-    if n_samples <= 0:
-        m1, m2 = q, q ** 4
-    else:
-        rng = np.random.Generator(np.random.Philox(seed))
-        if q > 0.0:
-            var = -2.0 * math.log(q) if q < 1.0 else 0.0
-            phases = np.exp(1j * rng.normal(0.0, math.sqrt(var), n_samples))
-        else:
-            phases = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_samples))
-        m1 = phases.mean()
-        m2 = (phases * phases).mean()
     cross = m2 * (vx @ vy.conj().T) + m1 * (vx @ base.conj().T + base @ vy.conj().T)
     rho = (vx @ vx.conj().T + vy @ vy.conj().T + base @ base.conj().T
            + cross + cross.conj().T)
@@ -476,13 +464,15 @@ def run_verification(seed=8):
     for t_chk in (1.0, 3.0):
         q = averaged_q(t_chk, 0.5)
         rho_s = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
-        rho_j, _ = joint_averaged_density(t_chk, q, init, field, 1.0)
+        rho_j, _ = joint_averaged_density(t_chk, q, q ** 4, init, field, 1.0)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
     q = averaged_q(2.0, 0.5)
-    rho_j, _ = joint_averaged_density(2.0, q, init, field, 1.0)
-    rho_m, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=3000, seed=seed)
+    rho_j, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
+    phi = np.concatenate(list(_phase_chunks(np.array([2.0]), 0.5, seed, 3000)))
+    p = np.exp(1j * phi[:, 0])
+    rho_m, _ = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)
     info("joint_mc_consistency",
          f"analytic vs sampled joint moments differ by {float(np.abs(rho_j - rho_m).max()):.2e}")
 

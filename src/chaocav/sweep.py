@@ -96,8 +96,7 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         # eigensolve and reads doe = nan.
         kept = pre[rows] > 0.0
         doe[rows] = np.nan
-        if kept.any():
-            doe[rows][kept] = _doe_from_rhos(rhos[kept])
+        doe[rows][kept] = _doe_from_rhos(rhos[kept])
         if unknown is None:
             continue
         k1, k2, k4 = kappa1[rows], kappa2[rows], kappa4[rows]

@@ -90,7 +90,7 @@ def fig1_joint_curves():
     curves = {}
     trace_dev = 0.0
     for gamma in (0.1, 0.5, 0.9):
-        states = [joint_averaged_density(t, q, FIG_INIT, field, 1.0)
+        states = [joint_averaged_density(t, q, q ** 4, FIG_INIT, field, 1.0)
                   for t, q in zip(times, averaged_q(times, gamma).tolist())]
         trace_dev = max(trace_dev, max(abs(pre - 1.0) for _, pre in states))
         curves[gamma] = np.array([negativity(rho) for rho, _ in states])

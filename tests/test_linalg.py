@@ -81,6 +81,15 @@ def test_partial_transpose_batch_agrees_with_single(rng):
         assert np.array_equal(batch[i], partial_transpose(rhos[i]))
 
 
+def test_empty_batch_gives_an_empty_result():
+    # A group whose every point drained hands the eigensolve no matrices.
+    empty = np.zeros((0, 4, 4), dtype=complex)
+    pt = partial_transpose(empty)
+    assert pt.shape == (0, 4, 4)
+    assert jacobi_eigh(pt).shape == (0, 4)
+    assert is_hermitian(empty)
+
+
 def test_partial_transpose_input_checks():
     with pytest.raises(InvariantViolation):
         partial_transpose(np.eye(3, dtype=complex))

@@ -312,86 +312,78 @@ def test_monte_carlo_grid_validation():
 
 # ---------------------------------------------------------------- joint averaging
 
+MIXED_INIT = AtomicInit(0.6, 0.3 + 0.1j, -0.2, math.sqrt(1.0 - 0.36 - 0.1 - 0.04))
+
+
+def sampled_phase_factors(t, gamma, n_samples, seed=8):
+    # p = e^{i phi(t)} over the process monte_carlo_q samples.
+    phi = np.concatenate(list(oracle._phase_chunks(np.array([t]), gamma, seed, n_samples)))
+    return np.exp(1j * phi[:, 0])
+
+
+@pytest.mark.parametrize("t, gamma", [(0.5, 1.0), (2.0, 0.5), (3.0, 0.2), (1.0, 4.0)])
+def test_phase_moments_are_q_and_q_to_the_fourth(t, gamma):
+    # The joint channel's moments: for a Gaussian phase of variance V,
+    # <e^{i phi}> = exp(-V/2) = q and <e^{2i phi}> = exp(-2V) = q^4.
+    p = sampled_phase_factors(t, gamma, 20000)
+    q = averaged_q(t, gamma)
+    for sample, want in ((p, q), (p * p, q ** 4)):
+        mean = sample.mean()
+        se_re, se_im = (np.std(part, ddof=1) / math.sqrt(sample.size)
+                        for part in (sample.real, sample.imag))
+        assert abs(mean.real - want) <= 4.0 * se_re, (mean, want, se_re)
+        assert abs(mean.imag) <= 4.0 * se_im, (mean, se_im)
+
+
 def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
     init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
-    joint, _ = joint_averaged_density(2.0, q, init, field, 1.0)
+    joint, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
     require_density_matrix(joint)
     scalar, _ = table_density(amplitude_table(2.0, q, init, field, 1.0))
     assert np.max(np.abs(joint - scalar[0])) > 1e-4
+    # Fully dephased moments, which averaged_q reaches once pi * gamma
+    # overflows, still give a state, and one far from the frozen state.
+    dephased, _ = joint_averaged_density(1.0, 0.0, 0.0, MIXED_INIT, field, 1.0)
+    require_density_matrix(dephased)
+    frozen, _ = joint_averaged_density(1.0, 1.0, 1.0, MIXED_INIT, field, 1.0)
+    assert np.max(np.abs(frozen - dephased)) > 0.1
 
 
 def test_joint_average_sampling_matches_analytic_moments():
     init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
-    analytic, _ = joint_averaged_density(2.0, q, init, field, 1.0)
-    sampled, _ = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=20000, seed=8)
+    analytic, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
+    p = sampled_phase_factors(2.0, 0.5, 20000)
+    sampled, _ = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
     assert negativity(sampled) >= 0.0
 
 
-def per_sample_joint_average(t, q, init, field, omega_rabi, n_samples, seed):
-    # The sampler's phases, drawn as joint_averaged_density draws them; one
-    # amplitude table per sample, then sum v v^H / n.
-    rng = np.random.Generator(np.random.Philox(seed))
-    if q > 0.0:
-        sigma = math.sqrt(-2.0 * math.log(q)) if q < 1.0 else 0.0
-        p = np.exp(1j * rng.normal(0.0, sigma, n_samples))
-    else:
-        p = np.exp(1j * rng.uniform(0.0, 2.0 * math.pi, n_samples))
-    v = _build_table(np.full(n_samples, t), p[:, None], np.conj(p)[:, None],
+def per_sample_joint_average(t, p, init, field, omega_rabi):
+    # One amplitude table per sampled phase factor, then sum v v^H / n.
+    v = _build_table(np.full(p.size, t), p[:, None], np.conj(p)[:, None],
                      init, field, omega_rabi).photon
-    rho = np.einsum("sim,sjm->ij", v, np.conj(v)) / n_samples
+    rho = np.einsum("sim,sjm->ij", v, np.conj(v)) / p.size
     pre = float(np.trace(rho).real)
     return rho / pre, pre
 
 
-@pytest.mark.parametrize("init", [BELL_INIT,
-                                  AtomicInit(0.6, 0.3 + 0.1j, -0.2,
-                                             math.sqrt(1.0 - 0.36 - 0.1 - 0.04))])
-@pytest.mark.parametrize("q", [0.0, averaged_q(2.0, 0.5), 1.0])
-def test_joint_average_sample_moments_match_the_per_sample_average(init, q):
+@pytest.mark.parametrize("init", [BELL_INIT, MIXED_INIT])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 30.0])
+def test_joint_average_sample_moments_match_the_per_sample_average(init, gamma):
     field = coherent_weights(2.0)
-    rho, pre = joint_averaged_density(2.0, q, init, field, 1.0, n_samples=500, seed=8)
-    want_rho, want_pre = per_sample_joint_average(2.0, q, init, field, 1.0, 500, 8)
+    p = sampled_phase_factors(2.0, gamma, 500)
+    rho, pre = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)
+    want_rho, want_pre = per_sample_joint_average(2.0, p, init, field, 1.0)
     assert np.max(np.abs(rho - want_rho)) <= 1e-12
     assert abs(pre - want_pre) <= 1e-12
 
 
-@pytest.mark.parametrize("n_samples", [0, 100])
-@pytest.mark.parametrize("q", [float("nan"), -0.5, 1.5])
-def test_joint_average_rejects_q_outside_the_unit_interval(q, n_samples):
-    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
-        joint_averaged_density(2.0, q, BELL_INIT, coherent_weights(2.0), 1.0,
-                               n_samples=n_samples, seed=8)
-
-
-def test_joint_average_sampling_memory_does_not_grow_with_samples():
-    # One array of all 100,000 sampled states at alpha = 5 (71 photon
-    # columns) needs about 450 MB; the phases alone need 1.6 MB.
-    field = coherent_weights(5.0)
-    tracemalloc.start()
-    try:
-        joint_averaged_density(2.0, 0.5, BELL_INIT, field, 1.0, n_samples=100000, seed=8)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 16e6, peak
-
-
-def test_joint_average_sampling_at_zero_q_draws_uniform_phases():
-    # q = 0 is what averaged_q gives once pi * gamma overflows; the
-    # Gaussian variance -2 ln q is infinite there.
-    init = AtomicInit(0.6, 0.3 + 0.1j, -0.2, math.sqrt(1.0 - 0.36 - 0.1 - 0.04))
-    field = coherent_weights(2.0)
-    q = averaged_q(1.0, 1e308)
-    assert q == 0.0
-    analytic, _ = joint_averaged_density(1.0, q, init, field, 1.0)
-    sampled, _ = joint_averaged_density(1.0, q, init, field, 1.0, n_samples=20000, seed=8)
-    require_density_matrix(sampled)
-    assert np.max(np.abs(analytic - sampled)) <= 0.02
-    # the bound tells q = 0 from the frozen state at q = 1
-    frozen, _ = joint_averaged_density(1.0, 1.0, init, field, 1.0)
-    assert np.max(np.abs(frozen - analytic)) > 0.1
+@pytest.mark.parametrize("bad", [float("nan"), 1.5, -1.5, 0.9 + 0.9j])
+def test_joint_average_rejects_moments_off_the_unit_disc(bad):
+    for m1, m2 in ((bad, 0.5), (0.5, bad)):
+        with pytest.raises(ValueError, match="moments must lie on the unit disc"):
+            joint_averaged_density(2.0, m1, m2, BELL_INIT, coherent_weights(2.0), 1.0)
