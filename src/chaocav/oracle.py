@@ -221,6 +221,19 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
     return MonteCarloQ(q_mean=q_mean, stderr=np.sqrt(var / n_samples), n_samples=n_samples)
 
 
+def gaussian_moments(q):
+    """Phase moments (<p>, <p^2>) = (q, q^4) of a Gaussian phase with <p> = q.
+
+    The analytic pair for joint_averaged_density, with q from averaged_q.
+    A Gaussian phase has q in [0, 1]; anything else, NaN included, is
+    rejected here, since a pair such as (-0.5, 0.0625) lies on the unit disc.
+    """
+    q = float(q)
+    if not 0.0 <= q <= 1.0:  # NaN fails too
+        raise ValueError(f"q must lie in [0, 1], got {q}")
+    return q, q ** 4
+
+
 def joint_averaged_density(t, m1, m2, init, field, omega_rabi):
     """Two-atom state averaged jointly over the phase factor pair.
 
@@ -229,9 +242,9 @@ def joint_averaged_density(t, m1, m2, init, field, omega_rabi):
     v v^H needs only the moments m1 = <p> and m2 = <p^2>:
     vx vx^H + vy vy^H + base base^H + H + H^H with
     H = m2 vx vy^H + m1 (vx base^H + base vy^H). With a Gaussian
-    accumulated phase the exact moments are m1 = q = averaged_q(t, gamma)
-    and m2 = q^4; sample means of p and p^2 over _phase_chunks give the
-    sampled average. Contrast with the scalar channel,
+    accumulated phase the exact moments are gaussian_moments(q) = (q, q^4)
+    with q = averaged_q(t, gamma); sample means of p and p^2 over
+    _phase_chunks give the sampled average. Contrast with the scalar channel,
     table_density(amplitude_table(...)), which substitutes the scalar mean
     for both factors before forming the density. Moments of a unimodular
     p lie on the closed unit disc; anything else, NaN included, is rejected.
@@ -464,12 +477,12 @@ def run_verification(seed=8):
     for t_chk in (1.0, 3.0):
         q = averaged_q(t_chk, 0.5)
         rho_s = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
-        rho_j, _ = joint_averaged_density(t_chk, q, q ** 4, init, field, 1.0)
+        rho_j, _ = joint_averaged_density(t_chk, *gaussian_moments(q), init, field, 1.0)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
     q = averaged_q(2.0, 0.5)
-    rho_j, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
+    rho_j, _ = joint_averaged_density(2.0, *gaussian_moments(q), init, field, 1.0)
     phi = np.concatenate(list(_phase_chunks(np.array([2.0]), 0.5, seed, 3000)))
     p = np.exp(1j * phi[:, 0])
     rho_m, _ = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)

@@ -25,6 +25,7 @@ from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
 from chaocav.oracle import (
+    gaussian_moments,
     integrate_schrodinger,
     joint_averaged_density,
     legacy_quadruples,
@@ -90,7 +91,7 @@ def fig1_joint_curves():
     curves = {}
     trace_dev = 0.0
     for gamma in (0.1, 0.5, 0.9):
-        states = [joint_averaged_density(t, q, q ** 4, FIG_INIT, field, 1.0)
+        states = [joint_averaged_density(t, *gaussian_moments(q), FIG_INIT, field, 1.0)
                   for t, q in zip(times, averaged_q(times, gamma).tolist())]
         trace_dev = max(trace_dev, max(abs(pre - 1.0) for _, pre in states))
         curves[gamma] = np.array([negativity(rho) for rho, _ in states])

@@ -21,6 +21,7 @@ from chaocav.oracle import (
     S_Z,
     build_block,
     full_hamiltonian,
+    gaussian_moments,
     integrate_schrodinger,
     joint_averaged_density,
     legacy_quadruples,
@@ -326,8 +327,7 @@ def test_phase_moments_are_q_and_q_to_the_fourth(t, gamma):
     # The joint channel's moments: for a Gaussian phase of variance V,
     # <e^{i phi}> = exp(-V/2) = q and <e^{2i phi}> = exp(-2V) = q^4.
     p = sampled_phase_factors(t, gamma, 20000)
-    q = averaged_q(t, gamma)
-    for sample, want in ((p, q), (p * p, q ** 4)):
+    for sample, want in zip((p, p * p), gaussian_moments(averaged_q(t, gamma))):
         mean = sample.mean()
         se_re, se_im = (np.std(part, ddof=1) / math.sqrt(sample.size)
                         for part in (sample.real, sample.imag))
@@ -339,7 +339,7 @@ def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
     init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
-    joint, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
+    joint, _ = joint_averaged_density(2.0, *gaussian_moments(q), init, field, 1.0)
     require_density_matrix(joint)
     scalar, _ = table_density(amplitude_table(2.0, q, init, field, 1.0))
     assert np.max(np.abs(joint - scalar[0])) > 1e-4
@@ -355,7 +355,7 @@ def test_joint_average_sampling_matches_analytic_moments():
     init = BELL_INIT
     field = coherent_weights(2.0)
     q = averaged_q(2.0, 0.5)
-    analytic, _ = joint_averaged_density(2.0, q, q ** 4, init, field, 1.0)
+    analytic, _ = joint_averaged_density(2.0, *gaussian_moments(q), init, field, 1.0)
     p = sampled_phase_factors(2.0, 0.5, 20000)
     sampled, _ = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)
     assert np.max(np.abs(analytic - sampled)) <= 0.02
@@ -372,7 +372,7 @@ def per_sample_joint_average(t, p, init, field, omega_rabi):
 
 
 @pytest.mark.parametrize("init", [BELL_INIT, MIXED_INIT])
-@pytest.mark.parametrize("gamma", [0.0, 0.5, 30.0])
+@pytest.mark.parametrize("gamma", [0.0, 0.5, 1.0, 30.0])
 def test_joint_average_sample_moments_match_the_per_sample_average(init, gamma):
     field = coherent_weights(2.0)
     p = sampled_phase_factors(2.0, gamma, 500)
@@ -380,6 +380,18 @@ def test_joint_average_sample_moments_match_the_per_sample_average(init, gamma):
     want_rho, want_pre = per_sample_joint_average(2.0, p, init, field, 1.0)
     assert np.max(np.abs(rho - want_rho)) <= 1e-12
     assert abs(pre - want_pre) <= 1e-12
+
+
+@pytest.mark.parametrize("t", [0, 100])
+@pytest.mark.parametrize("q", [float("nan"), -0.5, 1.5])
+def test_joint_average_rejects_q_outside_the_unit_interval(q, t):
+    # The analytic pair of a q outside [0, 1]: (-0.5, 0.0625) lies on the
+    # unit disc, so only the q check stops it. Rejected at t = 0 too, where
+    # the state does not depend on the moments.
+    with pytest.raises(ValueError, match=r"q must lie in \[0, 1\]"):
+        joint_averaged_density(t, *gaussian_moments(q), BELL_INIT, coherent_weights(2.0), 1.0)
+    for edge in (0.0, 1.0):
+        assert gaussian_moments(edge) == (edge, edge ** 4)
 
 
 @pytest.mark.parametrize("bad", [float("nan"), 1.5, -1.5, 0.9 + 0.9j])
