@@ -1,15 +1,18 @@
 """Entanglement and teleportation for two atoms coupled to a cavity mode
-through a randomly phased position-dependent coupling."""
+through a randomly phased position-dependent coupling.
 
-from .dynamics import (AmplitudeTable, AtomicInit, amplitude_table, averaged_q,
-                       deterministic_table, erf_array, table_density)
-from .entanglement import negativity
+The root exports the production API. The oracle's and the tests' helpers
+are imported from their own modules, such as chaocav.oracle.
+"""
+
+from .dynamics import AtomicInit, averaged_q
 from .field import CoherentField, coherent_weights
-from .linalg import (InvariantViolation, jacobi_eigh, partial_transpose,
-                     require_density_matrix, tensor)
-from .oracle import (MonteCarloQ, build_block, full_hamiltonian, integrate_schrodinger,
-                     joint_averaged_density, monte_carlo_q, run_verification)
+from .linalg import InvariantViolation
+from .oracle import run_verification
 from .sweep import SweepGrid, sweep_grid
-from .teleport import TeleportOutcome, UnknownQubit, bell_project_teleport, kappa_sums
+from .teleport import UnknownQubit
+
+__all__ = ["AtomicInit", "CoherentField", "InvariantViolation", "SweepGrid", "UnknownQubit",
+           "averaged_q", "coherent_weights", "run_verification", "sweep_grid"]
 
 __version__ = "0.1.0"

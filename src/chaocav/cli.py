@@ -1,8 +1,10 @@
 """Command-line front end: sweep commands, figure presets, CSV and SVG output.
 
-Settings are layered: built-in defaults, then a figure preset, then
-explicit flags. Exit codes: 0 success, 2 bad settings or a run too large
-for memory, 3 I/O failure, 4 violated invariant or failed verification.
+Every setting is a flag, and the parser holds each flag's default. A
+figure preset is the flags it stands for: they are read before the given
+flags, so a given flag beats the preset wherever it stands. Exit codes:
+0 success, 2 bad settings or a run too large for memory, 3 I/O failure,
+4 violated invariant or failed verification.
 """
 
 from __future__ import annotations
@@ -29,26 +31,17 @@ class ConfigError(Exception):
     """Rejected settings; reported on stderr with exit code 2."""
 
 
-_FIG1_INIT = {"c00": complex(0.2), "c01": 0.0j, "c10": 0.0j,
-              "c11": complex(math.sqrt(0.96))}
-_BELL_INIT = {"c00": complex(INV_SQRT2), "c01": 0.0j, "c10": 0.0j,
-              "c11": complex(INV_SQRT2)}
+# Irrational amplitudes are written with repr, which parses back to the same float.
+_BELL_INIT = f"{INV_SQRT2!r} 0 0 {INV_SQRT2!r}"
+_FIG1 = f"--gamma 0.1 0.5 0.9 --t-max 10 --steps 500 --init 0.2 0 0 {math.sqrt(0.96)!r}"
+_FIG2_3 = f"--alpha-field 5 --t-max 3 --init {_BELL_INIT} --alpha-u 0.95 --omega 1"
 
+#: Each figure preset as (command, the flags it stands for).
 PRESETS = {
-    "1a": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
-           "alpha_field": 5.0, "t_max": 10.0, "steps": 500,
-           **_FIG1_INIT},
-    "1b": {"command": "entanglement", "gamma": (0.1, 0.5, 0.9),
-           "alpha_field": 6.0, "t_max": 10.0, "steps": 500,
-           **_FIG1_INIT},
-    "2": {"command": "fidelity", "gamma": (0.0, 0.25, 0.5, 0.75, 1.0),
-          "alpha_field": 5.0, "t_max": 3.0, "steps": 300,
-          "alpha_u": complex(0.95), "omega_rabi": 1.0,
-          **_BELL_INIT},
-    "3": {"command": "contour", "gamma": (0.0, 1.0), "gamma_steps": 100,
-          "alpha_field": 5.0, "t_max": 3.0, "steps": 150,
-          "alpha_u": complex(0.95), "omega_rabi": 1.0,
-          **_BELL_INIT},
+    "1a": ("entanglement", f"--alpha-field 5 {_FIG1}".split()),
+    "1b": ("entanglement", f"--alpha-field 6 {_FIG1}".split()),
+    "2": ("fidelity", f"--gamma 0 0.25 0.5 0.75 1 --steps 300 {_FIG2_3}".split()),
+    "3": ("contour", f"--gamma 0 1 --gamma-steps 100 --steps 150 {_FIG2_3}".split()),
 }
 
 
@@ -63,26 +56,6 @@ def parse_complex(text):
     except ValueError:
         pass
     raise ConfigError(f"cannot parse complex value {text!r}; expected 're' or 're,im'")
-
-
-#: Every setting with its built-in default. Presets and flags set the same
-#: keys; each flag's dest is its key, except --init, which sets c00..c11.
-SETTINGS = {
-    "gamma": (0.5,),
-    "alpha_field": 5.0,
-    "t_max": 10.0,
-    "steps": 500,
-    "gamma_steps": 100,
-    "c00": complex(INV_SQRT2),
-    "c01": 0.0j,
-    "c10": 0.0j,
-    "c11": complex(INV_SQRT2),
-    "alpha_u": complex(0.95),
-    "omega_rabi": 1.0,
-    "eps_trunc": 1e-12,
-    "out": None,
-    "svg": False,
-}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -105,22 +78,24 @@ def build_parser():
     def add_common(sp):
         sp.add_argument("--fig", choices=sorted(PRESETS),
                         help="figure preset; must belong to this command")
-        sp.add_argument("--gamma", type=float, nargs="+", metavar="G",
+        sp.add_argument("--gamma", type=float, nargs="+", default=(0.5,), metavar="G",
                         help="chaotic parameter value(s)")
-        sp.add_argument("--alpha-field", type=float,
+        sp.add_argument("--alpha-field", type=float, default=5.0,
                         help="coherent field amplitude alpha; the mean photon "
                              "number is its square")
-        sp.add_argument("--t-max", type=float, help="end of the time grid, from t = 0")
-        sp.add_argument("--steps", type=int, help="number of time samples")
-        sp.add_argument("--init", nargs=4, metavar=("C00", "C01", "C10", "C11"),
+        sp.add_argument("--t-max", type=float, default=10.0,
+                        help="end of the time grid, from t = 0")
+        sp.add_argument("--steps", type=int, default=500, help="number of time samples")
+        sp.add_argument("--init", nargs=4, default=tuple(_BELL_INIT.split()),
+                        metavar=("C00", "C01", "C10", "C11"),
                         help="initial amplitudes over |gg>,|ge>,|eg>,|ee> as 're,im'")
-        sp.add_argument("--omega", type=float, dest="omega_rabi",
+        sp.add_argument("--omega", type=float, default=1.0, dest="omega_rabi",
                         help="spin-spin coupling strength; changes no output "
                              "when c01 = c10 = 0, as in every preset")
-        sp.add_argument("--eps-trunc", type=float,
+        sp.add_argument("--eps-trunc", type=float, default=1e-12,
                         help="photon-distribution tail mass to drop (default 1e-12)")
         sp.add_argument("--out", help="output CSV path (default chaocav_<command>.csv)")
-        sp.add_argument("--svg", action="store_true", default=None,
+        sp.add_argument("--svg", action="store_true",
                         help="also render an SVG chart next to the CSV")
         sp.add_argument("--seed", type=int,
                         help="ignored: sweeps are deterministic and draw no random numbers")
@@ -132,9 +107,10 @@ def build_parser():
     sp_con = sub.add_parser("contour", help="fidelity on a (t, gamma) grid")
     for sp in (sp_fid, sp_con):
         add_common(sp)
-        sp.add_argument("--alpha-u", help="unknown qubit amplitude on |g>, 're,im'; "
-                                          "the amplitude on |e> is sqrt(1 - |alpha_u|^2)")
-    sp_con.add_argument("--gamma-steps", type=int,
+        sp.add_argument("--alpha-u", default="0.95",
+                        help="unknown qubit amplitude on |g>, 're,im'; "
+                             "the amplitude on |e> is sqrt(1 - |alpha_u|^2)")
+    sp_con.add_argument("--gamma-steps", type=int, default=100,
                         help="number of gamma samples when --gamma gives a range")
     sp_ver = sub.add_parser("verify", help="run the independent cross-checks")
     sp_ver.add_argument("--seed", type=int, default=8,
@@ -142,27 +118,18 @@ def build_parser():
     return parser
 
 
-def _merge_settings(args):
-    """Built-in defaults, then the --fig preset, then explicit flags."""
-    settings = dict(SETTINGS)
-    if args.fig:
-        preset = PRESETS[args.fig]
-        if preset["command"] != args.command:
+def parse_settings(argv):
+    """The parsed argv. With --fig, the preset's flags are read first, so
+    every flag in argv beats the preset."""
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if getattr(args, "fig", None):
+        command, flags = PRESETS[args.fig]
+        if command != args.command:
             raise ConfigError(f"preset {args.fig} belongs to the "
-                              f"{preset['command']} command, not {args.command}")
-        settings.update({k: v for k, v in preset.items() if k != "command"})
-    if args.init is not None:
-        for key, text in zip(("c00", "c01", "c10", "c11"), args.init):
-            settings[key] = parse_complex(text)
-    # argparse has already converted the numeric flags; --gamma gives a list.
-    for key in SETTINGS:
-        value = getattr(args, key, None)
-        if value is None:
-            continue
-        if key == "alpha_u":
-            value = parse_complex(value)
-        settings[key] = tuple(value) if key == "gamma" else value
-    return settings
+                              f"{command} command, not {args.command}")
+        args = parser.parse_args([command, *flags, *argv[1:]])
+    return args
 
 
 # Settings that must be finite, with the flag that sets each.
@@ -170,39 +137,49 @@ _FINITE_FLAGS = (("omega_rabi", "--omega"), ("alpha_field", "--alpha-field"),
                  ("t_max", "--t-max"))
 
 
-def _finalize(settings, command):
-    """Validate the merged settings and build the model objects."""
+def _sample_count(n, name):
+    """A grid size of at least 2 whose float64 array numpy can size."""
+    if n < 2:
+        raise ConfigError(f"{name} must be >= 2, got {n}")
+    # Compared as floats, as linspace sizes its array: it rounds a count
+    # within 64 of 2**60 up to 2**60, whose 8-byte values overflow intp.
+    if float(n) * 8.0 >= float(np.iinfo(np.intp).max):
+        raise ConfigError(f"--{name.replace('_', '-')} = {n} is too large: its float64 "
+                          "array would take more bytes than an array can hold")
+    return n
+
+
+def _finalize(args):
+    """Validate the parsed settings and build the model objects."""
+    command = args.command
+    amplitudes = [parse_complex(text) for text in args.init]
+    alpha_u = parse_complex(args.alpha_u) if command in ("fidelity", "contour") else None
     for key, flag in _FINITE_FLAGS:
-        if not math.isfinite(float(settings[key])):
-            raise ConfigError(f"{flag} must be finite, got {settings[key]}")
+        value = getattr(args, key)
+        if not math.isfinite(value):
+            raise ConfigError(f"{flag} must be finite, got {value}")
     try:
-        field = coherent_weights(float(settings["alpha_field"]),
-                                 eps_trunc=float(settings["eps_trunc"]))
+        field = coherent_weights(args.alpha_field, eps_trunc=args.eps_trunc)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
     try:
-        init = AtomicInit(settings["c00"], settings["c01"],
-                          settings["c10"], settings["c11"])
+        init = AtomicInit(*amplitudes)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-    steps = int(settings["steps"])
-    t_max = float(settings["t_max"])
-    if steps < 2:
-        raise ConfigError(f"steps must be >= 2, got {steps}")
+    steps = _sample_count(args.steps, "steps")
+    t_max = args.t_max
     if not t_max > 0.0:
         raise ConfigError(f"--t-max must be > 0, got {t_max}")
-    omega_rabi = float(settings["omega_rabi"])
+    omega_rabi = args.omega_rabi
     if not math.isfinite(omega_rabi * t_max):
         # exp(-i omega t) of an infinite phase is NaN in every later column.
         raise ConfigError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
     times = np.linspace(0.0, t_max, steps)
-    gammas = np.asarray(settings["gamma"], dtype=float)
+    gammas = np.asarray(args.gamma, dtype=float)
     if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
-        raise ConfigError(f"gamma values must be finite and >= 0, got {settings['gamma']}")
+        raise ConfigError(f"gamma values must be finite and >= 0, got {tuple(args.gamma)}")
     if command == "contour":
-        gamma_steps = int(settings["gamma_steps"])
-        if gamma_steps < 2:
-            raise ConfigError(f"gamma_steps must be >= 2, got {gamma_steps}")
+        gamma_steps = _sample_count(args.gamma_steps, "gamma_steps")
         if gammas.size == 1:
             gammas = np.linspace(0.0, float(gammas[0]), gamma_steps)
         elif gammas.size == 2:
@@ -210,10 +187,9 @@ def _finalize(settings, command):
         if gammas.size < 2 or not np.all(np.diff(gammas) > 0.0):
             raise ConfigError("contour needs an increasing gamma range")
     unknown = None
-    if command in ("fidelity", "contour"):
+    if alpha_u is not None:
         # Every output is invariant under a global phase of the unknown
         # qubit, so a real beta_u reaches every state.
-        alpha_u = settings["alpha_u"]
         rest = 1.0 - abs(alpha_u) ** 2
         if rest < -NORM_TOL:
             raise ConfigError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1")
@@ -221,14 +197,14 @@ def _finalize(settings, command):
             unknown = UnknownQubit(alpha_u, math.sqrt(max(rest, 0.0)))
         except ValueError as exc:
             raise ConfigError(str(exc)) from None
-    out = settings["out"] or f"chaocav_{command}.csv"
-    if settings["svg"] and Path(_svg_path(out)) == Path(out):
+    out = args.out or f"chaocav_{command}.csv"
+    if args.svg and Path(_svg_path(out)) == Path(out):
         raise ConfigError(f"--svg would overwrite the CSV {out} with the chart; "
                           "give --out a name that does not end in .svg")
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
         "unknown": unknown, "omega_rabi": omega_rabi,
-        "out": out, "svg": bool(settings["svg"]),
+        "out": out, "svg": args.svg,
     }
 
 
@@ -395,20 +371,19 @@ def run_verify(seed):
 
 
 def main(argv=None):
-    args = build_parser().parse_args(argv)
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
+        args = parse_settings(argv)
         if args.command == "verify":
             if args.seed < 0:
                 raise ConfigError(f"--seed must be >= 0, got {args.seed}")
             return run_verify(args.seed)
-        settings = _merge_settings(args)
-        cfg = _finalize(settings, args.command)
-        written = run_sweep(cfg, args.command)
+        written = run_sweep(_finalize(args), args.command)
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
-        print(f"error: out of memory: {exc or 'allocation failed'}; "
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}; "
               "use a smaller grid or field", file=sys.stderr)
         return 2
     except RuntimeError as exc:

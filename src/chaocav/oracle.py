@@ -177,8 +177,13 @@ def _phase_chunks(t_grid, gamma, seed, n_samples):
     Cov(phi(a), phi(b)) = (V(a) + V(b) - V(|a - b|)) / 2. In floating point
     that matrix is only semidefinite, so it is factored with eigh and its
     negative eigenvalues are clipped to 0. At gamma = 0 every phase is 0.
-    Memory does not grow with n_samples.
+    Memory does not grow with n_samples. Raises ValueError past
+    t sqrt(gamma) = 40, where _phase_variance loses its digits.
     """
+    s_max = t_grid.max(initial=0.0) * math.sqrt(gamma)
+    if s_max > 40.0:
+        raise ValueError(f"t * sqrt(gamma) = {s_max:.3g} exceeds 40, the range of the "
+                         "phase variance quadrature")
     var = _phase_variance(t_grid, gamma)
     lag = _phase_variance(np.abs(t_grid[:, None] - t_grid[None, :]), gamma)
     eig, vecs = np.linalg.eigh(0.5 * (var[:, None] + var[None, :] - lag))

@@ -6,6 +6,7 @@ import csv
 import re
 import subprocess
 import sys
+import types
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
 from pathlib import Path
@@ -49,24 +50,31 @@ def test_parse_complex_rejects_garbage(bad):
         cli.parse_complex(bad)
 
 
+def parse(argv):
+    return vars(cli.parse_settings(argv))
+
+
 def test_every_config_key_sets_a_default():
-    # one table holds each key's default; a preset may set only those keys,
-    # so it cannot leave a value nothing reads
-    for name, preset in cli.PRESETS.items():
-        assert set(preset) - {"command"} <= set(cli.SETTINGS), name
+    # the parser holds each setting's default; a preset is flags of its own
+    # command and may set only settings that have one, so it cannot leave a
+    # value nothing reads
+    for name, (command, flags) in cli.PRESETS.items():
+        defaults = parse([command])
+        preset = vars(cli.build_parser().parse_args([command, *flags]))
+        changed = {key for key, value in preset.items() if value != defaults[key]}
+        assert changed and all(defaults[key] is not None for key in changed), name
 
 
-# Each flag that sets a settings key, with the keys and parsed values it
-# must produce. --init sets four keys at once.
+# Each flag that sets a setting, with the parsed values it must produce.
+# --init and --alpha-u stay text until _finalize reads them with parse_complex.
 FLAG_CASES = [
-    (["--gamma", "0.1", "0.7"], {"gamma": (0.1, 0.7)}),
+    (["--gamma", "0.1", "0.7"], {"gamma": [0.1, 0.7]}),
     (["--alpha-field", "2.5"], {"alpha_field": 2.5}),
     (["--t-max", "3.5"], {"t_max": 3.5}),
     (["--steps", "7"], {"steps": 7}),
     (["--gamma-steps", "9"], {"gamma_steps": 9}),
-    (["--init", "0.6", "0,0.8", "0", "0"],
-     {"c00": complex(0.6), "c01": complex(0.0, 0.8), "c10": 0j, "c11": 0j}),
-    (["--alpha-u", "0.6,0.1"], {"alpha_u": complex(0.6, 0.1)}),
+    (["--init", "0.6", "0,0.8", "0", "0"], {"init": ["0.6", "0,0.8", "0", "0"]}),
+    (["--alpha-u", "0.6,0.1"], {"alpha_u": "0.6,0.1"}),
     (["--omega", "2.5"], {"omega_rabi": 2.5}),
     (["--eps-trunc", "1e-9"], {"eps_trunc": 1e-9}),
     (["--out", "run.csv"], {"out": "run.csv"}),
@@ -78,10 +86,11 @@ FLAG_CASES = [
                          ids=[flags[0] for flags, _ in FLAG_CASES])
 def test_flag_sets_its_settings_key(flags, keys):
     # each flag's dest is its key; the flag changes those keys alone, to
-    # values of the type the sweep reads
-    settings = cli._merge_settings(cli.build_parser().parse_args(["contour"] + flags))
-    assert settings == {**cli.SETTINGS, **keys}
-    assert settings != cli.SETTINGS
+    # values of the type _finalize reads
+    defaults = parse(["contour"])
+    settings = parse(["contour"] + flags)
+    assert settings == {**defaults, **keys}
+    assert settings != defaults
     assert [type(settings[key]) for key in keys] == [type(value) for value in keys.values()]
 
 
@@ -103,49 +112,57 @@ def test_option_surface_is_pinned():
                      "fidelity": SWEEP_FLAGS | QUBIT_FLAGS,
                      "contour": SWEEP_FLAGS | QUBIT_FLAGS | {"--gamma-steps"},
                      "verify": {"--seed"}}
-    assert set(cli.SETTINGS) == {"gamma", "alpha_field", "t_max", "steps", "gamma_steps",
-                                 "c00", "c01", "c10", "c11", "alpha_u",
-                                 "omega_rabi", "eps_trunc", "out", "svg"}
-    # each key has a flag: its dest, or --init for the four amplitudes
-    dests = {a.dest for a in commands["contour"]._actions}
-    assert dests >= set(cli.SETTINGS) - {"c00", "c01", "c10", "c11"}
-    assert "init" in dests
+    # each setting is one flag's dest, and the parser holds its default
+    defaults = parse(["contour"])
+    assert set(defaults) == {"command", "fig", "seed", "gamma", "alpha_field", "t_max",
+                             "steps", "gamma_steps", "init", "alpha_u", "omega_rabi",
+                             "eps_trunc", "out", "svg"}
+    assert {key for key, value in defaults.items() if value is None} == {"fig", "seed", "out"}
 
 
 def test_every_settings_flag_has_a_case():
-    # contour has every sweep flag; each dest is a settings key or one of
-    # the flags that set none, and each key's flag has a case above
-    parser = cli.build_parser()
-    dests = set(vars(parser.parse_args(["contour"])))
-    assert dests - set(cli.SETTINGS) == {"command", "fig", "seed", "init"}
-    cased = {dest for flags, _ in FLAG_CASES
-             for dest, value in vars(parser.parse_args(["contour"] + flags)).items()
-             if value is not None and dest != "command"}
+    # contour has every sweep flag; each dest other than the flags that set
+    # no setting has a case above
+    dests = set(parse(["contour"]))
+    cased = {key for _, keys in FLAG_CASES for key in keys}
     assert cased == dests - {"command", "fig", "seed"}
 
 
 # ---------------------------------------------------------------- precedence
 
-FIG2 = {k: v for k, v in cli.PRESETS["2"].items() if k != "command"}
+FIG2 = parse(["fidelity", *cli.PRESETS["2"][1]])
 
 
 def test_preset_beats_default():
-    # the preset's keys replace their defaults; every other key keeps its default
-    settings = cli._merge_settings(cli.build_parser().parse_args(["fidelity", "--fig", "2"]))
-    assert settings == {**cli.SETTINGS, **FIG2}
-    assert settings["t_max"] == 3.0 != cli.SETTINGS["t_max"]
+    # the preset's flags replace their defaults; every other key keeps its default
+    settings = parse(["fidelity", "--fig", "2"])
+    assert settings == {**FIG2, "fig": "2"}
+    assert settings["t_max"] == 3.0 != parse(["fidelity"])["t_max"]
 
 
 def test_flag_beats_preset(tmp_path):
-    argv = ["fidelity", "--fig", "2", "--steps", "4", "--alpha-field", "1"]
-    settings = cli._merge_settings(cli.build_parser().parse_args(argv))
-    assert settings == {**cli.SETTINGS, **FIG2, "steps": 4, "alpha_field": 1.0}
-    code, out = run(tmp_path, argv)
-    assert code == 0
-    _, rows = read_csv(out)
-    assert len(rows) == 5 * 4  # the flag's steps for each of the preset's gammas
-    assert rows[-1][0] == pytest.approx(3.0)  # the preset's t_max, not the default 10
-    assert all(r[2] == 1.0 for r in rows)  # the flag's field, not the preset's 5
+    # the preset's flags are read first, so a given flag wins wherever it stands
+    for argv in (["fidelity", "--fig", "2", "--steps", "4", "--alpha-field", "1"],
+                 ["fidelity", "--steps", "4", "--alpha-field", "1", "--fig", "2"]):
+        settings = parse(argv)
+        assert settings == {**FIG2, "fig": "2", "steps": 4, "alpha_field": 1.0}
+        code, out = run(tmp_path, argv)
+        assert code == 0
+        _, rows = read_csv(out)
+        assert len(rows) == 5 * 4  # the flag's steps for each of the preset's gammas
+        assert rows[-1][0] == pytest.approx(3.0)  # the preset's t_max, not the default 10
+        assert all(r[2] == 1.0 for r in rows)  # the flag's field, not the preset's 5
+
+
+@pytest.mark.parametrize("name", sorted(cli.PRESETS))
+def test_preset_is_its_flags(tmp_path, name):
+    command, flags = cli.PRESETS[name]
+    outputs = []
+    for argv, stem in (([command, *flags], "flags"), ([command, "--fig", name], "fig")):
+        out = tmp_path / f"{stem}.csv"
+        assert cli.main([*argv, "--svg", "--out", str(out)]) == 0
+        outputs.append((out.read_bytes(), out.with_suffix(".svg").read_bytes()))
+    assert outputs[0] == outputs[1]
 
 
 def test_preset_must_match_command(tmp_path, capsys):
@@ -270,14 +287,13 @@ GRID = ["--gamma", "0.2", "--steps", "3", "--t-max", "1.0", "--alpha-field", "1"
 
 @pytest.mark.parametrize("argv, key, value", [
     (["fidelity", "--init", "0.6", "0", "0", "-0.1,0.7937253933193772"],
-     "c11", complex(-0.1, 0.7937253933193772)),
-    (["fidelity", "--alpha-u", "-0.6,0.8"], "alpha_u", complex(-0.6, 0.8)),
+     "init", ["0.6", "0", "0", "-0.1,0.7937253933193772"]),
+    (["fidelity", "--alpha-u", "-0.6,0.8"], "alpha_u", "-0.6,0.8"),
     (["entanglement", "--omega", "-1e3"], "omega_rabi", -1000.0),
 ], ids=["init", "alpha-u", "omega"])
 def test_negative_values_in_the_documented_forms_parse(tmp_path, argv, key, value):
     # argparse's own rule takes only -5 and -.5 as negative numbers
-    settings = cli._merge_settings(cli.build_parser().parse_args(argv))
-    assert settings[key] == value
+    assert parse(argv)[key] == value
     code, out = run(tmp_path, argv + GRID)
     assert code == 0 and out.exists()
 
@@ -420,6 +436,18 @@ def test_cli_import_skips_the_network_modules():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           check=True, cwd=Path(cli.__file__).parents[1])
     assert proc.stdout.strip() == "[]"
+
+
+def test_package_root_exports_the_production_api():
+    # the oracle's and the tests' helpers are imported from their own modules
+    import chaocav
+
+    assert sorted(chaocav.__all__) == ["AtomicInit", "CoherentField", "InvariantViolation",
+                                       "SweepGrid", "UnknownQubit", "averaged_q",
+                                       "coherent_weights", "run_verification", "sweep_grid"]
+    public = {name for name, value in vars(chaocav).items()
+              if not name.startswith("_") and not isinstance(value, types.ModuleType)}
+    assert public == set(chaocav.__all__)
 
 
 def heat_rgb_reference(u):
@@ -574,6 +602,17 @@ def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_out_of_memory_without_a_message_says_allocation_failed(tmp_path, monkeypatch, capsys):
+    # a failed allocation in pure Python, such as a growing list, raises a bare MemoryError
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "sweep_grid", exhausted)
+    code, _ = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "3"])
+    assert code == 2
+    assert "error: out of memory: allocation failed; " in capsys.readouterr().err
+
+
 def test_gamma_whose_pi_gamma_overflows_runs(tmp_path, capsys):
     # q = 1 exactly at t = 0, so the first row is the preparation's
     code, out = run(tmp_path, ["entanglement", "--gamma", "1e308", "--steps", "3"])
@@ -589,6 +628,24 @@ def test_steps_below_two_exits_2(tmp_path, capsys):
                              "--t-max", "1.0", "--alpha-field", "1"])
     assert code == 2
     assert "steps" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, flag, count", [
+    ("entanglement", "--steps", "10000000000000000000"),
+    ("entanglement", "--steps", "9223372036854775807"),
+    ("entanglement", "--steps", "4611686018427387904"),
+    # 2**60 - 64, the smallest count that np.linspace cannot size
+    ("entanglement", "--steps", "1152921504606846912"),
+    ("contour", "--gamma-steps", "10000000000000000000"),
+])
+def test_count_beyond_any_array_exits_2(tmp_path, capsys, command, flag, count):
+    # numpy cannot size an array of more than np.iinfo(np.intp).max bytes,
+    # and raises ValueError or IndexError rather than MemoryError; the
+    # count is rejected before anything is allocated
+    code, out = run(tmp_path, [command, flag, count])
+    assert code == 2
+    assert f"error: {flag} = {count} is too large" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("flags, named", [

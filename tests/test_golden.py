@@ -14,7 +14,7 @@ REFERENCE = Path(__file__).resolve().parents[1] / "perfbench" / "reference"
 @pytest.mark.parametrize("name", sorted(cli.PRESETS))
 def test_preset_outputs_equal_reference_bytes(tmp_path, name):
     out = tmp_path / f"fig{name}.csv"
-    code = cli.main([cli.PRESETS[name]["command"], "--fig", name, "--svg", "--out", str(out)])
+    code = cli.main([cli.PRESETS[name][0], "--fig", name, "--svg", "--out", str(out)])
     assert code == 0
     for suffix in (".csv", ".svg"):
         want = gzip.decompress((REFERENCE / f"fig{name}{suffix}.gz").read_bytes())

@@ -311,6 +311,19 @@ def test_monte_carlo_grid_validation():
             monte_carlo_q(np.array(bad), 0.5)
 
 
+@pytest.mark.parametrize("gamma", [1e12, 1e308])
+def test_monte_carlo_rejects_phases_past_its_quadrature_range(gamma):
+    # At t sqrt(gamma) = 1e6 the quadrature's variance is 0, so the sampler
+    # returned exactly 1 where q is 0; at 1e154 it returned nan.
+    with pytest.raises(ValueError, match="exceeds 40"):
+        monte_carlo_q(np.array([1.0]), gamma)
+
+
+def test_monte_carlo_samples_up_to_its_quadrature_range():
+    out = monte_carlo_q(np.array([40.0]), 1.0, seed=8, n_samples=4000)
+    assert abs(out.q_mean[0].real - averaged_q(40.0, 1.0)) <= 5.0 * out.stderr[0]
+
+
 # ---------------------------------------------------------------- joint averaging
 
 MIXED_INIT = AtomicInit(0.6, 0.3 + 0.1j, -0.2, math.sqrt(1.0 - 0.36 - 0.1 - 0.04))

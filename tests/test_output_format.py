@@ -89,7 +89,7 @@ def test_edge_outputs_equal_per_value_formatting(tmp_path, flags):
     # kernel's fallback; the file must equal the per-row "%.12e" layout.
     argv = ["entanglement", *flags, "--steps", "9", "--out", str(tmp_path / "e.csv")]
     assert cli.main(argv) == 0
-    cfg = cli._finalize(cli._merge_settings(cli.build_parser().parse_args(argv)), "entanglement")
+    cfg = cli._finalize(cli.parse_settings(argv))
     grid = sweep_grid(cfg["times"], cfg["gammas"], cfg["init"], cfg["field"])
     want = (cli.ENT_HEADER + "\n").encode("ascii")
     for i, gamma in enumerate(cfg["gammas"]):
