@@ -2,9 +2,10 @@
 
 Every setting is a flag, and the parser holds each flag's default. A
 figure preset is the flags it stands for: they are read before the given
-flags, so a given flag beats the preset wherever it stands. Exit codes:
-0 success, 2 bad settings or a run too large for memory, 3 I/O failure,
-4 violated invariant or failed verification.
+flags, so a given flag beats the preset wherever it stands. Each exit
+code follows one exception class: 0 success, 2 bad settings (ValueError)
+or a run too large for memory (MemoryError), 3 I/O failure (OSError),
+4 violated invariant (InvariantViolation) or failed verification.
 """
 
 from __future__ import annotations
@@ -25,10 +26,6 @@ from .oracle import run_verification
 from .svg import render_contour_chart, render_line_chart
 from .sweep import sweep_grid
 from .teleport import UnknownQubit
-
-
-class ConfigError(Exception):
-    """Rejected settings; reported on stderr with exit code 2."""
 
 
 # Irrational amplitudes are written with repr, which parses back to the same float.
@@ -55,7 +52,7 @@ def parse_complex(text):
             return complex(float(parts[0]), float(parts[1]))
     except ValueError:
         pass
-    raise ConfigError(f"cannot parse complex value {text!r}; expected 're' or 're,im'")
+    raise ValueError(f"cannot parse complex value {text!r}; expected 're' or 're,im'")
 
 
 class _Parser(argparse.ArgumentParser):
@@ -126,8 +123,8 @@ def parse_settings(argv):
     if getattr(args, "fig", None):
         command, flags = PRESETS[args.fig]
         if command != args.command:
-            raise ConfigError(f"preset {args.fig} belongs to the "
-                              f"{command} command, not {args.command}")
+            raise ValueError(f"preset {args.fig} belongs to the "
+                             f"{command} command, not {args.command}")
         args = parser.parse_args([command, *flags, *argv[1:]])
     return args
 
@@ -137,15 +134,15 @@ _FINITE_FLAGS = (("omega_rabi", "--omega"), ("alpha_field", "--alpha-field"),
                  ("t_max", "--t-max"))
 
 
-def _sample_count(n, name):
+def _sample_count(n, flag):
     """A grid size of at least 2 whose float64 array numpy can size."""
     if n < 2:
-        raise ConfigError(f"{name} must be >= 2, got {n}")
+        raise ValueError(f"{flag} must be >= 2, got {n}")
     # Compared as floats, as linspace sizes its array: it rounds a count
     # within 64 of 2**60 up to 2**60, whose 8-byte values overflow intp.
     if float(n) * 8.0 >= float(np.iinfo(np.intp).max):
-        raise ConfigError(f"--{name.replace('_', '-')} = {n} is too large: its float64 "
-                          "array would take more bytes than an array can hold")
+        raise ValueError(f"{flag} = {n} is too large: its float64 array would "
+                         "take more bytes than an array can hold")
     return n
 
 
@@ -157,50 +154,43 @@ def _finalize(args):
     for key, flag in _FINITE_FLAGS:
         value = getattr(args, key)
         if not math.isfinite(value):
-            raise ConfigError(f"{flag} must be finite, got {value}")
-    try:
-        field = coherent_weights(args.alpha_field, eps_trunc=args.eps_trunc)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    try:
-        init = AtomicInit(*amplitudes)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from None
-    steps = _sample_count(args.steps, "steps")
+            raise ValueError(f"{flag} must be finite, got {value}")
+    field = coherent_weights(args.alpha_field, eps_trunc=args.eps_trunc)
+    init = AtomicInit(*amplitudes)
+    steps = _sample_count(args.steps, "--steps")
     t_max = args.t_max
     if not t_max > 0.0:
-        raise ConfigError(f"--t-max must be > 0, got {t_max}")
+        raise ValueError(f"--t-max must be > 0, got {t_max}")
     omega_rabi = args.omega_rabi
     if not math.isfinite(omega_rabi * t_max):
         # exp(-i omega t) of an infinite phase is NaN in every later column.
-        raise ConfigError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
+        raise ValueError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
     times = np.linspace(0.0, t_max, steps)
     gammas = np.asarray(args.gamma, dtype=float)
     if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
-        raise ConfigError(f"gamma values must be finite and >= 0, got {tuple(args.gamma)}")
+        raise ValueError(f"gamma values must be finite and >= 0, got {tuple(args.gamma)}")
     if command == "contour":
-        gamma_steps = _sample_count(args.gamma_steps, "gamma_steps")
+        gamma_steps = _sample_count(args.gamma_steps, "--gamma-steps")
         if gammas.size == 1:
             gammas = np.linspace(0.0, float(gammas[0]), gamma_steps)
         elif gammas.size == 2:
             gammas = np.linspace(float(gammas[0]), float(gammas[1]), gamma_steps)
         if gammas.size < 2 or not np.all(np.diff(gammas) > 0.0):
-            raise ConfigError("contour needs an increasing gamma range")
+            raise ValueError("contour needs an increasing gamma range")
     unknown = None
     if alpha_u is not None:
         # Every output is invariant under a global phase of the unknown
         # qubit, so a real beta_u reaches every state.
         rest = 1.0 - abs(alpha_u) ** 2
         if rest < -NORM_TOL:
-            raise ConfigError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1")
-        try:
-            unknown = UnknownQubit(alpha_u, math.sqrt(max(rest, 0.0)))
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from None
-    out = args.out or f"chaocav_{command}.csv"
+            raise ValueError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1")
+        unknown = UnknownQubit(alpha_u, math.sqrt(max(rest, 0.0)))
+    out = f"chaocav_{command}.csv" if args.out is None else args.out
+    if not out:
+        raise ValueError("--out must name a file")
     if args.svg and Path(_svg_path(out)) == Path(out):
-        raise ConfigError(f"--svg would overwrite the CSV {out} with the chart; "
-                          "give --out a name that does not end in .svg")
+        raise ValueError(f"--svg would overwrite the CSV {out} with the chart; "
+                         "give --out a name that does not end in .svg")
     return {
         "field": field, "init": init, "times": times, "gammas": gammas,
         "unknown": unknown, "omega_rabi": omega_rabi,
@@ -208,22 +198,15 @@ def _finalize(args):
     }
 
 
-def _write_csv(path, header, blocks):
-    """Header line, then each block of already formatted ASCII bytes."""
+def _write(path, chunks):
+    """Write each chunk of bytes to path. The OSError names the path, which
+    an error at write time, such as a full disk, does not carry."""
     try:
         with open(path, "wb") as fh:
-            fh.write(header.encode("ascii") + b"\n")
-            for block in blocks:
-                fh.write(block)
+            for chunk in chunks:
+                fh.write(chunk)
     except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
-
-
-def _write_svg(path, content):
-    try:
-        Path(path).write_text(content, encoding="utf-8", newline="\n")
-    except OSError as exc:
-        raise RuntimeError(f"cannot write {path}: {exc}") from exc
+        raise OSError(f"cannot write {path}: {exc}") from exc
 
 
 def _svg_path(out):
@@ -302,14 +285,16 @@ def format_lines(block):
 
 
 def _csv_blocks(grid, cfg):
-    # The grid's lines in (gamma, t) order, CSV_BLOCK_LINES at a time
-    # whatever the gamma rows, columns in the order of ENT_HEADER or
-    # FID_HEADER.
+    # The header line, then the grid's lines in (gamma, t) order,
+    # CSV_BLOCK_LINES at a time whatever the gamma rows.
     times, gammas = cfg["times"], cfg["gammas"]
     cols = [grid.doe, grid.pre_norm_trace]
+    header = ENT_HEADER
     if grid.fidelity is not None:
         cols += [grid.fidelity, grid.kappa1, grid.kappa2.real,
                  grid.kappa2.imag, grid.kappa4, grid.weight]
+        header = FID_HEADER
+    yield header.encode("ascii") + b"\n"
     flat = [c.reshape(-1) for c in cols]
     n = gammas.size * times.size
     for start in range(0, n, CSV_BLOCK_LINES):
@@ -349,11 +334,10 @@ def run_sweep(cfg, command):
     if drained:
         print(f"warning: {drained} of {grid.doe.size} grid points drained (pre_norm_trace 0); "
               "their doe is nan", file=sys.stderr)
-    header = ENT_HEADER if grid.fidelity is None else FID_HEADER
-    _write_csv(cfg["out"], header, _csv_blocks(grid, cfg))
+    _write(cfg["out"], _csv_blocks(grid, cfg))
     written = [cfg["out"]]
     if cfg["svg"]:
-        _write_svg(_svg_path(cfg["out"]), _chart(command, grid, cfg))
+        _write(_svg_path(cfg["out"]), [_chart(command, grid, cfg).encode("utf-8")])
         written.append(_svg_path(cfg["out"]))
     return written
 
@@ -376,17 +360,17 @@ def main(argv=None):
         args = parse_settings(argv)
         if args.command == "verify":
             if args.seed < 0:
-                raise ConfigError(f"--seed must be >= 0, got {args.seed}")
+                raise ValueError(f"--seed must be >= 0, got {args.seed}")
             return run_verify(args.seed)
         written = run_sweep(_finalize(args), args.command)
-    except ConfigError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except MemoryError as exc:
         print(f"error: out of memory: {str(exc) or 'allocation failed'}; "
               "use a smaller grid or field", file=sys.stderr)
         return 2
-    except RuntimeError as exc:
+    except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
     except InvariantViolation as exc:

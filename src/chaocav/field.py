@@ -45,7 +45,10 @@ def coherent_weights(alpha, eps_trunc=1e-12):
     if (hard_cap + 1) * 8 > np.iinfo(np.intp).max:
         raise ValueError(f"alpha = {alpha:g} is too large: it needs {hard_cap + 1:.3g} "
                          "photon levels, more than an array can hold")
-    lgammas = np.array([math.lgamma(n + 1) for n in range(hard_cap + 1)])
+    # fromiter sizes its array before the first value, so a field too large
+    # for memory fails at once instead of after a growing list.
+    lgammas = np.fromiter((math.lgamma(n + 1) for n in range(hard_cap + 1)), float,
+                          count=hard_cap + 1)
     log_w = np.arange(hard_cap + 1) * math.log(alpha) - 0.5 * lgammas - 0.5 * mean
     # dropped[n] is the mass past level n, summed smallest term first: 1
     # minus the kept mass would carry the kept terms' rounding, about 1e-11

@@ -46,7 +46,7 @@ def test_parse_complex_accepts_both_forms():
 
 @pytest.mark.parametrize("bad", ["abc", "1,2,3", "", "1;2"])
 def test_parse_complex_rejects_garbage(bad):
-    with pytest.raises(cli.ConfigError):
+    with pytest.raises(ValueError):
         cli.parse_complex(bad)
 
 
@@ -253,6 +253,17 @@ def test_default_output_name(tmp_path, monkeypatch, capsys):
     assert code == 0
     assert Path("chaocav_entanglement.csv").exists()
     assert "wrote chaocav_entanglement.csv" in capsys.readouterr().out
+
+
+def test_empty_out_exits_2(tmp_path, monkeypatch, capsys):
+    # only a missing --out takes the default name
+    monkeypatch.chdir(tmp_path)
+    code = cli.main(["entanglement", "--gamma", "0.2", "--steps", "3", "--out", ""])
+    assert code == 2
+    captured = capsys.readouterr()
+    assert "error: --out must name a file" in captured.err
+    assert "wrote" not in captured.out
+    assert not any(tmp_path.iterdir())
 
 
 def test_negative_zero_alpha_prints_as_zero(tmp_path):
@@ -589,6 +600,39 @@ def test_unwritable_output_exits_3(tmp_path, capsys):
     assert "cannot write" in capsys.readouterr().err
 
 
+def test_unwritable_chart_exits_3(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    out.with_suffix(".svg").mkdir()
+    code = cli.main(["entanglement", "--gamma", "0.2", "--steps", "3",
+                     "--alpha-field", "1", "--out", str(out), "--svg"])
+    assert code == 3
+    assert f"error: cannot write {out.with_suffix('.svg')}: " in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("raised, code, err", [
+    (ValueError("bad input"), 2, "error: bad input\n"),
+    (MemoryError("Unable to allocate"), 2, "error: out of memory: Unable to allocate; "),
+    (cli.InvariantViolation("trace below zero"), 4, "invariant violated: trace below zero\n"),
+    (RuntimeError("a bug"), None, None),
+], ids=["ValueError", "MemoryError", "InvariantViolation", "RuntimeError"])
+def test_exception_class_sets_the_exit_code(tmp_path, monkeypatch, capsys, raised, code, err):
+    # each exit code follows one exception class; any other error is a bug
+    # and keeps its traceback
+    def fail(*args, **kwargs):
+        raise raised
+
+    monkeypatch.setattr(cli, "sweep_grid", fail)
+    argv = ["entanglement", "--gamma", "0.2", "--steps", "3"]
+    if code is None:
+        with pytest.raises(type(raised)):
+            run(tmp_path, argv)
+        return
+    got, out = run(tmp_path, argv)
+    assert got == code
+    assert capsys.readouterr().err.startswith(err)
+    assert not out.exists()
+
+
 def test_out_of_memory_exits_2(tmp_path, monkeypatch, capsys):
     def exhausted(*args, **kwargs):
         raise MemoryError("Unable to allocate 9.10 GiB for an array")
@@ -623,11 +667,11 @@ def test_gamma_whose_pi_gamma_overflows_runs(tmp_path, capsys):
     assert rows[0][3] == pytest.approx(1.0)  # the default Bell preparation
 
 
-def test_steps_below_two_exits_2(tmp_path, capsys):
-    code, _ = run(tmp_path, ["entanglement", "--gamma", "0.2", "--steps", "1",
-                             "--t-max", "1.0", "--alpha-field", "1"])
+@pytest.mark.parametrize("flag", ["--steps", "--gamma-steps"])
+def test_steps_below_two_exits_2(tmp_path, capsys, flag):
+    code, _ = run(tmp_path, ["contour", flag, "1", "--t-max", "1.0", "--alpha-field", "1"])
     assert code == 2
-    assert "steps" in capsys.readouterr().err
+    assert f"error: {flag} must be >= 2, got 1" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command, flag, count", [

@@ -1,6 +1,7 @@
 """Coherent weight vectors: normalization, truncation choice, moments."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -104,3 +105,17 @@ def test_normalization_holds_over_amplitude_range(alpha):
     assert 0.0 <= 1.0 - total < 1.5e-12
     assert np.all(field.weights > 0.0)
     assert np.all(np.isfinite(field.weights))
+
+
+def test_photon_level_table_takes_no_list():
+    # a Python list of lgamma values costs four float64 arrays per level and
+    # grows one object at a time; the table is built as one array instead
+    alpha = 300.0
+    levels = int(alpha * alpha + 20.0 * alpha + 60.0) + 1
+    tracemalloc.start()
+    try:
+        coherent_weights(alpha)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4.5 * 8 * levels

@@ -108,7 +108,7 @@ def _csv_stage_peak(path, points):
            "field": SimpleNamespace(alpha=5.0)}
     tracemalloc.start()
     try:
-        cli._write_csv(path, cli.FID_HEADER, cli._csv_blocks(grid, cfg))
+        cli._write(path, cli._csv_blocks(grid, cfg))
         return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -130,7 +130,8 @@ def test_blocks_ignore_gamma_rows():
                      kappa1=None, kappa2=None, kappa4=None, weight=None)
     cfg = {"times": times, "gammas": np.array([0.1, 0.2, 0.3]),
            "field": SimpleNamespace(alpha=2.0)}
-    blocks = list(cli._csv_blocks(grid, cfg))
+    header, *blocks = cli._csv_blocks(grid, cfg)
+    assert header == (cli.ENT_HEADER + "\n").encode("ascii")
     lines = [b.count(b"\n") for b in blocks]
     size = cli.CSV_BLOCK_LINES
     assert lines == [size] * (2100 // size) + [2100 % size]
