@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import re
 import sys
 from pathlib import Path
@@ -186,8 +187,10 @@ def _finalize(args):
             raise ValueError(f"|alpha_u| = {abs(alpha_u):.6g} exceeds 1")
         unknown = UnknownQubit(alpha_u, math.sqrt(max(rest, 0.0)))
     out = f"chaocav_{command}.csv" if args.out is None else args.out
-    if not out:
-        raise ValueError("--out must name a file")
+    # "", ".", "..", "dir/" and "dir/." name a directory, not a file beside
+    # which the chart could go
+    if os.path.basename(out) in ("", ".", ".."):
+        raise ValueError(f"--out must name a file, got {out!r}")
     if args.svg and Path(_svg_path(out)) == Path(out):
         raise ValueError(f"--svg would overwrite the CSV {out} with the chart; "
                          "give --out a name that does not end in .svg")

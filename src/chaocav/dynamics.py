@@ -9,19 +9,21 @@ amplitudes. That is not the ensemble average of the state: its raw trace
 drains below 1. The trace-preserving ensemble average of the density
 matrix is oracle.joint_averaged_density.
 
-Every state takes one route: amplitude_table (or deterministic_table, for
-one frozen phase) builds the amplitudes at the sampled times, a scalar
-time giving one row, and table_density traces out the field. On the
-scalar channel the pair (|gg>, |ee>) evolves from c00 and c11 alone and
-(|ge>, |eg>) from c01 and c10 alone, so a table holds only the pair its
-preparation fills and table_density contracts only that pair; rows of an
-empty pair are exact zeros, and leaving them out moves no bit.
+Every state takes one route. sector_basis builds the part of the closed
+form that no phase factor touches, once for a set of times (a scalar time
+gives one); amplitude_table (or deterministic_table, for one frozen phase)
+adds the phase factors and writes the amplitudes into a table, and
+table_density traces out the field. On the scalar channel the pair
+(|gg>, |ee>) evolves from c00 and c11 alone and (|ge>, |eg>) from c01 and
+c10 alone, so a table holds only the rows of the pair its preparation
+fills and table_density contracts only those; rows of an empty pair are
+exact zeros, and leaving them out moves no bit.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
 
@@ -29,8 +31,9 @@ SQRT2 = math.sqrt(2.0)
 INV_SQRT2 = 1.0 / SQRT2
 NORM_TOL = 1e-12
 
-#: Basic slices of the atomic rows (a, b, c, d) of an amplitude table: all
-#: four, the pair (|gg>, |ee>) and the pair (|ge>, |eg>).
+#: Basic slices of the atomic rows (a, b, c, d) that name the rows an
+#: amplitude table holds: all four, the pair (|gg>, |ee>) and the pair
+#: (|ge>, |eg>).
 ALL_ROWS, AD_ROWS, BC_ROWS = slice(0, 4), slice(0, 4, 3), slice(1, 3)
 
 
@@ -128,25 +131,68 @@ class AtomicInit:
 class AmplitudeTable:
     """Amplitudes at the sampled times, grouped by Fock level.
 
-    The (T, 4, N + 1) photon array holds the amplitudes of the N sectors
-    n = 0..N-1; photon_a..photon_d are read-only views photon[:, 0]..photon[:, 3]:
-    photon_a[m] multiplies |gg,m> (m = 0 holds the decoupled |gg,0>
-    component), photon_b[m] and photon_c[m] multiply
-    |ge,m> and |eg,m>, and photon_d[m] multiplies |ee,m>.
-    scatter_sectors builds it from sector quadruples and gather_sectors
-    reads them back. live is the basic slice of the atomic rows that may
-    hold amplitude: all four by default, or 0::3 for the pair (a, d) or
-    1:3 for (b, c) when the other pair's rows are exactly zero.
-    table_density and teleport.kappa_sums contract only those rows.
+    photon is a (T, R, N + 1) array of the atomic rows (a, b, c, d) that
+    live names: all four (R = 4) by default, or 0::3 for the pair (a, d)
+    or 1:3 for (b, c) (R = 2) when the other pair's rows are exactly
+    zero. It holds the amplitudes of the N sectors n = 0..N-1: row a at m
+    multiplies |gg,m> (m = 0 holds the decoupled |gg,0> component), rows
+    b and c multiply |ge,m> and |eg,m>, and row d multiplies |ee,m>.
+    row(k) is atomic row k as a view, or None outside live; the read-only
+    photon_a..photon_d read a row outside live as zeros.
+    scatter_sectors builds a four-row array from sector quadruples and
+    gather_sectors reads them back. table_density and teleport.kappa_sums
+    contract photon as it is.
     """
 
     photon: np.ndarray
     live: slice = dataclass_field(default_factory=lambda: ALL_ROWS)
 
-    photon_a = property(lambda self: self.photon[:, 0])
-    photon_b = property(lambda self: self.photon[:, 1])
-    photon_c = property(lambda self: self.photon[:, 2])
-    photon_d = property(lambda self: self.photon[:, 3])
+    def row(self, k):
+        """The (T, N + 1) view of atomic row k (0..3 for a..d), or None outside live."""
+        rows = range(4)[self.live]
+        return self.photon[:, rows.index(k)] if k in rows else None
+
+    def _read(self, k):
+        row = self.row(k)
+        return np.zeros(self.photon[:, 0].shape, dtype=complex) if row is None else row
+
+    photon_a = property(lambda self: self._read(0))
+    photon_b = property(lambda self: self._read(1))
+    photon_c = property(lambda self: self._read(2))
+    photon_d = property(lambda self: self._read(3))
+
+
+@dataclass(frozen=True)
+class SectorBasis:
+    """The part of every amplitude table that no phase factor touches.
+
+    sector_basis builds it once for a set of times t and a preparation;
+    each table at those times then only adds its phase factors, and
+    piece(cols) gives the basis at the times t[cols]. ep is the
+    (T, 1) column exp(-i omega_rabi t) and ground the (T,) amplitude of
+    the decoupled |gg,0>. Over the N sectors n = 0..N-1, r1 and r2 turn
+    the start amplitudes of (|gg,n+1>, |ee,n-1>) into their bright part
+    ub0 = r1 a0 + r2 d0, which the field couples, and dark part
+    ud0 = r2 a0 - r1 d0; s0 and an0 are the symmetric and antisymmetric
+    parts of (|ge,n>, |eg,n>). live is the pair the scalar channel
+    carries: 0::3 when the preparation sets c01 and c10 to 0, 1:3 when
+    it sets c00 and c11 to 0, all four rows otherwise.
+    """
+
+    t: np.ndarray
+    ep: np.ndarray
+    ground: np.ndarray
+    r1: np.ndarray
+    r2: np.ndarray
+    ub0: np.ndarray
+    ud0: np.ndarray
+    s0: np.ndarray
+    an0: np.ndarray
+    live: slice
+
+    def piece(self, cols):
+        """The basis at the times t[cols], a slice, sharing the sector vectors."""
+        return replace(self, t=self.t[cols], ep=self.ep[cols], ground=self.ground[cols])
 
 
 def padded_weights(field):
@@ -158,21 +204,17 @@ def scatter_sectors(quads, ground):
     """Photon array (..., 4, N + 1) of the sectors n = 0..N-1, grouped by Fock level.
 
     quads holds the four (..., N) components over (|gg,n+1>, |ge,n>, |eg,n>,
-    |ee,n-1>) and ground multiplies |gg,0>; sector 0's |ee> entry is dropped.
-    A pair given as None, (a, d) with the ground or (b, c), keeps its rows
-    at exact zero.
+    |ee,n-1>) and ground multiplies |gg,0>; sector 0's |ee> entry is
+    dropped. This is the layout _build_table writes its rows in.
     """
     a, b, c, d = quads
-    lead = b if a is None else a
-    n_sec = lead.shape[-1]
-    photon = np.zeros(lead.shape[:-1] + (4, n_sec + 1), dtype=complex)
-    if a is not None:
-        photon[..., 0, 0] = ground
-        photon[..., 0, 1:] = a
-        photon[..., 3, : n_sec - 1] = d[..., 1:]
-    if b is not None:
-        photon[..., 1, :n_sec] = b
-        photon[..., 2, :n_sec] = c
+    n_sec = a.shape[-1]
+    photon = np.zeros(a.shape[:-1] + (4, n_sec + 1), dtype=complex)
+    photon[..., 0, 0] = ground
+    photon[..., 0, 1:] = a
+    photon[..., 1, :n_sec] = b
+    photon[..., 2, :n_sec] = c
+    photon[..., 3, : n_sec - 1] = d[..., 1:]
     return photon
 
 
@@ -196,8 +238,28 @@ def start_quadruples(ns, init, w_ext):
     return gather_sectors(w_ext * init.as_vector()[:, None], ns)
 
 
-def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
-    """Evaluate the closed-form quadruples for every sector in ns.
+def sector_basis(t, init, field, omega_rabi):
+    """The SectorBasis of the preparation init on the field at the times t.
+
+    t is an array of times, or a scalar for one.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    w_ext = padded_weights(field)
+    ns = np.arange(field.n_max + 2)
+    nf = ns.astype(float)
+    a0, b0, c0, d0 = start_quadruples(ns, init, w_ext).T
+    r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
+    r2 = np.sqrt(nf / (2.0 * nf + 1.0))
+    ep = np.exp(-1j * omega_rabi * t)[:, None]
+    live = (BC_ROWS if not (init.c00 or init.c11)
+            else AD_ROWS if not (init.c01 or init.c10) else ALL_ROWS)
+    return SectorBasis(t=t, ep=ep, ground=ep[:, 0] * (w_ext[0] * init.c00), r1=r1, r2=r2,
+                       ub0=r1 * a0 + r2 * d0, ud0=r2 * a0 - r1 * d0,
+                       s0=(b0 + c0) / SQRT2, an0=(b0 - c0) / SQRT2, live=live)
+
+
+def _build_table(basis, qp, qm):
+    """Evaluate the closed form at the basis times, straight into a table.
 
     qp and qm are the phase factors standing in for Q and its inverse,
     arrays that broadcast against the (T, N) grid of times and sectors.
@@ -205,74 +267,77 @@ def _sector_amplitudes(ns, qp, qm, ep, em, init, w_ext):
     (a (T, 1) column of averaged_q): their cosine part is then exactly qp
     and their sine part exactly 0, so the sine terms are left out. Without
     them the pair (a, d) is built from c00 and c11 alone and the pair
-    (b, c) from c01 and c10 alone; a pair whose two amplitudes the
-    preparation sets to 0 is exactly 0 at every time, so it is not built
-    and both its entries are None. The form solves the bright/dark
-    coupling block exactly and reproduces the initial state at t = 0. The
-    paper's printed formulas, which do not, survive only in
+    (b, c) from c01 and c10 alone, and the table holds only basis.live; a
+    pair whose two amplitudes the preparation sets to 0 is exactly 0 at
+    every time. The general form holds all four rows. The form solves the
+    bright/dark coupling block exactly and reproduces the initial state at
+    t = 0. The paper's printed formulas, which do not, survive only in
     oracle.legacy_quadruples, as a comparison.
     """
-    nf = ns.astype(float)
-    a0, b0, c0, d0 = start_quadruples(ns, init, w_ext).T
-    r1 = np.sqrt((nf + 1.0) / (2.0 * nf + 1.0))
-    r2 = np.sqrt(nf / (2.0 * nf + 1.0))
-    ub0 = r1 * a0 + r2 * d0
-    ud0 = r2 * a0 - r1 * d0
-    s0 = (b0 + c0) / SQRT2
-    an0 = (b0 - c0) / SQRT2
-    # Each (T, N) term once, sums updated in place, operands in their
-    # original order: every value is bit-for-bit that of the expression
-    # in the comment, except that the sign of a zero may differ. Products
-    # stay out of place: numpy's in-place complex multiply can round a
-    # one-element array differently.
+    live = basis.live if qm is None else ALL_ROWS
+    rows = range(4)[live]
+    n_sec = basis.r1.size
+    shape = (basis.t.size, n_sec)
+    ep, r1, r2, ud0 = basis.ep, basis.r1, basis.r2, basis.ud0
+    photon = np.empty((shape[0], len(rows), n_sec + 1), dtype=complex)
+    # Each (T, N) term once, sums and products updated in place, operands
+    # in their original order: every value is bit-for-bit that of the
+    # expression in the comment, except that the sign of a zero may
+    # differ. numpy's complex multiply is not bitwise commutative, so a
+    # product updates x in place only as np.multiply(y, x, out=x) where
+    # the expression reads y * x; x *= y would compute x * y. Each
+    # amplitude's last product writes into its slot of the table, and the
+    # steps before it run on contiguous arrays, which numpy loops over
+    # about twice as fast. A (T, 1) column times an (N,) row gets an
+    # output array: the one numpy allocates makes it loop over T
+    # innermost, several times slower.
     if qm is None:
-        ub = qp * ub0 if init.c00 or init.c11 else None
-        sym = qp * s0 if init.c01 or init.c10 else None
+        cosf, isin = qp, None
     else:
         cosf = (qp + qm) / 2.0
         isin = (qp - qm) / 2.0
-        ub = cosf * ub0
-        ub += isin * s0  # ub = cosf * ub0 + isin * s0
-        sym = isin * ub0
-        sym += cosf * s0  # sym = isin * ub0 + cosf * s0
-    amp_a = amp_b = amp_c = amp_d = None
-    if ub is not None:
-        amp_a = r1 * ub
-        amp_a += r2 * ud0
-        amp_a = ep * amp_a  # amp_a = ep * (r1 * ub + r2 * ud0)
+    if 0 in rows:
+        ub = np.multiply(cosf, basis.ub0, out=np.empty(shape, dtype=complex))
+        if isin is not None:
+            ub += isin * basis.s0  # ub = cosf * ub0 + isin * s0
+        row_a, row_d = photon[:, rows.index(0)], photon[:, rows.index(3)]
+        row_a[:, 0] = basis.ground
         amp_d = r2 * ub
         amp_d -= r1 * ud0
-        amp_d = ep * amp_d  # amp_d = ep * (r2 * ub - r1 * ud0)
-    if sym is not None:
-        sym = ep * sym
-        dark = em * an0
-        amp_b = sym + dark
+        # amp_d = ep * (r2 * ub - r1 * ud0); sector 0 has no |ee,-1>.
+        np.multiply(ep, amp_d[:, 1:], out=row_d[:, : n_sec - 1])
+        row_d[:, n_sec - 1:] = 0.0
+        amp_a = np.multiply(r1, ub, out=ub)
+        amp_a += r2 * ud0
+        np.multiply(ep, amp_a, out=row_a[:, 1:])  # amp_a = ep * (r1 * ub + r2 * ud0)
+    if 1 in rows:
+        sym = np.multiply(cosf, basis.s0, out=np.empty(shape, dtype=complex))
+        if isin is not None:
+            sym += isin * basis.ub0  # sym = cosf * s0 + isin * ub0
+        np.multiply(ep, sym, out=sym)
+        dark = np.multiply(np.conj(ep), basis.an0, out=np.empty(shape, dtype=complex))
+        # amp_b = (ep * sym + em * an0) / SQRT2, amp_c = (ep * sym - em * an0) / SQRT2:
         # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
         # so scaling by INV_SQRT2 gives the quotient but for the sign of a zero.
-        amp_b *= INV_SQRT2  # amp_b = (ep * sym + em * an0) / SQRT2
-        amp_c = np.subtract(sym, dark, out=sym)
-        amp_c *= INV_SQRT2  # amp_c = (ep * sym - em * an0) / SQRT2
-    return amp_a, amp_b, amp_c, amp_d
+        for k, combine in ((1, np.add), (2, np.subtract)):
+            row = photon[:, rows.index(k)]
+            amp = combine(sym, dark, out=row[:, :n_sec])
+            amp *= INV_SQRT2
+            row[:, n_sec] = 0.0
+    return AmplitudeTable(photon, live)
 
 
-def _build_table(t, qp, qm, init, field, omega_rabi):
-    w_ext = padded_weights(field)
-    ep = np.exp(-1j * omega_rabi * np.atleast_1d(np.asarray(t, dtype=float)))[:, None]
-    quads = _sector_amplitudes(np.arange(field.n_max + 2), qp, qm, ep, np.conj(ep), init, w_ext)
-    live = BC_ROWS if quads[0] is None else AD_ROWS if quads[1] is None else ALL_ROWS
-    return AmplitudeTable(scatter_sectors(quads, ep[:, 0] * (w_ext[0] * init.c00)), live)
-
-
-def amplitude_table(t, q, init, field, omega_rabi):
-    """Phase-averaged amplitudes of the scalar channel at the given times.
+def amplitude_table(basis, q):
+    """Phase-averaged amplitudes of the scalar channel at the basis times.
 
     Both random phase factors are replaced by the scalar mean q, one value
-    per time: averaged_q(t, gamma), which freezes the coupled dynamics
-    entirely at gamma = 0. The density built from these amplitudes is not
-    the ensemble-averaged state; oracle.joint_averaged_density is.
+    per time: averaged_q(basis.t, gamma), which freezes the coupled
+    dynamics entirely at gamma = 0. The table holds the rows basis.live.
+    The density built from these amplitudes is not the ensemble-averaged
+    state; oracle.joint_averaged_density is.
     """
     q = np.atleast_1d(np.asarray(q, dtype=float)).astype(complex)[:, None]
-    return _build_table(t, q, None, init, field, omega_rabi)
+    return _build_table(basis, q, None)
 
 
 def frozen_phases(t, ns):
@@ -286,15 +351,15 @@ def frozen_phases(t, ns):
     return np.exp(1j * (t_arr[:, None] * omega_n[None, :]))
 
 
-def deterministic_table(t, init, field, omega_rabi):
+def deterministic_table(basis):
     """Amplitudes with the coupling phase frozen, so the coupling is the unit of energy.
 
-    Every sector evolves with its own phases frozen_phases(t, ns) and
-    their conjugates. This is the reference dynamics the exact propagator
-    must reproduce.
+    Every sector evolves with its own phases frozen_phases(basis.t, ns)
+    and their conjugates, in a four-row table. This is the reference
+    dynamics the exact propagator must reproduce.
     """
-    qp = frozen_phases(t, np.arange(field.n_max + 2))
-    return _build_table(t, qp, np.conj(qp), init, field, omega_rabi)
+    qp = frozen_phases(basis.t, np.arange(basis.r1.size))
+    return _build_table(basis, qp, np.conj(qp))
 
 
 def table_density(table):
@@ -306,14 +371,14 @@ def table_density(table):
     Where the phase averaging drained the state (q = 0, or a q whose square
     underflows), the trace is 0 and that time's matrix is NaN.
 
-    Only the table's live rows are contracted, through a basic slice, and
-    einsum writes their block of rho in place. This is exact: einsum sums
-    each entry in order from +0, so an entry that touches an all-zero row
+    The table holds only its live rows, and einsum writes their block of
+    rho, a basic slice, in place. This is exact: einsum sums each entry in
+    order from +0, so an entry that touches a row outside live (all zero)
     is +0, which the zero-filled rho already holds. matmul and np.sum
     accumulate in other orders and would move preset bits.
     """
     s = table.live
-    v = table.photon[:, s]
+    v = table.photon
     rho = np.zeros((v.shape[0], 4, 4), dtype=complex)
     np.einsum("tim,tjm->tij", v, np.conj(v), out=rho[:, s, s])
     pre = np.einsum("tii->t", rho).real

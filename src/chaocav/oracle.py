@@ -21,8 +21,8 @@ import numpy as np
 
 from .dynamics import (INV_SQRT2, SQRT2, AmplitudeTable, AtomicInit, amplitude_table,
                        averaged_q, deterministic_table, erf_array, frozen_phases,
-                       gather_sectors, padded_weights, scatter_sectors, start_quadruples,
-                       table_density, _build_table)
+                       gather_sectors, padded_weights, scatter_sectors, sector_basis,
+                       start_quadruples, table_density, _build_table)
 from .entanglement import negativity
 from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
@@ -263,12 +263,12 @@ def joint_averaged_density(t, m1, m2, init, field, omega_rabi):
     m1, m2 = complex(m1), complex(m2)
     if not (abs(m1) <= 1.0 and abs(m2) <= 1.0):  # NaN fails too
         raise ValueError(f"moments must lie on the unit disc, got m1={m1}, m2={m2}")
-    tt = float(t)
+    basis = sector_basis(float(t), init, field, omega_rabi)
     one = np.ones((1, 1), dtype=complex)
     zero = np.zeros((1, 1), dtype=complex)
-    base = _build_table(tt, zero, zero, init, field, omega_rabi).photon[0]
-    vx = _build_table(tt, one, zero, init, field, omega_rabi).photon[0] - base
-    vy = _build_table(tt, zero, one, init, field, omega_rabi).photon[0] - base
+    base = _build_table(basis, zero, zero).photon[0]
+    vx = _build_table(basis, one, zero).photon[0] - base
+    vy = _build_table(basis, zero, one).photon[0] - base
     cross = m2 * (vx @ vy.conj().T) + m1 * (vx @ base.conj().T + base @ vy.conj().T)
     rho = (vx @ vx.conj().T + vy @ vy.conj().T + base @ base.conj().T
            + cross + cross.conj().T)
@@ -364,7 +364,7 @@ def run_verification(seed=8):
     amps0 = psi_1[sectors]
 
     # Closed form against the integrator, sector by sector, no spin-spin term.
-    table = deterministic_table(np.array([1.0]), init, field, 0.0)
+    table = deterministic_table(sector_basis(1.0, init, field, 0.0))
     dev = float(np.abs(gather_sectors(table.photon[0], sectors) - amps0).max())
     dev = max(dev, abs(complex(table.photon_a[0, 0]) - ground))
     check("amplitudes_vs_integrator", dev <= 1e-12,
@@ -372,7 +372,7 @@ def run_verification(seed=8):
 
     # The same comparison with the spin-spin coupling on: the closed form
     # treats those phases approximately, so this is reported, not asserted.
-    table1 = deterministic_table(np.array([1.0]), init, field, 1.0)
+    table1 = deterministic_table(sector_basis(1.0, init, field, 1.0))
     dev1 = float(np.abs(gather_sectors(table1.photon[0], sectors) - amps1).max())
     info("amplitudes_vs_integrator_rabi",
          f"spin-spin phases are approximate: max |closed - exact| {dev1:.2e} at omega=1, t=1")
@@ -400,7 +400,8 @@ def run_verification(seed=8):
 
     # gamma = 0 must freeze the averaged channel at the preparation exactly.
     ts = np.linspace(0.0, 3.0, 7)
-    rho_avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 0.0))
+    basis = sector_basis(ts, init, field, 0.0)
+    rho_avg, _ = table_density(amplitude_table(basis, averaged_q(ts, 0.0)))
     dev_frz = float(np.abs(rho_avg - prep).max())
     doe_frz = abs(negativity(rho_avg[3]) - _doe_reference(prep))
     check("averaged_frozen_limit", dev_frz <= 1e-12 and doe_frz <= 1e-12,
@@ -409,7 +410,7 @@ def run_verification(seed=8):
     # Entanglement of the frozen-phase dynamics against the integrator.
     doe_dev = 0.0
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
-        rho_cf = table_density(deterministic_table(t_chk, init, field, 0.0))[0][0]
+        rho_cf = table_density(deterministic_table(sector_basis(t_chk, init, field, 0.0)))[0][0]
         rho_ex = table_density(AmplitudeTable(scatter_sectors(psi.T, ground)[None]))[0][0]
         doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_ex)))
     check("negativity_vs_integrator", doe_dev <= 1e-12,
@@ -426,7 +427,7 @@ def run_verification(seed=8):
     for i, gamma in enumerate(gamma_spots):
         for k, t_chk in enumerate(t_spots):
             q = averaged_q(t_chk, gamma)
-            rho_ch = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
+            rho_ch = table_density(amplitude_table(sector_basis(t_chk, init, field, 1.0), q))[0][0]
             for unknown, grid in zip(qubits, grids):
                 proj = bell_project_teleport(rho_ch, unknown)[0]
                 k2 = grid.kappa2[i, k]
@@ -481,7 +482,7 @@ def run_verification(seed=8):
     joint_dev = 0.0
     for t_chk in (1.0, 3.0):
         q = averaged_q(t_chk, 0.5)
-        rho_s = table_density(amplitude_table(t_chk, q, init, field, 1.0))[0][0]
+        rho_s = table_density(amplitude_table(sector_basis(t_chk, init, field, 1.0), q))[0][0]
         rho_j, _ = joint_averaged_density(t_chk, *gaussian_moments(q), init, field, 1.0)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
@@ -498,8 +499,9 @@ def run_verification(seed=8):
     ok_grid = True
     worst = ""
     ts = np.linspace(0.0, 10.0, 21)
+    basis = sector_basis(ts, init, field, 1.0)
     for gamma in (0.0, 0.3, 0.8):
-        rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), init, field, 1.0))
+        rhos, _ = table_density(amplitude_table(basis, averaged_q(ts, gamma)))
         for k in range(ts.size):
             try:
                 require_density_matrix(rhos[k], context=f"t={ts[k]}, gamma={gamma}")

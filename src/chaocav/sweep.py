@@ -5,19 +5,28 @@ evaluated for the whole grid in one call; the rest runs in two stages
 over groups of max(1, GROUP_POINTS // T) gamma rows. In the Fock-wide
 stage each gamma row builds its amplitude table once, and that table
 feeds the row's densities and, when an unknown qubit is given, its
-teleportation sums. The scalar channel never mixes the atomic pair
-(|gg>, |ee>) with (|ge>, |eg>), so a pair the preparation leaves empty is
-exactly zero at every point: the table does not build it, and the
-densities and sums contract only the live pair, with the same bits as
-contracting all four rows (an X preparation, as in every preset, carries
-only (|gg>, |ee>)). A row whose table would exceed TABLE_BUDGET_BYTES is
-built in pieces over t, so the stage holds at most that much table, plus
-the (piece, n_max + 2) sector arrays that build it, whatever the number
-of times or the field. In the 4x4 stage the group's densities go through one
-partial-transpose eigensolve, and the branch weight and fidelity are
+teleportation sums. The part of a table that does not depend on q, its
+sector basis, is built once per sweep, before the first row, and each
+piece of the time grid takes its slice of it.
+The scalar channel never mixes the atomic pair (|gg>, |ee>) with
+(|ge>, |eg>), so a pair the preparation leaves empty is exactly zero at
+every point: the table does not hold it, and the densities and sums
+contract only the live pair, with the same bits as contracting all four
+rows (an X preparation, as in every preset, carries only (|gg>, |ee>)).
+A row whose four-row table would exceed TABLE_BUDGET_BYTES is built in
+pieces over t, so the stage holds at most that much table, plus the
+(piece, n_max + 2) sector arrays that build it, whatever the number of
+times or the field. A split row keeps the bits of doe and
+pre_norm_trace; kappa2 and the fidelity may move in the last bit, not
+because of the length as such but because a piece's operands in
+kappa_sums can fall on the other side of numpy's 256 KiB temporary
+elision, which swaps the operands of a complex product (see
+teleport.kappa_sums). In the 4x4 stage the group's densities go through
+one partial-transpose eigensolve, and the branch weight and fidelity are
 formed over the whole group; a drained point (trace 0) stays out of the
-eigensolve and reads doe = nan. The field coupling is the unit of time; the
-scalar channel sees the coupling phase only through averaged_q(t, gamma).
+eigensolve and reads doe = nan. The field coupling is the unit of time;
+the scalar channel sees the coupling phase only through
+averaged_q(t, gamma).
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import amplitude_table, averaged_q, table_density
+from .dynamics import amplitude_table, averaged_q, sector_basis, table_density
 from .entanglement import _doe_from_rhos
 from .linalg import InvariantViolation
 from .teleport import WEIGHT_FLOOR, kappa_sums
@@ -79,16 +88,18 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
         kappa2 = np.empty(shape, dtype=complex)
         kappa4 = np.empty(shape)
         weight = np.empty(shape)
-    # A table holds 4 x (n_max + 3) complex values per time.
+    # A table holds at most 4 x (n_max + 3) complex values per time.
     piece = max(1, TABLE_BUDGET_BYTES // (64 * (field.n_max + 3)))
     pieces = [slice(k, k + piece) for k in range(0, times.size, piece)]
+    basis = sector_basis(times, init, field, omega_rabi)
+    bases = [basis.piece(cols) for cols in pieces]
     group = max(1, GROUP_POINTS // times.size)
     for g0 in range(0, gammas.size, group):
         rows = slice(g0, min(g0 + group, gammas.size))
         rhos = np.empty((rows.stop - g0, times.size, 4, 4), dtype=complex)
         for i in range(g0, rows.stop):
-            for cols in pieces:
-                table = amplitude_table(times[cols], q[i, cols], init, field, omega_rabi)
+            for cols, piece_basis in zip(pieces, bases):
+                table = amplitude_table(piece_basis, q[i, cols])
                 rhos[i - g0, cols], pre[i, cols] = table_density(table)
                 if unknown is not None:
                     kappa1[i, cols], kappa2[i, cols], kappa4[i, cols] = kappa_sums(table, unknown)

@@ -73,11 +73,17 @@ def kappa_sums(table, unknown):
     A row outside the table's live pair is all zero and enters as the
     scalar 0j, so au * 0j stands for au times that row, bit for bit,
     without the multiply.
+
+    The expression top * np.conj(bot) fixes kappa2's bits through its
+    (T, M) operand sizes. numpy's complex multiply is not bitwise
+    commutative, and numpy elides the temporary np.conj(bot) of 256 KiB
+    or more by computing conj(bot) * top in its place: rows of 300 times
+    on 71 photon columns (fig 2) take that order, rows of 150 (fig 3) the
+    written one. A change that splits the sums must write the order out.
     """
     au = unknown.alpha_u
     bu = unknown.beta_u
-    live = range(4)[table.live]
-    a, b, c, d = (table.photon[:, k] if k in live else 0j for k in range(4))
+    a, b, c, d = (0j if row is None else row for row in map(table.row, range(4)))
     top = au * a + bu * c
     bot = au * b + bu * d
     k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)

@@ -19,6 +19,7 @@ from chaocav.dynamics import (
     deterministic_table,
     frozen_phases,
     gather_sectors,
+    sector_basis,
     table_density,
 )
 from chaocav.entanglement import negativity
@@ -191,8 +192,8 @@ def test_closed_form_matches_projection():
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            rho, _ = table_density(amplitude_table(t, averaged_q(t, gamma), BELL_INIT, field,
-                                                   1.0))
+            basis = sector_basis(t, BELL_INIT, field, 1.0)
+            rho, _ = table_density(amplitude_table(basis, averaged_q(t, gamma)))
             projected = bell_project_teleport(rho[0], ALPHA_U)[0]
             worst = max(worst,
                         float(np.max(np.abs(bob - projected.bob_state))),
@@ -206,7 +207,7 @@ def test_closed_form_matches_integrator():
     field = coherent_weights(5.0)
     sectors = [0, 1, 5, 25]
     (psi,) = integrate_schrodinger(BELL_INIT, field, sectors, (1.0,), 0.0)
-    table = deterministic_table(np.array([1.0]), BELL_INIT, field, 0.0)
+    table = deterministic_table(sector_basis(1.0, BELL_INIT, field, 0.0))
     worst = float(np.max(np.abs(gather_sectors(table.photon[0], sectors) - psi)))
     # The paper's printed formulas, at the frozen phases of the table above.
     q_frozen = frozen_phases(1.0, sectors)[0]
@@ -275,15 +276,15 @@ def test_structural_invariants_and_reproducibility(tmp_path):
     for field, gammas, t_max in ((field5, (0.1, 0.5, 0.9), 10.0),
                                  (field6, (0.1, 0.5, 0.9), 10.0)):
         ts = np.linspace(0.0, t_max, 21)
+        basis = sector_basis(ts, FIG_INIT, field, 1.0)
         for gamma in gammas:
-            rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), FIG_INIT, field,
-                                                    1.0))
+            rhos, _ = table_density(amplitude_table(basis, averaged_q(ts, gamma)))
             for k in range(21):
                 require_density_matrix(rhos[k])
     ts = np.linspace(0.0, 3.0, 11)
+    basis = sector_basis(ts, BELL_INIT, field5, 1.0)
     for gamma in (0.0, 0.5, 1.0):
-        rhos, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), BELL_INIT, field5,
-                                                1.0))
+        rhos, _ = table_density(amplitude_table(basis, averaged_q(ts, gamma)))
         for k in range(11):
             require_density_matrix(rhos[k])
     ok = identical and bounded and states_ok

@@ -7,6 +7,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import chaocav.oracle as oracle
 from chaocav import cli
@@ -44,3 +45,27 @@ def test_traced_calls_keep_the_span_counts(tmp_path, monkeypatch):
     # uninstall restores every original
     assert not hasattr(cli.main, "__wrapped__")
     assert not hasattr(oracle.monte_carlo_q, "__wrapped__")
+
+
+@pytest.mark.parametrize("fig, command, alpha, rows", [
+    ("1a", "entanglement", 5.0, 3 * 500),
+    ("1b", "entanglement", 6.0, 3 * 500),
+    ("2", "fidelity", 5.0, 5 * 300),
+    ("3", "contour", 5.0, 100 * 150),
+])
+def test_every_preset_keeps_the_table_counts(tmp_path, monkeypatch, fig, command, alpha, rows):
+    # The table counters read photon_a, which keeps its (T, M) shape
+    # whichever atomic rows a table holds.
+    tracer = load_spans(monkeypatch).Tracer()
+    tracer.begin_call()
+    tracer.install()
+    try:
+        code = cli.main([command, "--fig", fig, "--out", str(tmp_path / "out.csv")])
+    finally:
+        tracer.uninstall()
+    assert code == 0
+    counts = tracer.counts[0]
+    columns = coherent_weights(alpha).n_max + 3
+    assert counts["field.photon_columns"] == columns
+    assert counts["dynamics.amplitude_table.rows"] == rows
+    assert counts["dynamics.amplitude_table.bytes"] == rows * columns * 64

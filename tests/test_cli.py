@@ -266,6 +266,20 @@ def test_empty_out_exits_2(tmp_path, monkeypatch, capsys):
     assert not any(tmp_path.iterdir())
 
 
+@pytest.mark.parametrize("out", [".", "..", "./", "sub/", "sub/."])
+@pytest.mark.parametrize("svg", [False, True], ids=["csv", "svg"])
+def test_out_without_a_file_name_exits_2(tmp_path, monkeypatch, capsys, out, svg):
+    # a path with no file-name part names no CSV and no chart beside it
+    monkeypatch.chdir(tmp_path)
+    argv = ["entanglement", "--gamma", "0.2", "--steps", "3", "--out", out]
+    code = cli.main(argv + ["--svg"] * svg)
+    assert code == 2
+    captured = capsys.readouterr()
+    assert f"error: --out must name a file, got {out!r}" in captured.err
+    assert "wrote" not in captured.out
+    assert not any(tmp_path.iterdir())
+
+
 def test_negative_zero_alpha_prints_as_zero(tmp_path):
     # the column prints the built field's alpha, and coherent_weights
     # stores a zero amplitude as 0.0

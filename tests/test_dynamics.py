@@ -23,15 +23,15 @@ from chaocav.dynamics import (
     gather_sectors,
     padded_weights,
     scatter_sectors,
+    sector_basis,
     start_quadruples,
     table_density,
     _build_table,
-    _sector_amplitudes,
 )
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
 from chaocav.oracle import build_block
-from conftest import BELL_INIT, random_pure_state, random_unitary
+from conftest import BELL_INIT, four_rows, random_pure_state, random_unitary
 
 ERF_ONE = 0.8427007929497149
 Q_ONE_HALF = 0.6519338391203583  # averaged_q(1.0, 0.5), frozen from the direct formula
@@ -173,17 +173,22 @@ def small_setup():
 
 
 def test_photon_regrouping_aligns_with_sectors():
+    # The x state fills only the pair (a, d): the table holds those two
+    # rows, and photon_b, photon_c read zeros.
     init, field = small_setup()
     ts = np.linspace(0.0, 3.0, 7)
-    table = amplitude_table(ts, averaged_q(ts, 0.3), init, field, 1.0)
-    # the sector quadruples straight from the closed form
+    basis = sector_basis(ts, init, field, 1.0)
+    q = averaged_q(ts, 0.3)
+    table = amplitude_table(basis, q)
+    # the sector quadruples of the general form, which builds all four rows
     n_sec = field.n_max + 2
     w_ext = padded_weights(field)
-    q = averaged_q(ts, 0.3).astype(complex)[:, None]
+    qp = q.astype(complex)[:, None]
+    general = _build_table(basis, qp, qp)
+    amp_a, amp_b, amp_c, amp_d = np.moveaxis(gather_sectors(general.photon, np.arange(n_sec)),
+                                              -1, 0)
     ep = np.exp(-1j * ts)[:, None]
-    amp_a, amp_b, amp_c, amp_d = _sector_amplitudes(np.arange(n_sec), q, q, ep,
-                                                    np.conj(ep), init, w_ext)
-    assert table.photon.shape == (ts.size, 4, n_sec + 1)
+    assert table.photon.shape == (ts.size, 2, n_sec + 1) and table.live == slice(0, 4, 3)
     assert np.array_equal(table.photon_a[:, 0], ep[:, 0] * (w_ext[0] * init.c00))
     assert np.array_equal(table.photon_a[:, 1:], amp_a)
     assert np.array_equal(table.photon_b[:, :n_sec], amp_b)
@@ -193,12 +198,13 @@ def test_photon_regrouping_aligns_with_sectors():
     # the slots no sector reaches stay empty
     assert np.all(table.photon_b[:, n_sec] == 0.0) and np.all(table.photon_c[:, n_sec] == 0.0)
     assert np.all(table.photon_d[:, n_sec - 1:] == 0.0)
-    views = (table.photon_a, table.photon_b, table.photon_c, table.photon_d)
-    for k, view in enumerate(views):
+    # photon_a and photon_d are views of the table's two rows
+    for k, view in enumerate((table.photon_a, table.photon_d)):
         assert np.shares_memory(view, table.photon)
         assert np.array_equal(view, table.photon[:, k])
-    # the density read straight from the photon array equals the stacked route
-    v = np.stack(views, axis=1)
+    assert table.row(1) is None and table.row(2) is None
+    # the density read straight from the photon array equals the four-row route
+    v = four_rows(table)
     rho = np.einsum("tim,tjm->tij", v, np.conj(v))
     pre = np.einsum("tii->t", rho).real
     got_rho, got_pre = table_density(table)
@@ -206,27 +212,42 @@ def test_photon_regrouping_aligns_with_sectors():
     assert np.array_equal(got_rho, rho / pre[:, None, None])
 
 
-@pytest.mark.parametrize("init", [AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
-                                  AtomicInit(0.5, 0.5j, -0.5, 0.5j)], ids=["x_state", "c01_c10"])
-def test_scalar_form_equals_the_general_form(init):
+SQRT_HALF = math.sqrt(0.5)
+
+
+@pytest.mark.parametrize("init, alpha", [
+    (AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), 3.0),
+    (AtomicInit(0.5, 0.5j, -0.5, 0.5j), 3.0),
+    (AtomicInit(SQRT_HALF, 0.0, 0.0, SQRT_HALF), 5.0),
+    (AtomicInit(0.0, SQRT_HALF, SQRT_HALF, 0.0), 0.0),
+    # -0.0 amplitudes count as empty: the pair they sit in is not held
+    (AtomicInit(0.6, -0.0, complex(-0.0, -0.0), -0.8), 2.0),
+    (AtomicInit(complex(-0.0, 0.0), 0.6, 0.8j, complex(0.0, -0.0)), 2.0),
+], ids=["x_state", "c01_c10", "bell", "psi_plus_vacuum", "negative_zero_x", "negative_zero_psi"])
+def test_scalar_form_equals_the_general_form(init, alpha):
     # qm = None leaves out the sine terms, which vanish when qm equals qp,
-    # and builds no pair the preparation leaves empty: the x state's (b, c)
-    # come back as None, where the general form gives exact zeros
-    field = coherent_weights(3.0)
+    # and holds no pair the preparation leaves empty: each row it holds is,
+    # bit for bit, the general form's, and the general form gives the
+    # other pair exact zeros
+    field = coherent_weights(alpha)
     ts = np.linspace(0.0, 4.0, 9)
-    ns = np.arange(field.n_max + 2)
-    w_ext = padded_weights(field)
-    qp = averaged_q(ts, 0.7).astype(complex)[:, None]
-    ep = np.exp(-1.3j * ts)[:, None]
-    scalar = _sector_amplitudes(ns, qp, None, ep, np.conj(ep), init, w_ext)
-    general = _sector_amplitudes(ns, qp, qp.copy(), ep, np.conj(ep), init, w_ext)
+    basis = sector_basis(ts, init, field, 1.3)
+    dead_ad = init.c00 == 0 and init.c11 == 0
     dead_bc = init.c01 == 0 and init.c10 == 0
-    assert [got is None for got in scalar] == [False, dead_bc, dead_bc, False]
-    for got, want in zip(scalar, general):
-        if got is None:
-            assert not np.any(want)
-        else:
-            assert np.array_equal(got, want)
+    for gamma in (0.0, 0.7, 1e300):
+        q = averaged_q(ts, gamma)
+        scalar = amplitude_table(basis, q)
+        qp = q.astype(complex)[:, None]
+        general = _build_table(basis, qp, qp.copy())
+        assert [scalar.row(k) is None for k in range(4)] == [dead_ad, dead_bc, dead_bc, dead_ad]
+        assert scalar.photon.shape[1] == 4 - 2 * (dead_ad + dead_bc)
+        assert general.photon.shape[1] == 4
+        for k in range(4):
+            got, want = scalar.row(k), general.row(k)
+            if got is None:
+                assert not np.any(want)
+            else:
+                assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), (gamma, k)
 
 
 @pytest.mark.parametrize("alpha", [0.0, 2.0, 5.0])
@@ -241,16 +262,27 @@ def test_scalar_channel_never_mixes_the_two_atomic_pairs(alpha):
     ts = np.array([0.0, 0.4, 1.3, 2.9])
     for gamma in (0.0, 0.3, 2.0, 1e300):
         q = averaged_q(ts, gamma)
-        x = amplitude_table(ts, q, AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), field, 1.3)
-        psi = amplitude_table(ts, q, AtomicInit(0.0, 0.6, 0.8j, 0.0), field, 1.3)
-        assert not np.any(x.photon[:, 1:3]) and np.any(x.photon[:, 0::3])
-        assert not np.any(psi.photon[:, 0::3]) and np.any(psi.photon[:, 1:3])
+        qp = q.astype(complex)[:, None]
+
+        def table(amplitudes):
+            return amplitude_table(sector_basis(ts, AtomicInit(*amplitudes), field, 1.3), q)
+
+        # a table holds only the filled pair; the general form, which
+        # builds all four rows, gives the other pair exact zeros
+        for amplitudes, live, empty in [((0.2, 0.0, 0.0, math.sqrt(0.96)), slice(0, 4, 3),
+                                         slice(1, 3)),
+                                        ((0.0, 0.6, 0.8j, 0.0), slice(1, 3), slice(0, 4, 3))]:
+            scalar = table(amplitudes)
+            basis = sector_basis(ts, AtomicInit(*amplitudes), field, 1.3)
+            general = _build_table(basis, qp, qp).photon
+            assert scalar.live == live and np.any(scalar.photon)
+            assert not np.any(general[:, empty]) and np.any(general[:, live])
         both = np.array([0.6, 0.48, 0.64j, 0.0])
-        base = amplitude_table(ts, q, AtomicInit(*both), field, 1.3).photon
+        base = table(both).photon
         for own, other in [(slice(1, 3), slice(0, 4, 3)), (slice(0, 4, 3), slice(1, 3))]:
             signs = np.ones(4)
             signs[own] = -1.0
-            photon = amplitude_table(ts, q, AtomicInit(*(signs * both)), field, 1.3).photon
+            photon = table(signs * both).photon
             assert np.array_equal(photon[:, other].view(np.uint64), base[:, other].view(np.uint64))
             assert np.array_equal(photon[:, own], -base[:, own])
 
@@ -279,10 +311,11 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
     ns = np.arange(n_sec)
     w_ext = padded_weights(field)
     ts = np.linspace(0.0, 2.0, 5)
-    qp = frozen_phases(ts, ns)
-    ep = np.exp(-0.7j * ts)[:, None]
-    quads = _sector_amplitudes(ns, qp, np.conj(qp), ep, np.conj(ep), init, w_ext)
-    ground = ep[:, 0] * (w_ext[0] * init.c00)
+    # the quadruples of a deterministic table, whose four rows _build_table
+    # writes straight into their slots
+    table = deterministic_table(sector_basis(ts, init, field, 0.7))
+    quads = tuple(np.moveaxis(gather_sectors(table.photon, ns), -1, 0))
+    ground = table.photon_a[:, 0]
     # a (T, N) batch against slice assignments
     want = np.zeros((ts.size, 4, n_sec + 1), dtype=complex)
     want[:, 0, 0] = ground
@@ -292,6 +325,7 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
     want[:, 3, : n_sec - 1] = quads[3][:, 1:]
     photon = scatter_sectors(quads, ground)
     assert np.array_equal(photon.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
     back = np.stack(quads, axis=-1)
     back[:, 0, 3] = 0.0  # |ee,-1> does not exist
     assert np.array_equal(gather_sectors(photon, ns).view(np.uint64), back.view(np.uint64))
@@ -323,8 +357,9 @@ def test_frozen_phases_are_the_deterministic_tables_phases():
     qp = np.exp(1j * (ts[:, None] * omega_n[None, :]))
     got = frozen_phases(ts, ns)
     assert np.array_equal(got.view(np.uint64), qp.view(np.uint64))
-    want = _build_table(ts, qp, np.conj(qp), init, field, 0.9).photon
-    table = deterministic_table(ts, init, field, 0.9)
+    basis = sector_basis(ts, init, field, 0.9)
+    want = _build_table(basis, qp, np.conj(qp)).photon
+    table = deterministic_table(basis)
     assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
     bright = [np.linalg.eigvalsh(build_block(n, 0.0))[-1] for n in (0, 1, 5)]
     assert np.max(np.abs(frozen_phases(ts, [0, 1, 5]) - np.exp(1j * np.outer(ts, bright)))) <= 1e-12
@@ -336,8 +371,8 @@ def test_initial_state_is_reproduced():
                  AtomicInit(0.5, 0.5j, -0.5, 0.5j)):
         for gamma in (0.0, 0.5):
             field = coherent_weights(3.0)
-            rho, pre = table_density(amplitude_table(0.0, averaged_q(0.0, gamma), init, field,
-                                                     1.0))
+            basis = sector_basis(0.0, init, field, 1.0)
+            rho, pre = table_density(amplitude_table(basis, averaged_q(0.0, gamma)))
             vec = init.as_vector()
             want = np.outer(vec, vec.conj())
             assert np.max(np.abs(rho[0] - want)) <= 1e-9
@@ -349,7 +384,7 @@ def test_zero_coupling_keeps_state_frozen():
     # also off nothing moves at all
     init, field = small_setup()
     ts = np.linspace(0.0, 8.0, 9)
-    rho, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 0.0))
+    rho, _ = table_density(amplitude_table(sector_basis(ts, init, field, 0.0), averaged_q(ts, 0.0)))
     dev = np.max(np.abs(rho - rho[0]))
     assert dev <= 1e-12
 
@@ -360,15 +395,16 @@ def test_averaged_gamma_zero_equals_decoupled_phase():
     init, field = small_setup()
     ts = np.linspace(0.0, 5.0, 11)
     ones = np.ones((ts.size, 1), dtype=complex)
-    avg, _ = table_density(amplitude_table(ts, averaged_q(ts, 0.0), init, field, 1.0))
-    two, _ = table_density(_build_table(ts, ones, ones, init, field, 1.0))
+    basis = sector_basis(ts, init, field, 1.0)
+    avg, _ = table_density(amplitude_table(basis, averaged_q(ts, 0.0)))
+    two, _ = table_density(_build_table(basis, ones, ones))
     assert np.max(np.abs(avg - two)) <= 1e-12
 
 
 def test_deterministic_evolution_preserves_norm():
     init = BELL_INIT
     field = coherent_weights(2.0)
-    table = deterministic_table(np.linspace(0.0, 6.0, 13), init, field, 1.0)
+    table = deterministic_table(sector_basis(np.linspace(0.0, 6.0, 13), init, field, 1.0))
     _, pre = table_density(table)
     total = float(np.sum(field.weights**2))
     assert np.max(np.abs(pre - total)) <= 1e-12
@@ -377,7 +413,7 @@ def test_deterministic_evolution_preserves_norm():
 def test_averaging_shrinks_the_raw_trace_monotonically():
     init, field = small_setup()
     ts = np.linspace(0.0, 10.0, 41)
-    _, pre = table_density(amplitude_table(ts, averaged_q(ts, 0.5), init, field, 1.0))
+    _, pre = table_density(amplitude_table(sector_basis(ts, init, field, 1.0), averaged_q(ts, 0.5)))
     assert np.all(np.diff(pre) <= 1e-15)
     assert pre[-1] < pre[0]
     assert np.all(pre > 0.0)
@@ -387,8 +423,9 @@ def test_density_invariants_over_parameter_grid():
     init = BELL_INIT
     field = coherent_weights(5.0)
     ts = np.linspace(0.0, 10.0, 41)
+    basis = sector_basis(ts, init, field, 1.0)
     for gamma in (0.0, 0.1, 0.5, 0.9, 1.0):
-        rho, _ = table_density(amplitude_table(ts, averaged_q(ts, gamma), init, field, 1.0))
+        rho, _ = table_density(amplitude_table(basis, averaged_q(ts, gamma)))
         for k in range(len(ts)):
             require_density_matrix(rho[k], context=f"t={ts[k]:.2f} gamma={gamma}")
 
@@ -406,8 +443,7 @@ def test_amplitudes_are_linear_in_the_preparation(seed):
     base_a = AtomicInit(*basis[:, 0])
     base_b = AtomicInit(*basis[:, 1])
     mixed = AtomicInit(*(ca * basis[:, 0] + cb * basis[:, 1]))
-    ta = amplitude_table(ts, q, base_a, field, 1.0)
-    tb = amplitude_table(ts, q, base_b, field, 1.0)
-    tm = amplitude_table(ts, q, mixed, field, 1.0)
-    combo = ca * ta.photon + cb * tb.photon
-    assert np.max(np.abs(tm.photon - combo)) <= 1e-12
+    ta, tb, tm = (amplitude_table(sector_basis(ts, init, field, 1.0), q)
+                  for init in (base_a, base_b, mixed))
+    combo = ca * four_rows(ta) + cb * four_rows(tb)
+    assert np.max(np.abs(four_rows(tm) - combo)) <= 1e-12

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
+from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, sector_basis, table_density
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation, tensor
@@ -56,8 +56,8 @@ def test_frozen_initial_point():
 
 def test_initial_channel_state_matches_preparation_doe():
     init = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
-    rho, _ = table_density(amplitude_table(0.0, averaged_q(0.0, 0.5), init,
-                                           coherent_weights(5.0), 1.0))
+    basis = sector_basis(0.0, init, coherent_weights(5.0), 1.0)
+    rho, _ = table_density(amplitude_table(basis, averaged_q(0.0, 0.5)))
     assert abs(negativity(rho[0]) - DOE_POINT_TWO) <= 1e-9
 
 
@@ -95,7 +95,8 @@ def test_sweep_matches_single_point_evaluation():
     init = BELL_INIT
     field = coherent_weights(2.0)
     grid = sweep_grid(np.array([1.3]), np.array([0.4]), init, field)
-    rho, _ = table_density(amplitude_table(1.3, averaged_q(1.3, 0.4), init, field, 1.0))
+    basis = sector_basis(1.3, init, field, 1.0)
+    rho, _ = table_density(amplitude_table(basis, averaged_q(1.3, 0.4)))
     assert abs(grid.doe[0, 0] - negativity(rho[0])) <= 1e-12
 
 

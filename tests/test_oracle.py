@@ -11,7 +11,8 @@ import pytest
 import chaocav.oracle as oracle
 from chaocav.dynamics import (AmplitudeTable, AtomicInit, _build_table, amplitude_table,
                               averaged_q, deterministic_table, frozen_phases, gather_sectors,
-                              padded_weights, scatter_sectors, start_quadruples, table_density)
+                              padded_weights, scatter_sectors, sector_basis, start_quadruples,
+                              table_density)
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
@@ -129,7 +130,7 @@ def test_integrator_matches_closed_form_without_spin_exchange():
     field = coherent_weights(5.0)
     every = list(range(field.n_max + 2))
     (psi,) = integrate_schrodinger(init, field, every, (1.0,), 0.0)
-    table = deterministic_table(np.array([1.0]), init, field, 0.0)
+    table = deterministic_table(sector_basis(1.0, init, field, 0.0))
     want = gather_sectors(table.photon[0], every)
     assert want[0, 3] == 0.0  # sector 0 has no |ee> component
     assert np.max(np.abs(psi - want)) <= 1e-12
@@ -149,7 +150,7 @@ def test_oracle_density_matches_closed_form_density():
     (psi,) = integrate_schrodinger(init, field, every, (0.7,), 0.0)
     ground = field.weights[0] * init.c00
     rho, pre = table_density(AmplitudeTable(scatter_sectors(psi.T, ground)[None]))
-    want_rho, want_pre = table_density(deterministic_table(0.7, init, field, 0.0))
+    want_rho, want_pre = table_density(deterministic_table(sector_basis(0.7, init, field, 0.0)))
     assert np.max(np.abs(rho - want_rho)) <= 1e-8
     assert np.max(np.abs(pre - want_pre)) <= 1e-10
     require_density_matrix(rho[0])
@@ -354,7 +355,7 @@ def test_joint_average_is_a_density_and_differs_from_scalar_substitution():
     q = averaged_q(2.0, 0.5)
     joint, _ = joint_averaged_density(2.0, *gaussian_moments(q), init, field, 1.0)
     require_density_matrix(joint)
-    scalar, _ = table_density(amplitude_table(2.0, q, init, field, 1.0))
+    scalar, _ = table_density(amplitude_table(sector_basis(2.0, init, field, 1.0), q))
     assert np.max(np.abs(joint - scalar[0])) > 1e-4
     # Fully dephased moments, which averaged_q reaches once pi * gamma
     # overflows, still give a state, and one far from the frozen state.
@@ -377,8 +378,8 @@ def test_joint_average_sampling_matches_analytic_moments():
 
 def per_sample_joint_average(t, p, init, field, omega_rabi):
     # One amplitude table per sampled phase factor, then sum v v^H / n.
-    v = _build_table(np.full(p.size, t), p[:, None], np.conj(p)[:, None],
-                     init, field, omega_rabi).photon
+    basis = sector_basis(np.full(p.size, t), init, field, omega_rabi)
+    v = _build_table(basis, p[:, None], np.conj(p)[:, None]).photon
     rho = np.einsum("sim,sjm->ij", v, np.conj(v)) / p.size
     pre = float(np.trace(rho).real)
     return rho / pre, pre

@@ -1,7 +1,7 @@
-"""The shared (gamma, t) sweep: one phase-factor evaluation per sweep, one
-amplitude table per gamma row, the same numbers as per-row evaluation, the
-single-point density and the Bell-projection reference, and a table that
-stays within its memory budget."""
+"""The shared (gamma, t) sweep: one phase-factor evaluation and one sector
+basis per sweep, one amplitude table per gamma row, the same numbers as
+per-row evaluation, the single-point density and the Bell-projection
+reference, and a table that stays within its memory budget."""
 
 import math
 import tracemalloc
@@ -10,10 +10,11 @@ import numpy as np
 import pytest
 
 from chaocav import sweep
-from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
+from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, sector_basis, table_density
 from chaocav.entanglement import _doe_from_rhos, negativity
 from chaocav.field import coherent_weights
 from chaocav.teleport import WEIGHT_FLOOR, UnknownQubit, bell_project_teleport, kappa_sums
+from conftest import four_rows
 
 INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
 # c01, c10 != 0: the preparation through which omega reaches the outputs
@@ -58,7 +59,7 @@ def test_grid_matches_single_point_routes():
     for i, gamma in enumerate(gammas):
         for k, t in enumerate(ts):
             q = averaged_q(float(t), float(gamma))
-            rho, pre = table_density(amplitude_table(float(t), q, INIT, field, 1.0))
+            rho, pre = table_density(amplitude_table(sector_basis(float(t), INIT, field, 1.0), q))
             assert abs(grid.doe[i, k] - negativity(rho[0])) <= 1e-12
             assert abs(grid.pre_norm_trace[i, k] - pre[0]) <= 1e-12
             out = bell_project_teleport(rho[0], UNKNOWN)[0]
@@ -71,8 +72,9 @@ def per_row(times, gammas, init, field, unknown, omega_rabi):
     # Each gamma row on its own: one table, one eigensolve, its own fidelity.
     rows = []
     au, bu = unknown.alpha_u, unknown.beta_u
+    basis = sector_basis(times, init, field, omega_rabi)
     for gamma in gammas:
-        table = amplitude_table(times, averaged_q(times, gamma), init, field, omega_rabi)
+        table = amplitude_table(basis, averaged_q(times, gamma))
         rhos, pre = table_density(table)
         k1, k2, k4 = kappa_sums(table, unknown)
         weight = k1 + k4
@@ -103,7 +105,7 @@ def test_row_groups_equal_per_row_evaluation(init):
 
 def four_row_density(table):
     # every atomic row contracted, whatever the table's live pair
-    v = table.photon
+    v = four_rows(table)
     rho = np.einsum("tim,tjm->tij", v, np.conj(v))
     pre = np.einsum("tii->t", rho).real
     return rho / pre[:, None, None], pre
@@ -134,7 +136,7 @@ def test_live_pair_contraction_equals_all_four_rows_bit_for_bit(monkeypatch, ini
     field = coherent_weights(alpha)
     ts = np.linspace(0.0, 3.0, 31)
     gammas = [0.0, 0.4, 1.0]
-    table = amplitude_table(ts, averaged_q(ts, 0.4), init, field, 1.3)
+    table = amplitude_table(sector_basis(ts, init, field, 1.3), averaged_q(ts, 0.4))
     assert table.live == live
     for got, want in zip(table_density(table), four_row_density(table)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
@@ -180,6 +182,45 @@ def test_rows_split_over_t_match_the_whole_row(monkeypatch):
     assert np.array_equal(split.pre_norm_trace, whole.pre_norm_trace)
     for name in ("fidelity", "kappa1", "kappa2", "kappa4", "weight"):
         assert np.max(np.abs(getattr(split, name) - getattr(whole, name))) <= 1e-15, name
+
+
+def test_sector_basis_is_built_once_per_sweep(monkeypatch):
+    # The basis holds what no q touches, so a sweep builds it once, not
+    # once per gamma row, and each piece of a split row takes a slice of
+    # it that shares its sector vectors.
+    field = coherent_weights(2.0)
+    ts = np.linspace(0.0, 3.0, 41)
+    gammas = [0.0, 0.4, 0.9]
+    calls = {}
+    for name in ("sector_basis", "amplitude_table"):
+        counting(monkeypatch, name, calls)
+    sweep.sweep_grid(ts, gammas, MIXED_INIT, field, UNKNOWN)
+    assert calls == {"sector_basis": 1, "amplitude_table": 3}
+    # pieces of 6 times, the last of 5
+    monkeypatch.setattr(sweep, "TABLE_BUDGET_BYTES", 6 * 64 * (field.n_max + 3))
+    calls.clear()
+    sweep.sweep_grid(ts, gammas, MIXED_INIT, field, UNKNOWN)
+    assert calls == {"sector_basis": 1, "amplitude_table": 3 * 7}
+    basis = sector_basis(ts, MIXED_INIT, field, 1.3)
+    piece = basis.piece(slice(36, 42))
+    assert piece.r1 is basis.r1 and piece.an0 is basis.an0 and piece.live == basis.live
+    whole, part = (amplitude_table(b, averaged_q(b.t, 0.4)) for b in (basis, piece))
+    assert part.photon.shape[0] == 5
+    assert np.array_equal(part.photon.view(np.uint64), whole.photon[36:].view(np.uint64))
+
+
+def test_pieces_do_not_copy_the_sector_vectors(monkeypatch):
+    # One time per piece at alpha 20: a copy of the (n_max + 2) sector
+    # vectors per piece peaked at about 90 MB here, the shared ones at 5 MB.
+    field = coherent_weights(20.0)
+    monkeypatch.setattr(sweep, "TABLE_BUDGET_BYTES", 64 * (field.n_max + 3))
+    tracemalloc.start()
+    try:
+        sweep.sweep_grid(np.linspace(0.0, 10.0, 2000), [0.5], INIT, field)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * 2 ** 20, peak
 
 
 def test_sweep_memory_does_not_grow_with_the_time_grid():

@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, table_density
+from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, sector_basis, table_density
 from chaocav.field import coherent_weights
 from chaocav.sweep import sweep_grid
 from chaocav.teleport import (
@@ -124,7 +124,8 @@ def test_closed_form_matches_projection_on_grid():
             k2 = grid.kappa2[i, k]
             bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
             bob /= grid.weight[i, k]
-            rho, _ = table_density(amplitude_table(t, averaged_q(t, gamma), init, field, 1.0))
+            basis = sector_basis(t, init, field, 1.0)
+            rho, _ = table_density(amplitude_table(basis, averaged_q(t, gamma)))
             projected = bell_project_teleport(rho[0], unknown)[0]
             assert np.max(np.abs(bob - projected.bob_state)) <= 1e-9
             assert abs(grid.fidelity[i, k] - projected.fidelity) <= 1e-9
