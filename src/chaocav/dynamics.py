@@ -100,7 +100,7 @@ def averaged_q(t, gamma):
         arg = -0.5 * t_arr * root * erf_array(t_arr * np.sqrt(g_arr))
     arg = np.where(t_arr == 0.0, 0.0, arg)
     # math.exp, not np.exp: the two differ in the last bit.
-    q = np.array([math.exp(v) for v in arg.ravel().tolist()]).reshape(arg.shape)
+    q = np.fromiter(map(math.exp, arg.ravel().tolist()), float, count=arg.size).reshape(arg.shape)
     return float(q) if q.ndim == 0 else q
 
 

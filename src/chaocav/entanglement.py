@@ -4,14 +4,31 @@ from __future__ import annotations
 
 import numpy as np
 
-from .linalg import InvariantViolation, jacobi_eigh, partial_transpose
+from .linalg import InvariantViolation, is_hermitian, jacobi_eigh, partial_transpose
 
 DOE_CEILING_TOL = 1e-12
 
 
 def _doe_from_rhos(rhos):
-    pt = partial_transpose(rhos)
-    mu = jacobi_eigh(pt)
+    # rhos is a (K, 4, 4) stack, or for a one-pair preparation (live rows
+    # 0::3 or 1:3) the (K, 2, 2) block rho[:, live, live], the only
+    # nonzero part of each matrix. The partial transpose of such a state
+    # keeps the block's two populations on its diagonal and moves its
+    # coherence into one coupled 2x2 block [[0, rho01], [rho10, 0]], and
+    # that block's pair is the only one jacobi_eigh rotates in the 4x4
+    # solve; its rotations touch only their own two rows and columns. So
+    # the two routes give the same four eigenvalues bit for bit, and the
+    # sum below adds them in the same sorted order.
+    if rhos.shape[-1] == 2:
+        if not is_hermitian(rhos):
+            raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")
+        coupled = np.zeros_like(rhos)
+        coupled[:, 0, 1] = rhos[:, 0, 1]
+        coupled[:, 1, 0] = rhos[:, 1, 0]
+        pops = np.einsum("kii->ki", rhos).real
+        mu = np.sort(np.concatenate([jacobi_eigh(coupled), pops], axis=1), axis=1)
+    else:
+        mu = jacobi_eigh(partial_transpose(rhos))
     doe = np.sum(np.abs(mu), axis=-1) - 1.0
     doe = np.where(doe > 0.0, doe, 0.0)
     if np.any(~np.isfinite(doe)) or np.any(doe > 1.0 + DOE_CEILING_TOL):

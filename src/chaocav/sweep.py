@@ -24,8 +24,11 @@ elision, which swaps the operands of a complex product (see
 teleport.kappa_sums). In the 4x4 stage the group's densities go through
 one partial-transpose eigensolve, and the branch weight and fidelity are
 formed over the whole group; a drained point (trace 0) stays out of the
-eigensolve and reads doe = nan. The field coupling is the unit of time;
-the scalar channel sees the coupling phase only through
+eigensolve and reads doe = nan. For a one-pair preparation the group
+holds only each density's live-pair block, rho[:, live, live], whose
+partial transpose needs one 2x2 solve per point, with the bits of the
+4x4 solve (see entanglement._doe_from_rhos). The field coupling is the
+unit of time; the scalar channel sees the coupling phase only through
 averaged_q(t, gamma).
 """
 
@@ -93,14 +96,17 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     pieces = [slice(k, k + piece) for k in range(0, times.size, piece)]
     basis = sector_basis(times, init, field, omega_rabi)
     bases = [basis.piece(cols) for cols in pieces]
+    live = basis.live
+    dim = len(range(4)[live])
     group = max(1, GROUP_POINTS // times.size)
     for g0 in range(0, gammas.size, group):
         rows = slice(g0, min(g0 + group, gammas.size))
-        rhos = np.empty((rows.stop - g0, times.size, 4, 4), dtype=complex)
+        rhos = np.empty((rows.stop - g0, times.size, dim, dim), dtype=complex)
         for i in range(g0, rows.stop):
             for cols, piece_basis in zip(pieces, bases):
                 table = amplitude_table(piece_basis, q[i, cols])
-                rhos[i - g0, cols], pre[i, cols] = table_density(table)
+                rho, pre[i, cols] = table_density(table)
+                rhos[i - g0, cols] = rho[:, live, live]
                 if unknown is not None:
                     kappa1[i, cols], kappa2[i, cols], kappa4[i, cols] = kappa_sums(table, unknown)
         # A drained point (trace 0) has no state: it stays out of the

@@ -13,8 +13,9 @@ from chaocav import sweep
 from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, sector_basis, table_density
 from chaocav.entanglement import _doe_from_rhos, negativity
 from chaocav.field import coherent_weights
+from chaocav.linalg import InvariantViolation
 from chaocav.teleport import WEIGHT_FLOOR, UnknownQubit, bell_project_teleport, kappa_sums
-from conftest import four_rows
+from conftest import BELL_INIT, four_rows
 
 INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
 # c01, c10 != 0: the preparation through which omega reaches the outputs
@@ -100,7 +101,7 @@ def test_row_groups_equal_per_row_evaluation(init):
     field = coherent_weights(2.0)
     grid = sweep.sweep_grid(ts, gammas, init, field, UNKNOWN, omega_rabi=1.3)
     for got, want in zip(grid_columns(grid), per_row(ts, gammas, init, field, UNKNOWN, 1.3)):
-        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 def four_row_density(table):
@@ -150,6 +151,36 @@ def test_live_pair_contraction_equals_all_four_rows_bit_for_bit(monkeypatch, ini
         ref = sweep.sweep_grid(ts, gammas, init, field, unknown, omega_rabi=1.3)
         for got, want in zip(grid_columns(grid), grid_columns(ref)):
             assert np.array_equal(got.view(np.uint64), want.view(np.uint64)), unknown
+
+
+@pytest.mark.parametrize("init, alpha, live", LIVE_PAIR_CASES[:3],
+                         ids=["x_state", "bell", "psi_plus_vacuum"])
+def test_live_pair_block_equals_the_four_row_eigensolve_bit_for_bit(init, alpha, live):
+    # Rows of several gammas in one batch, as a sweep group holds them. q = 0
+    # drains psi+ (the other preparations keep a q-free part), and the
+    # drained points are left out, as the sweep leaves them out.
+    ts = np.linspace(0.0, 3.0, 31)
+    basis = sector_basis(ts, init, coherent_weights(alpha), 1.3)
+    rhos, pres = [], []
+    for gamma in (0.0, 0.4, 1.0):
+        q = averaged_q(ts, gamma)
+        q[[3, 17]] = 0.0
+        rho, pre = table_density(amplitude_table(basis, q))
+        rhos.append(rho)
+        pres.append(pre)
+    rhos, pres = np.concatenate(rhos), np.concatenate(pres)
+    kept = pres > 0.0
+    assert np.count_nonzero(~kept) == (6 if live == slice(1, 3) else 0)
+    got = _doe_from_rhos(rhos[kept][:, live, live])
+    want = _doe_from_rhos(rhos[kept])
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
+def test_live_pair_block_edge_cases():
+    assert _doe_from_rhos(np.empty((0, 2, 2), dtype=complex)).shape == (0,)
+    block = np.array([[[0.5, 0.4], [0.4 + 1e-6j, 0.5]]])
+    with pytest.raises(InvariantViolation, match="not Hermitian within 1e-9"):
+        _doe_from_rhos(block)
 
 
 def test_teleport_columns_ignore_a_global_phase_of_the_unknown_qubit():
@@ -238,3 +269,20 @@ def test_sweep_memory_does_not_grow_with_the_time_grid():
                 tracemalloc.stop()
     assert max(peaks.values()) <= 4 * sweep.TABLE_BUDGET_BYTES, peaks
     assert peaks[20.0, 4000] <= 1.2 * peaks[20.0, 500], peaks
+
+
+def test_fig3_sweep_working_memory():
+    # fig 3's settings at 100 gamma rows, where one group's 4x4 stage sets
+    # the peak. A one-pair preparation holds each density there as its 2x2
+    # live-pair block (64 bytes a point, not 256), which keeps the sweep
+    # within 4 MiB beyond its result arrays; 4x4 densities would not.
+    field = coherent_weights(5.0)
+    ts, gammas = np.linspace(0.0, 3.0, 150), np.linspace(0.0, 1.0, 100)
+    tracemalloc.start()
+    try:
+        grid = sweep.sweep_grid(ts, gammas, BELL_INIT, field, UNKNOWN)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    results = sum(column.nbytes for column in grid_columns(grid))
+    assert peak - results <= 4 * 2 ** 20, (peak, results)
