@@ -37,27 +37,6 @@ NORM_TOL = 1e-12
 ALL_ROWS, AD_ROWS, BC_ROWS = slice(0, 4), slice(0, 4, 3), slice(1, 3)
 
 
-def _erf_series_array(x):
-    # Alternating Maclaurin sum with a term recurrence, used for |x| <= 3;
-    # each element stops at its own first term below 1e-18.
-    x2 = x * x
-    term = x.copy()
-    total = x.copy()
-    out = np.empty_like(x)
-    idx = np.arange(x.size)
-    k = 0
-    while idx.size:
-        k += 1
-        term *= -x2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        done = np.abs(contrib) < 1e-18
-        out[idx[done]] = total[done]
-        live = ~done
-        idx, x2, term, total = idx[live], x2[live], term[live], total[live]
-    return out * 2.0 / math.sqrt(math.pi)
-
-
 def erf_array(x):
     """Error function on an array, absolute accuracy better than 1e-12 on all reals.
 
@@ -68,10 +47,25 @@ def erf_array(x):
     which moves preset values by up to 1.4e-11 relative.
     """
     x = np.asarray(x, dtype=float)
-    ax = np.abs(x)
-    series = ax <= 3.0
-    val = np.empty(x.shape)
-    val[series] = np.copysign(_erf_series_array(ax[series]), x[series])
+    series = np.abs(x) <= 3.0
+    # Alternating sum with a term recurrence over the whole array, 0 standing
+    # in where the series does not apply, until every contribution is below
+    # 1e-18. An element's value is its sum at its own first such
+    # contribution: for |x| <= 3 every later one is smaller still and below
+    # a quarter ulp of the running sum, so adding it leaves the sum unchanged.
+    ax = np.where(series, np.abs(x), 0.0)
+    x2 = ax * ax
+    term = ax.copy()
+    total = ax.copy()
+    k = 0
+    while True:
+        k += 1
+        term *= -x2 / k
+        contrib = term / (2 * k + 1)
+        total += contrib
+        if np.all(np.abs(contrib) < 1e-18):
+            break
+    val = np.copysign(total * 2.0 / math.sqrt(math.pi), x, out=np.empty(x.shape))
     val[~series] = [math.erf(v) for v in x[~series].tolist()]
     return val
 

@@ -14,11 +14,12 @@ def _doe_from_rhos(rhos):
     # 0::3 or 1:3) the (K, 2, 2) block rho[:, live, live], the only
     # nonzero part of each matrix. The partial transpose of such a state
     # keeps the block's two populations on its diagonal and moves its
-    # coherence into one coupled 2x2 block [[0, rho01], [rho10, 0]], and
-    # that block's pair is the only one jacobi_eigh rotates in the 4x4
-    # solve; its rotations touch only their own two rows and columns. So
-    # the two routes give the same four eigenvalues bit for bit, and the
-    # sum below adds them in the same sorted order.
+    # coherence into one coupled 2x2 block [[0, rho01], [rho10, 0]]. In
+    # the 4x4 solve every other pair is zero, which jacobi_eigh answers
+    # with the identity update, changing at most the sign of a zero, and
+    # the coupled pair's rotations touch only their own two rows and
+    # columns. So the two routes give the same four eigenvalues, and the
+    # sum of their magnitudes below adds them in the same sorted order.
     if rhos.shape[-1] == 2:
         if not is_hermitian(rhos):
             raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")

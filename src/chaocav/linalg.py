@@ -65,9 +65,9 @@ def jacobi_eigh(mats):
     """Eigenvalues (ascending) of a (B, d, d) stack of Hermitian matrices.
 
     Cyclic Jacobi rotations sweep until the off-diagonal Frobenius norm of
-    every matrix drops below JACOBI_OFF_TOL; the result is (B, d). A pair
-    (p, q) whose entry is below 1e-300 in every matrix of the batch is
-    skipped, as its rotation would be the identity.
+    every matrix drops below JACOBI_OFF_TOL; the result is (B, d). A matrix
+    whose (p, q) entry is at most 1e-300 takes the identity in place of
+    that pair's rotation, which changes at most the sign of a zero.
     """
     a = np.array(mats, dtype=complex)
     d = a.shape[-1]
@@ -79,8 +79,6 @@ def jacobi_eigh(mats):
                 apq = a[:, p, q]
                 mag = np.abs(apq)
                 active = mag > 1e-300
-                if not active.any():
-                    continue
                 with np.errstate(divide="ignore", invalid="ignore"):
                     tau = (a[:, q, q].real - a[:, p, p].real) / (2.0 * mag)
                     tee = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))

@@ -1,13 +1,14 @@
 """One pass over a (gamma, t) grid of the scalar channel.
 
-Every sweep command goes through sweep_grid. The phase factor q is
-evaluated for the whole grid in one call; the rest runs in two stages
-over groups of max(1, GROUP_POINTS // T) gamma rows. In the Fock-wide
-stage each gamma row builds its amplitude table once, and that table
-feeds the row's densities and, when an unknown qubit is given, its
-teleportation sums. The part of a table that does not depend on q, its
-sector basis, is built once per sweep, before the first row, and each
-piece of the time grid takes its slice of it.
+Every sweep command goes through sweep_grid, over groups of
+max(1, GROUP_POINTS // T) gamma rows. Each group evaluates the phase
+factor q for its own rows in one call (averaged_q works element by
+element, so this gives the bits of a whole-grid call) and runs in two
+stages. In the Fock-wide stage each gamma row builds its amplitude table
+once, and that table feeds the row's densities and, when an unknown
+qubit is given, its teleportation sums. The part of a table that does
+not depend on q, its sector basis, is built once per sweep, before the
+first row, and each piece of the time grid takes its slice of it.
 The scalar channel never mixes the atomic pair (|gg>, |ee>) with
 (|ge>, |eg>), so a pair the preparation leaves empty is exactly zero at
 every point: the table does not hold it, and the densities and sums
@@ -79,8 +80,10 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
+    for name, arr in (("times", times), ("gammas", gammas)):
+        if arr.ndim != 1:
+            raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {arr.shape}")
     shape = (gammas.size, times.size)
-    q = averaged_q(np.broadcast_to(times, shape), gammas[:, None])
     doe = np.empty(shape)
     pre = np.empty(shape)
     fid = kappa1 = kappa2 = kappa4 = weight = None
@@ -98,13 +101,14 @@ def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
     bases = [basis.piece(cols) for cols in pieces]
     live = basis.live
     dim = len(range(4)[live])
-    group = max(1, GROUP_POINTS // times.size)
+    group = max(1, GROUP_POINTS // max(1, times.size))
     for g0 in range(0, gammas.size, group):
         rows = slice(g0, min(g0 + group, gammas.size))
+        q = averaged_q(np.broadcast_to(times, (rows.stop - g0, times.size)), gammas[rows, None])
         rhos = np.empty((rows.stop - g0, times.size, dim, dim), dtype=complex)
         for i in range(g0, rows.stop):
             for cols, piece_basis in zip(pieces, bases):
-                table = amplitude_table(piece_basis, q[i, cols])
+                table = amplitude_table(piece_basis, q[i - g0, cols])
                 rho, pre[i, cols] = table_density(table)
                 rhos[i - g0, cols] = rho[:, live, live]
                 if unknown is not None:

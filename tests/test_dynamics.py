@@ -7,6 +7,7 @@ direct formula for the average, explicit 4x4 outer products).
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -70,6 +71,39 @@ def test_erf_array_is_bit_equal_to_scalar_erf():
     assert got.view(np.int64).tolist() == want.view(np.int64).tolist()
     grid = xs[:18].reshape(3, 6)
     assert np.array_equal(erf_array(grid), want[:18].reshape(3, 6))
+
+
+def erf_series_reference(x):
+    # One element at a time: the same term recurrence, stopped at the
+    # element's own first contribution below 1e-18.
+    ax = abs(x)
+    x2 = ax * ax
+    term = total = ax
+    k = 0
+    while True:
+        k += 1
+        term *= -x2 / k
+        contrib = term / (2 * k + 1)
+        total += contrib
+        if abs(contrib) < 1e-18:
+            return math.copysign(total * 2.0 / math.sqrt(math.pi), x)
+
+
+def test_erf_series_equals_the_per_element_stop_bit_for_bit(rng):
+    # The whole-array sum runs every element to the slowest one's stop; the
+    # extra contributions must leave each sum's bits alone.
+    below = np.nextafter(3.0, 0.0)
+    edges = [3.0, below, np.nextafter(below, 0.0), 0.0, 5e-324, 1e-310,
+             2.2250738585072014e-308, 1e-300, 1e-8, 1.4e-6]
+    mags = np.exp(rng.uniform(math.log(1e-320), math.log(3.0), 3000))
+    xs = np.concatenate([edges, np.negative(edges), np.linspace(-3.0, 3.0, 20001),
+                         mags * rng.choice([-1.0, 1.0], mags.size)])
+    want = np.array([erf_series_reference(x) for x in xs.tolist()])
+    assert np.array_equal(erf_array(xs).view(np.uint64), want.view(np.uint64))
+    for x in edges + [-0.0, -1.7, 2.9]:
+        got = erf_array(np.float64(x))
+        assert got.shape == ()
+        assert got.view(np.uint64) == np.float64(erf_series_reference(x)).view(np.uint64), x
 
 
 def test_erf_odd_symmetry_is_exact():
@@ -153,6 +187,19 @@ def test_averaged_q_grid_equals_per_gamma_rows():
     scalar = np.array([[averaged_q(float(t), float(g)) for t in ts] for g in gammas])
     assert np.array_equal(grid, rows)
     assert np.array_equal(grid, scalar)
+
+
+def test_averaged_q_memory_on_a_contour_grid():
+    # fig 3's 150 times by 400 gamma rows, a 0.48 MB result: the series
+    # once peaked at about 15 times that, 7.4 MB.
+    ts, gammas = np.linspace(0.0, 3.0, 150), np.linspace(0.0, 1.0, 400)
+    tracemalloc.start()
+    try:
+        averaged_q(np.broadcast_to(ts, (gammas.size, ts.size)), gammas[:, None])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6e6, peak
 
 
 # ---------------------------------------------------------------- configuration objects

@@ -37,8 +37,8 @@ def test_jacobi_matches_reference_on_large_batch(rng):
             mats[:, q, p] = np.conj(mats[:, p, q])
         return mats
 
-    # only the (1, 2) pair is nonzero, so every other rotation of every
-    # sweep is skipped for the whole batch
+    # only the (1, 2) pair is nonzero, so every other pair of every sweep
+    # takes the identity update in every matrix
     one_pair = x_shaped([(1, 2)])
     # rotations keep the X shape, so (1, 2) stays zero in half the matrices
     # and must still rotate the other half

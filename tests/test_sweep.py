@@ -1,7 +1,7 @@
-"""The shared (gamma, t) sweep: one phase-factor evaluation and one sector
-basis per sweep, one amplitude table per gamma row, the same numbers as
-per-row evaluation, the single-point density and the Bell-projection
-reference, and a table that stays within its memory budget."""
+"""The shared (gamma, t) sweep: one phase-factor evaluation per group of
+gamma rows, one sector basis per sweep, one amplitude table per gamma row,
+the same numbers as per-row evaluation, the single-point density and the
+Bell-projection reference, and a table that stays within its memory budget."""
 
 import math
 import tracemalloc
@@ -93,13 +93,23 @@ def grid_columns(grid):
 
 
 @pytest.mark.parametrize("init", [INIT, MIXED_INIT], ids=["x_state", "c01_c10"])
-def test_row_groups_equal_per_row_evaluation(init):
-    # 23 rows of 300 times span two groups of 13 and 10 rows.
+def test_row_groups_equal_per_row_evaluation(monkeypatch, init):
+    # 23 rows of 300 times span two groups of 13 and 10 rows, and each
+    # group evaluates q for its own rows.
     ts = np.linspace(0.0, 3.0, 300)
     gammas = np.linspace(0.0, 1.0, 23)
     assert sweep.GROUP_POINTS // ts.size < gammas.size
     field = coherent_weights(2.0)
+    q_shapes = []
+
+    def group_q(t, gamma):
+        q = averaged_q(t, gamma)
+        q_shapes.append(q.shape)
+        return q
+
+    monkeypatch.setattr(sweep, "averaged_q", group_q)
     grid = sweep.sweep_grid(ts, gammas, init, field, UNKNOWN, omega_rabi=1.3)
+    assert q_shapes == [(13, 300), (10, 300)]
     for got, want in zip(grid_columns(grid), per_row(ts, gammas, init, field, UNKNOWN, 1.3)):
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
@@ -272,17 +282,40 @@ def test_sweep_memory_does_not_grow_with_the_time_grid():
 
 
 def test_fig3_sweep_working_memory():
-    # fig 3's settings at 100 gamma rows, where one group's 4x4 stage sets
-    # the peak. A one-pair preparation holds each density there as its 2x2
-    # live-pair block (64 bytes a point, not 256), which keeps the sweep
-    # within 4 MiB beyond its result arrays; 4x4 densities would not.
+    # fig 3's settings, where one group's 4x4 stage sets the peak. A
+    # one-pair preparation holds each density there as its 2x2 live-pair
+    # block (64 bytes a point, not 256), which keeps the sweep within 4 MiB
+    # beyond its result arrays; 4x4 densities would not. q is evaluated per
+    # group, so the working memory does not grow with the gamma rows (a
+    # whole-grid q put 400 rows 0.67 MiB above 100).
     field = coherent_weights(5.0)
-    ts, gammas = np.linspace(0.0, 3.0, 150), np.linspace(0.0, 1.0, 100)
-    tracemalloc.start()
-    try:
-        grid = sweep.sweep_grid(ts, gammas, BELL_INIT, field, UNKNOWN)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    results = sum(column.nbytes for column in grid_columns(grid))
-    assert peak - results <= 4 * 2 ** 20, (peak, results)
+    ts = np.linspace(0.0, 3.0, 150)
+    working = {}
+    for rows in (100, 400):
+        tracemalloc.start()
+        try:
+            grid = sweep.sweep_grid(ts, np.linspace(0.0, 1.0, rows), BELL_INIT, field, UNKNOWN)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        working[rows] = peak - sum(column.nbytes for column in grid_columns(grid))
+    assert working[100] <= 4 * 2 ** 20, working
+    assert abs(working[400] - working[100]) <= 2 ** 18, working
+
+
+@pytest.mark.parametrize("init", [INIT, MIXED_INIT], ids=["x_state", "c01_c10"])
+def test_empty_axes_give_empty_arrays(init):
+    field = coherent_weights(2.0)
+    for ts, gammas, shape in (([], [0.0, 0.5], (2, 0)), ([0.0, 1.0], [], (0, 2))):
+        for unknown in (None, UNKNOWN):
+            grid = sweep.sweep_grid(ts, gammas, init, field, unknown)
+            for column in grid_columns(grid):
+                assert column is None or column.shape == shape
+
+
+def test_two_dimensional_axes_are_rejected():
+    field = coherent_weights(2.0)
+    with pytest.raises(ValueError, match="times must be a scalar or a 1-D array"):
+        sweep.sweep_grid([[0.0, 1.0]], [0.5], INIT, field)
+    with pytest.raises(ValueError, match="gammas must be a scalar or a 1-D array"):
+        sweep.sweep_grid([0.0, 1.0], [[0.1], [0.5]], INIT, field)
