@@ -14,12 +14,10 @@ def _doe_from_rhos(rhos):
     # 0::3 or 1:3) the (K, 2, 2) block rho[:, live, live], the only
     # nonzero part of each matrix. The partial transpose of such a state
     # keeps the block's two populations on its diagonal and moves its
-    # coherence into one coupled 2x2 block [[0, rho01], [rho10, 0]]. In
-    # the 4x4 solve every other pair is zero, which jacobi_eigh answers
-    # with the identity update, changing at most the sign of a zero, and
-    # the coupled pair's rotations touch only their own two rows and
-    # columns. So the two routes give the same four eigenvalues, and the
-    # sum of their magnitudes below adds them in the same sorted order.
+    # coherence into one coupled 2x2 block [[0, rho01], [rho10, 0]], which
+    # jacobi_eigh solves with the bits every preset was drawn with. A 4x4
+    # stack goes to LAPACK; its eigenvalues agree with the block route to
+    # a few ulp, not bit for bit.
     if rhos.shape[-1] == 2:
         if not is_hermitian(rhos):
             raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")
@@ -29,7 +27,7 @@ def _doe_from_rhos(rhos):
         pops = np.einsum("kii->ki", rhos).real
         mu = np.sort(np.concatenate([jacobi_eigh(coupled), pops], axis=1), axis=1)
     else:
-        mu = jacobi_eigh(partial_transpose(rhos))
+        mu = np.linalg.eigvalsh(partial_transpose(rhos))
     doe = np.sum(np.abs(mu), axis=-1) - 1.0
     doe = np.where(doe > 0.0, doe, 0.0)
     if np.any(~np.isfinite(doe)) or np.any(doe > 1.0 + DOE_CEILING_TOL):

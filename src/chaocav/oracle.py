@@ -303,8 +303,10 @@ def mc_short_time(gamma, seed):
 
 
 def _doe_reference(rho):
-    # Library eigensolver on the partial transpose; used only as a cross-check.
-    mu = np.linalg.eigvalsh(partial_transpose(rho))
+    # LAPACK's general eigensolver (zgeev) on the partial transpose, not the
+    # Hermitian one (zheevd) that production's 4x4 route calls, so that no
+    # production solver checks itself. Used only as a cross-check.
+    mu = np.linalg.eigvals(partial_transpose(rho)).real
     return max(0.0, float(np.sum(np.abs(mu)) - 1.0))
 
 

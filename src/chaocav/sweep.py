@@ -27,8 +27,9 @@ one partial-transpose eigensolve, and the branch weight and fidelity are
 formed over the whole group; a drained point (trace 0) stays out of the
 eigensolve and reads doe = nan. For a one-pair preparation the group
 holds only each density's live-pair block, rho[:, live, live], whose
-partial transpose needs one 2x2 solve per point, with the bits of the
-4x4 solve (see entanglement._doe_from_rhos). The field coupling is the
+partial transpose needs one 2x2 rotation per point (linalg.jacobi_eigh);
+other preparations take LAPACK's 4x4 solve (see
+entanglement._doe_from_rhos). The field coupling is the
 unit of time; the scalar channel sees the coupling phase only through
 averaged_q(t, gamma).
 """
@@ -77,12 +78,23 @@ class SweepGrid:
 
 
 def sweep_grid(times, gammas, init, field, unknown=None, omega_rabi=1.0):
-    """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid."""
+    """Degree of entanglement, and optionally teleportation, on a (gamma, t) grid.
+
+    Raises ValueError, before any work, unless times and gammas are finite
+    and >= 0 and omega_rabi and omega_rabi * max(times) are finite.
+    """
     times = np.atleast_1d(np.asarray(times, dtype=float))
     gammas = np.atleast_1d(np.asarray(gammas, dtype=float))
     for name, arr in (("times", times), ("gammas", gammas)):
         if arr.ndim != 1:
             raise ValueError(f"{name} must be a scalar or a 1-D array, got shape {arr.shape}")
+        if not np.all(np.isfinite(arr) & (arr >= 0.0)):
+            raise ValueError(f"{name} must be finite and >= 0, got {arr}")
+    # The product on Python floats, so that an overflow raises no numpy warning.
+    omega_rabi = float(omega_rabi)
+    if not np.all(np.isfinite([omega_rabi, omega_rabi * float(times.max(initial=0.0))])):
+        raise ValueError(f"omega_rabi and omega_rabi * max(times) must be finite, "
+                         f"got omega_rabi = {omega_rabi}")
     shape = (gammas.size, times.size)
     doe = np.empty(shape)
     pre = np.empty(shape)

@@ -774,7 +774,8 @@ def test_verify_command_reports_and_exits_zero(capsys):
     # integrator rows predates the exact propagator, which compares against
     # "exact" rather than "rk4" and has no step error left. The
     # averaged_frozen_limit reference is now the preparation itself, not a
-    # frozen table at zero coupling.
+    # frozen table at zero coupling. negativity_vs_integrator moved again
+    # when 4x4 partial transposes went to LAPACK's eigensolvers.
     changed_rows = {
         "amplitudes_vs_integrator": "[PASS] amplitudes_vs_integrator: max |closed - exact| "
                                     "3.17e-16 over sectors [0, 1, 5, 25] at t=1",
@@ -788,7 +789,7 @@ def test_verify_command_reports_and_exits_zero(capsys):
         "averaged_frozen_limit": "[PASS] averaged_frozen_limit: max state diff 1.11e-16, "
                                  "negativity diff 2.22e-16",
         "negativity_vs_integrator": "[PASS] negativity_vs_integrator: max negativity diff "
-                                    "6.66e-16 at t in (0.5, 1.0)",
+                                    "4.44e-16 at t in (0.5, 1.0)",
         "mc_short_time": "[PASS] mc_short_time: t=0.005: gap 6.71e-08 vs 3*se 3.34e-07; "
                          "t=0.01: gap 2.71e-07 vs 3*se 1.34e-06",
         "mc_decay_rate": "[PASS] mc_decay_rate: estimated rate 0.8778 vs 0.8862 (0.95% off)",

@@ -1,4 +1,4 @@
-"""Linear algebra layer: eigensolver against an independent reference,
+"""Linear algebra layer: the 2x2 rotation against numpy's eigvalsh,
 partial transpose identities, and density matrix validation."""
 
 import numpy as np
@@ -29,38 +29,46 @@ def test_tensor_matches_kron_chain():
 
 
 def test_jacobi_matches_reference_on_large_batch(rng):
-    dense = np.array([random_hermitian(rng) for _ in range(1000)])
-    def x_shaped(pairs):
-        mats = np.array([np.diag(rng.normal(size=4)).astype(complex) for _ in range(200)])
-        for p, q in pairs:
-            mats[:, p, q] = rng.normal(size=200) + 1j * rng.normal(size=200)
-            mats[:, q, p] = np.conj(mats[:, p, q])
-        return mats
-
-    # only the (1, 2) pair is nonzero, so every other pair of every sweep
-    # takes the identity update in every matrix
-    one_pair = x_shaped([(1, 2)])
-    # rotations keep the X shape, so (1, 2) stays zero in half the matrices
-    # and must still rotate the other half
-    half = x_shaped([(0, 3), (1, 2)])
-    half[::2, 1, 2] = half[::2, 2, 1] = 0.0
-    for mats in (dense, one_pair, half):
+    dense = np.array([random_hermitian(rng, dim=2) for _ in range(1000)])
+    # the coupled blocks of one-pair preparations: zero diagonal, one
+    # coherence z of any size, including z = 0 and |z| = 1e-301, which
+    # take the identity in place of the rotation
+    z = 10.0 ** rng.uniform(-8.0, 0.0, 1000) * np.exp(2j * np.pi * rng.uniform(size=1000))
+    z[:3] = [0.0, 1e-301, -1e-301j]
+    coupled = np.zeros((1000, 2, 2), dtype=complex)
+    coupled[:, 0, 1] = z
+    coupled[:, 1, 0] = np.conj(z)
+    tiny = dense[:4].copy()
+    tiny[:, 0, 1] = tiny[:, 1, 0] = [0.0, 1e-301, 5e-324, 2e-300]
+    for mats in (dense, coupled, tiny):
         got = jacobi_eigh(mats)
         want = np.linalg.eigvalsh(mats)
-        assert np.max(np.abs(got - want)) <= 1e-11
+        assert np.max(np.abs(got - want)) <= 1e-14
         traces = np.einsum("bii->b", mats).real
-        assert np.max(np.abs(got.sum(axis=1) - traces)) <= 1e-10
+        assert np.max(np.abs(got.sum(axis=1) - traces)) <= 1e-14
+    assert np.array_equal(jacobi_eigh(coupled[:3]), np.zeros((3, 2)))
 
 
 def test_jacobi_diagonal_input_is_exact():
-    d = np.diag([3.0, -1.0, 0.5, 2.0]).astype(complex)
+    d = np.diag([3.0, -1.0]).astype(complex)
     w = jacobi_eigh(d[None])
-    assert np.array_equal(w, np.array([[-1.0, 0.5, 2.0, 3.0]]))
+    assert np.array_equal(w, np.array([[-1.0, 3.0]]))
+
+
+def test_jacobi_rejects_other_shapes_and_a_residual():
+    for bad in (np.eye(4, dtype=complex)[None], np.eye(2, dtype=complex),
+                np.zeros((3, 2, 3), dtype=complex)):
+        with pytest.raises(InvariantViolation, match=r"\(B, 2, 2\) stack"):
+            jacobi_eigh(bad)
+    # one rotation cannot clear a block that is not Hermitian
+    for bad in ([[0.0, 1.0], [0.5, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
+        with pytest.raises(InvariantViolation, match="off-diagonal norm"):
+            jacobi_eigh(np.array([bad], dtype=complex))
 
 
 def test_partial_transpose_bell_spectrum():
     rho = np.outer(BELL_PHI_PLUS, BELL_PHI_PLUS.conj())
-    w = jacobi_eigh(partial_transpose(rho)[None])[0]
+    w = np.linalg.eigvalsh(partial_transpose(rho))
     assert np.max(np.abs(w - np.array([-0.5, 0.5, 0.5, 0.5]))) <= 1e-12
 
 
@@ -86,7 +94,8 @@ def test_empty_batch_gives_an_empty_result():
     empty = np.zeros((0, 4, 4), dtype=complex)
     pt = partial_transpose(empty)
     assert pt.shape == (0, 4, 4)
-    assert jacobi_eigh(pt).shape == (0, 4)
+    assert np.linalg.eigvalsh(pt).shape == (0, 4)
+    assert jacobi_eigh(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2)
     assert is_hermitian(empty)
 
 
@@ -156,7 +165,7 @@ def test_is_hermitian_tolerance():
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_eigenvalue_sum_equals_trace(seed):
     rng = np.random.default_rng(seed)
-    m = random_hermitian(rng)
+    m = random_hermitian(rng, dim=2)
     w = jacobi_eigh(m[None])[0]
     assert abs(w.sum() - np.trace(m).real) <= 1e-10
 
@@ -177,8 +186,8 @@ def test_local_rotation_keeps_partial_transpose_spectrum(seed):
     rho = random_density(rng)
     u = tensor(random_unitary(rng), np.eye(2))
     rotated = u @ rho @ u.conj().T
-    w0 = jacobi_eigh(partial_transpose(rho)[None])[0]
-    w1 = jacobi_eigh(partial_transpose(rotated)[None])[0]
+    w0 = np.linalg.eigvalsh(partial_transpose(rho))
+    w1 = np.linalg.eigvalsh(partial_transpose(rotated))
     assert np.max(np.abs(w0 - w1)) <= 1e-9
 
 

@@ -7,6 +7,8 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 import chaocav.oracle as oracle
 from chaocav.dynamics import (AmplitudeTable, AtomicInit, _build_table, amplitude_table,
@@ -16,6 +18,8 @@ from chaocav.dynamics import (AmplitudeTable, AtomicInit, _build_table, amplitud
 from chaocav.entanglement import negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import require_density_matrix
+from chaocav.sweep import sweep_grid
+from chaocav.teleport import UnknownQubit, bell_project_teleport
 from chaocav.oracle import (
     S_MINUS,
     S_PLUS,
@@ -29,7 +33,7 @@ from chaocav.oracle import (
     mc_short_time,
     monte_carlo_q,
 )
-from conftest import BELL_INIT
+from conftest import BELL_INIT, four_rows
 
 
 def sector_basis_indices(n, n_fock):
@@ -154,6 +158,58 @@ def test_oracle_density_matches_closed_form_density():
     assert np.max(np.abs(rho - want_rho)) <= 1e-8
     assert np.max(np.abs(pre - want_pre)) <= 1e-10
     require_density_matrix(rho[0])
+
+
+#: Atomic rows a preparation may fill: all four, or one pair, which sends
+#: sweep_grid's eigensolve through the 2x2 block route.
+PREPARATION_ROWS = {"all_four": [0, 1, 2, 3], "gg_ee": [0, 3], "ge_eg": [1, 2]}
+
+
+@given(st.lists(st.floats(-1.0, 1.0), min_size=8, max_size=8),
+       st.sampled_from(sorted(PREPARATION_ROWS)), st.floats(0.0, 4.0), st.floats(0.0, 5.0),
+       st.floats(0.0, 2.0), st.floats(0.0, math.pi / 2.0), st.floats(0.0, 2.0 * math.pi))
+def test_scalar_channel_is_the_mean_of_the_propagator_forward_and_back(
+        parts, rows, alpha, t, gamma, theta, phi):
+    # At omega_rabi = 0 sector n's block has eigenvalues 0, 0 and
+    # +-omega_n, omega_n = sqrt(2 (2n + 1)). The scalar channel puts the
+    # mean q in place of both phase factors exp(+-i omega_n t), so its
+    # amplitudes are (U_n(tau) + U_n(-tau)) psi0_n / 2 with
+    # cos(omega_n tau) = q, U_n from eigh of the written-down block. The
+    # state, entanglement and teleportation built from those amplitudes
+    # share no code with sweep_grid's routes.
+    c = np.zeros(4, dtype=complex)
+    keep = PREPARATION_ROWS[rows]
+    c[keep] = (np.array(parts[:4]) + 1j * np.array(parts[4:]))[keep]
+    assume(np.linalg.norm(c) > 0.1)
+    init = AtomicInit(*(c / np.linalg.norm(c)))
+    unknown = UnknownQubit(math.cos(theta), math.sin(theta) * complex(math.cos(phi), math.sin(phi)))
+    field = coherent_weights(alpha)
+    q = averaged_q(t, gamma)
+    ns = np.arange(field.n_max + 2)
+    w, v = np.linalg.eigh(np.stack([build_block(n, 0.0) for n in ns]))
+    tau = np.arccos(q) / np.sqrt(2.0 * (2.0 * ns + 1.0))
+
+    def propagator(tau):
+        return np.einsum("sij,sj,skj->sik", v, np.exp(-1j * w * tau[:, None]), v.conj())
+
+    psi0 = start_quadruples(ns, init, padded_weights(field))
+    amps = np.einsum("sij,sj->si", (propagator(tau) + propagator(-tau)) / 2.0, psi0)
+    photon = scatter_sectors(amps.T, field.weights[0] * init.c00)
+    table = amplitude_table(sector_basis(t, init, field, 0.0), q)
+    assert np.max(np.abs(four_rows(table)[0] - photon)) <= 1e-13
+    raw = photon @ photon.conj().T
+    pre = float(np.trace(raw).real)
+    rho = raw / pre
+    grid = sweep_grid([t], [gamma], init, field, unknown, omega_rabi=0.0)
+    assert abs(grid.doe[0, 0] - oracle._doe_reference(rho)) <= 1e-12
+    assert abs(grid.pre_norm_trace[0, 0] - pre) <= 1e-12
+    proj = bell_project_teleport(rho, unknown)[0]
+    k2 = grid.kappa2[0, 0]
+    bob_raw = np.array([[grid.kappa1[0, 0], k2], [np.conj(k2), grid.kappa4[0, 0]]])
+    assert np.max(np.abs(bob_raw - proj.bob_state * proj.outcome_weight * pre)) <= 1e-12
+    # The fidelity divides by the branch weight, which amplifies rounding.
+    if proj.outcome_weight > 1e-3:
+        assert abs(grid.fidelity[0, 0] - proj.fidelity) <= 1e-12
 
 
 def test_legacy_variant_distorts_the_initial_state():
