@@ -362,8 +362,8 @@ def table_density(table):
     Returns (rho, pre_norm_trace) with shapes (T, 4, 4) and (T,); a table
     built at a scalar time has T = 1. The outer-product assembly keeps the
     matrix Hermitian and positive by construction before renormalization.
-    Where the phase averaging drained the state (q = 0, or a q whose square
-    underflows), the trace is 0 and that time's matrix is NaN.
+    Where the phase averaging drained the state (at q = 0, a preparation with
+    no ground or dark weight), the trace is 0 and that time's matrix is NaN.
 
     The table holds only its live rows, and einsum writes their block of
     rho, a basic slice, in place. This is exact: einsum sums each entry in

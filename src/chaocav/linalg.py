@@ -3,7 +3,7 @@
 Basis order is fixed everywhere: single qubit (|g>, |e>), two qubits
 (|gg>, |ge>, |eg>, |ee>), and the matching Kronecker order for larger
 registers. All operations are pure functions on numpy complex arrays.
-Spectra come from numpy's LAPACK solvers, but for jacobi_eigh's 2x2 blocks.
+Spectra come from numpy's LAPACK solvers, but for jacobi_eigh's coherences.
 """
 
 from __future__ import annotations
@@ -56,42 +56,36 @@ def partial_transpose(rho):
 
 
 def jacobi_eigh(mats):
-    """Ascending eigenvalues, (B, 2), of a (B, 2, 2) stack of Hermitian blocks.
+    """Ascending eigenvalues, (B, 2), of [[0, z], [conj(z), 0]] for the (B,) z in mats.
 
-    One Jacobi rotation of the pair (0, 1) diagonalises each block, and a
-    residual off-diagonal norm of JACOBI_OFF_TOL or more raises
-    InvariantViolation. A block whose off-diagonal entry is at most 1e-300
-    takes the identity in place of the rotation, which changes at most the
-    sign of a zero. Its bits set every preset's doe, which is why it is
-    not numpy's eigvalsh.
+    One Jacobi rotation, c = s = 1/sqrt(2) with the phase z/|z|, diagonalises
+    each block, or the identity where |z| <= 1e-300. A residual off-diagonal
+    norm of JACOBI_OFF_TOL or more raises InvariantViolation. Its bits, not
+    those of +-|z|, set every preset's doe.
     """
-    a = np.array(mats, dtype=complex)
-    if a.ndim != 3 or a.shape[1:] != (2, 2):
-        raise InvariantViolation(f"jacobi_eigh needs a (B, 2, 2) stack, got shape {a.shape}")
-    apq = a[:, 0, 1]
-    mag = np.abs(apq)
+    z = np.asarray(mats, dtype=complex)
+    if z.ndim != 1:
+        raise InvariantViolation(f"jacobi_eigh needs a (B,) array of coherences, got {z.shape}")
+    mag = np.abs(z)
     active = mag > 1e-300
-    # A tiny mag can overflow tau, tau * tau or apq / mag: an inactive block
-    # drops the result, and an active one with tau = inf takes the identity,
-    # its right rotation.
+    # A tiny mag can overflow z / mag: an inactive coherence drops the result.
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        tau = (a[:, 1, 1].real - a[:, 0, 0].real) / (2.0 * mag)
-        tee = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
-        c = 1.0 / np.sqrt(1.0 + tee * tee)
-        s = tee * c
-        phase = apq / mag
-    c = np.where(active, c, 1.0)[:, None]
-    s = np.where(active, s, 0.0)[:, None]
-    ph = np.where(active, phase, 1.0)[:, None]
-    # The columns, then the rows, of the rotation's two-sided product.
-    a = np.stack([c * a[:, :, 0] - s * np.conj(ph) * a[:, :, 1],
-                  s * ph * a[:, :, 0] + c * a[:, :, 1]], axis=2)
-    a = np.stack([c * a[:, 0] - s * ph * a[:, 1],
-                  s * np.conj(ph) * a[:, 0] + c * a[:, 1]], axis=1)
-    worst = np.sqrt(np.max(np.abs(a[:, 0, 1]) ** 2 + np.abs(a[:, 1, 0]) ** 2, initial=0.0))
+        phase = z / mag
+    c = np.where(active, 1.0 / np.sqrt(2.0), 1.0)
+    s = np.where(active, c, 0.0)
+    ph = np.where(active, phase, 1.0)
+    w, v = s * np.conj(ph), s * ph
+    # The rotation's two-sided product, entry by entry: the columns, then
+    # the rows, with the terms on the zero diagonal left out.
+    a00, a10, a01, a11 = -(w * z), c * np.conj(z), c * z, v * np.conj(z)
+    off = np.abs(c * a01 - v * a11) ** 2 + np.abs(w * a00 + c * a10) ** 2
+    worst = np.sqrt(np.max(off, initial=0.0))
     if not worst < JACOBI_OFF_TOL:  # NaN fails too
         raise InvariantViolation(f"Jacobi rotation left an off-diagonal norm of {worst:.3e}")
-    return np.sort(np.einsum("bii->bi", a).real, axis=1)
+    out = np.empty((z.shape[0], 2))
+    out[:, 0] = (c * a00 - v * a10).real
+    out[:, 1] = (w * a01 + c * a11).real
+    return out
 
 
 def require_density_matrix(rho, context=""):

@@ -27,8 +27,8 @@ one partial-transpose eigensolve, and the branch weight and fidelity are
 formed over the whole group; a drained point (trace 0) stays out of the
 eigensolve and reads doe = nan. For a one-pair preparation the group
 holds only each density's live-pair block, rho[:, live, live], whose
-partial transpose needs one 2x2 rotation per point (linalg.jacobi_eigh);
-other preparations take LAPACK's 4x4 solve (see
+partial transpose needs one rotation of the block's coherence per point
+(linalg.jacobi_eigh); other preparations take LAPACK's 4x4 solve (see
 entanglement._doe_from_rhos). The field coupling is the
 unit of time; the scalar channel sees the coupling phase only through
 averaged_q(t, gamma).
@@ -63,9 +63,10 @@ class SweepGrid:
     The teleportation arrays (fidelity, kappa1, kappa2, kappa4, weight)
     are None when no unknown qubit was given. Fidelity is nan where the
     phi_plus branch weight kappa1 + kappa4 falls below WEIGHT_FLOOR, and
-    otherwise lies in [0, 1 + FIDELITY_TOL]. doe is nan at a drained
-    point, where pre_norm_trace is 0: q = 0, or a q whose square
-    underflows, leaves no state to renormalise.
+    otherwise lies in [0, 1 + FIDELITY_TOL]. doe is nan at a drained point,
+    where pre_norm_trace is 0. q = 0 keeps the weight the field never couples
+    (|gg, 0> and the dark states), so it drains only a preparation with none,
+    such as the symmetric one-excitation state with no photons.
     """
 
     doe: np.ndarray

@@ -38,11 +38,6 @@ def random_unitary(rng, dim=2):
     return q * (np.diag(r) / np.abs(np.diag(r)))
 
 
-def random_hermitian(rng, dim=4):
-    m = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-    return (m + m.conj().T) / 2.0
-
-
 def four_rows(table):
     """The (T, 4, M) photon array of a table, rows outside its live pair as zeros."""
     return np.stack([table.photon_a, table.photon_b, table.photon_c, table.photon_d], axis=1)

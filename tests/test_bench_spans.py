@@ -69,3 +69,5 @@ def test_every_preset_keeps_the_table_counts(tmp_path, monkeypatch, fig, command
     assert counts["field.photon_columns"] == columns
     assert counts["dynamics.amplitude_table.rows"] == rows
     assert counts["dynamics.amplitude_table.bytes"] == rows * columns * 64
+    # jacobi_eigh's mats holds one coherence per kept point
+    assert counts["linalg.jacobi_eigh.matrices"] == rows

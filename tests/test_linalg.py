@@ -1,4 +1,5 @@
-"""Linear algebra layer: the 2x2 rotation against numpy's eigvalsh,
+"""Linear algebra layer: the one-pair rotation against numpy's eigvalsh
+and against the general 2x2 Jacobi rotation whose bits the presets carry,
 partial transpose identities, and density matrix validation."""
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from chaocav import cli, entanglement
 from chaocav.linalg import (
     InvariantViolation,
     is_hermitian,
@@ -14,7 +16,7 @@ from chaocav.linalg import (
     require_density_matrix,
     tensor,
 )
-from conftest import random_density, random_hermitian, random_pure_state, random_unitary
+from conftest import random_density, random_pure_state, random_unitary
 
 BELL_PHI_PLUS = np.array([1.0, 0.0, 0.0, 1.0], dtype=complex) / np.sqrt(2.0)
 
@@ -28,42 +30,90 @@ def test_tensor_matches_kron_chain():
     assert tensor(a).shape == (2, 2)
 
 
+def coupled_blocks(z):
+    """The one-pair blocks [[0, z], [conj(z), 0]] of the coherences z."""
+    mats = np.zeros((z.size, 2, 2), dtype=complex)
+    mats[:, 0, 1] = z
+    mats[:, 1, 0] = np.conj(z)
+    return mats
+
+
+def general_rotation(mats):
+    """One Jacobi rotation of the pair (0, 1) of each Hermitian 2x2 block,
+    for any diagonal: the eigensolve the presets were drawn with."""
+    a = np.array(mats, dtype=complex)
+    apq = a[:, 0, 1]
+    mag = np.abs(apq)
+    active = mag > 1e-300
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        tau = (a[:, 1, 1].real - a[:, 0, 0].real) / (2.0 * mag)
+        tee = np.where(tau == 0.0, 1.0, np.sign(tau) / (np.abs(tau) + np.sqrt(1.0 + tau * tau)))
+        c = 1.0 / np.sqrt(1.0 + tee * tee)
+        s = tee * c
+        phase = apq / mag
+    c = np.where(active, c, 1.0)[:, None]
+    s = np.where(active, s, 0.0)[:, None]
+    ph = np.where(active, phase, 1.0)[:, None]
+    a = np.stack([c * a[:, :, 0] - s * np.conj(ph) * a[:, :, 1],
+                  s * ph * a[:, :, 0] + c * a[:, :, 1]], axis=2)
+    a = np.stack([c * a[:, 0] - s * ph * a[:, 1],
+                  s * np.conj(ph) * a[:, 0] + c * a[:, 1]], axis=1)
+    return np.sort(np.einsum("bii->bi", a).real, axis=1)
+
+
+#: Coherences at and around the identity guard and the edges of the float range.
+EDGE_COHERENCES = [0.0, 1e-301, -1e-301, -1e-301j, 5e-324, 2e-300, 1e-300, -1e-14, 1e-299j]
+
+
+def test_jacobi_keeps_the_bits_of_the_general_rotation(tmp_path, monkeypatch):
+    # every preset's doe was drawn with the general rotation; fig 2's
+    # coherences are read where the sweep hands them over
+    seen = []
+
+    def record(mats):
+        seen.append(mats)
+        return jacobi_eigh(mats)
+
+    monkeypatch.setattr(entanglement, "jacobi_eigh", record)
+    assert cli.main(["fidelity", "--fig", "2", "--out", str(tmp_path / "fig2.csv")]) == 0
+    fig2 = np.concatenate(seen)
+    assert fig2.shape == (1500,)
+    rng = np.random.default_rng(32)
+    z = 10.0 ** rng.uniform(-310.0, 0.0, 20000) * np.exp(2j * np.pi * rng.uniform(size=20000))
+    z = np.concatenate([z, EDGE_COHERENCES, fig2])
+    got = jacobi_eigh(z)
+    want = general_rotation(coupled_blocks(z))
+    assert got.shape == want.shape
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+
 def test_jacobi_matches_reference_on_large_batch(rng):
-    dense = np.array([random_hermitian(rng, dim=2) for _ in range(1000)])
-    # the coupled blocks of one-pair preparations: zero diagonal, one
-    # coherence z of any size, including z = 0 and |z| = 1e-301, which
-    # take the identity in place of the rotation
+    # coherences z of any size; z = 0 and |z| = 1e-301 take the identity in
+    # place of the rotation
     z = 10.0 ** rng.uniform(-8.0, 0.0, 1000) * np.exp(2j * np.pi * rng.uniform(size=1000))
-    z[:3] = [0.0, 1e-301, -1e-301j]
-    coupled = np.zeros((1000, 2, 2), dtype=complex)
-    coupled[:, 0, 1] = z
-    coupled[:, 1, 0] = np.conj(z)
-    tiny = dense[:4].copy()
-    tiny[:, 0, 1] = tiny[:, 1, 0] = [0.0, 1e-301, 5e-324, 2e-300]
-    for mats in (dense, coupled, tiny):
-        got = jacobi_eigh(mats)
-        want = np.linalg.eigvalsh(mats)
+    z[:4] = [0.0, 1e-301, -1e-301, -1e-301j]
+    tiny = np.array([0.0, 1e-301, 5e-324, 2e-300], dtype=complex)
+    for coherences in (z, tiny):
+        got = jacobi_eigh(coherences)
+        want = np.linalg.eigvalsh(coupled_blocks(coherences))
         assert np.max(np.abs(got - want)) <= 1e-14
-        traces = np.einsum("bii->b", mats).real
-        assert np.max(np.abs(got.sum(axis=1) - traces)) <= 1e-14
-    assert np.array_equal(jacobi_eigh(coupled[:3]), np.zeros((3, 2)))
+        assert np.max(np.abs(got.sum(axis=1))) <= 1e-14
+    assert np.array_equal(jacobi_eigh(z[:4]), np.zeros((4, 2)))
 
 
 def test_jacobi_diagonal_input_is_exact():
-    d = np.diag([3.0, -1.0]).astype(complex)
-    w = jacobi_eigh(d[None])
-    assert np.array_equal(w, np.array([[-1.0, 3.0]]))
+    # a zero coherence leaves the block diagonal: both eigenvalues are 0
+    w = jacobi_eigh(np.zeros(3, dtype=complex))
+    assert np.array_equal(w, np.zeros((3, 2)))
 
 
 def test_jacobi_rejects_other_shapes_and_a_residual():
-    for bad in (np.eye(4, dtype=complex)[None], np.eye(2, dtype=complex),
-                np.zeros((3, 2, 3), dtype=complex)):
-        with pytest.raises(InvariantViolation, match=r"\(B, 2, 2\) stack"):
+    for bad in (np.complex128(0.5), np.eye(2, dtype=complex), np.zeros((3, 2, 2), dtype=complex)):
+        with pytest.raises(InvariantViolation, match=r"\(B,\) array of coherences"):
             jacobi_eigh(bad)
-    # one rotation cannot clear a block that is not Hermitian
-    for bad in ([[0.0, 1.0], [0.5, 0.0]], [[0.0, np.nan], [np.nan, 0.0]]):
-        with pytest.raises(InvariantViolation, match="off-diagonal norm"):
-            jacobi_eigh(np.array([bad], dtype=complex))
+    # a NaN coherence leaves a NaN residual, which the check rejects
+    with pytest.raises(InvariantViolation, match="off-diagonal norm"):
+        jacobi_eigh(np.array([0.5, np.nan], dtype=complex))
 
 
 def test_partial_transpose_bell_spectrum():
@@ -95,7 +145,7 @@ def test_empty_batch_gives_an_empty_result():
     pt = partial_transpose(empty)
     assert pt.shape == (0, 4, 4)
     assert np.linalg.eigvalsh(pt).shape == (0, 4)
-    assert jacobi_eigh(np.zeros((0, 2, 2), dtype=complex)).shape == (0, 2)
+    assert jacobi_eigh(np.zeros(0, dtype=complex)).shape == (0, 2)
     assert is_hermitian(empty)
 
 
@@ -164,10 +214,13 @@ def test_is_hermitian_tolerance():
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
 def test_eigenvalue_sum_equals_trace(seed):
+    # the trace of a one-pair block is 0, and its eigenvalues are -|z|, |z|
     rng = np.random.default_rng(seed)
-    m = random_hermitian(rng, dim=2)
-    w = jacobi_eigh(m[None])[0]
-    assert abs(w.sum() - np.trace(m).real) <= 1e-10
+    z = 10.0 ** rng.uniform(-299.0, 0.0, 100) * np.exp(2j * np.pi * rng.uniform(size=100))
+    w = jacobi_eigh(z)
+    mag = np.abs(z)
+    assert np.all(np.abs(w.sum(axis=1)) <= 1e-15 * mag)
+    assert np.all(np.abs(w - np.stack([-mag, mag], axis=1)) <= 2e-15 * mag[:, None])
 
 
 @given(st.integers(min_value=0, max_value=2 ** 31 - 1))
@@ -199,5 +252,5 @@ def test_pure_state_marginals_share_spectrum(seed):
     pair = rho.reshape(2, 2, 2, 2)
     marginal_1 = np.einsum("abcb->ac", pair)
     marginal_2 = np.einsum("abad->bd", pair)
-    wa, wb = jacobi_eigh(np.stack([marginal_1, marginal_2]))
+    wa, wb = np.linalg.eigvalsh(np.stack([marginal_1, marginal_2]))
     assert np.max(np.abs(wa - wb)) <= 1e-10

@@ -10,7 +10,8 @@ import numpy as np
 import pytest
 
 from chaocav import sweep
-from chaocav.dynamics import AtomicInit, amplitude_table, averaged_q, sector_basis, table_density
+from chaocav.dynamics import (INV_SQRT2, AtomicInit, amplitude_table, averaged_q, sector_basis,
+                              table_density)
 from chaocav.entanglement import _doe_from_rhos, negativity
 from chaocav.field import coherent_weights
 from chaocav.linalg import InvariantViolation
@@ -223,6 +224,49 @@ def test_pre_norm_trace_is_quadratic_in_q(init):
     pre = pre.pre_norm_trace[:, 0]
     fit = np.polyfit(q[:3], pre[:3], 2)
     assert np.max(np.abs(np.polyval(fit, q[3:]) - pre[3:])) <= 1e-12
+
+
+def q_zero_trace(init, field):
+    """Raw trace at q = 0, from the weights: |gg, 0>, each sector's dark
+    mix of |gg, n+1> and |ee, n-1>, and the antisymmetric one-excitation
+    state never exchange excitation with the field."""
+    w = np.concatenate([[0.0], field.weights, [0.0, 0.0]])  # w[n + 1] = W_n
+    n = np.arange(field.n_max + 2)
+    r1 = np.sqrt((n + 1) / (2 * n + 1))
+    r2 = np.sqrt(n / (2 * n + 1))
+    ground = field.weights[0] ** 2 * abs(init.c00) ** 2
+    dark_pair = np.sum(np.abs(r2 * w[n + 2] * init.c00 - r1 * w[n] * init.c11) ** 2)
+    dark_single = abs(init.c01 - init.c10) ** 2 / 2 * np.sum(w[n + 1] ** 2)
+    return ground + dark_pair + dark_single
+
+
+@pytest.mark.parametrize("init, alpha", [
+    (BELL_INIT, 5.0),
+    (INIT, 5.0),
+    (AtomicInit(0.5, 0.5j, -0.5, 0.5), 3.0),
+    (AtomicInit(0.0, -INV_SQRT2, INV_SQRT2, 0.0), 2.0),
+], ids=["bell", "fig1a", "four_rows", "psi_minus"])
+def test_q_zero_keeps_the_ground_and_dark_weight(init, alpha):
+    # at t > 0 a gamma of 1e300 gives q = 0: the state keeps the weight
+    # that never couples to the field, and only that weight
+    field = coherent_weights(alpha)
+    times = np.array([0.5, 1.0, 3.0])
+    assert not np.any(averaged_q(times, 1e300))
+    grid = sweep.sweep_grid(times, [1e300], init, field)
+    want = q_zero_trace(init, field)
+    assert want > 0.0
+    assert np.max(np.abs(grid.pre_norm_trace / want - 1.0)) <= 1e-14
+    assert np.all(np.isfinite(grid.doe))
+
+
+def test_q_zero_drains_a_preparation_without_dark_weight():
+    # the symmetric one-excitation state with no photons couples wholly
+    init = AtomicInit(0.0, INV_SQRT2, INV_SQRT2, 0.0)
+    field = coherent_weights(0.0)
+    assert q_zero_trace(init, field) == 0.0
+    grid = sweep.sweep_grid([0.5, 1.0, 3.0], [1e300], init, field)
+    assert np.array_equal(grid.pre_norm_trace, np.zeros((1, 3)))
+    assert np.all(np.isnan(grid.doe))
 
 
 def test_teleport_columns_ignore_a_global_phase_of_the_unknown_qubit():
