@@ -365,17 +365,23 @@ def table_density(table):
     Where the phase averaging drained the state (at q = 0, a preparation with
     no ground or dark weight), the trace is 0 and that time's matrix is NaN.
 
-    The table holds only its live rows, and einsum writes their block of
-    rho, a basic slice, in place. This is exact: einsum sums each entry in
-    order from +0, so an entry that touches a row outside live (all zero)
-    is +0, which the zero-filled rho already holds. matmul and np.sum
-    accumulate in other orders and would move preset bits.
+    Each entry (i, j) of the live rows is its own einsum over the photon
+    columns, written in place into the zero-filled rho; an entry that
+    touches a row outside live is +0, which rho already holds. einsum sums
+    each entry in order from +0, so every entry has the bits of the
+    "tim,tjm->tij" contraction; matmul and np.sum accumulate in other
+    orders and would move preset bits. Since no sum is -0, scaling the
+    real and imaginary parts by 1 / pre gives the bits of the complex
+    quotient rho / pre, which numpy forms as (re + im * 0) * (1 / pre).
     """
-    s = table.live
+    rows = range(4)[table.live]
     v = table.photon
+    cv = np.conj(v)
     rho = np.zeros((v.shape[0], 4, 4), dtype=complex)
-    np.einsum("tim,tjm->tij", v, np.conj(v), out=rho[:, s, s])
+    for i, ri in enumerate(rows):
+        for j, rj in enumerate(rows):
+            np.einsum("tm,tm->t", v[:, i], cv[:, j], out=rho[:, ri, rj])
     pre = np.einsum("tii->t", rho).real
-    with np.errstate(invalid="ignore"):  # 0 / 0 at a drained time
-        rho /= pre[:, None, None]
+    with np.errstate(divide="ignore", invalid="ignore"):  # 0 * (1 / 0) at a drained time
+        rho.view(float)[...] *= (1.0 / pre)[:, None, None]
     return rho, pre

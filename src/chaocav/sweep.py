@@ -13,7 +13,9 @@ The scalar channel never mixes the atomic pair (|gg>, |ee>) with
 (|ge>, |eg>), so a pair the preparation leaves empty is exactly zero at
 every point: the table does not hold it, and the densities and sums
 contract only the live pair, with the same bits as contracting all four
-rows (an X preparation, as in every preset, carries only (|gg>, |ee>)).
+rows, but for the sign of a kappa2 whose every term is zero (see
+teleport.kappa_sums; an X preparation, as in every preset, carries only
+(|gg>, |ee>)).
 A row whose four-row table would exceed TABLE_BUDGET_BYTES is built in
 pieces over t, so the stage holds at most that much table, plus the
 (piece, n_max + 2) sector arrays that build it, whatever the number of

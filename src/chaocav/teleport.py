@@ -70,9 +70,12 @@ def kappa_sums(table, unknown):
     Shapes follow the table, one value per time. The sums run over the
     photon-grouped amplitudes, which is exactly the phi_plus Bell
     projection. Bob's state is [[kappa1, kappa2], [conj(kappa2), kappa4]].
-    A row outside the table's live pair is all zero and enters as the
-    scalar 0j, so au * 0j stands for au times that row, bit for bit,
-    without the multiply.
+    A row outside the table's live pair is all zero and is left out of
+    the sums: for the pair (a, d), top = au * a and bot = bu * d; for
+    (b, c), top = bu * c and bot = au * b. Adding its product, a signed
+    zero, could change only the sign of a zero part of top or bot: the
+    squared moduli do not see it, and kappa2 could show it only where
+    every term of its sum is zero.
 
     The expression top * np.conj(bot) fixes kappa2's bits through its
     (T, M) operand sizes. numpy's complex multiply is not bitwise
@@ -83,9 +86,14 @@ def kappa_sums(table, unknown):
     """
     au = unknown.alpha_u
     bu = unknown.beta_u
-    a, b, c, d = (0j if row is None else row for row in map(table.row, range(4)))
-    top = au * a + bu * c
-    bot = au * b + bu * d
+    a, b, c, d = map(table.row, range(4))
+    if b is None:
+        top, bot = au * a, bu * d
+    elif a is None:
+        top, bot = bu * c, au * b
+    else:
+        top = au * a + bu * c
+        bot = au * b + bu * d
     k1 = 0.5 * np.sum(np.abs(top) ** 2, axis=1)
     k2 = 0.5 * np.sum(top * np.conj(bot), axis=1)
     k4 = 0.5 * np.sum(np.abs(bot) ** 2, axis=1)

@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaocav.dynamics import (
+    AmplitudeTable,
     AtomicInit,
     amplitude_table,
     averaged_q,
@@ -257,6 +258,34 @@ def test_photon_regrouping_aligns_with_sectors():
     got_rho, got_pre = table_density(table)
     assert np.array_equal(got_pre, pre)
     assert np.array_equal(got_rho, rho / pre[:, None, None])
+
+
+@pytest.mark.parametrize("init, live", [
+    (AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), slice(0, 4, 3)),
+    (AtomicInit(0.0, 0.6, 0.8j, 0.0), slice(1, 3)),
+    (AtomicInit(0.5, 0.5j, -0.5, 0.5j), slice(0, 4)),
+], ids=["gg_ee", "ge_eg", "four_rows"])
+def test_table_density_is_the_four_row_contraction_bit_for_bit(init, live):
+    # Each entry's own einsum and the real reciprocal give the bits of the
+    # whole contraction divided by pre. Time 2 is drained by hand: its
+    # matrix is all NaN, with no warning (warnings are errors here).
+    field = coherent_weights(3.0)
+    ts = np.linspace(0.0, 3.0, 9)
+    table = amplitude_table(sector_basis(ts, init, field, 1.3), averaged_q(ts, 0.4))
+    photon = table.photon.copy()
+    photon[2] = 0.0
+    table = AmplitudeTable(photon, table.live)
+    assert table.live == live
+    v = four_rows(table)
+    want = np.einsum("tim,tjm->tij", v, v.conj())
+    want_pre = np.einsum("tii->t", want).real
+    with np.errstate(invalid="ignore"):
+        want /= want_pre[:, None, None]
+    rho, pre = table_density(table)
+    assert np.array_equal(pre.view(np.uint64), want_pre.view(np.uint64))
+    assert np.array_equal(rho.view(np.uint64), want.view(np.uint64))
+    assert pre[2] == 0.0 and np.all(np.isnan(rho[2].view(float)))
+    assert not np.any(np.isnan(np.delete(rho, 2, axis=0)))
 
 
 SQRT_HALF = math.sqrt(0.5)

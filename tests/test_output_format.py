@@ -83,6 +83,18 @@ def test_powers_of_ten_and_their_neighbours_match_percent_formatting():
     assert cli.format_lines(block) == percent_lines(block)
 
 
+def test_every_table_entry_matches_percent_formatting():
+    # 10**12 + c * 100010001 puts c in each of the three four-digit groups,
+    # so every group reaches all 10,000 digit words, with either sign; then
+    # every exponent, the signed zeros and the decade round-up.
+    ints = 10.0 ** 12 + np.arange(10_000) * 100_010_001.0
+    assert cli.format_lines(np.column_stack([ints, -ints])) == percent_lines(
+        np.column_stack([ints, -ints]))
+    block = np.append(1.5 * 10.0 ** np.arange(-99, 100), [0.0, -0.0, 9.9999999999996])[:, None]
+    assert cli.format_lines(block) == percent_lines(block)
+    assert cli.format_lines(np.empty((0, 3))) == b""
+
+
 @pytest.mark.parametrize("flags", [["--gamma", "1e-320"], ["--t-max", "1e300"]])
 def test_edge_outputs_equal_per_value_formatting(tmp_path, flags):
     # A subnormal gamma and times with three-digit exponents take the

@@ -21,8 +21,9 @@ from chaocav.teleport import (
     WEIGHT_FLOOR,
     UnknownQubit,
     bell_project_teleport,
+    kappa_sums,
 )
-from conftest import BELL_INIT, random_density
+from conftest import BELL_INIT, four_rows, random_density
 
 # phi_plus fidelity at t = 0 for the 0.2 preparation and alpha_u = 0.95,
 # frozen from |a^2 c00 + b^2 c11|^2 / (|a c00|^2 + |b c11|^2)
@@ -130,6 +131,27 @@ def test_closed_form_matches_projection_on_grid():
             assert np.max(np.abs(bob - projected.bob_state)) <= 1e-9
             assert abs(grid.fidelity[i, k] - projected.fidelity) <= 1e-9
             assert abs(outcome_weight[i, k] - projected.outcome_weight) <= 1e-9
+
+
+@pytest.mark.parametrize("init", [AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)),
+                                  AtomicInit(0.0, 0.6, 0.8j, 0.0)], ids=["gg_ee", "ge_eg"])
+def test_one_pair_sums_equal_the_four_row_formula(init):
+    # A one-pair table leaves its zero rows out of the sums; the four-row
+    # formula multiplies them in. == counts -0 and +0 as equal.
+    ts = np.linspace(0.0, 3.0, 31)
+    table = amplitude_table(sector_basis(ts, init, coherent_weights(3.0), 1.3),
+                            averaged_q(ts, 0.4))
+    assert table.photon.shape[1] == 2
+    a, b, c, d = np.moveaxis(four_rows(table), 1, 0)
+    for unknown in (UnknownQubit(0.6 + 0.3j, complex(-0.4, math.sqrt(0.39))),
+                    UnknownQubit(0.95, math.sqrt(0.0975))):
+        au, bu = unknown.alpha_u, unknown.beta_u
+        top = au * a + bu * c
+        bot = au * b + bu * d
+        want = (0.5 * np.sum(np.abs(top) ** 2, axis=1), 0.5 * np.sum(top * np.conj(bot), axis=1),
+                0.5 * np.sum(np.abs(bot) ** 2, axis=1))
+        for got, ref in zip(kappa_sums(table, unknown), want):
+            assert np.all(got == ref)
 
 
 def test_frozen_initial_fidelity():
