@@ -44,27 +44,39 @@ def erf_array(x):
     math.erf, one element at a time, everywhere else (the tail, infinities
     and NaN). The series stays because its bits set every preset output:
     on [0, 3] math.erf differs from it at 82% of points, by up to 1.0e-13,
-    which moves preset values by up to 1.4e-11 relative.
+    which moves preset values by up to 1.4e-11 relative. Every element runs
+    the same number of terms: the stop of the largest series |x|, where its
+    own contribution first falls below 1e-18, plus two. A smaller element
+    stops no later, and each term past an element's stop is below a
+    quarter ulp of its sum, so the extra terms change no bit.
     """
     x = np.asarray(x, dtype=float)
     series = np.abs(x) <= 3.0
     # Alternating sum with a term recurrence over the whole array, 0 standing
-    # in where the series does not apply, until every contribution is below
-    # 1e-18. An element's value is its sum at its own first such
-    # contribution: for |x| <= 3 every later one is smaller still and below
-    # a quarter ulp of the running sum, so adding it leaves the sum unchanged.
+    # in where the series does not apply. An element's value is its sum at
+    # its own first contribution below 1e-18: for |x| <= 3 every later one
+    # is smaller still and below a quarter ulp of the running sum, so adding
+    # it leaves the sum unchanged.
     ax = np.where(series, np.abs(x), 0.0)
-    x2 = ax * ax
+    # The term count: the largest |x|'s own stop, by the same recurrence on
+    # one float, plus two terms in case rounding lets a smaller element
+    # stop one term later (no-ops elsewhere, by the argument above).
+    b = float(ax.max(initial=0.0))
+    t, terms = b, 0
+    while True:
+        terms += 1
+        t *= -(b * b) / terms
+        if abs(t / (2 * terms + 1)) < 1e-18:
+            break
+    nx2 = -(ax * ax)
     term = ax.copy()
     total = ax.copy()
-    k = 0
-    while True:
-        k += 1
-        term *= -x2 / k
-        contrib = term / (2 * k + 1)
-        total += contrib
-        if np.all(np.abs(contrib) < 1e-18):
-            break
+    step = np.empty_like(ax)
+    for k in range(1, terms + 3):
+        np.divide(nx2, k, out=step)
+        term *= step
+        np.divide(term, 2 * k + 1, out=step)
+        total += step
     val = np.copysign(total * 2.0 / math.sqrt(math.pi), x, out=np.empty(x.shape))
     val[~series] = [math.erf(v) for v in x[~series].tolist()]
     return val

@@ -31,9 +31,10 @@ BELL_OUTCOMES = (
     ("psi_minus", np.array([0.0, -1.0, 1.0, 0.0]) * INV_SQRT2, _X @ _Z),
 )
 
-#: The 8x8 projector of each Bell outcome on atoms 1 and 2, identity on Bob's atom 3.
-_BELL_PROJECTORS = tuple(tensor(np.outer(vec, np.conj(vec)), _ID2)
-                         for _, vec, _ in BELL_OUTCOMES)
+#: The (4, 8, 8) stack of each Bell outcome's projector on atoms 1 and 2,
+#: identity on Bob's atom 3, in BELL_OUTCOMES order.
+_BELL_PROJECTORS = np.stack([tensor(np.outer(vec, np.conj(vec)), _ID2)
+                             for _, vec, _ in BELL_OUTCOMES])
 
 
 @dataclass(frozen=True)
@@ -106,23 +107,26 @@ def bell_project_teleport(channel_rho, unknown):
     channel_rho is any normalized 4x4 two-atom state. Returns the four
     TeleportOutcome branches in the fixed order phi_plus, phi_minus,
     psi_plus, psi_minus; a branch with vanishing weight gets the
-    maximally mixed Bob state and fidelity nan.
+    maximally mixed Bob state and fidelity nan. One product with the
+    stacked (4, 8, 8) projectors selects all four branches, and one einsum
+    traces atoms 1 and 2 out of each; the weight and Bob's correction are
+    then taken branch by branch.
     """
     channel_rho = np.asarray(channel_rho, dtype=complex)
     chi = unknown.as_vector()
     rho_in = np.outer(chi, np.conj(chi))
     rho3 = tensor(rho_in, channel_rho)
+    selected = _BELL_PROJECTORS @ rho3 @ _BELL_PROJECTORS
+    # Trace out atoms 1 and 2 of every branch, keeping Bob's atom 3.
+    bob_raws = np.einsum("kabiabj->kij", selected.reshape((4,) + (2,) * 6))
     outcomes = []
-    for (label, _, correction), proj8 in zip(BELL_OUTCOMES, _BELL_PROJECTORS):
-        selected = proj8 @ rho3 @ proj8
-        weight = float(np.trace(selected).real)
+    for (label, _, correction), branch, bob_raw in zip(BELL_OUTCOMES, selected, bob_raws):
+        weight = float(np.trace(branch).real)
         if weight <= WEIGHT_FLOOR:
             outcomes.append(TeleportOutcome(bell_label=label, bob_state=_ID2 / 2.0,
                                             outcome_weight=0.0, fidelity=float("nan")))
             continue
-        # Trace out atoms 1 and 2, keeping Bob's atom 3.
-        bob_raw = np.einsum("abiabj->ij", selected.reshape((2,) * 6)) / weight
-        bob = correction @ bob_raw @ np.conj(correction.T)
+        bob = correction @ (bob_raw / weight) @ np.conj(correction.T)
         fidelity = float(np.real(np.conj(chi) @ bob @ chi))
         outcomes.append(TeleportOutcome(bell_label=label, bob_state=bob,
                                         outcome_weight=weight, fidelity=fidelity))

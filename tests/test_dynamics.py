@@ -107,6 +107,39 @@ def test_erf_series_equals_the_per_element_stop_bit_for_bit(rng):
         assert got.view(np.uint64) == np.float64(erf_series_reference(x)).view(np.uint64), x
 
 
+def erf_per_element(xs):
+    # The per-element stop where the series applies, math.erf elsewhere.
+    return np.array([erf_series_reference(x) if abs(x) <= 3.0 else math.erf(x)
+                     for x in np.ravel(xs).tolist()]).reshape(np.shape(xs))
+
+
+@pytest.mark.parametrize("xs", [
+    [3.5, -4.0, 7.0, 1e300, -np.inf],        # tail only: the largest series |x| is 0
+    [3.5, 0.0, -0.0, -6.2],                  # series values all 0
+    [1e-300, 3.0, -1e-200, 1e-100, 1e-30, -1e-12, 1e-8],  # a lone 3.0
+    [3.0, -3.0, 3.0, 0.7, -2.1],             # the largest |x| repeated
+    [np.nextafter(3.0, 0.0)] * 3 + [1.0, -2.0, np.nextafter(3.0, 4.0)],
+    [np.nan, 2.9, np.inf, -1.2, -np.inf, 0.3, np.nan, -3.0],
+])
+def test_erf_term_count_equals_the_per_element_stop_bit_for_bit(xs):
+    # erf_array runs the largest series |x|'s own stop plus two terms on
+    # every element; the result must be the per-element stop's, bit for bit.
+    xs = np.array(xs)
+    got = erf_array(xs)
+    assert got.shape == xs.shape
+    assert np.array_equal(got.view(np.uint64), erf_per_element(xs).view(np.uint64))
+
+
+def test_erf_term_count_on_0d_and_empty_input():
+    for x in (2.5, -3.0, 0.0, 1e-300, 4.0, np.nan):
+        got = erf_array(np.float64(x))
+        assert got.shape == ()
+        assert got.view(np.uint64) == erf_per_element(np.float64(x)).view(np.uint64), x
+    for shape in ((0,), (0, 3), (2, 0)):
+        got = erf_array(np.empty(shape))
+        assert got.shape == shape and got.dtype == float
+
+
 def test_erf_odd_symmetry_is_exact():
     xs = np.array([0.3, 1.7, 2.9999, 3.0001, 5.5, 7.0])
     assert np.array_equal(erf_array(-xs), -erf_array(xs))

@@ -111,6 +111,44 @@ def test_degenerate_branch_routes():
     assert math.isnan(grid.fidelity[0, 0])
 
 
+def per_branch_projection(channel_rho, unknown):
+    # The projection written out one branch at a time: each 8x8 projector
+    # built here, applied on both sides and traced over atoms 1 and 2.
+    chi = unknown.as_vector()
+    rho3 = np.kron(np.outer(chi, np.conj(chi)), channel_rho)
+    branches = []
+    for _, vec, correction in BELL_OUTCOMES:
+        proj8 = np.kron(np.outer(vec, np.conj(vec)), np.eye(2, dtype=complex))
+        selected = proj8 @ rho3 @ proj8
+        weight = float(np.trace(selected).real)
+        if weight <= WEIGHT_FLOOR:
+            branches.append((0.0, float("nan"), np.eye(2, dtype=complex) / 2.0))
+            continue
+        bob_raw = np.einsum("abiabj->ij", selected.reshape((2,) * 6)) / weight
+        bob = correction @ bob_raw @ np.conj(correction.T)
+        branches.append((weight, float(np.real(np.conj(chi) @ bob @ chi)), bob))
+    return branches
+
+
+def test_stacked_projection_equals_the_per_branch_loop_bit_for_bit(rng):
+    gg = np.zeros((4, 4), dtype=complex)
+    gg[0, 0] = 1.0
+    cases = [(random_density(rng, rank=rank), random_qubit(rng))
+             for rank in (1, 2, 3, 4) for _ in range(10)]
+    # Teleporting |g> through |gg><gg| puts both psi branches below WEIGHT_FLOOR.
+    cases += [(gg, random_qubit(rng)), (gg, UnknownQubit(1.0, 0.0)), (BELL_RHO, random_qubit(rng))]
+    floored = []
+    for channel, unknown in cases:
+        got = bell_project_teleport(channel, unknown)
+        for outcome, (weight, fidelity, bob) in zip(got, per_branch_projection(channel, unknown)):
+            assert np.float64(outcome.outcome_weight).tobytes() == np.float64(weight).tobytes()
+            assert np.float64(outcome.fidelity).tobytes() == np.float64(fidelity).tobytes()
+            assert outcome.bob_state.tobytes() == bob.tobytes()
+            if outcome.outcome_weight == 0.0:
+                floored.append(outcome.bell_label)
+    assert floored == ["psi_plus", "psi_minus"]
+
+
 def test_closed_form_matches_projection_on_grid():
     init = BELL_INIT
     field = coherent_weights(5.0)
