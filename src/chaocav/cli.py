@@ -168,7 +168,7 @@ def _finalize(args):
         raise ValueError(f"--omega times --t-max must be finite, got {omega_rabi} * {t_max}")
     times = np.linspace(0.0, t_max, steps)
     gammas = np.asarray(args.gamma, dtype=float)
-    if gammas.size == 0 or np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
+    if np.any(gammas < 0.0) or np.any(~np.isfinite(gammas)):
         raise ValueError(f"gamma values must be finite and >= 0, got {tuple(args.gamma)}")
     if command == "contour":
         gamma_steps = _sample_count(args.gamma_steps, "--gamma-steps")

@@ -140,13 +140,11 @@ class AmplitudeTable:
     photon is a (T, R, N + 1) array of the atomic rows (a, b, c, d) that
     live names: all four (R = 4) by default, or 0::3 for the pair (a, d)
     or 1:3 for (b, c) (R = 2) when the other pair's rows are exactly
-    zero. It holds the amplitudes of the N sectors n = 0..N-1: row a at m
-    multiplies |gg,m> (m = 0 holds the decoupled |gg,0> component), rows
-    b and c multiply |ge,m> and |eg,m>, and row d multiplies |ee,m>.
-    row(k) is atomic row k as a view, or None outside live; the read-only
-    photon_a..photon_d read a row outside live as zeros.
-    scatter_sectors builds a four-row array from sector quadruples and
-    gather_sectors reads them back. table_density and teleport.kappa_sums
+    zero. It holds the amplitudes of the N sectors n = 0..N-1 in the
+    layout of scatter_sectors, which builds it, and gather_sectors reads
+    sector quadruples back: row a at m multiplies |gg,m> (m = 0 holds the
+    decoupled |gg,0> component), rows b and c multiply |ge,m> and |eg,m>,
+    and row d multiplies |ee,m>. table_density and teleport.kappa_sums
     contract photon as it is.
     """
 
@@ -158,14 +156,12 @@ class AmplitudeTable:
         rows = range(4)[self.live]
         return self.photon[:, rows.index(k)] if k in rows else None
 
-    def _read(self, k):
-        row = self.row(k)
+    @property
+    def photon_a(self):
+        """Row a, or zeros where the table does not hold it; the benchmark's table counters
+        read its (T, N + 1) shape."""
+        row = self.row(0)
         return np.zeros(self.photon[:, 0].shape, dtype=complex) if row is None else row
-
-    photon_a = property(lambda self: self._read(0))
-    photon_b = property(lambda self: self._read(1))
-    photon_c = property(lambda self: self._read(2))
-    photon_d = property(lambda self: self._read(3))
 
 
 @dataclass(frozen=True)
@@ -207,20 +203,24 @@ def padded_weights(field):
 
 
 def scatter_sectors(quads, ground):
-    """Photon array (..., 4, N + 1) of the sectors n = 0..N-1, grouped by Fock level.
+    """Photon array (..., R, N + 1) of the sectors n = 0..N-1, grouped by Fock level.
 
     quads holds the four (..., N) components over (|gg,n+1>, |ge,n>, |eg,n>,
-    |ee,n-1>) and ground multiplies |gg,0>; sector 0's |ee> entry is
-    dropped. This is the layout _build_table writes its rows in.
+    |ee,n-1>), or None for a row to leave out; the array holds the R rows
+    given, in a..d order. ground multiplies |gg,0> in row a, and sector 0's
+    |ee> entry is dropped. Every amplitude table is built here.
     """
-    a, b, c, d = quads
-    n_sec = a.shape[-1]
-    photon = np.zeros(a.shape[:-1] + (4, n_sec + 1), dtype=complex)
-    photon[..., 0, 0] = ground
-    photon[..., 0, 1:] = a
-    photon[..., 1, :n_sec] = b
-    photon[..., 2, :n_sec] = c
-    photon[..., 3, : n_sec - 1] = d[..., 1:]
+    held = [(k, x) for k, x in enumerate(quads) if x is not None]
+    n_sec = held[0][1].shape[-1]
+    photon = np.zeros(held[0][1].shape[:-1] + (len(held), n_sec + 1), dtype=complex)
+    for i, (k, x) in enumerate(held):
+        if k == 0:
+            photon[..., i, 0] = ground
+            photon[..., i, 1:] = x
+        elif k == 3:
+            photon[..., i, : n_sec - 1] = x[..., 1:]
+        else:
+            photon[..., i, :n_sec] = x
     return photon
 
 
@@ -265,7 +265,7 @@ def sector_basis(t, init, field, omega_rabi):
 
 
 def _build_table(basis, qp, qm):
-    """Evaluate the closed form at the basis times, straight into a table.
+    """Evaluate the closed form at the basis times into a table.
 
     qp and qm are the phase factors standing in for Q and its inverse,
     arrays that broadcast against the (T, N) grid of times and sectors.
@@ -275,28 +275,25 @@ def _build_table(basis, qp, qm):
     them the pair (a, d) is built from c00 and c11 alone and the pair
     (b, c) from c01 and c10 alone, and the table holds only basis.live; a
     pair whose two amplitudes the preparation sets to 0 is exactly 0 at
-    every time. The general form holds all four rows. The form solves the
-    bright/dark coupling block exactly and reproduces the initial state at
-    t = 0. The paper's printed formulas, which do not, survive only in
-    oracle.legacy_quadruples, as a comparison.
+    every time. The general form holds all four rows. Each amplitude is
+    computed in its own (T, N) array and scatter_sectors lays them out.
+    The form solves the bright/dark coupling block exactly and reproduces
+    the initial state at t = 0. The paper's printed formulas, which do
+    not, survive only in oracle.legacy_quadruples, as a comparison.
     """
     live = basis.live if qm is None else ALL_ROWS
     rows = range(4)[live]
-    n_sec = basis.r1.size
-    shape = (basis.t.size, n_sec)
+    shape = (basis.t.size, basis.r1.size)
     ep, r1, r2, ud0 = basis.ep, basis.r1, basis.r2, basis.ud0
-    photon = np.empty((shape[0], len(rows), n_sec + 1), dtype=complex)
+    a = b = c = d = None
     # Each (T, N) term once, sums and products updated in place, operands
     # in their original order: every value is bit-for-bit that of the
     # expression in the comment, except that the sign of a zero may
     # differ. numpy's complex multiply is not bitwise commutative, so a
     # product updates x in place only as np.multiply(y, x, out=x) where
-    # the expression reads y * x; x *= y would compute x * y. Each
-    # amplitude's last product writes into its slot of the table, and the
-    # steps before it run on contiguous arrays, which numpy loops over
-    # about twice as fast. A (T, 1) column times an (N,) row gets an
-    # output array: the one numpy allocates makes it loop over T
-    # innermost, several times slower.
+    # the expression reads y * x; x *= y would compute x * y. A (T, 1)
+    # column times an (N,) row gets an output array: the one numpy
+    # allocates makes it loop over T innermost, several times slower.
     if qm is None:
         cosf, isin = qp, None
     else:
@@ -306,31 +303,26 @@ def _build_table(basis, qp, qm):
         ub = np.multiply(cosf, basis.ub0, out=np.empty(shape, dtype=complex))
         if isin is not None:
             ub += isin * basis.s0  # ub = cosf * ub0 + isin * s0
-        row_a, row_d = photon[:, rows.index(0)], photon[:, rows.index(3)]
-        row_a[:, 0] = basis.ground
-        amp_d = r2 * ub
-        amp_d -= r1 * ud0
-        # amp_d = ep * (r2 * ub - r1 * ud0); sector 0 has no |ee,-1>.
-        np.multiply(ep, amp_d[:, 1:], out=row_d[:, : n_sec - 1])
-        row_d[:, n_sec - 1:] = 0.0
-        amp_a = np.multiply(r1, ub, out=ub)
-        amp_a += r2 * ud0
-        np.multiply(ep, amp_a, out=row_a[:, 1:])  # amp_a = ep * (r1 * ub + r2 * ud0)
+        d = r2 * ub
+        d -= r1 * ud0
+        np.multiply(ep, d, out=d)  # d = ep * (r2 * ub - r1 * ud0)
+        a = np.multiply(r1, ub, out=ub)
+        a += r2 * ud0
+        np.multiply(ep, a, out=a)  # a = ep * (r1 * ub + r2 * ud0)
     if 1 in rows:
         sym = np.multiply(cosf, basis.s0, out=np.empty(shape, dtype=complex))
         if isin is not None:
             sym += isin * basis.ub0  # sym = cosf * s0 + isin * ub0
         np.multiply(ep, sym, out=sym)
         dark = np.multiply(np.conj(ep), basis.an0, out=np.empty(shape, dtype=complex))
-        # amp_b = (ep * sym + em * an0) / SQRT2, amp_c = (ep * sym - em * an0) / SQRT2:
+        # b = (ep * sym + em * an0) / SQRT2, c = (ep * sym - em * an0) / SQRT2:
         # numpy divides a complex value by a real d as (re + im * 0) * (1 / d),
         # so scaling by INV_SQRT2 gives the quotient but for the sign of a zero.
-        for k, combine in ((1, np.add), (2, np.subtract)):
-            row = photon[:, rows.index(k)]
-            amp = combine(sym, dark, out=row[:, :n_sec])
-            amp *= INV_SQRT2
-            row[:, n_sec] = 0.0
-    return AmplitudeTable(photon, live)
+        b = np.add(sym, dark)
+        b *= INV_SQRT2
+        c = np.subtract(sym, dark, out=sym)
+        c *= INV_SQRT2
+    return AmplitudeTable(scatter_sectors((a, b, c, d), basis.ground), live)
 
 
 def amplitude_table(basis, q):

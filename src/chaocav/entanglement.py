@@ -19,7 +19,7 @@ def _doe_from_rhos(rhos):
     # agree with the block route to a few ulp, not bit for bit.
     if rhos.shape[-1] == 2:
         if not is_hermitian(rhos):
-            raise InvariantViolation("partial_transpose: input is not Hermitian within 1e-9")
+            raise InvariantViolation("one-pair block: input is not Hermitian within 1e-9")
         pops = np.einsum("kii->ki", rhos).real
         mu = np.sort(np.concatenate([jacobi_eigh(rhos[:, 0, 1]), pops], axis=1), axis=1)
     else:

@@ -40,4 +40,6 @@ def random_unitary(rng, dim=2):
 
 def four_rows(table):
     """The (T, 4, M) photon array of a table, rows outside its live pair as zeros."""
-    return np.stack([table.photon_a, table.photon_b, table.photon_c, table.photon_d], axis=1)
+    zeros = np.zeros_like(table.photon[:, 0])
+    rows = [table.row(k) for k in range(4)]
+    return np.stack([zeros if row is None else row for row in rows], axis=1)

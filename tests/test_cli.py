@@ -516,6 +516,16 @@ def test_negative_gamma_exits_2(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv", [["entanglement", "--gamma"],
+                                  ["contour", "--fig", "3", "--gamma", "--steps", "3"]])
+def test_bare_gamma_exits_2_through_argparse(tmp_path, capsys, argv):
+    # --gamma takes one value or more, so no empty gamma list reaches the sweep
+    with pytest.raises(SystemExit) as exc:
+        run(tmp_path, argv)
+    assert exc.value.code == 2
+    assert "--gamma: expected at least one argument" in capsys.readouterr().err
+
+
 def test_missing_config_exits_2(tmp_path, capsys):
     # settings come from flags and presets only; --config is no flag
     with pytest.raises(SystemExit) as exc:

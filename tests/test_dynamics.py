@@ -15,6 +15,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from chaocav.dynamics import (
+    INV_SQRT2,
     AmplitudeTable,
     AtomicInit,
     amplitude_table,
@@ -255,7 +256,7 @@ def small_setup():
 
 def test_photon_regrouping_aligns_with_sectors():
     # The x state fills only the pair (a, d): the table holds those two
-    # rows, and photon_b, photon_c read zeros.
+    # rows, and the general form gives rows b and c exact zeros.
     init, field = small_setup()
     ts = np.linspace(0.0, 3.0, 7)
     basis = sector_basis(ts, init, field, 1.0)
@@ -269,21 +270,21 @@ def test_photon_regrouping_aligns_with_sectors():
     amp_a, amp_b, amp_c, amp_d = np.moveaxis(gather_sectors(general.photon, np.arange(n_sec)),
                                               -1, 0)
     ep = np.exp(-1j * ts)[:, None]
+    row_a, row_d = table.row(0), table.row(3)
     assert table.photon.shape == (ts.size, 2, n_sec + 1) and table.live == slice(0, 4, 3)
-    assert np.array_equal(table.photon_a[:, 0], ep[:, 0] * (w_ext[0] * init.c00))
-    assert np.array_equal(table.photon_a[:, 1:], amp_a)
-    assert np.array_equal(table.photon_b[:, :n_sec], amp_b)
-    assert np.array_equal(table.photon_c[:, :n_sec], amp_c)
-    assert np.array_equal(table.photon_d[:, :n_sec - 1], amp_d[:, 1:])
+    assert np.array_equal(row_a[:, 0], ep[:, 0] * (w_ext[0] * init.c00))
+    assert np.array_equal(row_a[:, 1:], amp_a)
+    assert np.array_equal(row_d[:, :n_sec - 1], amp_d[:, 1:])
+    assert table.row(1) is None and table.row(2) is None
+    assert not np.any(amp_b) and not np.any(amp_c)
     assert np.all(amp_d[:, 0] == 0.0)  # |ee,-1> does not exist
     # the slots no sector reaches stay empty
-    assert np.all(table.photon_b[:, n_sec] == 0.0) and np.all(table.photon_c[:, n_sec] == 0.0)
-    assert np.all(table.photon_d[:, n_sec - 1:] == 0.0)
-    # photon_a and photon_d are views of the table's two rows
-    for k, view in enumerate((table.photon_a, table.photon_d)):
+    assert np.all(row_d[:, n_sec - 1:] == 0.0)
+    # row(0), row(3) and photon_a are views of the table's two rows
+    for k, view in enumerate((row_a, row_d)):
         assert np.shares_memory(view, table.photon)
         assert np.array_equal(view, table.photon[:, k])
-    assert table.row(1) is None and table.row(2) is None
+    assert np.shares_memory(table.photon_a, table.photon)
     # the density read straight from the photon array equals the four-row route
     v = four_rows(table)
     rho = np.einsum("tim,tjm->tij", v, np.conj(v))
@@ -291,6 +292,75 @@ def test_photon_regrouping_aligns_with_sectors():
     got_rho, got_pre = table_density(table)
     assert np.array_equal(got_pre, pre)
     assert np.array_equal(got_rho, rho / pre[:, None, None])
+
+
+def slot_writing_table(basis, qp, qm):
+    """The (T, R, N + 1) photon array as _build_table wrote it before it
+    handed its amplitudes to scatter_sectors: each last product straight
+    into its table slot. Every preset was drawn with these bits."""
+    live = basis.live if qm is None else slice(0, 4)
+    rows = range(4)[live]
+    n_sec = basis.r1.size
+    shape = (basis.t.size, n_sec)
+    ep, r1, r2, ud0 = basis.ep, basis.r1, basis.r2, basis.ud0
+    photon = np.empty((shape[0], len(rows), n_sec + 1), dtype=complex)
+    if qm is None:
+        cosf, isin = qp, None
+    else:
+        cosf = (qp + qm) / 2.0
+        isin = (qp - qm) / 2.0
+    if 0 in rows:
+        ub = np.multiply(cosf, basis.ub0, out=np.empty(shape, dtype=complex))
+        if isin is not None:
+            ub += isin * basis.s0
+        row_a, row_d = photon[:, rows.index(0)], photon[:, rows.index(3)]
+        row_a[:, 0] = basis.ground
+        amp_d = r2 * ub
+        amp_d -= r1 * ud0
+        np.multiply(ep, amp_d[:, 1:], out=row_d[:, : n_sec - 1])
+        row_d[:, n_sec - 1:] = 0.0
+        amp_a = np.multiply(r1, ub, out=ub)
+        amp_a += r2 * ud0
+        np.multiply(ep, amp_a, out=row_a[:, 1:])
+    if 1 in rows:
+        sym = np.multiply(cosf, basis.s0, out=np.empty(shape, dtype=complex))
+        if isin is not None:
+            sym += isin * basis.ub0
+        np.multiply(ep, sym, out=sym)
+        dark = np.multiply(np.conj(ep), basis.an0, out=np.empty(shape, dtype=complex))
+        for k, combine in ((1, np.add), (2, np.subtract)):
+            row = photon[:, rows.index(k)]
+            amp = combine(sym, dark, out=row[:, :n_sec])
+            amp *= INV_SQRT2
+            row[:, n_sec] = 0.0
+    return photon
+
+
+@pytest.mark.parametrize("alpha", [5.0, 6.0])
+@pytest.mark.parametrize("steps", [150, 500])
+def test_tables_keep_the_bits_of_the_slot_writing_build(alpha, steps):
+    # A (T, N) amplitude of 150 times on alpha 5 is about 168 KB, of 500
+    # times on alpha 6 about 704 KB: both sides of the 256 KiB above which
+    # numpy reuses a temporary in place. The uint64 views make signed
+    # zeros count.
+    field = coherent_weights(alpha)
+    ts = np.linspace(0.0, 10.0, steps)
+    n_sec = field.n_max + 2
+    for init, live in [(AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96)), slice(0, 4, 3)),
+                       (AtomicInit(0.0, 0.6, 0.8j, 0.0), slice(1, 3)),
+                       (AtomicInit(0.5, 0.5j, -0.5, 0.5j), slice(0, 4))]:
+        basis = sector_basis(ts, init, field, 1.3)
+        for gamma in (0.1, 0.9):
+            q = averaged_q(ts, gamma)
+            table = amplitude_table(basis, q)
+            want = slot_writing_table(basis, q.astype(complex)[:, None], None)
+            assert table.live == live and table.photon.shape == want.shape
+            assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
+        qp = frozen_phases(ts, np.arange(n_sec))
+        table = deterministic_table(basis)
+        want = slot_writing_table(basis, qp, np.conj(qp))
+        assert table.live == slice(0, 4) and table.photon.shape == want.shape
+        assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
 
 
 @pytest.mark.parametrize("init, live", [
@@ -420,8 +490,7 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
     ns = np.arange(n_sec)
     w_ext = padded_weights(field)
     ts = np.linspace(0.0, 2.0, 5)
-    # the quadruples of a deterministic table, whose four rows _build_table
-    # writes straight into their slots
+    # the quadruples of a deterministic table, which holds all four rows
     table = deterministic_table(sector_basis(ts, init, field, 0.7))
     quads = tuple(np.moveaxis(gather_sectors(table.photon, ns), -1, 0))
     ground = table.photon_a[:, 0]
@@ -435,6 +504,10 @@ def test_scatter_equals_the_slice_layout_and_gather_inverts_it():
     photon = scatter_sectors(quads, ground)
     assert np.array_equal(photon.view(np.uint64), want.view(np.uint64))
     assert np.array_equal(table.photon.view(np.uint64), want.view(np.uint64))
+    # a row given as None is left out, and the rows held are the four-row layout's
+    for held in ([0, 3], [1, 2]):
+        part = scatter_sectors([x if k in held else None for k, x in enumerate(quads)], ground)
+        assert np.array_equal(part.view(np.uint64), photon[:, held].view(np.uint64))
     back = np.stack(quads, axis=-1)
     back[:, 0, 3] = 0.0  # |ee,-1> does not exist
     assert np.array_equal(gather_sectors(photon, ns).view(np.uint64), back.view(np.uint64))

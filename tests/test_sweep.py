@@ -126,8 +126,9 @@ def four_row_density(table):
 
 
 def four_row_kappas(table, unknown):
-    top = unknown.alpha_u * table.photon_a + unknown.beta_u * table.photon_c
-    bot = unknown.alpha_u * table.photon_b + unknown.beta_u * table.photon_d
+    a, b, c, d = np.moveaxis(four_rows(table), 1, 0)
+    top = unknown.alpha_u * a + unknown.beta_u * c
+    bot = unknown.alpha_u * b + unknown.beta_u * d
     return (0.5 * np.sum(np.abs(top) ** 2, axis=1), 0.5 * np.sum(top * np.conj(bot), axis=1),
             0.5 * np.sum(np.abs(bot) ** 2, axis=1))
 
