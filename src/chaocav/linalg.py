@@ -8,6 +8,8 @@ Spectra come from numpy's LAPACK solvers, but for jacobi_eigh's coherences.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 HERMITIAN_INPUT_TOL = 1e-9
@@ -22,10 +24,17 @@ class InvariantViolation(Exception):
 
 
 def tensor(*ops):
-    """Kronecker product of one or more operators, left to right."""
+    """Kronecker product of one or more 2-D operators, left to right.
+
+    Each step is one broadcast product of a (m, 1, n, 1) and a (1, p, 1, q)
+    view reshaped to (m p, n q): the single products np.kron forms, so the
+    result is bit for bit np.kron's, without its generic-shape overhead.
+    """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
-        out = np.kron(out, np.asarray(op, dtype=complex))
+        op = np.asarray(op, dtype=complex)
+        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(
+            out.shape[0] * op.shape[0], out.shape[1] * op.shape[1])
     return out
 
 
@@ -88,26 +97,45 @@ def jacobi_eigh(mats):
     return out
 
 
-def require_density_matrix(rho, context=""):
+def require_density_matrix(rho, context="", *, stacked=False):
     """Raise InvariantViolation unless rho is a valid density matrix.
 
     Checks finiteness, Hermiticity to 1e-12, unit trace to 1e-12 and an
     eigenvalue floor of -1e-10 (numpy's eigvalsh), which absorbs rounding
-    accumulated in long Fock sums.
+    accumulated in long Fock sums. With stacked=True, rho is a (..., n, n)
+    stack checked as a whole: one batched eigvalsh, whose lowest
+    eigenvalues are bit for bit the per-matrix ones, and a failure names
+    the index of the first failing matrix in C order. A matrix that fails
+    an earlier check never reaches the eigensolver. Returns rho.
     """
     where = f" ({context})" if context else ""
     rho = np.asarray(rho, dtype=complex)
-    if rho.ndim != 2 or rho.shape[0] != rho.shape[1]:
+    if rho.ndim < 2 or (rho.ndim > 2 and not stacked) or rho.shape[-1] != rho.shape[-2]:
         raise InvariantViolation(f"rho must be square, got shape {rho.shape}")
-    if not np.all(np.isfinite(rho.view(float))):
-        raise InvariantViolation(f"density matrix has non-finite entries{where}")
-    herm = np.max(np.abs(rho - rho.conj().T))
-    if herm > DENSITY_HERMITICITY_TOL:
-        raise InvariantViolation(f"density matrix not Hermitian, deviation {herm:.3e}{where}")
-    tr = np.trace(rho)
-    if abs(tr - 1.0) > DENSITY_TRACE_TOL:
-        raise InvariantViolation(f"density matrix trace {tr:.15g} != 1{where}")
-    low = np.linalg.eigvalsh(rho)[0]
-    if low < EIGENVALUE_FLOOR:
-        raise InvariantViolation(f"density matrix eigenvalue {low:.3e} below floor{where}")
-    return rho
+    lead = rho.shape[:-2]
+    flat = rho.reshape((math.prod(lead),) + rho.shape[-2:])
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite matrix
+        nonfinite = ~np.all(np.isfinite(flat), axis=(1, 2))
+        herm = np.max(np.abs(flat - np.swapaxes(flat.conj(), 1, 2)), axis=(1, 2),
+                      initial=0.0)
+        tr = np.trace(flat, axis1=1, axis2=2)
+    skewed = herm > DENSITY_HERMITICITY_TOL
+    bad = nonfinite | skewed | (abs(tr - 1.0) > DENSITY_TRACE_TOL)
+    first = int(np.argmax(bad)) if bad.any() else flat.shape[0]
+    # Only the matrices before the first failure reach the eigensolver.
+    low = np.linalg.eigvalsh(flat[:first])[:, 0] if first else np.empty(0)
+    sunk = low < EIGENVALUE_FLOOR
+    i = int(np.argmax(sunk)) if sunk.any() else first
+    if i == flat.shape[0]:
+        return rho
+    label = "density matrix"
+    if lead:
+        index = tuple(int(k) for k in np.unravel_index(i, lead))
+        label += f" {index[0] if len(index) == 1 else index}"
+    if i < first:
+        raise InvariantViolation(f"{label} eigenvalue {low[i]:.3e} below floor{where}")
+    if nonfinite[i]:
+        raise InvariantViolation(f"{label} has non-finite entries{where}")
+    if skewed[i]:
+        raise InvariantViolation(f"{label} not Hermitian, deviation {herm[i]:.3e}{where}")
+    raise InvariantViolation(f"{label} trace {tr[i]:.15g} != 1{where}")

@@ -30,6 +30,19 @@ def test_tensor_matches_kron_chain():
     assert tensor(a).shape == (2, 2)
 
 
+def test_tensor_keeps_the_bits_of_the_kron_chain_on_non_square_operands(rng):
+    shapes = ((2, 3), (3, 1), (2, 2))
+    ops = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]
+    ops[0][0, 0] = -0.0
+    ops[1][2, 0] = 5e-324 - 1e300j
+    want = np.kron(np.kron(ops[0], ops[1]), ops[2])
+    got = tensor(*ops)
+    assert got.shape == (12, 6)
+    assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+    assert np.array_equal(tensor(ops[1], ops[0]).view(np.uint64),
+                          np.kron(ops[1], ops[0]).view(np.uint64))
+
+
 def coupled_blocks(z):
     """The one-pair blocks [[0, z], [conj(z), 0]] of the coherences z."""
     mats = np.zeros((z.size, 2, 2), dtype=complex)
@@ -202,6 +215,99 @@ def test_require_density_matrix_rejects_nonfinite():
     rho[2, 2] = np.nan
     with pytest.raises(InvariantViolation, match="finite"):
         require_density_matrix(rho)
+
+
+def spoil(rho, kind):
+    """A copy of the density matrix rho that fails the check named by kind."""
+    rho = rho.copy()
+    if kind == "trace":
+        rho *= 1.5
+    elif kind == "Hermitian":
+        rho[0, 1] += 1e-6
+    elif kind == "eigenvalue":
+        rho[:] = np.diag([1.1, -0.1, 0.0, 0.0])
+    else:
+        rho[2, 2] = np.inf
+    return rho
+
+
+@pytest.mark.parametrize("kind", ["trace", "Hermitian", "eigenvalue", "finite"])
+def test_stacked_check_names_the_index_of_its_one_bad_matrix(rng, kind):
+    stack = np.stack([random_density(rng) for _ in range(6)])
+    require_density_matrix(stack, stacked=True)
+    for index in (0, 3, 5):
+        bad = stack.copy()
+        bad[index] = spoil(bad[index], kind)
+        with pytest.raises(InvariantViolation, match=f"^density matrix {index} .*{kind}.* \\(ctx\\)$"):
+            require_density_matrix(bad, context="ctx", stacked=True)
+    grid = stack.reshape(2, 3, 4, 4).copy()
+    grid[1, 0] = spoil(grid[1, 0], kind)
+    with pytest.raises(InvariantViolation, match=f"^density matrix \\(1, 0\\) .*{kind}"):
+        require_density_matrix(grid, stacked=True)
+
+
+def test_stacked_check_names_the_first_failure_whatever_its_kind(rng):
+    # An eigenvalue failure ahead of a trace failure is the one named.
+    stack = np.stack([random_density(rng) for _ in range(5)])
+    stack[1] = spoil(stack[1], "eigenvalue")
+    stack[3] = spoil(stack[3], "trace")
+    with pytest.raises(InvariantViolation, match="^density matrix 1 eigenvalue"):
+        require_density_matrix(stack, stacked=True)
+    stack[1] = spoil(stack[1], "finite")
+    with pytest.raises(InvariantViolation, match="^density matrix 1 has non-finite"):
+        require_density_matrix(stack, stacked=True)
+
+
+def test_stacked_check_keeps_the_per_matrix_verdicts(rng):
+    # Lowest eigenvalues within the eigensolver's rounding (about 1e-16) of
+    # the -1e-10 floor: the batched eigvalsh gives each matrix the bits it
+    # gets alone, so the stacked check passes and fails the same matrices.
+    mats = []
+    for shift in np.linspace(-5e-16, 5e-16, 21):
+        u = np.linalg.qr(rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4)))[0]
+        w = np.array([-1e-10 + shift, 0.2, 0.3, 0.5 + 1e-10 - shift])
+        mats.append((u * w) @ u.conj().T)
+    mats = np.stack(mats)
+    mats = 0.5 * (mats + np.swapaxes(mats.conj(), 1, 2))
+    lows = np.linalg.eigvalsh(mats)
+    alone = np.stack([np.linalg.eigvalsh(m) for m in mats])
+    assert np.array_equal(lows.view(np.uint64), alone.view(np.uint64))
+    verdicts = set()
+    for rho in mats:
+        try:
+            require_density_matrix(rho)
+            single = True
+        except InvariantViolation:
+            single = False
+        others = np.broadcast_to(np.eye(4, dtype=complex) / 4.0, (3, 4, 4)).copy()
+        others[1] = rho
+        try:
+            require_density_matrix(others, stacked=True)
+            stacked = True
+        except InvariantViolation as exc:
+            assert str(exc).startswith("density matrix 1 eigenvalue")
+            stacked = False
+        assert single == stacked
+        verdicts.add(single)
+    assert verdicts == {True, False}
+
+
+def test_stacked_check_accepts_valid_and_empty_stacks(rng):
+    stack = np.stack([random_density(rng) for _ in range(8)]).reshape(2, 4, 4, 4)
+    assert require_density_matrix(stack, stacked=True) is stack
+    require_density_matrix(np.zeros((0, 4, 4), dtype=complex), stacked=True)
+    with pytest.raises(InvariantViolation, match="square"):
+        require_density_matrix(np.ones((3, 2, 4), dtype=complex), stacked=True)
+
+
+def test_require_density_matrix_takes_strided_and_empty_input(rng):
+    # A transposed view has no contiguous last axis, and a 0x0 matrix has
+    # nothing to reduce; neither may surface as a numpy ValueError.
+    rho = random_density(rng)
+    require_density_matrix(rho.T)
+    require_density_matrix(np.stack([rho, rho]).transpose(0, 2, 1), stacked=True)
+    with pytest.raises(InvariantViolation, match="trace"):
+        require_density_matrix(np.zeros((0, 0), dtype=complex))
 
 
 def test_is_hermitian_tolerance():

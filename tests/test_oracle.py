@@ -25,6 +25,7 @@ from chaocav.oracle import (
     S_PLUS,
     S_Z,
     build_block,
+    density_invariants,
     full_hamiltonian,
     gaussian_moments,
     integrate_schrodinger,
@@ -333,6 +334,34 @@ def test_monte_carlo_sums_match_the_whole_sample_statistics():
     assert out.q_mean == pytest.approx(np.mean(np.exp(1j * phi), axis=0), rel=1e-12)
 
 
+def fsum_statistics(grid, gamma, seed, n_samples):
+    """monte_carlo_q's (q_mean, stderr) from math.fsum over the same draws."""
+    phi = np.concatenate(list(oracle._phase_chunks(grid, gamma, seed, n_samples)))
+    q_mean, stderr = [], []
+    for column in phi.T.tolist():
+        ys = [2.0 * math.sin(0.5 * p) ** 2 for p in column]
+        sum_y = math.fsum(ys)
+        sum_y2 = math.fsum(y * y for y in ys)
+        sum_sin = math.fsum(math.sin(p) for p in column)
+        q_mean.append(complex(1.0 - sum_y / n_samples, sum_sin / n_samples))
+        stderr.append(math.sqrt((sum_y2 - sum_y * sum_y / n_samples)
+                                / (n_samples - 1) / n_samples))
+    return np.array(q_mean), np.array(stderr)
+
+
+@pytest.mark.parametrize("grid", [[1.0], [0.005, 0.01], [0.5, 1.625, 2.75, 3.875, 5.0]])
+@pytest.mark.parametrize("gamma", [0.3, 1.0])
+def test_monte_carlo_sums_match_exactly_rounded_sums(grid, gamma):
+    # Three chunks per time, each summed along one contiguous row. Sums
+    # down the columns of the (m, T) chunks are off by up to 6e-14 at five
+    # times, so the bound tells the two apart.
+    grid = np.array(grid)
+    want_q, want_se = fsum_statistics(grid, gamma, 8, 20000)
+    out = monte_carlo_q(grid, gamma, seed=8, n_samples=20000)
+    assert np.all(np.abs(out.q_mean - want_q) <= 4e-16 * np.abs(want_q))
+    assert np.all(np.abs(out.stderr - want_se) <= 1e-12 * want_se)
+
+
 def test_monte_carlo_memory_does_not_grow_with_samples():
     # One draw of all 100,000 samples on 50 points needs about 160 MB.
     grid = np.linspace(0.1, 5.0, 50)
@@ -469,3 +498,52 @@ def test_joint_average_rejects_moments_off_the_unit_disc(bad):
     for m1, m2 in ((bad, 0.5), (0.5, bad)):
         with pytest.raises(ValueError, match="moments must lie on the unit disc"):
             joint_averaged_density(2.0, m1, m2, BELL_INIT, coherent_weights(2.0), 1.0)
+
+
+# ---------------------------------------------------------------- verify rows
+
+VERIFY_INIT = AtomicInit(0.2, 0.0, 0.0, math.sqrt(0.96))
+
+
+def test_spot_tables_keep_the_bits_of_one_table_per_spot():
+    # teleport_projection_consistency builds one table over its three spots
+    # per gamma; each state must be the one a one-spot table gives.
+    field = coherent_weights(5.0)
+    t_spots = np.array([0.3, 1.2, 2.7])
+    basis = sector_basis(t_spots, VERIFY_INIT, field, 1.0)
+    for gamma in (0.1, 0.9):
+        rhos, _ = table_density(amplitude_table(basis, averaged_q(t_spots, gamma)))
+        for t, rho in zip(t_spots, rhos):
+            one = amplitude_table(sector_basis(t, VERIFY_INIT, field, 1.0), averaged_q(t, gamma))
+            assert np.array_equal(table_density(one)[0][0].view(np.uint64), rho.view(np.uint64))
+
+
+def verify_grid():
+    ts = np.linspace(0.0, 10.0, 21)
+    gammas = (0.0, 0.3, 0.8)
+    basis = sector_basis(ts, VERIFY_INIT, coherent_weights(5.0), 1.0)
+    rhos = np.stack([table_density(amplitude_table(basis, averaged_q(ts, gamma)))[0]
+                     for gamma in gammas])
+    return rhos, ts, gammas
+
+
+def test_density_invariants_pass_on_the_verify_grid():
+    rhos, ts, gammas = verify_grid()
+    assert density_invariants(rhos, ts, gammas) == (
+        True, "Hermitian, unit trace, positive on the grid")
+    # The one stacked eigensolve gives each state the bits it gets alone.
+    alone = np.stack([[np.linalg.eigvalsh(rho) for rho in row] for row in rhos])
+    assert np.array_equal(np.linalg.eigvalsh(rhos).view(np.uint64), alone.view(np.uint64))
+
+
+def test_density_invariants_name_the_first_failure_and_count_them():
+    # Three bad points on two gammas: the detail names the first one,
+    # gamma-major, not the last gamma's.
+    rhos, ts, gammas = verify_grid()
+    rhos[1, 4] *= 2.0
+    rhos[2, 0] *= 2.0
+    rhos[2, 7, 0, 1] += 1e-6
+    ok, detail = density_invariants(rhos, ts, gammas)
+    assert not ok
+    assert detail.startswith("density matrix trace ")
+    assert detail.endswith(f"(t={ts[4]}, gamma=0.3); 3 of 63 points failed")
