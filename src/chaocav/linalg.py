@@ -24,17 +24,21 @@ class InvariantViolation(Exception):
 
 
 def tensor(*ops):
-    """Kronecker product of one or more 2-D operators, left to right.
+    """Kronecker product of one or more operators, left to right.
 
-    Each step is one broadcast product of a (m, 1, n, 1) and a (1, p, 1, q)
-    view reshaped to (m p, n q): the single products np.kron forms, so the
-    result is bit for bit np.kron's, without its generic-shape overhead.
+    Each operator is a 2-D matrix or a (..., m, n) stack of them; the
+    leading axes broadcast, and a product of stacks is the stack of the
+    slices' products. Each step is one broadcast product of a (m, 1, n, 1)
+    and a (1, p, 1, q) view reshaped to (m p, n q): the single products
+    np.kron forms, so every slice is bit for bit np.kron's, without its
+    generic-shape overhead.
     """
     out = np.asarray(ops[0], dtype=complex)
     for op in ops[1:]:
         op = np.asarray(op, dtype=complex)
-        out = (out[:, None, :, None] * op[None, :, None, :]).reshape(
-            out.shape[0] * op.shape[0], out.shape[1] * op.shape[1])
+        (m, n), (p, q) = out.shape[-2:], op.shape[-2:]
+        prod = out[..., :, None, :, None] * op[..., None, :, None, :]
+        out = prod.reshape(prod.shape[:-4] + (m * p, n * q))
     return out
 
 

@@ -28,7 +28,7 @@ from .field import coherent_weights
 from .linalg import (InvariantViolation, partial_transpose, require_density_matrix,
                      tensor)
 from .sweep import sweep_grid
-from .teleport import UnknownQubit, bell_project_teleport
+from .teleport import UnknownQubit, bell_projection
 
 #: Single-atom operators in the (|g>, |e>) basis; S_Z has eigenvalues -1, +1.
 S_Z = np.array([[-1.0, 0.0], [0.0, 1.0]], dtype=complex)
@@ -163,7 +163,11 @@ def _phase_variance(t, gamma):
 
 @dataclass(frozen=True)
 class MonteCarloQ:
-    """Sample mean of exp(i phi(t)) with the standard error of its real part."""
+    """Sample mean of cos(phi(t)), the real part of exp(i phi(t)), with its standard error.
+
+    The imaginary part, the mean of sin(phi), is left out: the phase is a
+    centred Gaussian, so its expectation is 0, and no check reads it.
+    """
 
     q_mean: np.ndarray
     stderr: np.ndarray
@@ -199,8 +203,9 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
     Samples the Gaussian phase whose exact mean is averaged_q(t, gamma)
     jointly on the grid (_phase_chunks) and sums chunk by chunk, each
     chunk transposed to one contiguous (T, m) row per time so that numpy
-    reduces along the rows by pairwise summation. The real
-    part goes through 1 - cos(phi) = 2 sin(phi/2)^2, so the standard error
+    reduces along the rows by pairwise summation. It estimates the real
+    part only: q_mean is 1 - mean(2 sin(phi/2)^2), the mean of cos(phi)
+    taken through 1 - cos(phi) = 2 sin(phi/2)^2 so that the standard error
     keeps its digits where cos(phi) is close to 1. gamma = 0 gives q = 1
     with zero error, exactly. Deterministic for a fixed (gamma, seed).
     """
@@ -216,17 +221,15 @@ def monte_carlo_q(t_grid, gamma, seed=0, n_samples=20000):
         raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
     sum_y = np.zeros(t_grid.shape)
     sum_y2 = np.zeros(t_grid.shape)
-    sum_sin = np.zeros(t_grid.shape)
     for phi in _phase_chunks(t_grid, gamma, seed, n_samples):
         # One contiguous row per time, so each sum runs along a row (pairwise);
         # down the columns of the (m, T) draw numpy adds one row at a time.
         phi = np.ascontiguousarray(phi.T)
-        sum_sin += np.sin(phi).sum(axis=1)
         # Rebinding phi to 1 - cos(phi) frees the draw; one chunk outlives the step.
         phi = 2.0 * np.sin(0.5 * phi) ** 2
         sum_y += phi.sum(axis=1)
         sum_y2 += (phi * phi).sum(axis=1)
-    q_mean = (1.0 - sum_y / n_samples) + 1j * (sum_sin / n_samples)
+    q_mean = 1.0 - sum_y / n_samples
     var = (sum_y2 - sum_y * sum_y / n_samples) / (n_samples - 1)
     return MonteCarloQ(q_mean=q_mean, stderr=np.sqrt(var / n_samples), n_samples=n_samples)
 
@@ -301,7 +304,7 @@ def mc_short_time(gamma, seed):
     """
     t_grid = np.array([0.005, 0.01])
     mc = monte_carlo_q(t_grid, gamma, seed=seed, n_samples=100000)
-    gaps = np.abs(mc.q_mean.real - averaged_q(t_grid, gamma))
+    gaps = np.abs(mc.q_mean - averaged_q(t_grid, gamma))
     detail = "; ".join(f"t={t}: gap {gap:.2e} vs 3*se {3.0 * se:.2e}"
                        for t, gap, se in zip(t_grid, gaps, mc.stderr))
     return bool(np.all(gaps <= 3.0 * mc.stderr)), detail
@@ -328,12 +331,28 @@ def density_invariants(rhos, ts, gammas):
     return True, "Hermitian, unit trace, positive on the grid"
 
 
+def random_qubits(rng, n):
+    """(n, 2) random unit qubit vectors from one (n, 4) normal draw of rng.
+
+    Row k of the draw, (x0, x1, x2, x3), gives (x0 + i x1, x2 + i x3) over
+    its norm: one draw of (n, 4) is the same stream as n draws of 4. The
+    norm sqrt(|z0|^2 + |z1|^2) takes |z| as hypot and its square by pow
+    (np.float_power), as numpy's scalar abs(z) ** 2 does, so each vector
+    has the bits of a draw of 4 normalised one at a time; np.abs and ** 2
+    on arrays round differently.
+    """
+    raw = rng.normal(size=(n, 4))
+    norms = np.sqrt(np.sum(np.float_power(np.hypot(raw[:, 0::2], raw[:, 1::2]), 2.0), axis=1))
+    return (raw[:, 0::2] + 1j * raw[:, 1::2]) / norms[:, None]
+
+
 def _doe_reference(rho):
     # LAPACK's general eigensolver (zgeev) on the partial transpose, not the
     # Hermitian one (zheevd) that production's 4x4 route calls, so that no
     # production solver checks itself. Used only as a cross-check.
+    # np.maximum, not max: max(0.0, nan) is 0.0 and would hide a NaN spectrum.
     mu = np.linalg.eigvals(partial_transpose(rho)).real
-    return max(0.0, float(np.sum(np.abs(mu)) - 1.0))
+    return float(np.maximum(0.0, np.sum(np.abs(mu)) - 1.0))
 
 
 def run_verification(seed=8):
@@ -368,11 +387,10 @@ def run_verification(seed=8):
 
     # Limits and monotonicity of the averaged phase factor.
     ts = np.linspace(0.0, 12.0, 121)
-    q0 = averaged_q(ts, 0.0)
+    q0, *q_rows = averaged_q(ts, np.array([[0.0], [0.05], [0.3], [1.0]]))
     ok = bool(np.all(q0 == 1.0)) and averaged_q(0.0, 3.7) == 1.0
     last = None
-    for gamma in (0.05, 0.3, 1.0):
-        qs = averaged_q(ts, gamma)
+    for qs in q_rows:
         ok = ok and bool(np.all(qs > 0.0)) and bool(np.all(qs <= 1.0))
         ok = ok and bool(np.all(np.diff(qs) <= 1e-15))
         if last is not None:
@@ -392,9 +410,11 @@ def run_verification(seed=8):
     amps0 = psi_1[sectors]
 
     # Closed form against the integrator, sector by sector, no spin-spin term.
+    # Here and below a gate reduces its deviations with np.max, so a NaN
+    # fails it; Python's max(0.0, nan) is 0.0.
     table = deterministic_table(sector_basis(1.0, init, field, 0.0))
-    dev = float(np.abs(gather_sectors(table.photon[0], sectors) - amps0).max())
-    dev = max(dev, abs(complex(table.photon_a[0, 0]) - ground))
+    dev = float(np.max([np.abs(gather_sectors(table.photon[0], sectors) - amps0).max(),
+                        abs(complex(table.photon_a[0, 0]) - ground)]))
     check("amplitudes_vs_integrator", dev <= 1e-12,
           f"max |closed - exact| {dev:.2e} over sectors {sectors} at t=1")
 
@@ -436,11 +456,12 @@ def run_verification(seed=8):
           f"max state diff {dev_frz:.2e}, negativity diff {doe_frz:.2e}")
 
     # Entanglement of the frozen-phase dynamics against the integrator.
-    doe_dev = 0.0
+    doe_devs = []
     for t_chk, psi in ((0.5, psi_half), (1.0, psi_1)):
         rho_cf = table_density(deterministic_table(sector_basis(t_chk, init, field, 0.0)))[0][0]
         rho_ex = table_density(AmplitudeTable(scatter_sectors(psi.T, ground)[None]))[0][0]
-        doe_dev = max(doe_dev, abs(negativity(rho_cf) - _doe_reference(rho_ex)))
+        doe_devs.append(abs(negativity(rho_cf) - _doe_reference(rho_ex)))
+    doe_dev = float(np.max(doe_devs))
     check("negativity_vs_integrator", doe_dev <= 1e-12,
           f"max negativity diff {doe_dev:.2e} at t in (0.5, 1.0)")
 
@@ -451,42 +472,37 @@ def run_verification(seed=8):
     gamma_spots = (0.1, 0.9)
     grids = [sweep_grid(t_spots, gamma_spots, init, field, unknown, omega_rabi=1.0)
              for unknown in qubits]
-    # One basis over the spots and one table per gamma: the same bits as
-    # one table per spot.
+    # One basis over the spots, one averaged_q call and one table per
+    # gamma: the same bits as one table per spot.
     t_arr = np.array(t_spots)
     basis = sector_basis(t_arr, init, field, 1.0)
-    tele_dev = 0.0
-    for i, gamma in enumerate(gamma_spots):
-        rho_spots, _ = table_density(amplitude_table(basis, averaged_q(t_arr, gamma)))
-        for k, rho_ch in enumerate(rho_spots):
-            for unknown, grid in zip(qubits, grids):
-                proj = bell_project_teleport(rho_ch, unknown)[0]
-                k2 = grid.kappa2[i, k]
-                bob = np.array([[grid.kappa1[i, k], k2], [np.conj(k2), grid.kappa4[i, k]]])
-                bob /= grid.weight[i, k]
-                tele_dev = max(tele_dev,
-                               abs(grid.fidelity[i, k] - proj.fidelity),
-                               float(np.abs(bob - proj.bob_state).max()),
-                               abs(grid.weight[i, k] / grid.pre_norm_trace[i, k]
-                                   - proj.outcome_weight))
+    rho_spots = np.stack([table_density(amplitude_table(basis, q))[0]
+                          for q in averaged_q(t_arr, np.array(gamma_spots)[:, None])])
+    # One projection of the 12 (qubit, spot) pairs, qubit-major like the
+    # grids' flattened columns; branch 0 is phi_plus, the closed form's.
+    n_spots = rho_spots.shape[0] * rho_spots.shape[1]
+    weights, bobs, fidelities = bell_projection(
+        np.tile(rho_spots.reshape(n_spots, 4, 4), (len(qubits), 1, 1)),
+        np.repeat([unknown.as_vector() for unknown in qubits], n_spots, axis=0))
+    fid, k1, k2, k4, weight, pre = (
+        np.concatenate([getattr(grid, name).ravel() for grid in grids])
+        for name in ("fidelity", "kappa1", "kappa2", "kappa4", "weight", "pre_norm_trace"))
+    bob = np.stack([np.stack([k1, k2], -1), np.stack([np.conj(k2), k4], -1)], -2)
+    bob /= weight[:, None, None]
+    tele_dev = float(np.max([np.abs(fid - fidelities[:, 0]).max(),
+                             np.abs(bob - bobs[:, 0]).max(),
+                             np.abs(weight / pre - weights[:, 0]).max()]))
     check("teleport_projection_consistency", tele_dev <= 1e-9,
           f"max |closed - projected| {tele_dev:.2e} over the spot grid")
 
     # A perfect Bell channel must teleport any qubit with unit fidelity
     # on every measurement branch.
-    rng = np.random.Generator(np.random.Philox(seed))
+    chis = random_qubits(np.random.Generator(np.random.Philox(seed)), 40)
     bell = np.zeros(4, dtype=complex)
     bell[0] = bell[3] = INV_SQRT2
     rho_bell = np.outer(bell, np.conj(bell))
-    bell_dev = 0.0
-    for _ in range(40):
-        raw = rng.normal(size=4)
-        vec = (raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
-        norm = math.sqrt(abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
-        unknown = UnknownQubit(vec[0] / norm, vec[1] / norm)
-        for out in bell_project_teleport(rho_bell, unknown):
-            bell_dev = max(bell_dev, abs(out.fidelity - 1.0),
-                           abs(out.outcome_weight - 0.25))
+    weights, _, fidelities = bell_projection(np.broadcast_to(rho_bell, (40, 4, 4)), chis)
+    bell_dev = float(np.max([np.abs(fidelities - 1.0).max(), np.abs(weights - 0.25).max()]))
     check("bell_channel_fidelity", bell_dev <= 1e-12,
           f"max deviation from unit fidelity and weight 1/4: {bell_dev:.2e}")
 
@@ -495,7 +511,7 @@ def run_verification(seed=8):
     check("mc_short_time", *mc_short_time(gamma_mc, seed))
     t_long = 3.0
     mc_long = monte_carlo_q(np.array([t_long]), gamma_mc, seed=seed, n_samples=100000)
-    rate_hat = -math.log(float(mc_long.q_mean[0].real)) / t_long
+    rate_hat = -math.log(float(mc_long.q_mean[0])) / t_long
     rate_expect = -math.log(float(averaged_q(t_long, gamma_mc))) / t_long
     rel = abs(rate_hat - rate_expect) / rate_expect
     check("mc_decay_rate", rel <= 0.05,
@@ -510,16 +526,16 @@ def run_verification(seed=8):
           f"se(n)/se(4n) = {ratio:.3f}, expected about 2")
 
     # Scalar substitution versus the jointly averaged second moments.
+    # One averaged_q call for the three gamma = 0.5 times of both rows.
+    q_1, q_3, q_2 = averaged_q(np.array([1.0, 3.0, 2.0]), 0.5)
     joint_dev = 0.0
-    for t_chk in (1.0, 3.0):
-        q = averaged_q(t_chk, 0.5)
+    for t_chk, q in ((1.0, q_1), (3.0, q_3)):
         rho_s = table_density(amplitude_table(sector_basis(t_chk, init, field, 1.0), q))[0][0]
         rho_j, _ = joint_averaged_density(t_chk, *gaussian_moments(q), init, field, 1.0)
         joint_dev = max(joint_dev, float(np.abs(rho_s - rho_j).max()))
     info("scalar_vs_joint_average",
          f"scalar substitution differs from joint moments by up to {joint_dev:.3f}")
-    q = averaged_q(2.0, 0.5)
-    rho_j, _ = joint_averaged_density(2.0, *gaussian_moments(q), init, field, 1.0)
+    rho_j, _ = joint_averaged_density(2.0, *gaussian_moments(q_2), init, field, 1.0)
     phi = np.concatenate(list(_phase_chunks(np.array([2.0]), 0.5, seed, 3000)))
     p = np.exp(1j * phi[:, 0])
     rho_m, _ = joint_averaged_density(2.0, p.mean(), (p * p).mean(), init, field, 1.0)
@@ -530,8 +546,8 @@ def run_verification(seed=8):
     gammas = (0.0, 0.3, 0.8)
     ts = np.linspace(0.0, 10.0, 21)
     basis = sector_basis(ts, init, field, 1.0)
-    rhos = np.stack([table_density(amplitude_table(basis, averaged_q(ts, gamma)))[0]
-                     for gamma in gammas])
+    rhos = np.stack([table_density(amplitude_table(basis, q))[0]
+                     for q in averaged_q(ts, np.array(gammas)[:, None])])
     check("density_invariants", *density_invariants(rhos, ts, gammas))
 
     return rows

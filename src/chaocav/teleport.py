@@ -2,10 +2,11 @@
 
 The closed form is kappa_sums: the phi_plus branch of Bob's state from the
 photon-grouped amplitude sums, which sweep.sweep_grid turns into the
-fidelity and branch weight it reports. bell_project_teleport is the
-independent reference: explicit Bell projection on any channel density
-matrix. The verify row teleport_projection_consistency holds the first to
-the second.
+fidelity and branch weight it reports. bell_projection is the independent
+reference: explicit Bell projection of a (K, 4, 4) stack of channel
+density matrices, each with its own unknown qubit, all four branches in
+one pass; bell_project_teleport is its one-state wrapper. The verify row
+teleport_projection_consistency holds the first to the second.
 """
 
 from __future__ import annotations
@@ -35,6 +36,10 @@ BELL_OUTCOMES = (
 #: identity on Bob's atom 3, in BELL_OUTCOMES order.
 _BELL_PROJECTORS = np.stack([tensor(np.outer(vec, np.conj(vec)), _ID2)
                              for _, vec, _ in BELL_OUTCOMES])
+
+#: Bob's (4, 2, 2) corrections C and their adjoints C^H, in BELL_OUTCOMES order.
+_CORRECTIONS = np.stack([correction for _, _, correction in BELL_OUTCOMES])
+_CORRECTIONS_H = np.conj(np.swapaxes(_CORRECTIONS, -1, -2))
 
 
 @dataclass(frozen=True)
@@ -101,33 +106,46 @@ def kappa_sums(table, unknown):
     return k1, k2, k4
 
 
+def bell_projection(channels, chis):
+    """All four Bell branches by explicit projection on a stack of channels.
+
+    channels is a (K, 4, 4) stack of normalized two-atom states and chis
+    the (K, 2) unknown qubit vectors (alpha_u, beta_u) teleported through
+    them. Returns (weights, bobs, fidelities) of shapes (K, 4), (K, 4, 2, 2)
+    and (K, 4), the branches in BELL_OUTCOMES order. A branch whose weight
+    is at most WEIGHT_FLOOR gets weight 0, the maximally mixed Bob state
+    and fidelity nan. Each state's values are bit for bit those of the
+    same steps on that state alone: one product with the stacked (4, 8, 8)
+    projectors selects all four branches, one einsum traces atoms 1 and 2
+    out of each, Bob's correction is C (bob_raw / weight) C^H and his
+    fidelity (conj(chi) @ bob) @ chi, all as per-slice products.
+    """
+    chis = np.asarray(chis, dtype=complex)
+    rho_in = chis[:, :, None] * np.conj(chis)[:, None, :]
+    selected = _BELL_PROJECTORS @ tensor(rho_in, channels)[:, None] @ _BELL_PROJECTORS
+    # Trace out atoms 1 and 2 of every branch, keeping Bob's atom 3.
+    bob_raws = np.einsum("nkabiabj->nkij", selected.reshape(selected.shape[:2] + (2,) * 6))
+    weights = np.trace(selected, axis1=-2, axis2=-1).real
+    floored = weights <= WEIGHT_FLOOR
+    scale = np.where(floored, 1.0, weights)[..., None, None]
+    bobs = _CORRECTIONS @ (bob_raws / scale) @ _CORRECTIONS_H
+    fidelities = ((np.conj(chis)[:, None, None, :] @ bobs) @ chis[:, None, :, None])[..., 0, 0].real
+    bobs[floored] = _ID2 / 2.0
+    return (np.where(floored, 0.0, weights), bobs,
+            np.where(floored, np.nan, fidelities))
+
+
 def bell_project_teleport(channel_rho, unknown):
-    """All four Bell branches by explicit projection on a channel matrix.
+    """All four Bell branches of one channel matrix, as TeleportOutcome rows.
 
     channel_rho is any normalized 4x4 two-atom state. Returns the four
-    TeleportOutcome branches in the fixed order phi_plus, phi_minus,
-    psi_plus, psi_minus; a branch with vanishing weight gets the
-    maximally mixed Bob state and fidelity nan. One product with the
-    stacked (4, 8, 8) projectors selects all four branches, and one einsum
-    traces atoms 1 and 2 out of each; the weight and Bob's correction are
-    then taken branch by branch.
+    branches in the fixed order phi_plus, phi_minus, psi_plus, psi_minus,
+    from bell_projection on a one-state stack; a branch with vanishing
+    weight gets the maximally mixed Bob state and fidelity nan.
     """
-    channel_rho = np.asarray(channel_rho, dtype=complex)
-    chi = unknown.as_vector()
-    rho_in = np.outer(chi, np.conj(chi))
-    rho3 = tensor(rho_in, channel_rho)
-    selected = _BELL_PROJECTORS @ rho3 @ _BELL_PROJECTORS
-    # Trace out atoms 1 and 2 of every branch, keeping Bob's atom 3.
-    bob_raws = np.einsum("kabiabj->kij", selected.reshape((4,) + (2,) * 6))
-    outcomes = []
-    for (label, _, correction), branch, bob_raw in zip(BELL_OUTCOMES, selected, bob_raws):
-        weight = float(np.trace(branch).real)
-        if weight <= WEIGHT_FLOOR:
-            outcomes.append(TeleportOutcome(bell_label=label, bob_state=_ID2 / 2.0,
-                                            outcome_weight=0.0, fidelity=float("nan")))
-            continue
-        bob = correction @ (bob_raw / weight) @ np.conj(correction.T)
-        fidelity = float(np.real(np.conj(chi) @ bob @ chi))
-        outcomes.append(TeleportOutcome(bell_label=label, bob_state=bob,
-                                        outcome_weight=weight, fidelity=fidelity))
-    return outcomes
+    weights, bobs, fidelities = bell_projection(np.asarray(channel_rho)[None],
+                                                unknown.as_vector()[None])
+    return [TeleportOutcome(bell_label=label, bob_state=bob, outcome_weight=float(weight),
+                            fidelity=float(fidelity))
+            for (label, _, _), weight, bob, fidelity
+            in zip(BELL_OUTCOMES, weights[0], bobs[0], fidelities[0])]

@@ -30,6 +30,25 @@ def test_tensor_matches_kron_chain():
     assert tensor(a).shape == (2, 2)
 
 
+def test_tensor_on_stacks_equals_the_per_slice_products(rng):
+    # (K, m, n) by (K, p, q), and a 2-D operator broadcast against a stack:
+    # every slice keeps np.kron's bits.
+    def cplx(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    left, right, third = cplx(5, 2, 3), cplx(5, 4, 1), cplx(2, 2)
+    left[1, 0, 0] = -0.0
+    got = tensor(left, right, third)
+    assert got.shape == (5, 16, 6)
+    for k in range(5):
+        want = np.kron(np.kron(left[k], right[k]), third)
+        assert np.array_equal(got[k].view(np.uint64), want.view(np.uint64))
+    got = tensor(third, right)
+    assert got.shape == (5, 8, 2)
+    for k in range(5):
+        assert np.array_equal(got[k].view(np.uint64), np.kron(third, right[k]).view(np.uint64))
+
+
 def test_tensor_keeps_the_bits_of_the_kron_chain_on_non_square_operands(rng):
     shapes = ((2, 3), (3, 1), (2, 2))
     ops = [rng.normal(size=shape) + 1j * rng.normal(size=shape) for shape in shapes]

@@ -11,6 +11,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import chaocav.oracle as oracle
+from chaocav import cli
 from chaocav.dynamics import (AmplitudeTable, AtomicInit, _build_table, amplitude_table,
                               averaged_q, deterministic_table, frozen_phases, gather_sectors,
                               padded_weights, scatter_sectors, sector_basis, start_quadruples,
@@ -33,6 +34,8 @@ from chaocav.oracle import (
     legacy_quadruples,
     mc_short_time,
     monte_carlo_q,
+    random_qubits,
+    run_verification,
 )
 from conftest import BELL_INIT, four_rows
 
@@ -307,8 +310,20 @@ def test_monte_carlo_is_deterministic_per_seed():
 def test_monte_carlo_matches_gaussian_closure():
     out = monte_carlo_q(np.array([1.0]), 0.5, seed=8, n_samples=4000)
     want = averaged_q(1.0, 0.5)
-    assert abs(out.q_mean[0].real - want) <= 5.0 * out.stderr[0]
-    assert abs(out.q_mean[0].imag) <= 5.0 * out.stderr[0]
+    assert out.q_mean.dtype == np.float64
+    assert abs(out.q_mean[0] - want) <= 5.0 * out.stderr[0]
+
+
+def test_sampled_phase_is_symmetric():
+    # The phase is a centred Gaussian, so the mean of sin(phi), the
+    # imaginary part of <exp(i phi)> that monte_carlo_q leaves out, is 0
+    # within 5 standard errors of the real part, the bound it always had.
+    for grid, gamma in (([1.0], 0.5), ([0.5, 2.0, 5.0], 1.0)):
+        grid = np.array(grid)
+        phi = np.concatenate(list(oracle._phase_chunks(grid, gamma, 8, 4000)))
+        mean_sin = np.sin(phi).mean(axis=0)
+        se = monte_carlo_q(grid, gamma, seed=8, n_samples=4000).stderr
+        assert np.all(np.abs(mean_sin) <= 5.0 * se), (mean_sin, se)
 
 
 def test_monte_carlo_matches_averaged_q_on_the_whole_grid():
@@ -331,19 +346,18 @@ def test_monte_carlo_sums_match_the_whole_sample_statistics():
     out = monte_carlo_q(grid, 1.0, seed=8, n_samples=20000)
     want_se = np.std(np.cos(phi), axis=0, ddof=1) / math.sqrt(20000)
     assert out.stderr == pytest.approx(want_se, rel=1e-9, abs=0.0)
-    assert out.q_mean == pytest.approx(np.mean(np.exp(1j * phi), axis=0), rel=1e-12)
+    assert out.q_mean == pytest.approx(np.mean(np.cos(phi), axis=0), rel=1e-12)
 
 
 def fsum_statistics(grid, gamma, seed, n_samples):
-    """monte_carlo_q's (q_mean, stderr) from math.fsum over the same draws."""
+    """monte_carlo_q's real (q_mean, stderr) from math.fsum over the same draws."""
     phi = np.concatenate(list(oracle._phase_chunks(grid, gamma, seed, n_samples)))
     q_mean, stderr = [], []
     for column in phi.T.tolist():
         ys = [2.0 * math.sin(0.5 * p) ** 2 for p in column]
         sum_y = math.fsum(ys)
         sum_y2 = math.fsum(y * y for y in ys)
-        sum_sin = math.fsum(math.sin(p) for p in column)
-        q_mean.append(complex(1.0 - sum_y / n_samples, sum_sin / n_samples))
+        q_mean.append(1.0 - sum_y / n_samples)
         stderr.append(math.sqrt((sum_y2 - sum_y * sum_y / n_samples)
                                 / (n_samples - 1) / n_samples))
     return np.array(q_mean), np.array(stderr)
@@ -547,3 +561,57 @@ def test_density_invariants_name_the_first_failure_and_count_them():
     assert not ok
     assert detail.startswith("density matrix trace ")
     assert detail.endswith(f"(t={ts[4]}, gamma=0.3); 3 of 63 points failed")
+
+
+# ---------------------------------------------------------------- verify gates
+
+def test_random_qubits_keep_the_bits_of_per_qubit_draws():
+    # One (40, 4) Philox draw is the stream of 40 draws of 4, and each
+    # vector is the one normalised alone through numpy's scalar abs and **.
+    for seed in range(50):
+        rng = np.random.Generator(np.random.Philox(seed))
+        raws = [rng.normal(size=4) for _ in range(40)]
+        rng = np.random.Generator(np.random.Philox(seed))
+        assert np.array_equal(rng.normal(size=(40, 4)).view(np.uint64),
+                              np.array(raws).view(np.uint64))
+        want = []
+        for raw in raws:
+            vec = (raw[0] + 1j * raw[1], raw[2] + 1j * raw[3])
+            norm = math.sqrt(abs(vec[0]) ** 2 + abs(vec[1]) ** 2)
+            want.append((vec[0] / norm, vec[1] / norm))
+        got = random_qubits(np.random.Generator(np.random.Philox(seed)), 40)
+        assert got.tobytes() == np.array(want).tobytes()
+
+
+def statuses(seed=8):
+    return {row.name: row.status for row in run_verification(seed)}
+
+
+def test_nan_deviations_fail_their_rows(monkeypatch, capsys):
+    # Python's max(0.0, nan) is 0.0: a NaN deviation used to PASS. The NaN
+    # goes into one branch's fidelity, then into its weight.
+    projection = oracle.bell_projection
+    for part in (2, 0):
+        def nan_branch(channels, chis, part=part):
+            out = projection(channels, chis)
+            out[part][0, 0] = np.nan
+            return out
+
+        monkeypatch.setattr(oracle, "bell_projection", nan_branch)
+        rows = statuses()
+        assert rows["teleport_projection_consistency"] == rows["bell_channel_fidelity"] == "FAIL"
+        assert rows["negativity_vs_integrator"] == "PASS"
+        assert cli.main(["verify"]) == 4
+        capsys.readouterr()
+    monkeypatch.setattr(oracle, "bell_projection", projection)
+    monkeypatch.setattr(oracle, "negativity", lambda rho: float("nan"))
+    rows = statuses()
+    assert rows["negativity_vs_integrator"] == rows["averaged_frozen_limit"] == "FAIL"
+    assert rows["teleport_projection_consistency"] == rows["bell_channel_fidelity"] == "PASS"
+
+
+def test_doe_reference_keeps_a_nan_spectrum(monkeypatch):
+    prep = np.outer(BELL_INIT.as_vector(), BELL_INIT.as_vector().conj())
+    assert oracle._doe_reference(prep) == pytest.approx(1.0, abs=1e-12)
+    monkeypatch.setattr(np.linalg, "eigvals", lambda m: np.full(4, np.nan))
+    assert math.isnan(oracle._doe_reference(prep))

@@ -21,6 +21,7 @@ from chaocav.teleport import (
     WEIGHT_FLOOR,
     UnknownQubit,
     bell_project_teleport,
+    bell_projection,
     kappa_sums,
 )
 from conftest import BELL_INIT, four_rows, random_density
@@ -147,6 +148,33 @@ def test_stacked_projection_equals_the_per_branch_loop_bit_for_bit(rng):
             if outcome.outcome_weight == 0.0:
                 floored.append(outcome.bell_label)
     assert floored == ["psi_plus", "psi_minus"]
+
+
+def test_stacked_kernel_equals_one_state_projections_bit_for_bit(rng):
+    # 60 random complex channels (neither Hermitian nor positive, so some
+    # branch weights are negative and floored), each with its own unknown,
+    # plus |gg><gg| teleporting |g>, whose psi branches fall below
+    # WEIGHT_FLOOR.
+    channels = rng.normal(size=(61, 4, 4)) + 1j * rng.normal(size=(61, 4, 4))
+    channels /= np.trace(channels, axis1=1, axis2=2)[:, None, None]
+    unknowns = [random_qubit(rng) for _ in range(60)] + [UnknownQubit(1.0, 0.0)]
+    channels[60] = 0.0
+    channels[60, 0, 0] = 1.0
+    weights, bobs, fidelities = bell_projection(channels, [u.as_vector() for u in unknowns])
+    assert weights.shape == fidelities.shape == (61, 4) and bobs.shape == (61, 4, 2, 2)
+    for k, (channel, unknown) in enumerate(zip(channels, unknowns)):
+        one = bell_project_teleport(channel, unknown)
+        loop = per_branch_projection(channel, unknown)
+        for j, (outcome, (weight, fidelity, bob)) in enumerate(zip(one, loop)):
+            for got in (np.float64(outcome.outcome_weight), weights[k, j]):
+                assert got.tobytes() == np.float64(weight).tobytes()
+            for got in (np.float64(outcome.fidelity), fidelities[k, j]):
+                assert got.tobytes() == np.float64(fidelity).tobytes()
+            assert outcome.bob_state.tobytes() == bobs[k, j].tobytes() == bob.tobytes()
+    assert np.array_equal(weights[60, 2:], [0.0, 0.0])
+    assert np.all(np.isnan(fidelities[60, 2:]))
+    assert np.array_equal(bobs[60, 2:], [np.eye(2) / 2.0] * 2)
+    assert np.count_nonzero(weights > WEIGHT_FLOOR) >= 120
 
 
 def test_closed_form_matches_projection_on_grid():
