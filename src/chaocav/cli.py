@@ -11,10 +11,12 @@ or a run too large for memory (MemoryError), 3 I/O failure (OSError),
 from __future__ import annotations
 
 import argparse
+import contextlib
 import functools
 import math
 import os
 import re
+import stat
 import sys
 from pathlib import Path
 
@@ -203,11 +205,41 @@ def _finalize(args):
 
 def _write(path, chunks):
     """Write each chunk of bytes to path. The OSError names the path, which
-    an error at write time, such as a full disk, does not carry."""
+    an error at write time, such as a full disk, does not carry.
+
+    A regular file is rewritten in place from its first byte and then cut
+    at the end of the bytes that reached it, which reuses its pages and
+    blocks where open(path, "wb") would free them first. After a return the
+    file holds exactly the new bytes. When the chunks or a write raise, it
+    is cut at the end of the bytes written before the failure, and that
+    exception propagates, also when the cut then fails. Until the cut, the
+    previous file's bytes stay past the write position, so a kill mid-write
+    leaves new bytes followed by old ones. Any other target, such as a
+    device or a FIFO, is written as it is and never cut.
+    """
     try:
-        with open(path, "wb") as fh:
-            for chunk in chunks:
-                fh.write(chunk)
+        fd = os.open(path, os.O_WRONLY | os.O_CREAT, 0o666)
+        try:
+            regular = stat.S_ISREG(os.fstat(fd).st_mode)
+            # Unbuffered, so end counts only bytes that reached the file;
+            # os.write may take fewer bytes than it is given.
+            end = 0
+            try:
+                for chunk in chunks:
+                    view = memoryview(chunk)
+                    while view:
+                        written = os.write(fd, view)
+                        view = view[written:]
+                        end += written
+            except BaseException:
+                if regular:
+                    with contextlib.suppress(OSError):
+                        os.ftruncate(fd, end)
+                raise
+            if regular:
+                os.ftruncate(fd, end)
+        finally:
+            os.close(fd)
     except OSError as exc:
         raise OSError(f"cannot write {path}: {exc}") from exc
 

@@ -3,9 +3,13 @@ exit codes and rerun determinism."""
 
 import argparse
 import csv
+import errno
+import os
 import re
+import stat
 import subprocess
 import sys
+import threading
 import types
 import xml.etree.ElementTree as ET
 from xml.sax.saxutils import escape as sax_escape
@@ -631,6 +635,137 @@ def test_unwritable_chart_exits_3(tmp_path, capsys):
                      "--alpha-field", "1", "--out", str(out), "--svg"])
     assert code == 3
     assert f"error: cannot write {out.with_suffix('.svg')}: " in capsys.readouterr().err
+
+
+# ------------------------------------------------------ rewriting in place
+
+SMALL_GRID = ["contour", "--gamma", "0.1", "0.3", "--gamma-steps", "2", "--steps", "3",
+              "--t-max", "1.0", "--alpha-field", "1"]
+
+
+def test_write_cuts_a_longer_file_to_the_new_bytes(tmp_path):
+    path = tmp_path / "old.csv"
+    path.write_bytes(b"x" * 10_000)
+    cli._write(path, [b"abc", b"", b"def\n"])
+    assert path.read_bytes() == b"abcdef\n"
+    cli._write(path, [])
+    assert path.read_bytes() == b""
+
+
+@pytest.mark.parametrize("mask", [0o022, 0o077, 0o002])
+def test_new_file_gets_the_mode_of_a_truncating_open(tmp_path, mask):
+    old = os.umask(mask)
+    try:
+        cli._write(tmp_path / "new.csv", [b"a"])
+        with open(tmp_path / "opened.csv", "wb"):
+            pass
+    finally:
+        os.umask(old)
+    mode = stat.S_IMODE((tmp_path / "new.csv").stat().st_mode)
+    assert mode == 0o666 & ~mask == stat.S_IMODE((tmp_path / "opened.csv").stat().st_mode)
+
+
+def test_devnull_is_written_without_a_cut():
+    cli._write(os.devnull, [b"abc", b"def"])
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="needs FIFOs")
+def test_fifo_is_written_without_a_cut(tmp_path):
+    fifo = tmp_path / "pipe"
+    os.mkfifo(fifo)
+    received = []
+    reader = threading.Thread(target=lambda: received.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    cli._write(fifo, [b"abc", b"def\n"])
+    reader.join(timeout=10)
+    assert not reader.is_alive()
+    assert received == [b"abcdef\n"]
+
+
+@pytest.mark.parametrize("previous", [None, b"x" * 10_000], ids=["new", "longer"])
+@pytest.mark.parametrize("raised, caught, message", [
+    (RuntimeError("stopped"), RuntimeError, "^stopped$"),
+    (MemoryError("no room"), MemoryError, "^no room$"),
+    (OSError("disk full"), OSError, "^cannot write .*fail.csv: disk full$"),
+])
+def test_failed_write_keeps_the_chunks_before_it(tmp_path, previous, raised, caught, message):
+    path = tmp_path / "fail.csv"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    def chunks():
+        yield b"first,"
+        yield b"second\n"
+        raise raised
+
+    with pytest.raises(caught, match=message):
+        cli._write(path, chunks())
+    assert path.read_bytes() == b"first,second\n"
+
+
+@pytest.mark.parametrize("limit, kept", [(None, b"first,second\n"), (9, b"first,sec")],
+                         ids=["short writes", "error after short writes"])
+def test_cut_follows_the_bytes_that_reached_the_file(tmp_path, monkeypatch, limit, kept):
+    # os.write takes at most 4 bytes a call and, past limit bytes, fails as
+    # a full disk does; the old file's tail must still go.
+    path = tmp_path / "fail.csv"
+    path.write_bytes(b"x" * 10_000)
+    real_write, total = os.write, [0]
+
+    def write(fd, data):
+        room = 4 if limit is None else min(4, limit - total[0])
+        if room <= 0:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        total[0] += real_write(fd, bytes(data[:room]))
+        return min(room, len(data))
+
+    monkeypatch.setattr(os, "write", write)
+    if limit is None:
+        cli._write(path, [b"first,", b"second\n"])
+    else:
+        with pytest.raises(OSError, match="^cannot write .*fail.csv: .*No space left"):
+            cli._write(path, [b"first,", b"second\n"])
+    monkeypatch.undo()
+    assert path.read_bytes() == kept
+
+
+def test_a_failed_cut_does_not_hide_the_error_that_stopped_the_write(tmp_path, monkeypatch):
+    path = tmp_path / "cut.csv"
+    path.write_bytes(b"x" * 100)
+
+    def ftruncate(fd, length):
+        raise OSError(errno.EIO, "Input/output error")
+
+    def chunks():
+        yield b"first\n"
+        raise RuntimeError("stopped")
+
+    monkeypatch.setattr(os, "ftruncate", ftruncate)
+    with pytest.raises(RuntimeError, match="^stopped$"):
+        cli._write(path, chunks())
+    with pytest.raises(OSError, match="^cannot write .*cut.csv: .*Input/output error$"):
+        cli._write(path, [b"first\n"])
+
+
+def test_symlinked_out_writes_through_the_link(tmp_path):
+    target, link, fresh = tmp_path / "target.csv", tmp_path / "link.csv", tmp_path / "fresh.csv"
+    target.write_bytes(b"x" * 10_000)
+    link.symlink_to(target.name)
+    assert cli.main(SMALL_GRID + ["--out", str(link)]) == 0
+    assert cli.main(SMALL_GRID + ["--out", str(fresh)]) == 0
+    assert link.is_symlink()
+    assert target.read_bytes() == fresh.read_bytes()
+
+
+def test_directory_out_exits_3(tmp_path, capsys):
+    out = tmp_path / "taken.csv"
+    out.mkdir()
+    (out / "inside").write_bytes(b"kept")
+    code = cli.main(SMALL_GRID + ["--out", str(out)])
+    assert code == 3
+    assert f"error: cannot write {out}: " in capsys.readouterr().err
+    assert [p.name for p in out.iterdir()] == ["inside"]
+    assert (out / "inside").read_bytes() == b"kept"
 
 
 @pytest.mark.parametrize("raised, code, err", [
